@@ -5,6 +5,7 @@ block, bulk CTR throughput, chain evaluation at the paper's depths, and
 the item codec at the paper's 4 KB item size.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -17,7 +18,6 @@ from repro.crypto.aes import AES
 from repro.crypto.bulk import ctr_transform
 from repro.crypto.modes import aes_ctr
 from repro.crypto.rng import DeterministicRandom
-from repro.crypto.sha1 import sha1
 
 rng = DeterministicRandom("micro")
 
@@ -26,14 +26,14 @@ rng = DeterministicRandom("micro")
 def test_sha1_short_input(benchmark):
     """One chain step hashes a digest-wide value (20 bytes)."""
     data = rng.bytes(20)
-    benchmark(lambda: sha1(data))
+    benchmark(lambda: hashlib.sha1(data).digest())
 
 
 @pytest.mark.benchmark(group="micro-hash")
 def test_sha1_item_sized_input(benchmark):
     """The per-item integrity hash covers a 4 KB item."""
     data = rng.bytes(4096)
-    benchmark(lambda: sha1(data))
+    benchmark(lambda: hashlib.sha1(data).digest())
 
 
 @pytest.mark.benchmark(group="micro-aes")
@@ -132,8 +132,9 @@ def test_micro_timing_record():
         "microseconds": {
             "xor_digest_20b": _per_call_us(
                 lambda: xor_bytes(digest_a, digest_b)),
-            "sha1_20b": _per_call_us(lambda: sha1(short)),
-            "sha1_4kb": _per_call_us(lambda: sha1(item), reps=200),
+            "sha1_20b": _per_call_us(lambda: hashlib.sha1(short).digest()),
+            "sha1_4kb": _per_call_us(lambda: hashlib.sha1(item).digest(),
+                                     reps=200),
             "aes_block": _per_call_us(lambda: cipher.encrypt_block(block)),
             "ctr_small_92b": _per_call_us(
                 lambda: aes_ctr(key, nonce, small_payload)),

@@ -15,6 +15,7 @@ benchmark-scale substitution for the paper's EC2-resident 10^7-item files.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -25,7 +26,6 @@ from repro.core.modulated_chain import ChainEngine
 from repro.core.params import Params
 from repro.core.tree import ModulationTree
 from repro.crypto.rng import DeterministicRandom
-from repro.crypto.sha1 import Sha1
 from repro.protocol.channel import LoopbackChannel
 from repro.server.server import CloudServer
 from repro.server.storage import CallbackCiphertextStore
@@ -50,7 +50,7 @@ class SeededFile:
 
 
 def _derive_nonce(seed: bytes, item_id: int) -> bytes:
-    hasher = Sha1()
+    hasher = hashlib.sha1()
     hasher.update(seed)
     hasher.update(b"nonce")
     hasher.update(struct.pack(">Q", item_id))
@@ -61,7 +61,7 @@ def _derive_payload(seed: bytes, item_id: int, size: int) -> bytes:
     """Deterministic item contents (vectorised keystream expansion)."""
     if size == 0:
         return b""
-    hasher = Sha1()
+    hasher = hashlib.sha1()
     hasher.update(seed)
     hasher.update(b"payload")
     hasher.update(struct.pack(">Q", item_id))

@@ -92,8 +92,20 @@ class Vault:
         if not os.path.exists(self._state_path):
             raise ReproError(
                 f"no vault at {self.server_dir!r}; run 'init' first")
-        with open(self._state_path, "rb") as handle:
-            self.fs = pickle.load(handle)
+        try:
+            with open(self._state_path, "rb") as handle:
+                fs = pickle.load(handle)
+        except (pickle.UnpicklingError, EOFError, ImportError,
+                AttributeError) as exc:
+            raise ReproError(
+                f"vault state {self._state_path!r} is unreadable or was "
+                f"written by an older version of repro-vault "
+                f"({type(exc).__name__}: {exc}); re-create it with 'init'"
+            ) from exc
+        if not isinstance(fs, OutsourcedFileSystem):
+            raise ReproError(
+                f"vault state {self._state_path!r} does not hold a vault")
+        self.fs = fs
 
     def save(self) -> None:
         with open(self._state_path, "wb") as handle:
@@ -718,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="independent server shards behind the "
                              "consistent-hash router")
     stress.add_argument("--toggle-caches", action="store_true",
-                        help="randomly flip the hot-path caches mid-run")
+                        help="randomly flip the server view cache mid-run")
     stress.add_argument("--backend", choices=("memory", "log", "sqlite"),
                         default="memory",
                         help="storage engine behind the stressed shards "

@@ -57,10 +57,7 @@ class ItemCodec:
         return chain_output[:self._params.data_key_size]
 
     def _item_hash(self, message: bytes, r_bytes: bytes) -> bytes:
-        hasher = self._params.chain_hash()
-        hasher.update(message)
-        hasher.update(r_bytes)
-        return hasher.digest()
+        return self._params.chain_hash(message + r_bytes).digest()
 
     def encrypt(self, chain_output: bytes, message: bytes, item_id: int,
                 nonce: bytes) -> bytes:
@@ -75,11 +72,10 @@ class ItemCodec:
 
     def encrypt_many(self, chain_outputs: list[bytes], messages: list[bytes],
                      item_ids: list[int], nonces: list[bytes]) -> list[bytes]:
-        """Batch encryption: one vectorised hash pass over all item tags.
+        """Batch encryption, identical output to per-item :meth:`encrypt`.
 
-        Identical output to per-item :meth:`encrypt`; used by outsourcing
-        and by the master-key baseline's O(n) re-encryption, where the
-        item hashes dominate the interpreter cost.
+        Used by outsourcing and by the master-key baseline's O(n)
+        re-encryption; the AES-CTR transforms run as one vectorised sweep.
         """
         if not (len(chain_outputs) == len(messages) == len(item_ids)
                 == len(nonces)):
@@ -131,17 +127,9 @@ class ItemCodec:
                 for key, nonce, payload in zip(keys, nonces, payloads)]
 
     def _hash_many(self, inputs: list[bytes]) -> list[bytes]:
-        """Vectorised tag hashing where the chain hash supports it."""
-        from repro.crypto.sha1 import Sha1
-        if self._params.chain_hash is Sha1 and len(inputs) >= 16:
-            from repro.crypto.bulk_hash import sha1_many
-            return sha1_many(inputs)
-        digests = []
-        for data in inputs:
-            hasher = self._params.chain_hash()
-            hasher.update(data)
-            digests.append(hasher.digest())
-        return digests
+        """Item tags ``H(m || r)`` for a batch of ``m || r`` inputs."""
+        h = self._params.chain_hash
+        return [h(data).digest() for data in inputs]
 
     def decrypt(self, chain_output: bytes, ciphertext: bytes) -> tuple[bytes, int]:
         """Decrypt and verify; return ``(message, item_id)``.

@@ -23,11 +23,10 @@ Two backends implement the same interface:
 from __future__ import annotations
 
 import abc
+import hashlib
 import struct
 
 from repro.crypto.rng import RandomSource
-from repro.crypto.sha1 import Sha1
-from repro.crypto.sha256 import Sha256
 
 
 class ModulatorStore(abc.ABC):
@@ -53,6 +52,14 @@ class ModulatorStore(abc.ABC):
     @abc.abstractmethod
     def set_leaf(self, slot: int, value: bytes) -> None:
         """Set the leaf modulator of leaf ``slot``."""
+
+    def truncate(self, slot_count: int) -> None:
+        """Forget every modulator of slots ``>= slot_count``.
+
+        The tree calls this after a deletion frees its two highest slots.
+        A no-op by default: engine-backed and seed-derived stores never
+        read a freed slot again and need not reclaim it eagerly.
+        """
 
     def _check(self, value: bytes) -> bytes:
         if len(value) != self.width:
@@ -96,6 +103,11 @@ class DenseModulatorStore(ModulatorStore):
         self._ensure(self._leaves, slot)
         self._leaves[slot * self.width:(slot + 1) * self.width] = value
 
+    def truncate(self, slot_count: int) -> None:
+        end = slot_count * self.width
+        del self._links[end:]
+        del self._leaves[end:]
+
     def bulk_fill(self, rng: RandomSource, link_slots: range,
                   leaf_slots: range) -> None:
         """Fill contiguous slot ranges with fresh random modulators at once.
@@ -132,9 +144,9 @@ class LazySeededStore(ModulatorStore):
     def __init__(self, width: int, seed: bytes) -> None:
         super().__init__(width)
         if width <= 20:
-            self._hash_factory = Sha1
+            self._hash_factory = hashlib.sha1
         elif width <= 32:
-            self._hash_factory = Sha256
+            self._hash_factory = hashlib.sha256
         else:
             raise ValueError("lazy store supports widths up to 32 bytes")
         self._seed = bytes(seed)

@@ -24,11 +24,10 @@ Table II stores exactly 16 bytes per file) can drive a 20-byte SHA-1 chain.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Sequence
 
 from repro.crypto.hmac import HashFactory
-from repro.crypto.sha1 import Sha1
-
 
 _from_bytes = int.from_bytes
 
@@ -36,7 +35,7 @@ _from_bytes = int.from_bytes
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings.
 
-    Hot in every scalar chain step (one XOR per hash application), so the
+    Hot in every chain step (one XOR per hash application), so the
     common case -- two 20-byte SHA-1-width operands -- skips the length
     comparison and the dynamic width lookup; the bound ``int.from_bytes``
     avoids a method-descriptor fetch per call.
@@ -48,45 +47,27 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (_from_bytes(a, "big") ^ _from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-_BULK_MIN_BATCH: int | None = None
-
-
-def _bulk_min_batch() -> int:
-    """Batch-size threshold of the vectorised SHA-1 engine (lazy import)."""
-    global _BULK_MIN_BATCH
-    if _BULK_MIN_BATCH is None:
-        from repro.crypto.bulk_hash import MIN_BATCH
-        _BULK_MIN_BATCH = MIN_BATCH
-    return _BULK_MIN_BATCH
-
-
 class ChainEngine:
     """Evaluates modulated hash chains and counts hash invocations.
 
     The hash-invocation counter backs the computation-overhead metrics of
-    Figure 6: wall-clock time in pure Python carries a large interpreter
-    constant, so the experiment harness reports exact hash counts alongside
-    measured time (both scale as ``O(log n)``).
+    Figure 6: wall-clock time carries the interpreter's constant, so the
+    experiment harness reports exact hash counts alongside measured time
+    (both scale as ``O(log n)``).  ``hash_factory`` is a :mod:`hashlib`
+    constructor; every chain step is one call to it.
     """
 
-    __slots__ = ("hash_factory", "digest_size", "hash_calls", "_sha1_lanes")
+    __slots__ = ("hash_factory", "digest_size", "hash_calls")
 
-    def __init__(self, hash_factory: HashFactory = Sha1) -> None:
+    def __init__(self, hash_factory: HashFactory = hashlib.sha1) -> None:
         self.hash_factory = hash_factory
         self.digest_size = hash_factory().digest_size
         self.hash_calls = 0
-        # Capability check, not a name check: any factory that *is* Sha1
-        # (including an alias bound to another name) or subclasses it
-        # produces FIPS 180-4 SHA-1 digests and can ride the numpy lanes.
-        self._sha1_lanes = (isinstance(hash_factory, type)
-                            and issubclass(hash_factory, Sha1))
 
     def h(self, data: bytes) -> bytes:
         """One application of the chain hash ``H``."""
         self.hash_calls += 1
-        hasher = self.hash_factory()
-        hasher.update(data)
-        return hasher.digest()
+        return self.hash_factory(data).digest()
 
     def pad_key(self, master_key: bytes) -> bytes:
         """Zero-pad a master key to the digest width (``F(K, empty) = K``)."""
@@ -100,24 +81,14 @@ class ChainEngine:
 
     def step_many(self, values: list[bytes],
                   modulators: list[bytes]) -> list[bytes]:
-        """Many independent chain steps at once.
-
-        Bit-identical to per-pair :meth:`step`; vectorised when the chain
-        hash is SHA-1 and the batch is large enough to amortise numpy
-        overhead.  Hash-call accounting is unchanged (one call per pair).
-        """
+        """Many independent chain steps, identical to per-pair :meth:`step`
+        (one hash call counted per pair)."""
         if len(values) != len(modulators):
             raise ValueError("one modulator per value required")
         self.hash_calls += len(values)
-        if self._sha1_lanes and len(values) >= _bulk_min_batch():
-            from repro.crypto.bulk_hash import sha1_many, xor_many
-            return sha1_many(xor_many(values, modulators))
-        results = []
-        for value, modulator in zip(values, modulators):
-            hasher = self.hash_factory()
-            hasher.update(xor_bytes(value, modulator))
-            results.append(hasher.digest())
-        return results
+        h = self.hash_factory
+        return [h(xor_bytes(value, modulator)).digest()
+                for value, modulator in zip(values, modulators)]
 
     def evaluate(self, master_key: bytes, modulators: Iterable[bytes]) -> bytes:
         """Evaluate ``F(K, M)`` over the full modulator list."""

@@ -19,7 +19,7 @@ testable against the paper's Theorems 1 and 2.
   :func:`compute_deltas_multi` / :func:`compute_batch_moves` -- the
   batched-deletion pipeline over the union view ``MT(S)``: one key
   rotation and one delta set compensate every leaf outside the batch,
-  and all chain evaluations ride the vectorised ``step_many`` lanes.
+  and each tree level's chain steps go out as one ``step_many`` batch.
 * :func:`derive_all_keys` -- whole-file key derivation with shared
   prefixes (Table III's computation-overhead numerator).
 """
@@ -123,8 +123,7 @@ def compute_deltas(engine: ChainEngine, old_key: bytes, new_key: bytes,
     Shares one prefix sweep along ``P(k)`` for each key, so the entire cut
     costs ``O(log n)`` hashes exactly as Section IV-C argues.  The old-key
     and new-key sweeps run as two lanes through :meth:`ChainEngine.step_many`
-    and all per-depth cut steps are issued as one batch, so a deep tree's
-    divergence steps ride the vectorised SHA-1 lanes.
+    and all per-depth cut steps are issued as one batch.
     """
     old_prefixes = [engine.pad_key(old_key)]
     new_prefixes = [engine.pad_key(new_key)]
@@ -263,10 +262,9 @@ def chain_values_for_view(engine: ChainEngine, master_keys: Sequence[bytes],
 
     Slots are visited in heap order (ascending slot number == level
     order), each level issuing a single :meth:`ChainEngine.step_many`
-    call with one lane per master key, so the whole batch rides the
-    numpy SHA-1 lanes.  Returns one ``slot -> F(K, M_slot)`` dict per
-    key; hash count is ``len(link_slots)`` per key, identical to scalar
-    evaluation.
+    call with one lane per master key.  Returns one
+    ``slot -> F(K, M_slot)`` dict per key; hash count is
+    ``len(link_slots)`` per key, identical to scalar evaluation.
     """
     link_slots = ModulationTree.batch_link_slots(view.n_leaves,
                                                  view.target_slots)

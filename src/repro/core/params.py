@@ -9,10 +9,10 @@ modulator width) without touching any algorithm code.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+
 from repro.crypto.hmac import HashFactory
-from repro.crypto.sha1 import Sha1
-from repro.crypto.sha256 import Sha256
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,10 @@ class Params:
     """Cryptographic parameters of one deployment.
 
     Attributes:
-        chain_hash: factory for the hash ``H`` used in modulated hash
-            chains.  The modulator width equals this hash's digest size,
-            because chain intermediates and modulators are XORed together.
+        chain_hash: :mod:`hashlib` constructor of the hash ``H`` used in
+            modulated hash chains.  The modulator width equals this hash's
+            digest size, because chain intermediates and modulators are
+            XORed together.
         master_key_size: bytes of master key the client stores per file
             (16 in the paper; the key is zero-padded to the digest width
             before entering the chain).
@@ -35,7 +36,7 @@ class Params:
             collision of 160-bit random values is a 2^-80 event).
     """
 
-    chain_hash: HashFactory = Sha1
+    chain_hash: HashFactory = hashlib.sha1
     master_key_size: int = 16
     data_key_size: int = 16
     enforce_unique_modulators: bool = True
@@ -57,7 +58,7 @@ class Params:
 
 
 #: The paper's instantiation: SHA-1 chains, 160-bit modulators, AES-128.
-PAPER_PARAMS = Params(chain_hash=Sha1)
+PAPER_PARAMS = Params(chain_hash=hashlib.sha1)
 
 #: Modern instantiation used by the hash-choice ablation.
-SHA256_PARAMS = Params(chain_hash=Sha256)
+SHA256_PARAMS = Params(chain_hash=hashlib.sha256)

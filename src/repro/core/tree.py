@@ -606,6 +606,7 @@ class ModulationTree:
         if n == 1:
             log.append((LEAF, 1, self._store.get_leaf(1), None))
             self._n = 0
+            self._store.truncate(0)
             return log
 
         t_item = self._map.item_at(t_slot)
@@ -646,6 +647,8 @@ class ModulationTree:
             log.append((LEAF, dest, old_leaf, dest_leaf))
             if t_item is not None:
                 self._map.move(t_item, dest)
+        # Slots s and t (the two highest) are free now; drop their bytes.
+        self._store.truncate(s_slot)
         return log
 
     def insert_leaf(self, item_id: int, t_new_link: Optional[bytes],

@@ -1,48 +1,45 @@
-"""Cryptographic substrate built from primary specifications.
+"""Cryptographic substrate: stdlib hashing plus an in-repo AES.
 
-This environment provides no third-party cryptography package, and the
-reproduction mandate is to build every substrate from scratch, so this
-subpackage implements the primitives the paper relies on:
+Every hash runs through the standard library's :mod:`hashlib` and
+:mod:`hmac`; a *hash factory* is a ``hashlib`` constructor.  The paper's
+hash for modulated hash chains is SHA-1 (``hashlib.sha1``: 160-bit digests
+and modulators, see :data:`repro.core.params.PAPER_PARAMS`), with SHA-256
+as the drop-in alternative of the hash-choice ablation.  On top of that:
 
-* :mod:`repro.crypto.sha1` -- SHA-1 (FIPS 180-4), the paper's hash function
-  for modulated hash chains (160-bit digests and modulators).
-* :mod:`repro.crypto.sha256` -- SHA-256, offered as a drop-in alternative
-  chain hash for the hash-choice ablation.
-* :mod:`repro.crypto.hmac` -- HMAC (RFC 2104 / FIPS 198-1).
+* :mod:`repro.crypto.hmac` -- one-shot HMAC (RFC 2104), a stdlib wrapper.
 * :mod:`repro.crypto.hkdf` -- HKDF (RFC 5869) for key derivation.
 * :mod:`repro.crypto.prf` -- the PRF used by the master-key baseline.
 * :mod:`repro.crypto.drbg` -- HMAC-DRBG (NIST SP 800-90A) providing
   deterministic randomness for reproducible experiments.
-* :mod:`repro.crypto.aes` -- the AES block cipher (FIPS 197).
+* :mod:`repro.crypto.aes` -- the AES block cipher (FIPS 197), built from
+  the specification.
 * :mod:`repro.crypto.modes` -- ECB/CBC/CTR modes of operation.
 * :mod:`repro.crypto.bulk` -- numpy-vectorised AES-CTR for bulk payloads.
+* :mod:`repro.crypto.gcm`, :mod:`repro.crypto.cmac` -- AES-GCM and
+  AES-CMAC (unused by the scheme; kept with their test vectors).
 * :mod:`repro.crypto.rng` -- random source abstraction (system / seeded).
 * :mod:`repro.crypto.ct` -- constant-time comparison helpers.
 
-Every primitive is validated against official test vectors in
-``tests/crypto``.
+The AES code is validated against official test vectors in
+``tests/crypto``; the hash wrappers keep their FIPS/RFC vectors there as
+smoke checks, and ``tests/crypto/test_golden_vectors.py`` pins the exact
+outputs of every hash-driven derivation.
 """
 
 from repro.crypto.aes import AES
-from repro.crypto.bulk_hash import sha1_many
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.gcm import aes_gcm_decrypt, aes_gcm_encrypt
 from repro.crypto.hkdf import hkdf
-from repro.crypto.hmac import Hmac, hmac_digest
+from repro.crypto.hmac import hmac_digest
 from repro.crypto.modes import aes_cbc_decrypt, aes_cbc_encrypt, aes_ctr
 from repro.crypto.prf import prf, prf_many
 from repro.crypto.rng import DeterministicRandom, RandomSource, SystemRandom
-from repro.crypto.sha1 import Sha1, sha1
-from repro.crypto.sha256 import Sha256, sha256
 
 __all__ = [
     "AES",
     "DeterministicRandom",
-    "Hmac",
     "HmacDrbg",
     "RandomSource",
-    "Sha1",
-    "Sha256",
     "SystemRandom",
     "aes_cbc_decrypt",
     "aes_cbc_encrypt",
@@ -53,7 +50,4 @@ __all__ = [
     "hmac_digest",
     "prf",
     "prf_many",
-    "sha1",
-    "sha1_many",
-    "sha256",
 ]

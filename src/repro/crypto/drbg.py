@@ -9,8 +9,9 @@ whose deterministic implementation is this DRBG.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.crypto.hmac import HashFactory, hmac_digest
-from repro.crypto.sha256 import Sha256
 
 _RESEED_INTERVAL = 1 << 48
 
@@ -19,7 +20,7 @@ class HmacDrbg:
     """HMAC-DRBG instantiated over a configurable hash (default SHA-256)."""
 
     def __init__(self, seed: bytes, *, personalization: bytes = b"",
-                 hash_factory: HashFactory = Sha256) -> None:
+                 hash_factory: HashFactory = hashlib.sha256) -> None:
         if not seed:
             raise ValueError("HMAC-DRBG requires non-empty seed material")
         self._hash_factory = hash_factory

@@ -1,4 +1,4 @@
-"""HKDF (RFC 5869) extract-and-expand key derivation.
+"""HKDF (RFC 5869) extract-and-expand key derivation over stdlib HMAC.
 
 Used to derive AES data keys from modulated-chain outputs and to derive
 independent sub-keys (encryption vs. counter obfuscation) from one master
@@ -7,12 +7,13 @@ secret where the library needs more than one key.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.crypto.hmac import HashFactory, hmac_digest
-from repro.crypto.sha256 import Sha256
 
 
 def hkdf_extract(salt: bytes, ikm: bytes,
-                 hash_factory: HashFactory = Sha256) -> bytes:
+                 hash_factory: HashFactory = hashlib.sha256) -> bytes:
     """RFC 5869 extract step: PRK = HMAC(salt, IKM)."""
     if not salt:
         salt = b"\x00" * hash_factory().digest_size
@@ -20,7 +21,7 @@ def hkdf_extract(salt: bytes, ikm: bytes,
 
 
 def hkdf_expand(prk: bytes, info: bytes, length: int,
-                hash_factory: HashFactory = Sha256) -> bytes:
+                hash_factory: HashFactory = hashlib.sha256) -> bytes:
     """RFC 5869 expand step: produce ``length`` bytes of output key material."""
     digest_size = hash_factory().digest_size
     if length <= 0:
@@ -30,16 +31,15 @@ def hkdf_expand(prk: bytes, info: bytes, length: int,
 
     blocks = []
     previous = b""
-    counter = 1
-    while sum(len(b) for b in blocks) < length:
-        previous = hmac_digest(prk, previous + info + bytes([counter]), hash_factory)
+    for counter in range(1, -(-length // digest_size) + 1):
+        previous = hmac_digest(prk, previous + info + bytes([counter]),
+                               hash_factory)
         blocks.append(previous)
-        counter += 1
     return b"".join(blocks)[:length]
 
 
 def hkdf(ikm: bytes, *, salt: bytes = b"", info: bytes = b"", length: int = 32,
-         hash_factory: HashFactory = Sha256) -> bytes:
+         hash_factory: HashFactory = hashlib.sha256) -> bytes:
     """Full HKDF: extract then expand ``ikm`` into ``length`` output bytes."""
     prk = hkdf_extract(salt, ikm, hash_factory)
     return hkdf_expand(prk, info, length, hash_factory)

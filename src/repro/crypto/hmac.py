@@ -1,85 +1,20 @@
-"""HMAC (RFC 2104 / FIPS 198-1) over the in-repo hash implementations.
+"""HMAC (RFC 2104 / FIPS 198-1) through the standard library.
 
 Used by the PRF of the master-key baseline, by HKDF, and by the HMAC-DRBG
-deterministic random generator that makes experiments reproducible.
+deterministic random generator that makes experiments reproducible.  A
+*hash factory* throughout the library is a :mod:`hashlib` constructor
+such as ``hashlib.sha1`` or ``hashlib.sha256``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+import hmac
+from typing import Any, Callable
 
-
-class HashObject(Protocol):
-    """Structural type for the hash objects accepted by :class:`Hmac`."""
-
-    digest_size: int
-    block_size: int
-
-    def update(self, data: bytes) -> None: ...
-
-    def digest(self) -> bytes: ...
-
-    def copy(self) -> "HashObject": ...
-
-
-HashFactory = Callable[[], HashObject]
-
-
-class Hmac:
-    """Incremental HMAC keyed with ``key`` over hash ``hash_factory``.
-
-    ``hash_factory`` is any zero-argument callable returning a fresh hash
-    object (e.g. :class:`repro.crypto.sha1.Sha1`).
-    """
-
-    __slots__ = ("_inner", "_outer", "digest_size", "block_size")
-
-    def __init__(self, key: bytes, hash_factory: HashFactory) -> None:
-        probe = hash_factory()
-        block_size = probe.block_size
-        self.digest_size = probe.digest_size
-        self.block_size = block_size
-
-        if len(key) > block_size:
-            keyed = hash_factory()
-            keyed.update(key)
-            key = keyed.digest()
-        key = key.ljust(block_size, b"\x00")
-
-        ipad = bytes(b ^ 0x36 for b in key)
-        opad = bytes(b ^ 0x5C for b in key)
-
-        self._inner = hash_factory()
-        self._inner.update(ipad)
-        self._outer = hash_factory()
-        self._outer.update(opad)
-
-    def update(self, data: bytes) -> None:
-        """Absorb ``data`` into the MAC computation."""
-        self._inner.update(data)
-
-    def digest(self) -> bytes:
-        """Return the MAC over all data absorbed so far."""
-        outer = self._outer.copy()
-        outer.update(self._inner.digest())
-        return outer.digest()
-
-    def hexdigest(self) -> str:
-        """Return the MAC as a lowercase hex string."""
-        return self.digest().hex()
-
-    def copy(self) -> "Hmac":
-        """Return an independent copy of the current MAC state."""
-        clone = object.__new__(Hmac)
-        clone._inner = self._inner.copy()
-        clone._outer = self._outer.copy()
-        clone.digest_size = self.digest_size
-        clone.block_size = self.block_size
-        return clone
+#: A :mod:`hashlib` constructor: ``factory(data=b"")`` returns a hash object.
+HashFactory = Callable[..., Any]
 
 
 def hmac_digest(key: bytes, message: bytes, hash_factory: HashFactory) -> bytes:
     """One-shot HMAC of ``message`` under ``key``."""
-    mac = Hmac(key, hash_factory)
-    mac.update(message)
-    return mac.digest()
+    return hmac.digest(key, message, hash_factory)

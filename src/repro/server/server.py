@@ -17,6 +17,7 @@ server is modelled separately in :mod:`repro.server.adversary`.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -605,8 +606,7 @@ class CloudServer:
                 registry[old] = registry.get(old, 0) + 1
 
     def _replay_digest(self, request: msg.Message) -> bytes:
-        from repro.crypto.sha1 import sha1
-        return sha1(msg.encode_message(self.ctx, request))
+        return hashlib.sha1(msg.encode_message(self.ctx, request)).digest()
 
     def _check_replay(self, state: ServerFile,
                       request: msg.Message) -> Optional[msg.Ack]:

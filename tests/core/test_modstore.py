@@ -95,3 +95,27 @@ def test_lazy_wide_modulators():
 def test_width_must_be_positive():
     with pytest.raises(ValueError):
         DenseModulatorStore(0)
+
+
+def test_dense_truncate_drops_high_slots():
+    store = DenseModulatorStore(20)
+    for slot in range(1, 9):
+        store.set_link(slot, bytes([slot]) * 20)
+        store.set_leaf(slot, bytes([slot + 100]) * 20)
+    store.truncate(6)
+    assert store.get_link(5) == bytes([5]) * 20
+    assert store.get_leaf(5) == bytes([105]) * 20
+    for slot in (6, 7, 8):
+        with pytest.raises(KeyError):
+            store.get_link(slot)
+        with pytest.raises(KeyError):
+            store.get_leaf(slot)
+    store.set_leaf(7, b"n" * 20)  # regrows on demand
+    assert store.get_leaf(7) == b"n" * 20
+
+
+def test_lazy_truncate_is_a_noop():
+    store = LazySeededStore(20, b"store-seed")
+    store.set_link(9, b"L" * 20)
+    store.truncate(2)
+    assert store.get_link(9) == b"L" * 20

@@ -1,24 +1,49 @@
-"""Vectorised SHA-1 batching against hashlib and the scalar path."""
+"""Batch hash entry points (chain steps, item tags, PRF) against hashlib
+and against their per-item twins."""
 
 import hashlib
+import struct
 
 import pytest
 
-from repro.crypto.bulk_hash import MIN_BATCH, sha1_many, xor_many
+from repro.core.ciphertext import ItemCodec
+from repro.core.modulated_chain import ChainEngine
+from repro.core.params import Params
+from repro.crypto.modes import aes_ctr
 from repro.crypto.prf import prf, prf_many
+
+
+def _tags_match_hashlib(rng, messages):
+    """Encrypt ``messages`` as one batch, then check every item tag is
+    hashlib's SHA-1 of ``m || r`` and the batch equals per-item encrypt."""
+    codec = ItemCodec(Params())
+    outputs = [rng.bytes(20) for _ in messages]
+    nonces = [rng.bytes(8) for _ in messages]
+    item_ids = list(range(7, 7 + len(messages)))
+    batch = codec.encrypt_many(outputs, messages, item_ids, nonces)
+    assert batch == [codec.encrypt(o, m, i, n)
+                     for o, m, i, n in zip(outputs, messages, item_ids, nonces)]
+    for output, message, item_id, ciphertext in zip(outputs, messages,
+                                                    item_ids, batch):
+        payload = aes_ctr(output[:16], ciphertext[:8], ciphertext[8:])
+        r = struct.pack(">Q", item_id)
+        assert payload[:8] == r and payload[8:-20] == message
+        assert payload[-20:] == hashlib.sha1(message + r).digest()
 
 
 @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 100, 1000])
 def test_equal_length_batches_match_hashlib(count, rng):
-    messages = [rng.bytes(40) for _ in range(count)]
-    assert sha1_many(messages) == [hashlib.sha1(m).digest() for m in messages]
+    values = [rng.bytes(20) for _ in range(count)]
+    modulators = [rng.bytes(20) for _ in range(count)]
+    expected = [hashlib.sha1(bytes(a ^ b for a, b in zip(v, x))).digest()
+                for v, x in zip(values, modulators)]
+    assert ChainEngine().step_many(values, modulators) == expected
 
 
 @pytest.mark.parametrize("length", [0, 1, 55, 56, 57, 63, 64, 65, 119, 120,
                                     128, 4096])
 def test_padding_boundaries(length, rng):
-    messages = [rng.bytes(length) for _ in range(20)]
-    assert sha1_many(messages) == [hashlib.sha1(m).digest() for m in messages]
+    _tags_match_hashlib(rng, [rng.bytes(length) for _ in range(20)])
 
 
 def test_mixed_lengths(rng):
@@ -26,24 +51,7 @@ def test_mixed_lengths(rng):
                 + [rng.bytes(100) for _ in range(30)]
                 + [b"", b"x", rng.bytes(4104)])
     rng.shuffle(messages)
-    assert sha1_many(messages) == [hashlib.sha1(m).digest() for m in messages]
-
-
-def test_small_batches_use_scalar_path(rng):
-    messages = [rng.bytes(32) for _ in range(MIN_BATCH - 1)]
-    assert sha1_many(messages) == [hashlib.sha1(m).digest() for m in messages]
-
-
-def test_xor_many(rng):
-    a = [rng.bytes(20) for _ in range(50)]
-    b = [rng.bytes(20) for _ in range(50)]
-    expected = [bytes(x ^ y for x, y in zip(p, q)) for p, q in zip(a, b)]
-    assert xor_many(a, b) == expected
-    assert xor_many([], []) == []
-    with pytest.raises(ValueError):
-        xor_many(a, b[:-1])
-    with pytest.raises(ValueError):
-        xor_many([b"\x00" * 20], [b"\x00" * 19])
+    _tags_match_hashlib(rng, messages)
 
 
 def test_prf_many_matches_scalar():
@@ -63,7 +71,6 @@ def test_prf_many_long_key_and_small_batches():
 
 
 def test_step_many_matches_step(rng):
-    from repro.core.modulated_chain import ChainEngine
     engine = ChainEngine()
     values = [rng.bytes(20) for _ in range(64)]
     modulators = [rng.bytes(20) for _ in range(64)]
@@ -77,8 +84,6 @@ def test_step_many_matches_step(rng):
 
 
 def test_codec_batch_matches_scalar(rng):
-    from repro.core.ciphertext import ItemCodec
-    from repro.core.params import Params
     codec = ItemCodec(Params())
     outputs = [rng.bytes(20) for _ in range(40)]
     messages = [rng.bytes(100) for _ in range(40)]
@@ -93,9 +98,7 @@ def test_codec_batch_matches_scalar(rng):
 
 
 def test_codec_batch_detects_tampering(rng):
-    from repro.core.ciphertext import ItemCodec
     from repro.core.errors import IntegrityError
-    from repro.core.params import Params
     codec = ItemCodec(Params())
     outputs = [rng.bytes(20) for _ in range(20)]
     ciphertexts = codec.encrypt_many(outputs, [b"m"] * 20, list(range(20)),

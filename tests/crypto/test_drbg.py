@@ -1,9 +1,10 @@
 """HMAC-DRBG behaviour: determinism, reseeding, and output structure."""
 
+import hashlib
+
 import pytest
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.sha1 import Sha1
 
 
 def test_deterministic_for_same_seed():
@@ -60,5 +61,5 @@ def test_reseed_rejects_empty():
 
 
 def test_alternative_hash():
-    drbg = HmacDrbg(b"seed", hash_factory=Sha1)
+    drbg = HmacDrbg(b"seed", hash_factory=hashlib.sha1)
     assert len(drbg.generate(25)) == 25

@@ -1,10 +1,15 @@
-"""SHA-1 against FIPS 180 vectors, hashlib, and its incremental API."""
+"""The paper's chain hash ``H`` (``PAPER_PARAMS.chain_hash``, hashlib's
+SHA-1) against FIPS 180 vectors: a smoke check of the hash factory
+interface the library relies on."""
 
 import hashlib
 
 import pytest
 
-from repro.crypto.sha1 import Sha1, sha1
+from repro.core.modulated_chain import ChainEngine
+from repro.core.params import PAPER_PARAMS
+
+Sha1 = PAPER_PARAMS.chain_hash
 
 # FIPS 180 / RFC 3174 test vectors.
 VECTORS = [
@@ -21,7 +26,7 @@ VECTORS = [
 @pytest.mark.parametrize("message,expected", VECTORS,
                          ids=[f"vector-{i}" for i in range(len(VECTORS))])
 def test_official_vectors(message, expected):
-    assert sha1(message).hex() == expected
+    assert Sha1(message).hexdigest() == expected
 
 
 @pytest.mark.parametrize("length", [0, 1, 54, 55, 56, 57, 63, 64, 65, 127,
@@ -29,7 +34,7 @@ def test_official_vectors(message, expected):
 def test_matches_hashlib_at_padding_boundaries(length):
     message = bytes(range(256)) * (length // 256 + 1)
     message = message[:length]
-    assert sha1(message) == hashlib.sha1(message).digest()
+    assert ChainEngine(Sha1).h(message) == hashlib.sha1(message).digest()
 
 
 def test_incremental_equals_one_shot():
@@ -69,7 +74,7 @@ def test_update_rejects_text():
 
 
 def test_constants():
-    assert Sha1.digest_size == 20
-    assert Sha1.block_size == 64
-    assert Sha1.name == "sha1"
-    assert len(sha1(b"x")) == 20
+    assert Sha1().digest_size == 20
+    assert Sha1().block_size == 64
+    assert Sha1().name == "sha1"
+    assert PAPER_PARAMS.modulator_size == 20

@@ -1,10 +1,15 @@
-"""SHA-256 against FIPS 180 vectors, hashlib, and its incremental API."""
+"""The SHA-256 chain hash (``SHA256_PARAMS.chain_hash``, hashlib's
+SHA-256) against FIPS 180 vectors: a smoke check of the hash factory
+interface the library relies on."""
 
 import hashlib
 
 import pytest
 
-from repro.crypto.sha256 import Sha256, sha256
+from repro.core.modulated_chain import ChainEngine
+from repro.core.params import SHA256_PARAMS
+
+Sha256 = SHA256_PARAMS.chain_hash
 
 VECTORS = [
     (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -19,14 +24,14 @@ VECTORS = [
 @pytest.mark.parametrize("message,expected", VECTORS,
                          ids=[f"vector-{i}" for i in range(len(VECTORS))])
 def test_official_vectors(message, expected):
-    assert sha256(message).hex() == expected
+    assert Sha256(message).hexdigest() == expected
 
 
 @pytest.mark.parametrize("length", [0, 1, 55, 56, 57, 63, 64, 65, 128, 1000])
 def test_matches_hashlib_at_padding_boundaries(length):
     message = bytes(range(256)) * (length // 256 + 1)
     message = message[:length]
-    assert sha256(message) == hashlib.sha256(message).digest()
+    assert ChainEngine(Sha256).h(message) == hashlib.sha256(message).digest()
 
 
 def test_incremental_equals_one_shot():
@@ -50,6 +55,6 @@ def test_update_rejects_text():
 
 
 def test_constants():
-    assert Sha256.digest_size == 32
-    assert Sha256.block_size == 64
-    assert len(sha256(b"x")) == 32
+    assert Sha256().digest_size == 32
+    assert Sha256().block_size == 64
+    assert SHA256_PARAMS.modulator_size == 32

@@ -1,10 +1,10 @@
-"""Cache-coherence properties (ISSUE 5 satellite).
+"""Cache-coherence properties of the server view cache.
 
 Twin-world property: the same random op script, driven by identical
 deterministic randomness, must produce identical plaintexts whether the
-hot-path caches (client chain cache, server view cache) are cold, warm,
-or randomly toggled mid-run.  Caches are performance-only -- any
-divergence here is a correctness bug, not a slowdown.
+server view/encode cache is warm, off, or randomly toggled mid-run.  The
+cache is performance-only -- any divergence here is a correctness bug,
+not a slowdown.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -78,9 +78,7 @@ def run(scheme, n, ops, toggler=None):
 
 
 def warm_scheme(seed):
-    scheme = LocalScheme(rng=DeterministicRandom(seed))
-    scheme.client.enable_cache()
-    return scheme
+    return LocalScheme(rng=DeterministicRandom(seed))
 
 
 def cold_scheme(seed):
@@ -106,22 +104,13 @@ def test_warm_equals_cold(script, seed):
 @settings(max_examples=scaled_examples(20), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_toggled_caches_equal_cold(script, seed):
-    """Flipping the caches mid-run (including the raw attribute flip
-    that leaves stale entries behind) never changes any plaintext."""
+    """Flipping the view cache mid-run never changes any plaintext."""
     n, ops = script
     warm = warm_scheme(f"toggle-{seed}")
     cold = cold_scheme(f"toggle-{seed}")
 
     def toggler(arg):
-        choice = arg % 3
-        if choice == 0:
-            warm.client.cache_enabled = not warm.client.cache_enabled
-        elif choice == 1:
-            warm.client.disable_cache()
-            warm.client.enable_cache()
-        else:
-            warm.server.view_cache_enabled = \
-                not warm.server.view_cache_enabled
+        warm.server.view_cache_enabled = not warm.server.view_cache_enabled
 
     _, warm_model, warm_log = run(warm, n, ops, toggler=toggler)
     _, cold_model, cold_log = run(cold, n, ops)

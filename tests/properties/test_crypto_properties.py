@@ -6,13 +6,13 @@ import hmac as stdlib_hmac
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.modulated_chain import ChainEngine
+from repro.core.params import PAPER_PARAMS, SHA256_PARAMS
 from repro.crypto.aes import AES
 from repro.crypto.bulk import ctr_transform
 from repro.crypto.hmac import hmac_digest
 from repro.crypto.modes import aes_cbc_decrypt, aes_cbc_encrypt, aes_ctr
 from repro.crypto.padding import pad, unpad
-from repro.crypto.sha1 import sha1
-from repro.crypto.sha256 import sha256
 from tests.conftest import scaled_examples
 
 keys128 = st.binary(min_size=16, max_size=16)
@@ -26,18 +26,19 @@ payloads = st.binary(max_size=2048)
 
 @given(st.binary(max_size=4096))
 def test_sha1_matches_hashlib(message):
-    assert sha1(message) == hashlib.sha1(message).digest()
+    engine = ChainEngine(PAPER_PARAMS.chain_hash)
+    assert engine.h(message) == hashlib.sha1(message).digest()
 
 
 @given(st.binary(max_size=4096))
 def test_sha256_matches_hashlib(message):
-    assert sha256(message) == hashlib.sha256(message).digest()
+    engine = ChainEngine(SHA256_PARAMS.chain_hash)
+    assert engine.h(message) == hashlib.sha256(message).digest()
 
 
 @given(st.binary(min_size=1, max_size=200), st.binary(max_size=1000))
 def test_hmac_matches_stdlib(key, message):
-    from repro.crypto.sha1 import Sha1
-    assert hmac_digest(key, message, Sha1) == \
+    assert hmac_digest(key, message, hashlib.sha1) == \
         stdlib_hmac.new(key, message, hashlib.sha1).digest()
 
 

@@ -142,3 +142,25 @@ def test_modify_requires_fresh_version(scheme):
                                            tree_version=state.version + 5))
     assert isinstance(reply, msg.ErrorReply)
     assert reply.code == msg.E_STALE_STATE
+
+
+def test_deleted_slots_free_their_modulators(scheme):
+    """Deleting a quarter of a file shrinks the dense modulator arrays
+    with it, so the pickled state per live item stays flat."""
+    import pickle
+
+    fid, ids = scheme.new_file([bytes([i % 256]) * 64 for i in range(256)])
+    state = scheme.server.file_state(fid)
+
+    def per_item():
+        return len(pickle.dumps(state)) / state.tree.leaf_count
+
+    before = per_item()
+    for item_id in ids[::4]:
+        scheme.delete(fid, item_id)
+    n = state.tree.leaf_count
+    assert n == 192
+    width = state.tree.store.width
+    assert len(state.tree.store._links) == 2 * n * width
+    assert len(state.tree.store._leaves) == 2 * n * width
+    assert per_item() <= before * 1.02

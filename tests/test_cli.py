@@ -91,3 +91,25 @@ def test_serve_rejects_bad_max_conns(tmp_path):
     vault(tmp_path, "init")
     bad = vault(tmp_path, "serve", "--max-conns", "0")
     assert bad.returncode != 0
+
+
+def test_unreadable_vault_fails_closed(tmp_path):
+    """A truncated state file or one pickled against modules this version
+    no longer has is a clean ``error:`` line, not a traceback."""
+    assert vault(tmp_path, "init").returncode == 0
+    state = tmp_path / "server" / "vault.state"
+    data = state.read_bytes()
+    state.write_bytes(data[:len(data) // 2])
+    truncated = vault(tmp_path, "ls")
+    assert truncated.returncode == 1
+    assert "unreadable or was written by an older version" in truncated.stderr
+    assert "Traceback" not in truncated.stderr
+
+    # A vault from before the hashlib switch names repro.crypto.sha1.Sha1
+    # (a pickle GLOBAL opcode: "c" module "\n" name "\n").
+    state.write_bytes(b"\x80\x02crepro.crypto.sha1\nSha1\n.")
+    missing = vault(tmp_path, "ls")
+    assert missing.returncode == 1
+    assert "older version" in missing.stderr
+    assert "repro.crypto.sha1" in missing.stderr
+    assert "Traceback" not in missing.stderr
