@@ -30,7 +30,8 @@ from benchmarks.conftest import save_json, save_result
 from repro.crypto.rng import DeterministicRandom
 from repro.fs.filesystem import OutsourcedFileSystem
 from repro.protocol import messages as msg
-from repro.protocol.tcp import TcpChannel, TcpServerHost
+from repro.protocol.aio import AsyncTcpServerHost
+from repro.protocol.tcp import TcpChannel
 from repro.server.server import CloudServer
 
 #: Simulated per-access service time, slept while holding the shared
@@ -107,7 +108,7 @@ def _measure(address, ctx, workers: int, duration: float) -> float:
 
 def _sweep(duration: float, counts=THREAD_COUNTS) -> dict[int, float]:
     server = _SlowReadServer()
-    host = TcpServerHost(server).start()
+    host = AsyncTcpServerHost(server).start()
     try:
         return {workers: _measure(host.address, server.ctx, workers,
                                   duration)

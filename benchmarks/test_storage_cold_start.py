@@ -5,8 +5,7 @@ directly (random modulators via :meth:`DenseModulatorStore.bulk_fill`,
 real ciphertexts only for the delete targets) and persisted two ways:
 
 * the legacy whole-image format (``save_server``/``load_server``), and
-* a storage engine (SQLite, plus the log backend at its documented
-  ``min(N, 10^5)`` scale -- its opening scan is O(n)).
+* the SQLite storage engine.
 
 Cold start is then the wall time to get a serving server back:
 ``load_server(image)`` decodes every node up front, while
@@ -55,9 +54,6 @@ from repro.server.wal import CommitLog, recover_server
 FULL_SCALE = os.environ.get("REPRO_FULL_SCALE", "") not in ("", "0")
 #: Paper scale when REPRO_FULL_SCALE=1; CI-budget scale otherwise.
 N_ITEMS = 1_000_000 if FULL_SCALE else 100_000
-#: The log backend's opening scan is O(n) (documented resident-index
-#: limit, docs/STORAGE.md), so its sweep is capped at 10^5.
-N_LOG = min(N_ITEMS, 100_000)
 FILE_ID = 7
 WARMUP_DELETES = 4
 MEASURED_DELETES = 32
@@ -186,7 +182,7 @@ def storage_curve() -> dict:
     record: dict = {"schema": 1, "full_scale": FULL_SCALE,
                     "measured_deletes": MEASURED_DELETES}
     try:
-        # -- SQLite: the floor-bearing backend, at full N ---------------
+        # -- SQLite at full N -------------------------------------------
         world = _engine_world(data_dir, "sqlite", N_ITEMS, "storage-bench")
         mem_times = _timed_deletes(world["image_server"], world["master_key"],
                                    world["targets"])
@@ -232,20 +228,6 @@ def storage_curve() -> dict:
             "cold_start_after_compaction_seconds":
                 round(compacted_seconds, 4),
         }
-
-        # -- Log backend: documented O(n)-scan limit, capped at 10^5 ----
-        log_world = _engine_world(data_dir, "log", N_LOG, "storage-bench-log")
-        _close_world(log_world)
-        record["log"] = {
-            "n_items": N_LOG,
-            "image_bytes": log_world["image_bytes"],
-            "engine_bytes": log_world["engine_bytes"],
-            "convert_seconds": round(log_world["convert_seconds"], 4),
-            "image_load_seconds": round(log_world["image_load_seconds"], 4),
-            "engine_cold_start_seconds":
-                round(log_world["engine_cold_start_seconds"], 4),
-            "cold_start_speedup": round(log_world["cold_start_speedup"], 2),
-        }
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
 
@@ -256,14 +238,12 @@ def storage_curve() -> dict:
         f"{'backend':>8} {'n':>9} {'image load':>11} {'cold start':>11} "
         f"{'speedup':>8}",
     ]
-    for backend in ("sqlite", "log"):
-        row = record[backend]
-        lines.append(
-            f"{backend:>8} {row['n_items']:>9} "
-            f"{row['image_load_seconds']:>10.3f}s "
-            f"{row['engine_cold_start_seconds']:>10.4f}s "
-            f"{row['cold_start_speedup']:>7.1f}x")
     sq = record["sqlite"]
+    lines.append(
+        f"{'sqlite':>8} {sq['n_items']:>9} "
+        f"{sq['image_load_seconds']:>10.3f}s "
+        f"{sq['engine_cold_start_seconds']:>10.4f}s "
+        f"{sq['cold_start_speedup']:>7.1f}x")
     lines += [
         "",
         f"warm delete median: memory "
@@ -304,12 +284,6 @@ def test_wal_replay_bounded_by_compaction(storage_curve):
     assert sq["wal_records_after_compaction"] == 0, sq
     assert sq["cold_start_after_compaction_seconds"] <= \
         max(1.0, 2 * sq["engine_cold_start_seconds"]), sq
-
-
-def test_log_backend_recorded(storage_curve):
-    """The log backend rides the sweep (no 10x floor: its opening scan
-    is O(n) by design -- see docs/STORAGE.md)."""
-    assert storage_curve["log"]["engine_cold_start_seconds"] > 0
 
 
 def test_quick_storage_smoke():

@@ -108,8 +108,22 @@ class Vault:
         self.fs = fs
 
     def save(self) -> None:
-        with open(self._state_path, "wb") as handle:
-            pickle.dump(self.fs, handle)
+        # The vault holds the client's only copy of its keys, so a crash
+        # mid-save must leave the previous vault intact: write a temp
+        # file, make it durable, then atomically rename it over the old.
+        from repro.server.wal import fsync_directory
+        tmp = self._state_path + ".tmp"
+        try:
+            with open(tmp, "wb") as handle:
+                pickle.dump(self.fs, handle)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, self._state_path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+        fsync_directory(self._state_path)
 
 
 def _print(value: str) -> None:
@@ -265,12 +279,8 @@ def cmd_serve(vault: Vault, args) -> int:
         raise ReproError(
             f"--backend {args.backend} requires --durable (the engine "
             f"file replaces the checkpoint image)")
-    if args.use_async:
-        from repro.protocol.aio import AsyncTcpServerHost as host_cls
-    else:
-        from repro.protocol.tcp import TcpServerHost as host_cls
-
     from repro.obs.health import HEALTH
+    from repro.protocol.aio import AsyncTcpServerHost
 
     metrics_server = None
     if args.metrics_port is not None:
@@ -350,8 +360,8 @@ def cmd_serve(vault: Vault, args) -> int:
         _print(f"audit trail: {audit_path} "
                f"(chain at seq {audit_log.seq})")
 
-    with host_cls(server, port=args.port,
-                  max_conns=args.max_conns) as host:
+    with AsyncTcpServerHost(server, port=args.port,
+                            max_conns=args.max_conns) as host:
         _print(f"serving vault on {host.address[0]}:{host.address[1]} "
                f"(ctrl-C to stop)")
         try:
@@ -386,10 +396,9 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
     from repro.obs.health import HEALTH
     from repro.server.cluster import ShardCluster
 
-    transport = "async" if args.use_async else "tcp"
     shard_dir = os.path.join(vault.server_dir, "shards")
     cluster = ShardCluster(
-        args.shards, params=vault.fs.params, transport=transport,
+        args.shards, params=vault.fs.params, transport="tcp",
         data_dir=shard_dir, durable=args.durable, audit=args.audit,
         group_commit=args.group_commit, max_conns=args.max_conns,
         base_port=args.port, storage_backend=args.backend,
@@ -435,44 +444,33 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
     return 0
 
 
-def cmd_compact(vault: Vault, args) -> int:
-    """Offline flush + WAL compaction for an engine-backed vault.
+def cmd_compact(vault: Vault, _args) -> int:
+    """Offline flush + WAL compaction for a SQLite-backed vault.
 
-    Opens the storage engine and WAL under the server directory (the
+    Opens the SQLite engine and WAL under the server directory (the
     server must not be running), replays outstanding WAL records into
     the engine, flushes, truncates the WAL behind a snapshot marker,
-    and asks the backend to reclaim dead space (SQLite ``VACUUM`` /
-    log-file rewrite).  After this, the next ``serve --durable
-    --backend ...`` cold-starts with an empty replay.
+    and runs ``VACUUM`` on the database file.  After this, the next
+    ``serve --durable --backend sqlite`` cold-starts with an empty
+    replay.
     """
-    from repro.server.engine import BACKENDS, engine_path, make_engine
+    from repro.server.engine import SQLiteTreeStore, engine_path
     from repro.server.wal import recover_server
 
-    backend = args.backend
-    if backend is None:
-        # Autodetect from which engine file exists under the server dir.
-        candidates = [b for b in BACKENDS if b != "memory"
-                      and os.path.exists(engine_path(vault.server_dir, b))]
-        if len(candidates) != 1:
-            raise ReproError(
-                "cannot autodetect the storage backend under "
-                f"{vault.server_dir!r}; pass --backend log|sqlite")
-        backend = candidates[0]
-    engine_file = engine_path(vault.server_dir, backend)
+    engine_file = engine_path(vault.server_dir, "sqlite")
     if not os.path.exists(engine_file):
         raise ReproError(
-            f"no {backend} engine state at {engine_file!r}; serve with "
-            f"--durable --backend {backend} first")
+            f"no sqlite engine state at {engine_file!r}; serve with "
+            f"--durable --backend sqlite first")
     wal_path = os.path.join(vault.server_dir, "server.wal")
-    engine = make_engine(backend, engine_file)
+    engine = SQLiteTreeStore(engine_file)
     try:
         server = recover_server(None, wal_path, engine=engine)
         stats = server.compact_storage()
-        engine.compact()  # reclaim dead space in the backend file itself
+        engine.compact()  # reclaim dead space in the database file
         server.wal.close()
     finally:
         engine.close()
-    stats["backend"] = backend
     stats["replayed_records"] = server.last_recovery["replayed_records"]
     stats["seconds"] = round(stats["seconds"], 6)
     _print(json.dumps(stats, indent=2))
@@ -588,6 +586,8 @@ def cmd_trace(vault: Vault, args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.server.engine import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro-vault",
         description="Assured-deletion vault (ICDCS'14 key modulation)")
@@ -669,12 +669,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--durable", action="store_true",
                        help="serve crash-safe state (WAL + checkpoint image "
                             "under the server directory)")
-    serve.add_argument("--backend", choices=("memory", "log", "sqlite"),
-                       default="memory",
+    serve.add_argument("--backend", choices=BACKENDS, default="memory",
                        help="storage engine for durable state: 'memory' "
                             "keeps everything resident (checkpoint image), "
-                            "'log'/'sqlite' page files in from a single "
-                            "engine file on demand (requires --durable)")
+                            "'sqlite' pages files in from a single "
+                            "database file on demand (requires --durable)")
     serve.add_argument("--cache-nodes", type=int, default=65536,
                        help="bound on cached tree nodes for non-memory "
                             "backends (0 disables the cache)")
@@ -688,10 +687,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "checkpoint, and audit chain")
     serve.add_argument("--max-conns", type=int, default=None,
                        help="bound concurrently served TCP connections "
-                            "(excess dials queue in the listen backlog)")
-    serve.add_argument("--async", dest="use_async", action="store_true",
-                       help="serve over the asyncio host (pipelined tagged "
-                            "frames, thread-per-connection-free)")
+                            "(excess connections are accepted but not read "
+                            "until a slot frees)")
+    # The asyncio host is the only host, so --async selects nothing.  It
+    # still parses because existing launch scripts pass it.
+    serve.add_argument("--async", action="store_true",
+                       help=argparse.SUPPRESS)
     serve.add_argument("--group-commit", action="store_true",
                        help="with --durable: coalesce concurrent WAL appends "
                             "into shared write+fsync batches")
@@ -708,14 +709,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="always export spans at least this slow, "
                             "even when sampled out")
     serve.set_defaults(func=cmd_serve)
-    compact = sub.add_parser(
-        "compact", help="offline flush + WAL compaction for an "
-                        "engine-backed vault (server must be stopped)")
-    compact.add_argument("--backend", choices=("log", "sqlite"),
-                         default=None,
-                         help="storage backend (default: autodetect from "
-                              "the engine file under the server directory)")
-    compact.set_defaults(func=cmd_compact)
+    sub.add_parser(
+        "compact", help="offline flush + WAL compaction for a "
+                        "SQLite-backed vault (server must be stopped)"
+    ).set_defaults(func=cmd_compact)
     stress = sub.add_parser(
         "stress", help="run one seeded concurrency stress iteration")
     stress.add_argument("--seed", default="cli")
@@ -731,8 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "consistent-hash router")
     stress.add_argument("--toggle-caches", action="store_true",
                         help="randomly flip the server view cache mid-run")
-    stress.add_argument("--backend", choices=("memory", "log", "sqlite"),
-                        default="memory",
+    stress.add_argument("--backend", choices=BACKENDS, default="memory",
                         help="storage engine behind the stressed shards "
                              "(non-memory adds mid-run WAL compaction)")
     stress.add_argument("-v", "--verbose", action="store_true",

@@ -15,7 +15,7 @@ module supplies the routing layer:
   adjacent to its points (~1/N of the space), never reshuffles the rest.
 * :class:`ShardMap` -- the small routing interface: a ring plus a
   channel factory saying how to reach each shard (in-process loopback,
-  sync TCP, or the pipelined async host).  Every call to
+  untagged TCP, or pipelined TCP).  Every call to
   :meth:`ShardMap.make_channel` opens a *fresh* channel, so several
   clients can share one map without sharing sockets or counters.
 * :class:`ShardRoutingChannel` -- a drop-in :class:`Channel` that

@@ -1,17 +1,17 @@
 """Asyncio transport: one event loop, thousands of connections, pipelining.
 
-The thread-per-connection host (:class:`~repro.protocol.tcp.TcpServerHost`)
-flattens out near a handful of clients: every idle persistent connection
-pins a thread.  This module multiplexes all connections onto ONE asyncio
-event loop and lets each connection keep **multiple requests in flight**
-(pipelining), while protocol work still runs in a thread pool off the
-loop -- the backend, its per-file RWLock table, and the WAL are shared
-and untouched.
+This module holds the one TCP server host.  A thread-per-connection
+host flattens out near a handful of clients, because every idle
+persistent connection pins a thread.  :class:`AsyncTcpServerHost`
+multiplexes all connections onto ONE asyncio event loop and lets each
+connection keep **multiple requests in flight** (pipelining), while
+protocol work still runs in a thread pool off the loop -- the backend,
+its per-file RWLock table, and the WAL are shared and untouched.
 
 Framing
 -------
 
-The sync transport frames messages as ``u32 length | payload`` and the
+The legacy transport frames messages as ``u32 length | payload`` and the
 length never exceeds :data:`~repro.protocol.tcp.MAX_FRAME` (1 << 30), so
 the top bit of the length word is free.  A **tagged** frame sets it::
 
@@ -19,9 +19,8 @@ the top bit of the length word is free.  A **tagged** frame sets it::
     tagged    u32 (0x80000000|len)  | u64 tag | payload    (pipelined)
 
 * An untagged request gets an untagged reply, and untagged replies are
-  written in request arrival order -- byte-for-byte what the sync
-  :class:`~repro.protocol.tcp.TcpChannel` expects, so it passes the
-  whole existing TCP suite against this host unchanged.
+  written in request arrival order -- byte-for-byte what the untagged
+  :class:`~repro.protocol.tcp.TcpChannel` expects.
 * A tagged request gets a tagged reply echoing its tag, and tagged
   replies may return **out of order**.  The tag is a transport-level
   correlation id chosen by the client, unrelated to the protocol-level
@@ -203,18 +202,22 @@ class _AioConnection:
 class AsyncTcpServerHost:
     """Hosts a ``handle_bytes`` backend on one asyncio event loop.
 
-    Drop-in for :class:`~repro.protocol.tcp.TcpServerHost` (same
-    constructor shape, ``start``/``stop``/``address``/context manager,
-    restart after stop rebinds the same port) but built to multiplex
-    1000+ connections: the loop owns all sockets, handlers run in a
-    bounded thread pool, and each connection may pipeline many tagged
-    requests (see the module docstring for the framing).
+    Usable as a context manager::
+
+        with AsyncTcpServerHost(CloudServer()) as host:
+            channel = TcpChannel(host.address, server.ctx)
+
+    ``start``/``stop``/``address``; a restart after ``stop`` rebinds the
+    same port.  Built to multiplex 1000+ connections: the loop owns all
+    sockets, handlers run in a bounded thread pool, and each connection
+    may pipeline many tagged requests (see the module docstring for the
+    framing).
 
     ``max_conns`` bounds concurrently *served* connections: excess
     clients are accepted but not read until a slot frees (backpressure).
-    ``stop()`` keeps the sync host's contract -- stop accepting, nudge
-    idle connections closed, let in-flight handler work finish within
-    ``grace`` seconds, force-abandon whatever is still wedged after it.
+    ``stop()`` stops accepting, nudges idle connections closed, lets
+    in-flight handler work (e.g. a WAL fsync) finish within ``grace``
+    seconds, and force-abandons whatever is still wedged after it.
     """
 
     def __init__(self, backend, host: str = "127.0.0.1", port: int = 0,
@@ -232,8 +235,8 @@ class AsyncTcpServerHost:
         self.max_inflight_per_conn = max_inflight_per_conn
         self.workers = workers or min(32, (os.cpu_count() or 4) + 4)
         self._bind_address = (host, port)
-        # Bind eagerly (like the sync host) so the kernel-assigned port
-        # is known before start() and survives stop()/start() cycles.
+        # Bind eagerly so the kernel-assigned port is known before
+        # start() and survives stop()/start() cycles.
         self._sock: socket.socket | None = self._make_socket()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -373,8 +376,7 @@ class AsyncTcpServerHost:
             self._thread.join(timeout=10.0)
             if self._pool is not None:
                 # Abandoned (wedged) handler work keeps its thread; do
-                # not wait for it -- mirror the sync host's daemonic
-                # abandon semantics as closely as the pool allows.
+                # not wait for it, or a wedged backend hangs shutdown.
                 self._pool.shutdown(wait=False, cancel_futures=True)
             self._sock = None  # closed with the asyncio server
             self._loop = None
@@ -415,7 +417,7 @@ class AsyncTcpServerHost:
             # Two cancellation rounds: the first breaks a connection out
             # of its read/accept wait into its drain, the second aborts
             # the drain itself (a wedged handler cannot be joined -- its
-            # pool thread is abandoned, mirroring the sync host).
+            # pool thread is abandoned).
             for _round in range(2):
                 if not pending:
                     break

@@ -5,9 +5,10 @@ The loopback channel is exact for measurement, but a reproduction of a
 frames the existing binary messages over TCP (4-byte big-endian length
 prefix) and provides:
 
-* :class:`TcpServerHost` -- a threaded TCP host wrapping any object with
-  ``handle_bytes`` (the honest :class:`~repro.server.server.CloudServer`,
-  a malicious variant, or a :class:`~repro.baselines.base.BlobStoreServer`);
+* the framing helpers (:func:`send_frame`, :func:`recv_frame`,
+  :func:`recv_exact`) and :func:`error_reply_bytes`, shared with the
+  server host, :class:`~repro.protocol.aio.AsyncTcpServerHost`, which
+  answers these untagged frames as well as its own pipelined tagged ones;
 * :class:`TcpChannel` -- a :class:`~repro.protocol.channel.Channel` that
   speaks the framing over a persistent connection, with the same byte
   accounting as the loopback channel;
@@ -27,12 +28,9 @@ available separately.
 
 from __future__ import annotations
 
-import logging
 import socket
-import socketserver
 import struct
 import threading
-import time
 from dataclasses import dataclass
 
 from repro.core.errors import ProtocolError
@@ -46,8 +44,6 @@ from repro.sim.network import NetworkModel
 _LENGTH = struct.Struct(">I")
 #: Upper bound on one message frame (a whole-file reply can be large).
 MAX_FRAME = 1 << 30
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -131,226 +127,6 @@ def error_reply_bytes(backend, request_bytes: bytes,
     reply = msg.ErrorReply(code=msg.E_BAD_REQUEST, detail=str(exc),
                            request_id=request_id)
     return msg.encode_message(ctx, reply, trace=trace)
-
-
-class _Handler(socketserver.BaseRequestHandler):
-    def setup(self) -> None:
-        super().setup()
-        self.server.track_handler(self.request)  # type: ignore[attr-defined]
-        if obs.enabled:
-            from repro.obs import instruments as ins
-            ins.TCP_CONNECTIONS.inc()
-            ins.TCP_INFLIGHT.inc()
-
-    def finish(self) -> None:
-        self.server.untrack_handler(self.request)  # type: ignore[attr-defined]
-        if obs.enabled:
-            from repro.obs import instruments as ins
-            ins.TCP_INFLIGHT.dec()
-        super().finish()
-
-    def handle(self) -> None:
-        backend = self.server.backend  # type: ignore[attr-defined]
-        while True:
-            try:
-                request = recv_frame(self.request)
-            except (ConnectionError, OSError):
-                return
-            try:
-                response = backend.handle_bytes(request)
-            except Exception as exc:  # never kill the connection silently
-                response = error_reply_bytes(backend, request, exc)
-                if response is None:
-                    # A baseline backend without a wire context cannot
-                    # produce an ErrorReply; close the connection loudly
-                    # instead of dying with an AttributeError.
-                    logger.error("backend %r failed without a wire context "
-                                 "to report through: %s",
-                                 type(backend).__name__, exc)
-                    return
-            try:
-                send_frame(self.request, response)
-            except OSError:
-                return
-
-
-class _ThreadedServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    # Handler threads are daemonic so a crashed process still exits, but
-    # TcpServerHost.stop() joins them itself (with a deadline) instead of
-    # the unbounded join block_on_close would do in server_close().
-    daemon_threads = True
-    block_on_close = False
-
-    def __init__(self, server_address, handler_class,
-                 max_conns: int | None = None) -> None:
-        super().__init__(server_address, handler_class)
-        #: Bounds concurrently served connections: the accept loop blocks
-        #: on a slot before dispatching a handler thread (backpressure --
-        #: excess clients queue in the listen backlog).
-        self.conn_slots = (threading.BoundedSemaphore(max_conns)
-                           if max_conns else None)
-        self._handlers_mutex = threading.Lock()
-        #: Live handler threads and their client sockets, so shutdown can
-        #: join them and unblock the ones parked in recv.
-        self._handler_threads: dict[threading.Thread, socket.socket] = {}
-
-    # -- connection bookkeeping (called from _Handler.setup/finish) -----
-
-    def track_handler(self, sock: socket.socket) -> None:
-        with self._handlers_mutex:
-            self._handler_threads[threading.current_thread()] = sock
-
-    def untrack_handler(self, _sock: socket.socket) -> None:
-        with self._handlers_mutex:
-            self._handler_threads.pop(threading.current_thread(), None)
-
-    def live_handlers(self) -> list[tuple[threading.Thread, socket.socket]]:
-        with self._handlers_mutex:
-            return [(t, s) for t, s in self._handler_threads.items()
-                    if t.is_alive()]
-
-    # -- concurrency bound ----------------------------------------------
-
-    def process_request(self, request, client_address) -> None:
-        if self.conn_slots is not None:
-            self.conn_slots.acquire()
-        try:
-            super().process_request(request, client_address)
-        except BaseException:
-            # Dispatch failed before process_request_thread could run
-            # (e.g. thread creation hit a resource limit), so the
-            # release in its finally block will never happen.  Give the
-            # slot back here or the connection budget shrinks forever.
-            if self.conn_slots is not None:
-                self.conn_slots.release()
-            raise
-
-    def process_request_thread(self, request, client_address) -> None:
-        try:
-            super().process_request_thread(request, client_address)
-        finally:
-            if self.conn_slots is not None:
-                self.conn_slots.release()
-
-
-class TcpServerHost:
-    """Hosts a ``handle_bytes`` backend on a TCP port.
-
-    Usable as a context manager::
-
-        with TcpServerHost(CloudServer()) as host:
-            channel = TcpChannel(host.address, server.ctx)
-
-    A stopped host can be started again: ``start`` after ``stop``
-    recreates the server socket (rebinding the same address) and a fresh
-    acceptor thread.
-
-    ``max_conns`` bounds the number of concurrently served connections;
-    further clients wait in the listen backlog until a slot frees up.
-
-    ``stop()`` shuts down in an orderly, bounded way: the accept loop is
-    stopped, idle connections are nudged closed (read-half shutdown, so a
-    reply in flight still goes out), and outstanding handler threads are
-    *joined* up to ``grace`` seconds -- a handler mid-request (e.g. inside
-    a WAL fsync) finishes its work instead of being killed mid-write.
-    Only handlers still alive after the grace period are abandoned (their
-    sockets force-closed) so a wedged backend cannot hang shutdown
-    forever.
-    """
-
-    def __init__(self, backend, host: str = "127.0.0.1", port: int = 0,
-                 max_conns: int | None = None) -> None:
-        if not hasattr(backend, "handle_bytes"):
-            raise TypeError("backend must expose handle_bytes")
-        if max_conns is not None and max_conns < 1:
-            raise ValueError("max_conns must be >= 1")
-        self.backend = backend
-        self.max_conns = max_conns
-        self._bind_address = (host, port)
-        self._server: _ThreadedServer | None = self._make_server()
-        self._thread: threading.Thread | None = None
-        self._started = False
-
-    def _make_server(self) -> _ThreadedServer:
-        server = _ThreadedServer(self._bind_address, _Handler,
-                                 max_conns=self.max_conns)
-        server.backend = self.backend  # type: ignore[attr-defined]
-        # Remember the kernel-assigned port so a restart rebinds it.
-        self._bind_address = server.server_address
-        return server
-
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._server is not None:
-            return self._server.server_address  # type: ignore[return-value]
-        return self._bind_address
-
-    def start(self) -> "TcpServerHost":
-        if not self._started:
-            if self._server is None:
-                self._server = self._make_server()
-            # threading.Thread objects are single-use: make a new one
-            # per start so stop() -> start() works.
-            self._thread = threading.Thread(target=self._server.serve_forever,
-                                            name="repro-tcp-server",
-                                            daemon=True)
-            self._thread.start()
-            self._started = True
-        return self
-
-    def stop(self, grace: float = 5.0) -> None:
-        """Stop accepting, drain handlers (bounded by ``grace`` seconds)."""
-        if not self._started:
-            return
-        assert self._server is not None
-        server = self._server
-        server.shutdown()  # stop the accept loop
-
-        # Nudge every open connection: closing the read half makes a
-        # handler parked in recv_frame() return immediately, while a
-        # handler mid-request can still send its reply and the backend
-        # work it started (WAL append + fsync) completes untouched.
-        for _thread, sock in server.live_handlers():
-            try:
-                sock.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass
-
-        deadline = time.monotonic() + max(0.0, grace)
-        abandoned = 0
-        for thread, sock in server.live_handlers():
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-            if thread.is_alive():
-                # Out of grace: force the socket closed and give the
-                # thread one last brief chance before abandoning it
-                # (it is daemonic and can no longer reach a live socket).
-                abandoned += 1
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-                thread.join(timeout=0.1)
-        if abandoned:
-            logger.warning("tcp host stop: abandoned %d handler thread(s) "
-                           "still running after %.1fs grace", abandoned, grace)
-
-        server.server_close()
-        self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._started = False
-
-    def __enter__(self) -> "TcpServerHost":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 class TcpChannel(Channel):

@@ -2,14 +2,12 @@
 
 from repro.server.server import CloudServer, ServerFile
 from repro.server.storage import (CallbackCiphertextStore, CiphertextStore,
-                                  FileBackedCiphertextStore,
                                   InMemoryCiphertextStore)
 
 __all__ = [
     "CallbackCiphertextStore",
     "CiphertextStore",
     "CloudServer",
-    "FileBackedCiphertextStore",
     "InMemoryCiphertextStore",
     "ServerFile",
 ]

@@ -3,9 +3,9 @@
 Each shard is a complete, isolated server unit -- its own
 :class:`~repro.server.server.CloudServer` (lock table, replay caches,
 view cache), its own write-ahead :class:`~repro.server.wal.CommitLog`,
-its own checkpoint image and audit chain, optionally its own TCP or
-async host.  Nothing is shared between shards except the process, so a
-shard crash, recovery, or checkpoint never touches its siblings, and
+its own checkpoint image and audit chain, optionally its own TCP host.
+Nothing is shared between shards except the process, so a shard crash,
+recovery, or checkpoint never touches its siblings, and
 durable-mutation throughput scales with the number of independent WAL
 fsync streams.
 
@@ -100,7 +100,10 @@ class ShardCluster:
 
     ``transport`` selects how the units are addressed: ``"loopback"``
     leaves them in-process (channels via :meth:`shard_map`), ``"tcp"`` /
-    ``"async"`` start one host per shard on :meth:`start`.
+    ``"async"`` start one :class:`~repro.protocol.aio.AsyncTcpServerHost`
+    per shard on :meth:`start` and differ only in the client channel
+    (untagged :class:`~repro.protocol.tcp.TcpChannel` versus pipelined
+    :class:`~repro.protocol.aio.AsyncTcpChannel`).
 
     Durability modes:
 
@@ -197,10 +200,9 @@ class ShardCluster:
         stale_paths = [unit.wal_path, unit.image_path, unit.audit_path,
                        audit_mod.head_path_for(unit.audit_path)]
         if unit.engine_path is not None:
-            # SQLite leaves journal/WAL sidecars next to the database;
-            # the log engine leaves a compaction temp on a crash.
+            # SQLite leaves journal/WAL sidecars next to the database.
             stale_paths.extend(unit.engine_path + suffix for suffix in
-                               ("", ".tmp", "-journal", "-wal", "-shm"))
+                               ("", "-journal", "-wal", "-shm"))
         for stale in stale_paths:
             if os.path.exists(stale):
                 os.unlink(stale)
@@ -213,15 +215,12 @@ class ShardCluster:
         """Start one host per shard (no-op for loopback)."""
         if self.transport == "loopback":
             return self
-        if self.transport == "tcp":
-            from repro.protocol.tcp import TcpServerHost as host_cls
-        else:
-            from repro.protocol.aio import AsyncTcpServerHost as host_cls
+        from repro.protocol.aio import AsyncTcpServerHost
         for unit in self.units:
             port = 0 if self.base_port == 0 else \
                 self.base_port + unit.shard_id
-            unit.host = host_cls(unit.backend, port=port,
-                                 max_conns=self.max_conns).start()
+            unit.host = AsyncTcpServerHost(unit.backend, port=port,
+                                           max_conns=self.max_conns).start()
         return self
 
     def stop(self) -> None:

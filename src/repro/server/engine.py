@@ -7,16 +7,10 @@ request touches (see :mod:`repro.server.paging`) and flushes dirty nodes
 back at compaction time, so resident memory is O(active working set)
 instead of O(n).
 
-Three engines share one interface:
+Two engines share one interface:
 
 * :class:`MemoryTreeStore` -- dict-backed; the default and the twin-world
-  reference the durable engines are tested against.
-* :class:`LogTreeStore` -- a single append-only log-structured file.
-  Every flush appends the dirty records followed by one COMMIT record
-  and fsyncs; the opening scan discards any uncommitted tail, so a crash
-  mid-flush atomically reverts to the previous durable state (the WAL
-  then replays the lost tail through the normal handlers).  Values are
-  read back by offset (``os.pread``), never held resident.
+  reference the durable engine is tested against.
 * :class:`SQLiteTreeStore` -- a single-file SQLite schema with per-file
   node, item, and ciphertext tables.  The node table's primary key
   ``(file_id, kind, slot)`` *is* the ``(file_id, node_path)`` index: a
@@ -57,23 +51,19 @@ from __future__ import annotations
 import abc
 import os
 import sqlite3
-import struct
 import threading
-import zlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
-
-from repro.core.errors import ProtocolError
 
 #: Node kinds (the engine-level encoding of tree.LINK / tree.LEAF).
 KIND_LINK = 0
 KIND_LEAF = 1
 
 #: Engine backends selectable via ``make_engine`` and ``--backend``.
-BACKENDS = ("memory", "log", "sqlite")
+BACKENDS = ("memory", "sqlite")
 
 #: On-disk filename per durable backend (under a server's state dir).
-ENGINE_FILENAMES = {"log": "state.log", "sqlite": "state.db"}
+ENGINE_FILENAMES = {"sqlite": "state.db"}
 
 
 @dataclass
@@ -247,410 +237,6 @@ class MemoryTreeStore(TreeStore):
 
     def flush(self) -> None:
         pass
-
-
-# ---------------------------------------------------------------------
-# Append-only log-structured engine
-# ---------------------------------------------------------------------
-
-_LOG_MAGIC = b"RSTR"
-_LOG_VERSION = 1
-_LOG_HEADER = _LOG_MAGIC + struct.pack(">H", _LOG_VERSION)
-_FRAME = struct.Struct(">II")  # payload length | CRC-32 of payload
-
-_TAG_META = 0x01
-_TAG_NODE = 0x02
-_TAG_ITEM = 0x03
-_TAG_CT = 0x04
-_TAG_DROP = 0x05
-_TAG_REPLAY = 0x06
-_TAG_COMMIT = 0x11
-
-_META_REC = struct.Struct(">BQQQ")      # tag | file_id | version | n_leaves
-_NODE_HDR = struct.Struct(">BQBQB")     # tag | file_id | kind | slot | present
-_ITEM_REC = struct.Struct(">BQQBQ")     # tag | file_id | item_id | present | slot
-_CT_HDR = struct.Struct(">BQQB")        # tag | file_id | item_id | present
-_DROP_REC = struct.Struct(">BQ")        # tag | file_id
-_U64 = struct.Struct(">Q")
-_U32 = struct.Struct(">I")
-
-
-class _FileIndex:
-    """In-memory index of one file's records (values stay on disk)."""
-
-    __slots__ = ("meta", "nodes", "slot_of", "item_at", "cts")
-
-    def __init__(self, meta: FileMeta) -> None:
-        self.meta = meta
-        #: (kind, slot) -> (value offset, value length) in the log file.
-        self.nodes: dict[tuple[int, int], tuple[int, int]] = {}
-        self.slot_of: dict[int, int] = {}
-        self.item_at: dict[int, int] = {}
-        #: item_id -> (value offset, value length).
-        self.cts: dict[int, tuple[int, int]] = {}
-
-
-class LogTreeStore(TreeStore):
-    """Append-only log-structured engine (one file, offset-indexed).
-
-    Record stream: ``header | (u32 len | u32 crc | payload)*``.  Payload
-    tags cover metadata, nodes, items, ciphertexts, whole-file drops,
-    the replay table, and COMMIT markers.  Only records preceding a
-    COMMIT are live: the opening scan truncates everything after the
-    last committed offset, which makes each ``flush`` (records + COMMIT
-    + fsync) atomic under crash.
-
-    The index keeps offsets, not values; node and ciphertext reads are
-    single ``pread`` calls.  Item mappings and metadata are small
-    integers and stay resident -- the documented scaling limit of this
-    backend versus SQLite (see ``docs/STORAGE.md``).
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._lock = threading.RLock()
-        self._index: dict[int, _FileIndex] = {}
-        #: (offset, length) of the latest replay-table record, if any.
-        self._replay_blob: Optional[tuple[int, int]] = None
-        self._open()
-
-    # -- open / scan ----------------------------------------------------
-
-    def _open(self) -> None:
-        self._index = {}
-        self._replay_blob = None
-        end = self._scan()
-        self._append = open(self.path, "ab")
-        if self._append.tell() != end:  # torn/uncommitted tail
-            self._append.truncate(end)
-            self._append.flush()
-            os.fsync(self._append.fileno())
-        self._read = open(self.path, "rb")
-        self._end = end
-        self._committed_end = end
-        self._dirty = False
-
-    def _scan(self) -> int:
-        try:
-            with open(self.path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            with open(self.path, "wb") as handle:
-                handle.write(_LOG_HEADER)
-                handle.flush()
-                os.fsync(handle.fileno())
-            from repro.server.wal import fsync_directory
-            fsync_directory(self.path)
-            return len(_LOG_HEADER)
-        if not data or (len(data) < len(_LOG_HEADER)
-                        and _LOG_HEADER.startswith(data)):
-            with open(self.path, "wb") as handle:
-                handle.write(_LOG_HEADER)
-                handle.flush()
-                os.fsync(handle.fileno())
-            return len(_LOG_HEADER)
-        if data[:4] != _LOG_MAGIC:
-            raise ProtocolError(f"{self.path!r} is not a tree-store log")
-        version = struct.unpack(">H", data[4:6])[0]
-        if version != _LOG_VERSION:
-            raise ProtocolError(f"unsupported tree-store version {version}")
-
-        pos = len(_LOG_HEADER)
-        committed = pos
-        pending: list[tuple[int, bytes]] = []  # (payload offset, payload)
-        while pos < len(data):
-            if pos + _FRAME.size > len(data):
-                break
-            length, crc = _FRAME.unpack_from(data, pos)
-            payload_off = pos + _FRAME.size
-            payload = data[payload_off:payload_off + length]
-            if len(payload) < length:
-                break
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                break
-            pos = payload_off + length
-            if payload[0] == _TAG_COMMIT:
-                for off, record in pending:
-                    self._apply_record(off, record)
-                pending.clear()
-                committed = pos
-            else:
-                pending.append((payload_off, payload))
-        return committed
-
-    def _apply_record(self, payload_off: int, payload: bytes) -> None:
-        tag = payload[0]
-        if tag == _TAG_META:
-            _t, file_id, version, n_leaves = _META_REC.unpack_from(payload)
-            index = self._index.get(file_id)
-            if index is None:
-                self._index[file_id] = _FileIndex(
-                    FileMeta(file_id, version, n_leaves))
-            else:
-                index.meta = FileMeta(file_id, version, n_leaves)
-        elif tag == _TAG_NODE:
-            _t, file_id, kind, slot, present = _NODE_HDR.unpack_from(payload)
-            index = self._ensure(file_id)
-            if present:
-                index.nodes[(kind, slot)] = (
-                    payload_off + _NODE_HDR.size,
-                    len(payload) - _NODE_HDR.size)
-            else:
-                index.nodes.pop((kind, slot), None)
-        elif tag == _TAG_ITEM:
-            _t, file_id, item_id, present, slot = _ITEM_REC.unpack_from(payload)
-            index = self._ensure(file_id)
-            old = index.slot_of.pop(item_id, None)
-            if old is not None and index.item_at.get(old) == item_id:
-                index.item_at.pop(old, None)
-            if present:
-                index.slot_of[item_id] = slot
-                index.item_at[slot] = item_id
-        elif tag == _TAG_CT:
-            _t, file_id, item_id, present = _CT_HDR.unpack_from(payload)
-            index = self._ensure(file_id)
-            if present:
-                index.cts[item_id] = (payload_off + _CT_HDR.size,
-                                      len(payload) - _CT_HDR.size)
-            else:
-                index.cts.pop(item_id, None)
-        elif tag == _TAG_DROP:
-            _t, file_id = _DROP_REC.unpack_from(payload)
-            self._index.pop(file_id, None)
-        elif tag == _TAG_REPLAY:
-            self._replay_blob = (payload_off, len(payload))
-        else:
-            raise ProtocolError(f"unknown tree-store record tag {tag:#x}")
-
-    def _ensure(self, file_id: int) -> _FileIndex:
-        index = self._index.get(file_id)
-        if index is None:
-            index = _FileIndex(FileMeta(file_id, 0, 0))
-            self._index[file_id] = index
-        return index
-
-    # -- append path ----------------------------------------------------
-
-    def _emit(self, payload: bytes) -> int:
-        """Append one framed record; returns the payload's file offset."""
-        frame = _FRAME.pack(len(payload),
-                            zlib.crc32(payload) & 0xFFFFFFFF) + payload
-        payload_off = self._end + _FRAME.size
-        self._append.write(frame)
-        self._end += len(frame)
-        self._dirty = True
-        return payload_off
-
-    def _pread(self, offset: int, length: int) -> bytes:
-        with self._lock:
-            if self._dirty:
-                # Staged records live in the append handle's userspace
-                # buffer; surface them to the read handle (no fsync --
-                # durability waits for flush()).
-                self._append.flush()
-            return os.pread(self._read.fileno(), length, offset)
-
-    # -- TreeStore API --------------------------------------------------
-
-    def get_meta(self, file_id: int) -> Optional[FileMeta]:
-        with self._lock:
-            index = self._index.get(file_id)
-            if index is None:
-                return None
-            meta = index.meta
-            return FileMeta(meta.file_id, meta.version, meta.n_leaves)
-
-    def set_meta(self, meta: FileMeta) -> None:
-        with self._lock:
-            self._emit(_META_REC.pack(_TAG_META, meta.file_id, meta.version,
-                                      meta.n_leaves))
-            self._ensure(meta.file_id).meta = FileMeta(
-                meta.file_id, meta.version, meta.n_leaves)
-
-    def drop_file(self, file_id: int) -> None:
-        with self._lock:
-            if file_id not in self._index:
-                return
-            self._emit(_DROP_REC.pack(_TAG_DROP, file_id))
-            self._index.pop(file_id, None)
-
-    def file_ids(self) -> list[int]:
-        with self._lock:
-            return sorted(self._index)
-
-    def get_node(self, file_id: int, kind: int, slot: int) -> bytes:
-        with self._lock:
-            index = self._index.get(file_id)
-            if index is None:
-                raise KeyError((file_id, kind, slot))
-            offset, length = index.nodes[(kind, slot)]
-        return self._pread(offset, length)
-
-    def write_nodes(self, file_id, entries) -> None:
-        with self._lock:
-            index = self._ensure(file_id)
-            for kind, slot, value in entries:
-                if value is None:
-                    if (kind, slot) in index.nodes:
-                        self._emit(_NODE_HDR.pack(_TAG_NODE, file_id, kind,
-                                                  slot, 0))
-                        index.nodes.pop((kind, slot), None)
-                else:
-                    off = self._emit(_NODE_HDR.pack(_TAG_NODE, file_id, kind,
-                                                    slot, 1) + bytes(value))
-                    index.nodes[(kind, slot)] = (off + _NODE_HDR.size,
-                                                 len(value))
-
-    def get_slot(self, file_id: int, item_id: int) -> Optional[int]:
-        with self._lock:
-            index = self._index.get(file_id)
-            return None if index is None else index.slot_of.get(item_id)
-
-    def get_item(self, file_id: int, slot: int) -> Optional[int]:
-        with self._lock:
-            index = self._index.get(file_id)
-            return None if index is None else index.item_at.get(slot)
-
-    def write_items(self, file_id, entries) -> None:
-        with self._lock:
-            index = self._ensure(file_id)
-            pairs = list(entries)
-            for item_id, slot in pairs:
-                self._emit(_ITEM_REC.pack(_TAG_ITEM, file_id, item_id,
-                                          0 if slot is None else 1,
-                                          0 if slot is None else slot))
-            # Two-pass index update (matches the record replay semantics).
-            for item_id, _slot in pairs:
-                old = index.slot_of.pop(item_id, None)
-                if old is not None and index.item_at.get(old) == item_id:
-                    index.item_at.pop(old, None)
-            for item_id, slot in pairs:
-                if slot is not None:
-                    index.slot_of[item_id] = slot
-                    index.item_at[slot] = item_id
-
-    def get_ciphertext(self, file_id: int, item_id: int) -> bytes:
-        with self._lock:
-            index = self._index.get(file_id)
-            if index is None:
-                raise KeyError((file_id, item_id))
-            offset, length = index.cts[item_id]
-        return self._pread(offset, length)
-
-    def write_ciphertexts(self, file_id, entries) -> None:
-        with self._lock:
-            index = self._ensure(file_id)
-            for item_id, value in entries:
-                if value is None:
-                    if item_id in index.cts:
-                        self._emit(_CT_HDR.pack(_TAG_CT, file_id, item_id, 0))
-                        index.cts.pop(item_id, None)
-                else:
-                    off = self._emit(_CT_HDR.pack(_TAG_CT, file_id, item_id, 1)
-                                     + bytes(value))
-                    index.cts[item_id] = (off + _CT_HDR.size, len(value))
-
-    def replay_entries(self) -> list[tuple[int, bytes]]:
-        with self._lock:
-            blob_ref = self._replay_blob
-        if blob_ref is None:
-            return []
-        payload = self._pread(*blob_ref)
-        count = _U32.unpack_from(payload, 1)[0]
-        pos = 1 + _U32.size
-        entries = []
-        for _ in range(count):
-            request_id = _U64.unpack_from(payload, pos)[0]
-            pos += _U64.size
-            length = _U32.unpack_from(payload, pos)[0]
-            pos += _U32.size
-            entries.append((request_id, payload[pos:pos + length]))
-            pos += length
-        return entries
-
-    def set_replay_entries(self, entries) -> None:
-        parts = [bytes([_TAG_REPLAY]), b""]
-        count = 0
-        for request_id, blob in entries:
-            parts.append(_U64.pack(request_id))
-            parts.append(_U32.pack(len(blob)))
-            parts.append(bytes(blob))
-            count += 1
-        parts[1] = _U32.pack(count)
-        with self._lock:
-            off = self._emit(b"".join(parts))
-            self._replay_blob = (off, sum(len(p) for p in parts))
-
-    def flush(self) -> None:
-        with self._lock:
-            if not self._dirty and self._end == self._committed_end:
-                return
-            self._emit(bytes([_TAG_COMMIT]))
-            self._append.flush()
-            os.fsync(self._append.fileno())
-            self._committed_end = self._end
-            self._dirty = False
-
-    def compact(self) -> None:
-        """Rewrite only the live records into a fresh log (atomic swap)."""
-        with self._lock:
-            self.flush()
-            tmp = self.path + ".tmp"
-            rewriter = LogTreeStore.__new__(LogTreeStore)
-            rewriter.path = tmp
-            rewriter._lock = threading.RLock()
-            rewriter._index = {}
-            rewriter._replay_blob = None
-            with open(tmp, "wb") as handle:
-                handle.write(_LOG_HEADER)
-            rewriter._append = open(tmp, "ab")
-            rewriter._read = open(tmp, "rb")
-            rewriter._end = len(_LOG_HEADER)
-            rewriter._committed_end = rewriter._end
-            rewriter._dirty = False
-            for file_id in self.file_ids():
-                index = self._index[file_id]
-                rewriter.set_meta(index.meta)
-                rewriter.write_nodes(file_id, (
-                    (kind, slot, self._pread(*ref))
-                    for (kind, slot), ref in sorted(index.nodes.items())))
-                rewriter.write_items(file_id, sorted(index.slot_of.items()))
-                rewriter.write_ciphertexts(file_id, (
-                    (item_id, self._pread(*ref))
-                    for item_id, ref in sorted(index.cts.items())))
-            rewriter.set_replay_entries(self.replay_entries())
-            rewriter.flush()
-            rewriter._append.close()
-            rewriter._read.close()
-            self._append.close()
-            self._read.close()
-            os.replace(tmp, self.path)
-            from repro.server.wal import fsync_directory
-            fsync_directory(self.path)
-            self._index = rewriter._index
-            self._replay_blob = rewriter._replay_blob
-            self._append = open(self.path, "ab")
-            self._read = open(self.path, "rb")
-            self._end = rewriter._end
-            self._committed_end = rewriter._committed_end
-            self._dirty = False
-
-    def close(self) -> None:
-        with self._lock:
-            self.flush()
-            self._append.close()
-            self._read.close()
-
-    # -- pickling (reopen-by-path; used by conformance tests) -----------
-
-    def __getstate__(self):
-        self.flush()
-        return {"path": self.path}
-
-    def __setstate__(self, state) -> None:
-        self.path = state["path"]
-        self._lock = threading.RLock()
-        self._open()
 
 
 # ---------------------------------------------------------------------
@@ -899,14 +485,12 @@ def engine_path(state_dir: str, backend: str) -> str:
 def make_engine(backend: str, path: Optional[str] = None) -> TreeStore:
     """Instantiate a storage engine by backend name.
 
-    ``memory`` ignores ``path``; the durable backends require one.
+    ``memory`` ignores ``path``; ``sqlite`` requires one.
     """
     if backend == "memory":
         return MemoryTreeStore()
     if path is None:
         raise ValueError(f"backend {backend!r} requires a path")
-    if backend == "log":
-        return LogTreeStore(path)
     if backend == "sqlite":
         return SQLiteTreeStore(path)
     raise ValueError(f"unknown storage backend {backend!r}; "

@@ -1,11 +1,10 @@
 """Ciphertext storage backends for the cloud server.
 
-The server stores one ciphertext per live item, keyed by item id.  Three
-backends share one interface:
+The server stores one ciphertext per live item, keyed by item id.  Two
+backends share one interface (durable server state lives in the
+engines of :mod:`repro.server.engine`):
 
 * :class:`InMemoryCiphertextStore` -- dict-backed, the default.
-* :class:`FileBackedCiphertextStore` -- one file per item under a
-  directory, for examples that want durable server state.
 * :class:`CallbackCiphertextStore` -- derives untouched ciphertexts from a
   callback and keeps writes in an overlay.  Like the lazily-seeded
   modulator store, it exists only so benchmarks can stand up 10^7-item
@@ -16,7 +15,6 @@ backends share one interface:
 from __future__ import annotations
 
 import abc
-import os
 from typing import Callable, Iterator
 
 from repro.core.errors import UnknownItemError
@@ -61,45 +59,6 @@ class InMemoryCiphertextStore(CiphertextStore):
 
     def item_ids(self) -> Iterator[int]:
         return iter(self._items)
-
-
-class FileBackedCiphertextStore(CiphertextStore):
-    """One file per ciphertext under ``root`` (created if absent)."""
-
-    def __init__(self, root: str) -> None:
-        self._root = root
-        os.makedirs(root, exist_ok=True)
-
-    def _path(self, item_id: int) -> str:
-        return os.path.join(self._root, f"{item_id:020d}.ct")
-
-    def get(self, item_id: int) -> bytes:
-        try:
-            with open(self._path(item_id), "rb") as handle:
-                return handle.read()
-        except FileNotFoundError:
-            raise UnknownItemError(f"no ciphertext for item {item_id}") from None
-
-    def put(self, item_id: int, ciphertext: bytes) -> None:
-        path = self._path(item_id)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(ciphertext)
-            handle.flush()
-            os.fsync(handle.fileno())  # durable before the atomic rename
-        os.replace(tmp, path)
-        # The rename is a directory entry with its own durability; a
-        # crash after the replace but before the directory sync could
-        # resurrect the old ciphertext (or, for a first put, forget the
-        # file entirely) -- a torn put from the client's point of view.
-        from repro.server.wal import fsync_directory
-        fsync_directory(path)
-
-    def delete(self, item_id: int) -> None:
-        try:
-            os.remove(self._path(item_id))
-        except FileNotFoundError:
-            pass
 
 
 class CallbackCiphertextStore(CiphertextStore):

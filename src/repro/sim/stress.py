@@ -2,8 +2,8 @@
 
 Runs ``workers`` client threads against a shard cluster of ``shards``
 independent server instances (one by default) -- over loopback
-channels, a real TCP socket per shard, or the pipelined async host --
-each thread driving its own
+channels, or a TCP host per shard reached through untagged or pipelined
+channels -- each thread driving its own
 :class:`~repro.fs.filesystem.OutsourcedFileSystem` tenant (disjoint
 file-id space, own keys) through a randomized mix of put / read / modify
 / insert / delete / batch-delete / drop operations, while optional
@@ -49,7 +49,7 @@ invariants:
    compaction truncated the log) -- the evidence trail matches what was
    actually committed.
 
-With ``backend`` set to ``log`` or ``sqlite``, every shard pages its
+With ``backend`` set to ``sqlite``, every shard pages its
 files from a storage engine and a compactor thread races
 ``compact_storage`` (flush + WAL truncation) against the workers.
 
@@ -72,6 +72,7 @@ from repro.fs.sharding import ShardRoutingChannel
 from repro.obs import audit as audit_mod
 from repro.protocol import messages as msg
 from repro.server.cluster import ShardCluster
+from repro.server.engine import BACKENDS, make_engine
 from repro.server.server import CloudServer
 from repro.server.wal import CommitLog, recover_server
 from repro.sim.threat import Adversary, snapshot_file
@@ -130,7 +131,7 @@ class StressConfig:
     def __post_init__(self) -> None:
         if self.transport not in ("loopback", "tcp", "async"):
             raise ValueError(f"unknown transport {self.transport!r}")
-        if self.backend not in ("memory", "log", "sqlite"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.workers < 1 or self.ops_per_worker < 1:
             raise ValueError("workers and ops_per_worker must be >= 1")
@@ -641,7 +642,6 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
                       if shard_id == unit.shard_id}
         tmp_engine = None
         if unit.engine is not None:
-            from repro.server.engine import make_engine
             copy_dir = tempfile.mkdtemp(prefix="repro-stress-verify-")
             wal_copy = os.path.join(copy_dir, "wal")
             engine_copy = os.path.join(

@@ -1,11 +1,11 @@
 """Pipelining semantics of the asyncio transport.
 
-The wire-compatibility suite (``test_tcp_async_host.py``) proves the
-async host serves the legacy untagged framing; this module pins what is
-NEW: tagged frames correlated out of order, idempotent retransmission of
-an in-flight pipelined mutator under a fresh tag, ordered untagged
-replies under raw pipelining, and the error-reply echo (``request_id`` +
-trace trailer) for failures.
+The untagged-channel suite (``test_tcp.py``) proves the async host
+serves the legacy untagged framing; this module pins what the tagged
+framing adds: tagged frames correlated out of order, idempotent
+retransmission of an in-flight pipelined mutator under a fresh tag,
+ordered untagged replies under raw pipelining, and the error-reply echo
+(``request_id`` + trace trailer) for failures.
 """
 
 import socket

@@ -1,4 +1,9 @@
-"""The TCP transport: the full protocol over a real socket."""
+"""The TCP transport: the full protocol over a real socket.
+
+Every test drives the untagged :class:`~repro.protocol.tcp.TcpChannel`
+against :class:`~repro.protocol.aio.AsyncTcpServerHost`, the one server
+host, so the legacy framing stays byte-for-byte compatible with it.
+"""
 
 import threading
 import time
@@ -8,8 +13,9 @@ import pytest
 from repro.client.client import AssuredDeletionClient
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol import messages as msg
+from repro.protocol.aio import AsyncTcpServerHost, _AioConnection
 from repro.protocol.faults import ChannelError
-from repro.protocol.tcp import RetryPolicy, TcpChannel, TcpServerHost
+from repro.protocol.tcp import RetryPolicy, TcpChannel
 from repro.server.server import CloudServer
 
 pytestmark = pytest.mark.socket
@@ -18,7 +24,7 @@ pytestmark = pytest.mark.socket
 @pytest.fixture
 def hosted_server():
     server = CloudServer()
-    with TcpServerHost(server) as host:
+    with AsyncTcpServerHost(server) as host:
         yield server, host
 
 
@@ -98,14 +104,14 @@ def test_server_survives_bad_frames(hosted_server):
 
 def test_host_requires_handle_bytes():
     with pytest.raises(TypeError):
-        TcpServerHost(object())
+        AsyncTcpServerHost(object())
 
 
 def test_host_restart_after_stop():
     """stop() then start() must rebind the same address with a fresh
-    acceptor thread (threading.Thread objects are single-use)."""
+    event loop and worker pool."""
     server = CloudServer()
-    host = TcpServerHost(server)
+    host = AsyncTcpServerHost(server)
     host.start()
     address = host.address
     try:
@@ -176,7 +182,7 @@ def test_timed_out_request_never_desyncs_the_stream():
     its own reply on a fresh stream."""
     server = CloudServer()
     backend = _SlowOnce(server, delay=1.0)
-    with TcpServerHost(backend) as host:
+    with AsyncTcpServerHost(backend) as host:
         key, ids, _ks = _seeded_file(host.address, server.ctx, "desync")
         backend.stalled = False  # stall the next delivery
         with TcpChannel(host.address, server.ctx,
@@ -193,7 +199,7 @@ def test_timed_out_request_never_desyncs_the_stream():
 def test_timeout_is_retried_transparently():
     server = CloudServer()
     backend = _SlowOnce(server, delay=1.0)
-    with TcpServerHost(backend) as host:
+    with AsyncTcpServerHost(backend) as host:
         key, ids, keystore = _seeded_file(host.address, server.ctx, "retry")
         backend.stalled = False  # stall the next delivery
         retry = RetryPolicy(attempts=3, timeout=0.25, base_delay=0.01)
@@ -213,7 +219,7 @@ def test_retransmitted_commit_applies_exactly_once_over_tcp():
     the deltas twice."""
     server = CloudServer()
     backend = _SlowReplyOnce(server, delay=1.0)
-    with TcpServerHost(backend) as host:
+    with AsyncTcpServerHost(backend) as host:
         key, ids, keystore = _seeded_file(host.address, server.ctx, "idem")
         retry = RetryPolicy(attempts=4, timeout=0.25, base_delay=0.01)
         with TcpChannel(host.address, server.ctx, retry=retry) as channel:
@@ -246,8 +252,8 @@ def test_retry_policy_validation_and_backoff():
 
 
 # ---------------------------------------------------------------------
-# Orderly shutdown: stop() joins in-flight handlers instead of relying
-# on daemon threads, bounded by a grace deadline.
+# Orderly shutdown: stop() lets in-flight handler work finish, bounded
+# by a grace deadline.
 # ---------------------------------------------------------------------
 
 class _SlowBackend:
@@ -271,10 +277,10 @@ class _SlowBackend:
 
 def test_stop_joins_inflight_handler_work():
     """stop() must let a request already inside the backend finish (and
-    its reply go out) rather than killing the thread mid-write."""
+    its reply go out) rather than killing it mid-write."""
     server = CloudServer()
     backend = _SlowBackend(server, delay=0.5)
-    host = TcpServerHost(backend).start()
+    host = AsyncTcpServerHost(backend).start()
     results = {}
 
     def worker():
@@ -297,10 +303,10 @@ def test_stop_joins_inflight_handler_work():
 
 
 def test_stop_prompt_with_idle_connection():
-    """An idle persistent connection (handler parked in recv) must not
+    """An idle persistent connection (parked in its read) must not
     make stop() wait out the whole grace period."""
     server = CloudServer()
-    host = TcpServerHost(server).start()
+    host = AsyncTcpServerHost(server).start()
     channel = TcpChannel(host.address, server.ctx)
     channel.request(msg.FetchFileRequest(file_id=1))  # handler now idle
     start = time.monotonic()
@@ -324,7 +330,7 @@ def test_stop_abandons_wedged_handler_after_grace():
             release.wait(30.0)
             return server.handle_bytes(data)
 
-    host = TcpServerHost(_Wedged()).start()
+    host = AsyncTcpServerHost(_Wedged()).start()
 
     def worker():
         try:
@@ -347,9 +353,9 @@ def test_stop_abandons_wedged_handler_after_grace():
 
 def test_max_conns_bounds_concurrent_connections():
     """With max_conns=1 a second connection is only served after the
-    first closes (backpressure via the listen backlog)."""
+    first closes (backpressure: accepted, but not read)."""
     server = CloudServer()
-    with TcpServerHost(server, max_conns=1) as host:
+    with AsyncTcpServerHost(server, max_conns=1) as host:
         first = TcpChannel(host.address, server.ctx)
         first.request(msg.FetchFileRequest(file_id=1))  # holds the slot
         done = threading.Event()
@@ -365,8 +371,8 @@ def test_max_conns_bounds_concurrent_connections():
 
         thread = threading.Thread(target=worker)
         thread.start()
-        # The second connection sits in the backlog while the first one
-        # occupies the only slot.
+        # The second connection is accepted but not read while the first
+        # one occupies the only slot.
         assert not done.wait(0.4)
         first.close()
         assert done.wait(10.0)
@@ -376,33 +382,25 @@ def test_max_conns_bounds_concurrent_connections():
 
 def test_max_conns_validation():
     with pytest.raises(ValueError):
-        TcpServerHost(CloudServer(), max_conns=0)
+        AsyncTcpServerHost(CloudServer(), max_conns=0)
 
 
 def test_failed_dispatch_releases_conn_slot(monkeypatch):
-    """Regression: if the handler thread cannot be started the slot
-    acquired in process_request must be given back -- with max_conns=1 a
-    leaked slot would lock every later client out forever."""
+    """Regression: a connection whose serving fails must give its slot
+    back -- with max_conns=1 a leaked slot would lock every later client
+    out forever."""
+    real_serve = _AioConnection.serve
+    tripped = []
+
+    async def flaky_serve(self):
+        if not tripped:
+            tripped.append(True)
+            raise RuntimeError("injected connection failure")
+        return await real_serve(self)
+
+    monkeypatch.setattr(_AioConnection, "serve", flaky_serve)
     server = CloudServer()
-    with TcpServerHost(server, max_conns=1) as host:
-        threaded = getattr(host, "_server", None)
-        if threaded is None or not hasattr(threaded, "conn_slots"):
-            return  # not the threaded host (async rerun): nothing to leak
-        # Swallow the injected dispatch error instead of printing it.
-        monkeypatch.setattr(threaded, "handle_error", lambda *a: None)
-        tripped = []
-        real_start = threading.Thread.start
-
-        def flaky_start(self):
-            target = getattr(self, "_target", None)
-            if (not tripped
-                    and getattr(target, "__name__", "")
-                    == "process_request_thread"):
-                tripped.append(True)
-                raise RuntimeError("injected thread-creation failure")
-            return real_start(self)
-
-        monkeypatch.setattr(threading.Thread, "start", flaky_start)
+    with AsyncTcpServerHost(server, max_conns=1) as host:
         retry = RetryPolicy(attempts=3, timeout=5.0, base_delay=0.01)
         with TcpChannel(host.address, server.ctx, retry=retry) as channel:
             # First attempt dies with the injected failure; the retry

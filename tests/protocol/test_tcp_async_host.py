@@ -1,11 +1,11 @@
-"""Wire compatibility: the FULL sync-TCP suite against the async host.
+"""The full sync-TCP suite against a host that serialises each connection.
 
-The asyncio host must be a drop-in for the threaded one: the sync
-:class:`~repro.protocol.tcp.TcpChannel` (untagged frames, one request
-outstanding) has to pass every existing TCP test unchanged.  This module
-re-collects ``test_tcp.py`` with its ``TcpServerHost`` name rebound to
-:class:`~repro.protocol.aio.AsyncTcpServerHost` -- same tests, same
-assertions, different host.
+An untagged :class:`~repro.protocol.tcp.TcpChannel` keeps one request
+outstanding, so the legacy framing must work even when the host admits a
+single in-flight request per connection (``max_inflight_per_conn=1``).
+This module re-collects ``test_tcp.py`` with its ``AsyncTcpServerHost``
+name rebound to a host built with that bound -- same tests, same
+assertions, tightest per-connection pipeline.
 """
 
 import importlib.util
@@ -23,10 +23,25 @@ tcp_suite = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tcp_suite)
 
 
+class _SerialConnHost(AsyncTcpServerHost):
+    """The async host with one in-flight request per connection."""
+
+    def __init__(self, backend, *args, max_inflight_per_conn=1, **kwargs):
+        super().__init__(backend, *args,
+                         max_inflight_per_conn=max_inflight_per_conn,
+                         **kwargs)
+
+
 @pytest.fixture(autouse=True)
-def _use_async_host(monkeypatch):
-    """Rebind the suite's host class to the asyncio implementation."""
-    monkeypatch.setattr(tcp_suite, "TcpServerHost", AsyncTcpServerHost)
+def _use_serial_conn_host(monkeypatch):
+    """Rebind the suite's host class to the serialising configuration."""
+    monkeypatch.setattr(tcp_suite, "AsyncTcpServerHost", _SerialConnHost)
+
+
+def test_rebound_host_admits_one_request_per_connection(hosted_server):
+    _server, host = hosted_server
+    assert isinstance(host, _SerialConnHost)
+    assert host.max_inflight_per_conn == 1
 
 
 # Re-export every test (and the fixtures they use) for collection here.

@@ -28,7 +28,7 @@ from repro.sim.threat import snapshot_file
 
 pytestmark = pytest.mark.slow
 
-DURABLE = ("log", "sqlite")
+DURABLE = ("sqlite",)
 
 
 def _world(tmp_path, tag, *, backend=None, cache_nodes=65536, seed="twin"):

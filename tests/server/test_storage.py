@@ -4,15 +4,12 @@ import pytest
 
 from repro.core.errors import UnknownItemError
 from repro.server.storage import (CallbackCiphertextStore,
-                                  FileBackedCiphertextStore,
                                   InMemoryCiphertextStore)
 
 
-@pytest.fixture(params=["memory", "file"])
-def store(request, tmp_path):
-    if request.param == "memory":
-        return InMemoryCiphertextStore()
-    return FileBackedCiphertextStore(str(tmp_path / "store"))
+@pytest.fixture(params=["memory"])
+def store():
+    return InMemoryCiphertextStore()
 
 
 def test_put_get_delete(store):
@@ -33,14 +30,6 @@ def test_delete_is_idempotent(store):
 def test_missing_item(store):
     with pytest.raises(UnknownItemError):
         store.get(7)
-
-
-def test_file_backed_persists(tmp_path):
-    root = str(tmp_path / "persist")
-    first = FileBackedCiphertextStore(root)
-    first.put(9, b"durable")
-    second = FileBackedCiphertextStore(root)
-    assert second.get(9) == b"durable"
 
 
 def test_in_memory_len_and_ids():

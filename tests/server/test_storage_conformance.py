@@ -3,9 +3,8 @@
 Two backend families are exercised through one shared test body each:
 
 * :class:`~repro.server.storage.CiphertextStore` implementations
-  (in-memory, file-backed, callback overlay);
-* :class:`~repro.server.engine.TreeStore` engines (memory, append-only
-  log, SQLite).
+  (in-memory, callback overlay);
+* :class:`~repro.server.engine.TreeStore` engines (memory, SQLite).
 
 A backend that passes here is substitutable for any other in the
 server; the twin-world tests in ``test_engine_server.py`` then prove
@@ -19,24 +18,21 @@ import pytest
 
 from repro.core.errors import UnknownItemError
 from repro.server.engine import (KIND_LEAF, KIND_LINK, FileMeta,
-                                 LogTreeStore, MemoryTreeStore,
-                                 SQLiteTreeStore, make_engine)
+                                 MemoryTreeStore, SQLiteTreeStore,
+                                 make_engine)
 from repro.server.storage import (CallbackCiphertextStore,
-                                  FileBackedCiphertextStore,
                                   InMemoryCiphertextStore)
 
 # ---------------------------------------------------------------------
 # CiphertextStore conformance
 # ---------------------------------------------------------------------
 
-CT_BACKENDS = ("memory", "file", "callback")
+CT_BACKENDS = ("memory", "callback")
 
 
 def make_ct_store(kind: str, tmp_path):
     if kind == "memory":
         return InMemoryCiphertextStore()
-    if kind == "file":
-        return FileBackedCiphertextStore(str(tmp_path / "cts"))
     return CallbackCiphertextStore(lambda item_id: b"derived-%d" % item_id)
 
 
@@ -91,7 +87,7 @@ def test_ct_distinct_ids_are_independent(ct_store):
     assert ct_store.get(2) == b"two"
 
 
-@pytest.mark.parametrize("kind", ["memory", "file"])
+@pytest.mark.parametrize("kind", ["memory"])
 def test_ct_survives_pickle(kind, tmp_path):
     """Server state containing any non-callback store must pickle
     (the CLI vault snapshot path)."""
@@ -101,39 +97,12 @@ def test_ct_survives_pickle(kind, tmp_path):
     assert clone.get(5) == b"five"
 
 
-def test_filebacked_crash_mid_write_leaves_old_value(tmp_path):
-    """A torn put (crash between tmp write and rename) must preserve
-    the previous ciphertext: the tmp file is invisible to reads."""
-    store = FileBackedCiphertextStore(str(tmp_path / "cts"))
-    store.put(4, b"old")
-    # Simulate the crash: the tmp file exists, the rename never ran.
-    tmp = store._path(4) + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(b"half-writ")
-    assert store.get(4) == b"old"
-    # And a later clean put wins over the stale tmp.
-    store.put(4, b"new")
-    assert store.get(4) == b"new"
-
-
-def test_filebacked_put_fsyncs_directory(tmp_path, monkeypatch):
-    """The rename's directory entry gets its own fsync (a crash must
-    not forget a freshly acknowledged ciphertext)."""
-    import repro.server.wal as wal_module
-    synced = []
-    monkeypatch.setattr(wal_module, "fsync_directory",
-                        lambda path: synced.append(path))
-    store = FileBackedCiphertextStore(str(tmp_path / "cts"))
-    store.put(1, b"durable")
-    assert synced == [store._path(1)]
-
-
 # ---------------------------------------------------------------------
 # TreeStore engine conformance
 # ---------------------------------------------------------------------
 
-ENGINES = ("memory", "log", "sqlite")
-DURABLE_ENGINES = ("log", "sqlite")
+ENGINES = ("memory", "sqlite")
+DURABLE_ENGINES = ("sqlite",)
 
 
 def make_tree_store(kind: str, tmp_path):
@@ -258,7 +227,7 @@ def test_engine_replay_table(engine):
 def test_engine_u64_ids(engine):
     """File, item, and request ids are uniform u64 -- the top bit set
     half the time.  Every backend must store them faithfully (SQLite
-    maps through two's complement; the log packs ``>Q``)."""
+    maps through two's complement)."""
     big_fid = 2**64 - 3
     big_item = 2**63 + 17
     engine.set_meta(FileMeta(big_fid, 1, 2))
@@ -311,16 +280,10 @@ def test_engine_unflushed_writes_do_not_survive_crash(kind, tmp_path):
     engine.write_nodes(FID, [(KIND_LEAF, 2, b"lost" + b"\0" * 16)])
     engine.set_meta(FileMeta(FID, 9, 2))
     # Crash: no flush, no close.  SQLite keeps an open transaction that
-    # the journal rolls back; the log has no COMMIT after the records.
-    if kind == "sqlite":
-        # Emulate process death: roll back instead of committing.
-        engine._conn.rollback()
-        engine._conn.close()
-    else:
-        # Drop the handles without emitting a COMMIT record: the bytes
-        # may reach the file, but the opening scan discards them.
-        engine._append.close()
-        engine._read.close()
+    # the journal rolls back; emulate process death by rolling back
+    # instead of committing.
+    engine._conn.rollback()
+    engine._conn.close()
     engine = make_engine(kind, path)
     try:
         assert engine.get_meta(FID).version == 1
@@ -328,48 +291,6 @@ def test_engine_unflushed_writes_do_not_survive_crash(kind, tmp_path):
             engine.get_node(FID, KIND_LEAF, 2)
     finally:
         engine.close()
-
-
-def test_log_engine_truncates_torn_tail(tmp_path):
-    """A partial append (crash mid-write) must truncate back to the
-    last COMMIT; earlier flushed state stays readable."""
-    path = str(tmp_path / "engine.log")
-    engine = LogTreeStore(path)
-    engine.set_meta(FileMeta(FID, 1, 2))
-    engine.write_nodes(FID, [(KIND_LEAF, 2, b"ok" + b"\0" * 18)])
-    engine.flush()
-    engine.close()
-    size = os.path.getsize(path)
-    with open(path, "ab") as handle:  # torn frame: length but no payload
-        handle.write(b"\x00\x00\x00\x30\xde\xad")
-    for cut in (size + 2, size + 6):
-        with open(path, "r+b") as handle:
-            handle.truncate(cut)
-        engine = LogTreeStore(path)
-        assert engine.get_meta(FID).version == 1
-        assert engine.get_node(FID, KIND_LEAF, 2)[:2] == b"ok"
-        engine.close()
-
-
-def test_log_engine_compact_drops_dead_records(tmp_path):
-    """Backend compaction rewrites only live state: the file shrinks
-    after churn, and everything live survives the rewrite."""
-    path = str(tmp_path / "engine.log")
-    engine = LogTreeStore(path)
-    engine.set_meta(FileMeta(FID, 0, 4))
-    for round_no in range(50):
-        engine.write_nodes(FID, [(KIND_LEAF, 4, bytes([round_no]) * 20)])
-        engine.flush()
-    before = os.path.getsize(path)
-    engine.compact()
-    after = os.path.getsize(path)
-    assert after < before
-    assert engine.get_node(FID, KIND_LEAF, 4) == bytes([49]) * 20
-    engine.close()
-    # And the compacted file reopens clean.
-    engine = LogTreeStore(path)
-    assert engine.get_node(FID, KIND_LEAF, 4) == bytes([49]) * 20
-    engine.close()
 
 
 def test_sqlite_engine_compact_vacuums(tmp_path):

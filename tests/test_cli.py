@@ -1,8 +1,10 @@
 """The repro-vault command-line interface."""
 
+import os
 import subprocess
 import sys
 
+import pytest
 
 
 def vault(tmp_path, *args, stdin=""):
@@ -113,3 +115,68 @@ def test_unreadable_vault_fails_closed(tmp_path):
     assert "older version" in missing.stderr
     assert "repro.crypto.sha1" in missing.stderr
     assert "Traceback" not in missing.stderr
+
+
+def test_serve_and_compact_parse_with_one_engine_and_one_host(tmp_path):
+    """``serve --async`` still parses (and selects nothing), ``--backend``
+    offers memory/sqlite only, and ``compact`` needs no ``--backend``."""
+    import json
+
+    from repro.cli import Vault, build_parser, main
+    from repro.server.engine import engine_path, make_engine
+
+    parser = build_parser()
+    args = parser.parse_args(["serve", "--durable", "--backend", "sqlite",
+                              "--async", "--audit"])
+    assert (args.durable, args.backend, args.audit) == (True, "sqlite", True)
+    for argv in (["serve", "--backend", "log"],
+                 ["stress", "--backend", "log"],
+                 ["compact", "--backend", "sqlite"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+
+    server_dir = str(tmp_path / "server")
+    assert main(["--server-dir", server_dir, "init"]) == 0
+    vault_ = Vault(server_dir, str(tmp_path / "keys"))
+    vault_.load()
+    vault_.fs.create_file("f", [b"a", b"b"])
+    engine = make_engine("sqlite", engine_path(server_dir, "sqlite"))
+    vault_.fs.server.attach_engine(engine)
+    vault_.fs.server.compact_storage()
+    engine.close()
+    run = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "--server-dir", server_dir,
+         "compact"], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["replayed_records"] == 0
+
+
+def test_vault_save_crash_keeps_previous_vault(tmp_path, monkeypatch):
+    """A crash mid-save (partial pickle bytes, then death) must leave the
+    previous vault loadable: it holds the client's only copy of its keys."""
+    import pickle
+
+    from repro.cli import Vault
+
+    server_dir = str(tmp_path / "server")
+    saved = Vault(server_dir, str(tmp_path / "keys"))
+    saved.create()
+    saved.fs.create_file("kept", [b"a", b"b"])
+    saved.save()
+
+    def torn_dump(obj, handle, *args, **kwargs):
+        handle.write(pickle.dumps(obj)[:64])
+        raise RuntimeError("crash mid-save")
+
+    saved.fs.create_file("lost", [b"c"])
+    monkeypatch.setattr(pickle, "dump", torn_dump)
+    with pytest.raises(RuntimeError):
+        saved.save()
+    monkeypatch.undo()
+
+    reloaded = Vault(server_dir, str(tmp_path / "keys"))
+    reloaded.load()
+    assert reloaded.fs.exists("kept")
+    assert not reloaded.fs.exists("lost")
+    assert reloaded.fs.open("kept").read_all() == [b"a", b"b"]
+    assert os.listdir(server_dir) == ["vault.state"]
