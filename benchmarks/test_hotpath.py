@@ -1,7 +1,7 @@
-"""Hot-path benchmark: scalar baseline against the shipped stack.
+"""Hot-path benchmark: per-item baseline against the shipped stack.
 
-Compares the baseline configuration (scalar per-item AES, no server view
-cache) against the shipped defaults on the two headline operations:
+Compares the baseline configuration (per-item AES, no server view cache)
+against the shipped defaults on the two headline operations:
 
 * whole-file fetch at n = 1024 -- ``decrypt_many`` runs one bulk AES
   pass over all items;
@@ -134,7 +134,7 @@ def test_configurations_are_bit_identical(hotpath):
     _rows, _fetch, _access, identical = hotpath
     assert identical
     # Same randomness + same items => the stored ciphertexts must also
-    # be byte-identical between the scalar and bulk AES encrypt paths.
+    # be byte-identical between the per-item and bulk AES encrypt paths.
     items = make_items(64, 128)
     base_server, base_client, _ = build(False, items, seed="identity")
     opt_server, opt_client, _ = build(True, items, seed="identity")

@@ -138,6 +138,7 @@ def test_micro_timing_record():
             "aes_block": _per_call_us(lambda: cipher.encrypt_block(block)),
             "ctr_small_92b": _per_call_us(
                 lambda: aes_ctr(key, nonce, small_payload)),
+            "ctr_4kb": _per_call_us(lambda: aes_ctr(key, nonce, item)),
             "ctr_bulk_4kb": _per_call_us(
                 lambda: ctr_transform(key, nonce, item), reps=200),
         },

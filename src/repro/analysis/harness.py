@@ -25,6 +25,7 @@ from repro.core.modstore import LazySeededStore
 from repro.core.modulated_chain import ChainEngine
 from repro.core.params import Params
 from repro.core.tree import ModulationTree
+from repro.crypto.modes import aes_ctr
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol.channel import LoopbackChannel
 from repro.server.server import CloudServer
@@ -58,7 +59,7 @@ def _derive_nonce(seed: bytes, item_id: int) -> bytes:
 
 
 def _derive_payload(seed: bytes, item_id: int, size: int) -> bytes:
-    """Deterministic item contents (vectorised keystream expansion)."""
+    """Deterministic item contents (an AES-CTR keystream prefix)."""
     if size == 0:
         return b""
     hasher = hashlib.sha1()
@@ -66,9 +67,7 @@ def _derive_payload(seed: bytes, item_id: int, size: int) -> bytes:
     hasher.update(b"payload")
     hasher.update(struct.pack(">Q", item_id))
     digest = hasher.digest()
-    from repro.crypto.bulk import keystream
-    return keystream(digest[:16], digest[16:] + b"\x00" * 4,
-                     (size + 15) // 16)[:size]
+    return aes_ctr(digest[:16], digest[16:] + b"\x00" * 4, bytes(size))
 
 
 def build_seeded_file(n_items: int, item_size: int, *, seed: str = "bench",

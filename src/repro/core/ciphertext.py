@@ -34,10 +34,10 @@ _COUNTER_SIZE = 8
 class ItemCodec:
     """Encrypts and decrypt-verifies data items under modulated keys."""
 
-    #: Route batch calls through the cross-item vectorised AES engine
-    #: (one sweep over every item's blocks).  Output is bit-identical to
-    #: the per-item path; flip off to benchmark or to force the scalar
-    #: reference behaviour.
+    #: Route batch calls through ``aes_ctr_many``, which runs batches of
+    #: many small items as one numpy sweep.  Output is bit-identical to
+    #: the per-item path; flip off to benchmark or to force per-item
+    #: ``aes_ctr``.
     use_bulk_aes = True
 
     def __init__(self, params: Params) -> None:
@@ -75,7 +75,7 @@ class ItemCodec:
         """Batch encryption, identical output to per-item :meth:`encrypt`.
 
         Used by outsourcing and by the master-key baseline's O(n)
-        re-encryption; the AES-CTR transforms run as one vectorised sweep.
+        re-encryption; the AES-CTR transforms run through ``aes_ctr_many``.
         """
         if not (len(chain_outputs) == len(messages) == len(item_ids)
                 == len(nonces)):
@@ -120,7 +120,7 @@ class ItemCodec:
 
     def _ctr_many(self, keys: list[bytes], nonces: list[bytes],
                   payloads: list[bytes]) -> list[bytes]:
-        """Batch CTR transform, vectorised across items when enabled."""
+        """Batch CTR transform through ``aes_ctr_many`` when enabled."""
         if self.use_bulk_aes:
             return aes_ctr_many(keys, nonces, payloads)
         return [aes_ctr(key, nonce, payload)

@@ -1,4 +1,4 @@
-"""Cryptographic substrate: stdlib hashing plus an in-repo AES.
+"""Cryptographic substrate: stdlib hashing and OpenSSL AES-CTR.
 
 Every hash runs through the standard library's :mod:`hashlib` and
 :mod:`hmac`; a *hash factory* is a ``hashlib`` constructor.  The paper's
@@ -11,16 +11,22 @@ as the drop-in alternative of the hash-choice ablation.  On top of that:
 * :mod:`repro.crypto.prf` -- the PRF used by the master-key baseline.
 * :mod:`repro.crypto.drbg` -- HMAC-DRBG (NIST SP 800-90A) providing
   deterministic randomness for reproducible experiments.
+* :mod:`repro.crypto.modes` -- AES-CTR, the item codec's cipher.  It runs
+  in OpenSSL through the ``cryptography`` package, imported on first use
+  so that processes which never encrypt (the server) do not load it.
+  Batches of many small items go to :mod:`repro.crypto.bulk` instead.
+  The module also holds ECB/CBC over the in-repo AES.
+* :mod:`repro.crypto.bulk` -- numpy-vectorised AES-CTR: one sweep over a
+  whole batch of small items, key schedules included.
 * :mod:`repro.crypto.aes` -- the AES block cipher (FIPS 197), built from
-  the specification.
-* :mod:`repro.crypto.modes` -- ECB/CBC/CTR modes of operation.
-* :mod:`repro.crypto.bulk` -- numpy-vectorised AES-CTR for bulk payloads.
+  the specification; drives ECB/CBC, GCM, CMAC, the numpy engine's
+  tables and the scalar CTR reference the tests compare against.
 * :mod:`repro.crypto.gcm`, :mod:`repro.crypto.cmac` -- AES-GCM and
   AES-CMAC (unused by the scheme; kept with their test vectors).
 * :mod:`repro.crypto.rng` -- random source abstraction (system / seeded).
 * :mod:`repro.crypto.ct` -- constant-time comparison helpers.
 
-The AES code is validated against official test vectors in
+Both AES paths are validated against official test vectors in
 ``tests/crypto``; the hash wrappers keep their FIPS/RFC vectors there as
 smoke checks, and ``tests/crypto/test_golden_vectors.py`` pins the exact
 outputs of every hash-driven derivation.

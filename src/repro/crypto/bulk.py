@@ -1,11 +1,13 @@
-"""Vectorised AES-CTR engine for bulk payloads (numpy).
+"""Vectorised AES-CTR engine for batches of small items (numpy).
 
-The master-key baseline of the paper re-encrypts the *entire* outsourced
-file on every deletion -- hundreds of megabytes at the paper's scale.  The
-scalar interpreter-speed AES in :mod:`repro.crypto.aes` is exact but far too
-slow for that, so this module evaluates the identical T-table round function
-across all counter blocks at once with numpy gathers.  Output is verified
-bit-for-bit against the scalar implementation in the test suite.
+:func:`repro.crypto.modes.aes_ctr` runs in OpenSSL, which pays a key
+setup of about 15 us per item.  Outsourcing or fetching a file of many
+small items (hundreds of 64-byte records) is dominated by that setup, so
+:func:`repro.crypto.modes.aes_ctr_many` hands such batches to this module,
+which evaluates the T-table round function of :mod:`repro.crypto.aes`
+across all counter blocks of all items at once with numpy gathers, key
+schedules included.  Output is verified bit-for-bit against the scalar
+implementation in the test suite.
 
 Only CTR (keystream generation, i.e. the forward transform) is needed in
 bulk: both encryption and decryption of payloads XOR the same keystream.
@@ -27,45 +29,44 @@ _SBOX = np.array(list(_aes.SBOX), dtype=np.uint32)
 _BYTE = np.uint32(0xFF)
 
 
-def _encrypt_words(round_keys, rounds: int,
+def _encrypt_words(rk, rounds: int,
                    s0: np.ndarray, s1: np.ndarray, s2: np.ndarray,
                    s3: np.ndarray) -> tuple[np.ndarray, ...]:
     """Run the AES forward transform on N parallel states (uint32 words).
 
-    ``round_keys`` entries are either plain ints (one shared key schedule
-    for every state) or uint32 arrays aligned with the states (cross-item
-    batches where each block carries its own item's schedule); numpy
+    ``rk(j)`` returns word ``j`` of the key schedule: either a
+    uint32 scalar (one shared key schedule for every state) or a uint32
+    array aligned with the states (cross-item batches where each block
+    carries its own item's schedule, gathered as each round needs it so
+    that a batch never holds all 44 words per block at once); numpy
     broadcasting makes both shapes take the identical code path.
     """
-    rk = [word if isinstance(word, np.ndarray) else np.uint32(word)
-          for word in round_keys]
-
-    s0 = s0 ^ rk[0]
-    s1 = s1 ^ rk[1]
-    s2 = s2 ^ rk[2]
-    s3 = s3 ^ rk[3]
+    s0 = s0 ^ rk(0)
+    s1 = s1 ^ rk(1)
+    s2 = s2 ^ rk(2)
+    s3 = s3 ^ rk(3)
 
     offset = 4
     for _ in range(rounds - 1):
         t0 = (_T0[(s0 >> 24) & _BYTE] ^ _T1[(s1 >> 16) & _BYTE]
-              ^ _T2[(s2 >> 8) & _BYTE] ^ _T3[s3 & _BYTE] ^ rk[offset])
+              ^ _T2[(s2 >> 8) & _BYTE] ^ _T3[s3 & _BYTE] ^ rk(offset))
         t1 = (_T0[(s1 >> 24) & _BYTE] ^ _T1[(s2 >> 16) & _BYTE]
-              ^ _T2[(s3 >> 8) & _BYTE] ^ _T3[s0 & _BYTE] ^ rk[offset + 1])
+              ^ _T2[(s3 >> 8) & _BYTE] ^ _T3[s0 & _BYTE] ^ rk(offset + 1))
         t2 = (_T0[(s2 >> 24) & _BYTE] ^ _T1[(s3 >> 16) & _BYTE]
-              ^ _T2[(s0 >> 8) & _BYTE] ^ _T3[s1 & _BYTE] ^ rk[offset + 2])
+              ^ _T2[(s0 >> 8) & _BYTE] ^ _T3[s1 & _BYTE] ^ rk(offset + 2))
         t3 = (_T0[(s3 >> 24) & _BYTE] ^ _T1[(s0 >> 16) & _BYTE]
-              ^ _T2[(s1 >> 8) & _BYTE] ^ _T3[s2 & _BYTE] ^ rk[offset + 3])
+              ^ _T2[(s1 >> 8) & _BYTE] ^ _T3[s2 & _BYTE] ^ rk(offset + 3))
         s0, s1, s2, s3 = t0, t1, t2, t3
         offset += 4
 
     out0 = ((_SBOX[(s0 >> 24) & _BYTE] << 24) | (_SBOX[(s1 >> 16) & _BYTE] << 16)
-            | (_SBOX[(s2 >> 8) & _BYTE] << 8) | _SBOX[s3 & _BYTE]) ^ rk[offset]
+            | (_SBOX[(s2 >> 8) & _BYTE] << 8) | _SBOX[s3 & _BYTE]) ^ rk(offset)
     out1 = ((_SBOX[(s1 >> 24) & _BYTE] << 24) | (_SBOX[(s2 >> 16) & _BYTE] << 16)
-            | (_SBOX[(s3 >> 8) & _BYTE] << 8) | _SBOX[s0 & _BYTE]) ^ rk[offset + 1]
+            | (_SBOX[(s3 >> 8) & _BYTE] << 8) | _SBOX[s0 & _BYTE]) ^ rk(offset + 1)
     out2 = ((_SBOX[(s2 >> 24) & _BYTE] << 24) | (_SBOX[(s3 >> 16) & _BYTE] << 16)
-            | (_SBOX[(s0 >> 8) & _BYTE] << 8) | _SBOX[s1 & _BYTE]) ^ rk[offset + 2]
+            | (_SBOX[(s0 >> 8) & _BYTE] << 8) | _SBOX[s1 & _BYTE]) ^ rk(offset + 2)
     out3 = ((_SBOX[(s3 >> 24) & _BYTE] << 24) | (_SBOX[(s0 >> 16) & _BYTE] << 16)
-            | (_SBOX[(s1 >> 8) & _BYTE] << 8) | _SBOX[s2 & _BYTE]) ^ rk[offset + 3]
+            | (_SBOX[(s1 >> 8) & _BYTE] << 8) | _SBOX[s2 & _BYTE]) ^ rk(offset + 3)
     return out0, out1, out2, out3
 
 
@@ -94,7 +95,8 @@ def keystream(key: bytes, nonce: bytes, block_count: int, *,
     s2 = (counters >> np.uint64(32)).astype(np.uint32)
     s3 = (counters & np.uint64(0xFFFFFFFF)).astype(np.uint32)
 
-    out0, out1, out2, out3 = _encrypt_words(cipher.round_keys, cipher.rounds,
+    schedule = [np.uint32(word) for word in cipher.round_keys]
+    out0, out1, out2, out3 = _encrypt_words(schedule.__getitem__, cipher.rounds,
                                             s0, s1, s2, s3)
     words = np.empty((block_count, 4), dtype=np.uint32)
     words[:, 0] = out0
@@ -199,11 +201,9 @@ def ctr_transform_many(keys, nonces, datas, *,
     s2 = (counters >> np.uint64(32)).astype(np.uint32)
     s3 = (counters & np.uint64(0xFFFFFFFF)).astype(np.uint32)
 
-    schedules = expand_keys_128([keys[i] for i in live])
-    per_block = schedules[item_index]  # (blocks, 44) gather
-    rk = [per_block[:, j] for j in range(44)]
-
-    out0, out1, out2, out3 = _encrypt_words(rk, 10, s0, s1, s2, s3)
+    columns = np.ascontiguousarray(expand_keys_128([keys[i] for i in live]).T)
+    out0, out1, out2, out3 = _encrypt_words(
+        lambda j: columns[j][item_index], 10, s0, s1, s2, s3)
     words = np.empty((total_blocks, 4), dtype=np.uint32)
     words[:, 0] = out0
     words[:, 1] = out1

@@ -1,11 +1,16 @@
-"""Block cipher modes of operation over the AES block transform.
+"""Block cipher modes of operation.
 
 The item codec (:mod:`repro.core.ciphertext`) uses AES-CTR so ciphertext
-length equals plaintext length plus the nonce; CBC with PKCS#7 is provided
-for completeness and for the NIST SP 800-38A conformance tests.
+length equals plaintext length plus the nonce; CTR runs in OpenSSL through
+``cryptography`` (small-item batches through :mod:`repro.crypto.bulk`).
+ECB and CBC with PKCS#7 run on the in-repo :class:`~repro.crypto.aes.AES`
+and are kept for completeness and for the NIST SP 800-38A conformance
+tests.
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.crypto.aes import AES
 from repro.crypto.padding import pad, unpad
@@ -71,52 +76,73 @@ def aes_cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes, *,
     return unpad(plaintext, 16) if padded else plaintext
 
 
-#: Payloads at or below this many blocks run the scalar block loop: the
-#: vectorised engine's fixed per-call cost (~35 blocks' worth of scalar
-#: work) dominates below roughly half a kilobyte.
-_SMALL_CTR_BLOCKS = 16
+_COUNTER_LIMIT = 1 << 64
+
+#: Batches of at least this many items whose payloads average at most
+#: :data:`_BULK_MAX_MEAN_BLOCKS` blocks run as one numpy sweep in
+#: :mod:`repro.crypto.bulk`: per-item OpenSSL pays a ~15 us key setup per
+#: item, which loses to the sweep on many small items (1024 x 64 B: 26 ms
+#: against 9 ms).  Smaller batches never amortise the sweep's ~0.7 ms
+#: fixed cost, and larger payloads are many times faster in OpenSSL.
+_BULK_MIN_ITEMS = 128
+_BULK_MAX_MEAN_BLOCKS = 16
+
+
+@functools.cache
+def _openssl_ctr():
+    """``cryptography``'s AES-CTR constructors, imported on first use.
+
+    The import is deferred so that processes which never encrypt (the
+    server) do not load libcrypto.
+    """
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
+    from cryptography.hazmat.primitives.ciphers import modes as ciphermodes
+    return Cipher, algorithms.AES, ciphermodes.CTR
+
+
+def _check_counter_range(initial_counter: int, blocks: int) -> None:
+    if initial_counter < 0:
+        raise ValueError("initial counter must be non-negative")
+    if initial_counter + blocks > _COUNTER_LIMIT:
+        raise ValueError("CTR counter would pass 2**64")
 
 
 def aes_ctr(key: bytes, nonce: bytes, data: bytes, *,
             initial_counter: int = 0) -> bytes:
     """Encrypt or decrypt ``data`` with AES-CTR (the operation is symmetric).
 
-    The counter block is ``nonce (8 bytes) || counter (8 bytes, big endian)``.
-    Large payloads delegate to the vectorised engine in
-    :mod:`repro.crypto.bulk`; small ones stay on the scalar block loop,
-    which beats the engine's per-call setup cost.  Results are identical.
+    The counter block is ``nonce (8 bytes) || counter (8 bytes, big endian)``
+    and the transform runs in OpenSSL through ``cryptography``.  The
+    counter field is 64 bits wide: a payload whose counters would pass
+    ``2**64`` raises :class:`ValueError` rather than carry into the nonce.
     """
+    if len(key) not in (16, 24, 32):
+        raise ValueError(f"AES key must be 16, 24 or 32 bytes, got {len(key)}")
     if len(nonce) != 8:
         raise ValueError("CTR nonce must be 8 bytes")
-    if initial_counter < 0:
-        raise ValueError("initial counter must be non-negative")
+    _check_counter_range(initial_counter, (len(data) + 15) // 16)
     if not data:
         return b""
-
-    block_count = (len(data) + 15) // 16
-    if block_count > _SMALL_CTR_BLOCKS:
-        from repro.crypto.bulk import ctr_transform
-        return ctr_transform(key, nonce, data, initial_counter=initial_counter)
-
-    encrypt_block = AES(key).encrypt_block
-    stream = b"".join(
-        encrypt_block(nonce + (initial_counter + i).to_bytes(8, "big"))
-        for i in range(block_count))
-    return _xor_bytes(data, stream[:len(data)])
+    cipher, aes, ctr = _openssl_ctr()
+    return cipher(aes(key), ctr(nonce + initial_counter.to_bytes(8, "big"))
+                  ).encryptor().update(data)
 
 
 def aes_ctr_many(keys, nonces, datas, *, initial_counter: int = 0) -> list[bytes]:
     """AES-CTR over many independent ``(key, nonce, data)`` triples.
 
-    Bit-identical to calling :func:`aes_ctr` per triple.  When every key
-    is 16 bytes (the deployment's data-key width) and the batch has at
-    least two items, the whole batch runs as *one* vectorised sweep in
-    :mod:`repro.crypto.bulk` -- key schedules included -- instead of one
-    engine invocation per item.
+    Bit-identical to calling :func:`aes_ctr` per triple, which is what
+    happens unless the batch is many small items under 16-byte keys;
+    those run as *one* vectorised sweep in :mod:`repro.crypto.bulk`, key
+    schedules included.
     """
     if not (len(keys) == len(nonces) == len(datas)):
         raise ValueError("batch arguments must have equal lengths")
-    if len(keys) >= 2 and all(len(key) == 16 for key in keys):
+    blocks = [(len(data) + 15) // 16 for data in datas]
+    _check_counter_range(initial_counter, max(blocks, default=0))
+    if (len(keys) >= _BULK_MIN_ITEMS
+            and sum(blocks) <= _BULK_MAX_MEAN_BLOCKS * len(keys)
+            and all(len(key) == 16 for key in keys)):
         from repro.crypto.bulk import ctr_transform_many
         return ctr_transform_many(keys, nonces, datas,
                                   initial_counter=initial_counter)

@@ -15,6 +15,7 @@ import abc
 import os
 
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.modes import aes_ctr
 
 
 class RandomSource(abc.ABC):
@@ -73,9 +74,9 @@ class DeterministicRandom(RandomSource):
     identical byte streams across runs and platforms.  The generator is a
     standard CTR_DRBG-style construction: the key and nonce are derived
     from the seed through HMAC-DRBG (SP 800-90A), and output is the
-    AES-CTR keystream under that key -- cryptographically strong and,
-    thanks to the vectorised AES engine, fast enough to generate the
-    multi-megabyte workloads the experiments need.
+    AES-CTR keystream under that key (:func:`repro.crypto.modes.aes_ctr`
+    over zeros, in OpenSSL) -- cryptographically strong and fast enough
+    to generate the multi-megabyte workloads the experiments need.
     """
 
     _CHUNK_BLOCKS = 4096  # 64 KiB of keystream per refill
@@ -90,20 +91,25 @@ class DeterministicRandom(RandomSource):
         self._nonce = drbg.generate(8)
         self._counter = 0
         self._buffer = b""
+        self._offset = 0  # bytes of ``_buffer`` already handed out
 
     def _refill(self, minimum: int) -> None:
-        from repro.crypto.bulk import keystream
         blocks = max(self._CHUNK_BLOCKS, (minimum + 15) // 16)
-        self._buffer += keystream(self._key, self._nonce, blocks,
-                                  initial_counter=self._counter)
+        self._buffer = self._buffer[self._offset:] + aes_ctr(
+            self._key, self._nonce, bytes(16 * blocks),
+            initial_counter=self._counter)
+        self._offset = 0
         self._counter += blocks
 
     def bytes(self, length: int) -> bytes:
         if length < 0:
             raise ValueError("length must be non-negative")
-        if len(self._buffer) < length:
-            self._refill(length - len(self._buffer))
-        chunk, self._buffer = self._buffer[:length], self._buffer[length:]
+        end = self._offset + length
+        if end > len(self._buffer):
+            self._refill(end - len(self._buffer))
+            end = length
+        chunk = self._buffer[self._offset:end]
+        self._offset = end
         return chunk
 
     def fork(self, label: str) -> "DeterministicRandom":

@@ -91,16 +91,40 @@ def test_rejects_bad_arguments(rng):
 
 def test_aes_ctr_many_dispatch(rng):
     """The modes-level wrapper matches per-item calls for every key mix."""
-    # All-16-byte batch takes the vectorised path.
     keys, nonces, datas = _batch(rng, [10, 50, 0])
     assert aes_ctr_many(keys, nonces, datas) == [
         aes_ctr(k, nc, d) for k, nc, d in zip(keys, nonces, datas)]
-    # A 32-byte key forces the per-item fallback; results still match.
+    # A 32-byte key forces the per-item path; results still match.
     keys[1] = rng.bytes(32)
     assert aes_ctr_many(keys, nonces, datas) == [
         aes_ctr(k, nc, d) for k, nc, d in zip(keys, nonces, datas)]
     with pytest.raises(ValueError):
         aes_ctr_many(keys, nonces[:2], datas)
+
+
+@pytest.mark.parametrize("count, size, key_size, bulk", [
+    (128, 256, 16, True),     # many small items: one numpy sweep
+    (128, 257, 16, False),    # mean above 16 blocks: per-item OpenSSL
+    (127, 256, 16, False),    # too few items to amortise the sweep
+    (128, 256, 32, False),    # the sweep expands 16-byte keys only
+])
+def test_aes_ctr_many_bulk_cutoff(rng, monkeypatch, count, size, key_size,
+                                  bulk):
+    import repro.crypto.bulk as bulk_module
+    sweeps = []
+    real = bulk_module.ctr_transform_many
+
+    def counting(*args, **kwargs):
+        sweeps.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bulk_module, "ctr_transform_many", counting)
+    keys = [rng.bytes(key_size) for _ in range(count)]
+    nonces = [rng.bytes(8) for _ in range(count)]
+    datas = [rng.bytes(size) for _ in range(count)]
+    assert aes_ctr_many(keys, nonces, datas) == [
+        aes_ctr(k, nc, d) for k, nc, d in zip(keys, nonces, datas)]
+    assert sweeps == ([count] if bulk else [])
 
 
 def test_transform_is_involution(rng):

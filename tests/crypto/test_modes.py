@@ -4,8 +4,8 @@ import pytest
 
 from repro.crypto.aes import AES
 from repro.crypto.modes import (aes_cbc_decrypt, aes_cbc_encrypt, aes_ctr,
-                                aes_ctr_scalar, aes_ecb_decrypt,
-                                aes_ecb_encrypt)
+                                aes_ctr_many, aes_ctr_scalar,
+                                aes_ecb_decrypt, aes_ecb_encrypt)
 from repro.crypto.padding import PaddingError
 
 KEY128 = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -39,14 +39,20 @@ def test_sp800_38a_ecb_aes128_multiblock():
 
 def test_ctr_keystream_matches_sp800_38a_structure():
     # SP 800-38A F.5.1 uses a 16-byte counter block f0f1..ff; our CTR
-    # splits it as nonce=f0..f7, counter=f8..ff, so the first block of
-    # keystream must match ECB(counter block).
+    # splits it as nonce=f0..f7, counter=f8..ff, so all four blocks
+    # (the counter incrementing in its low 64 bits) match the vector.
     key = KEY128
     nonce = bytes.fromhex("f0f1f2f3f4f5f6f7")
     initial = int.from_bytes(bytes.fromhex("f8f9fafbfcfdfeff"), "big")
-    plaintext = SP_PLAINTEXT[:16]
-    expected_ct = bytes.fromhex("874d6191b620e3261bef6864990db6ce")
-    assert aes_ctr(key, nonce, plaintext, initial_counter=initial) == expected_ct
+    expected_ct = bytes.fromhex(
+        "874d6191b620e3261bef6864990db6ce"
+        "9806f66b7970fdff8617187bb9fffdff"
+        "5ae4df3edbd5d35e5b4f09020db03eab"
+        "1e031dda2fbe03d1792170a0f3009cee")
+    assert aes_ctr(key, nonce, SP_PLAINTEXT,
+                   initial_counter=initial) == expected_ct
+    assert aes_ctr_scalar(key, nonce, SP_PLAINTEXT,
+                          initial_counter=initial) == expected_ct
 
 
 @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 31, 32, 100, 4096, 5000])
@@ -82,6 +88,35 @@ def test_cbc_wrong_key_fails_padding_with_high_probability(rng):
 def test_ctr_rejects_bad_nonce():
     with pytest.raises(ValueError):
         aes_ctr(b"\x00" * 16, b"\x00" * 7, b"data")
+
+
+@pytest.mark.parametrize("key_size", [0, 15, 17, 64])
+def test_ctr_rejects_bad_key_length(key_size):
+    with pytest.raises(ValueError):
+        aes_ctr(b"\x00" * key_size, b"\x00" * 8, b"data")
+    with pytest.raises(ValueError):
+        aes_ctr_many([b"\x00" * key_size], [b"\x00" * 8], [b"data"])
+
+
+def test_ctr_counter_stays_within_64_bits():
+    """The counter field is 64 bits: it may reach 2**64 - 1, never wrap
+    into the nonce."""
+    key, nonce = b"\x01" * 16, b"\x02" * 8
+    last = 2 ** 64 - 1
+    assert aes_ctr(key, nonce, b"\x00" * 16, initial_counter=last) == \
+        AES(key).encrypt_block(nonce + b"\xff" * 8)
+    assert aes_ctr(key, nonce, b"", initial_counter=2 ** 64) == b""
+    with pytest.raises(ValueError):
+        aes_ctr(key, nonce, b"\x00" * 17, initial_counter=last)
+    with pytest.raises(ValueError):
+        aes_ctr(key, nonce, b"x", initial_counter=2 ** 64)
+    with pytest.raises(ValueError):
+        aes_ctr(key, nonce, b"x", initial_counter=-1)
+    # Both sides of the batch dispatch enforce the same range.
+    for count in (1, 128):
+        with pytest.raises(ValueError):
+            aes_ctr_many([key] * count, [nonce] * count,
+                         [b"\x00" * 17] * count, initial_counter=last)
 
 
 def test_cbc_rejects_bad_iv_and_unaligned_input():
