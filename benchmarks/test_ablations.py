@@ -56,11 +56,13 @@ def test_store_ablation(ablation_tables):
 
 def test_two_level_ablation(ablation_tables):
     _rows, _store, numbers, _sweep = ablation_tables
-    # Two-level deletion = file delete + meta access + meta delete + meta
-    # insert: more round trips and more bytes, but the same order.
+    # Two-level deletion = file delete + the meta replacement (its
+    # challenge, which also yields the master key, and one ReplaceCommit):
+    # exactly two round trips more, more bytes, but the same order.
     assert numbers["two_level_bytes"] > numbers["single_bytes"]
     assert numbers["two_level_bytes"] < 12 * numbers["single_bytes"]
-    assert numbers["two_level_round_trips"] > numbers["single_round_trips"]
+    assert numbers["two_level_round_trips"] == \
+        numbers["single_round_trips"] + 2
 
 
 @pytest.mark.benchmark(group="ablation-hash")

@@ -9,7 +9,7 @@ Not in the paper -- these quantify the knobs the reproduction exposes:
    versus identical per-operation cost.
 3. **Two-level key management** (Section V): a fine-grained deletion
    through the file system costs one deletion in the file tree *plus* an
-   assured replace (delete + insert) in the meta tree.
+   assured replace (challenge + ``ReplaceCommit``) in the meta tree.
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ IV-C/D/E against a server reached through a metering channel:
   balancing modulators, and *shred the old key only after the server
   acknowledges* (time ``T`` of the threat model is the shred).
 * ``fetch_file`` -- whole-file download with shared-prefix key derivation.
+* ``open_replace`` / ``replace`` -- Section V's assured replacement of
+  one item (a master-key record in the meta tree): the deletion
+  challenge, then deltas plus the new record in the same leaf under a
+  fresh key, with no balancing and no insertion split.
 
 Master keys are passed in and returned explicitly so the two-level scheme
 of Section V (master keys themselves outsourced under a control key) can
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import time
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.client.keystore import KeyStore
@@ -37,7 +42,7 @@ from repro.core.errors import (DuplicateModulatorError, IntegrityError,
                                UnknownItemError)
 from repro.core.modulated_chain import ChainEngine
 from repro.core.params import Params
-from repro.core.tree import ModulationTree
+from repro.core.tree import BalanceView, ModulationTree, MTView
 from repro.crypto.rng import RandomSource, SystemRandom
 from repro.obs import runtime as obs
 from repro.obs.trace import span
@@ -67,6 +72,58 @@ def _traced(op: str):
     return decorate
 
 
+@dataclass(frozen=True)
+class ReplaceTicket:
+    """A verified deletion challenge, opened for an assured replacement.
+
+    ``message`` is the item's current plaintext; ``old_output`` its chain
+    output ``F(K, M_k)``, which the new key must not reproduce.
+    """
+
+    file_id: int
+    item_id: int
+    mt: MTView
+    old_output: bytes
+    message: bytes
+    tree_version: int
+
+
+def _balanced_view_modulators(mt: MTView,
+                              balance: BalanceView) -> list[bytes]:
+    """The values of every distinct modulator location in both views.
+
+    The MT view and the balancing view may legitimately reference the
+    same physical modulator (t or s can sit on the cut of MT(k)), so the
+    views are merged by location: the same (kind, slot) must carry one
+    consistent value.
+    """
+    ops.verify_path_structure(balance.t_path)
+    if balance.s_slot != (balance.t_path.leaf_slot ^ 1):
+        raise ops.StructureError("balance sibling slot mismatch")
+    locations: dict[tuple[str, int], bytes] = {}
+
+    def note(kind: str, slot: int, value: bytes) -> None:
+        previous = locations.setdefault((kind, slot), value)
+        if previous != value:
+            raise IntegrityError(f"server sent conflicting values for the "
+                                 f"{kind} modulator of slot {slot}")
+
+    for slot, link in zip(mt.path_slots[1:], mt.path_links):
+        note("link", slot, link)
+    note("leaf", mt.path_slots[-1], mt.leaf_mod)
+    for entry in mt.cut:
+        note("link", entry.slot, entry.link_mod)
+        if entry.leaf_mod is not None:
+            note("leaf", entry.slot, entry.leaf_mod)
+    for slot, link in zip(balance.t_path.path_slots[1:],
+                          balance.t_path.path_links):
+        note("link", slot, link)
+    note("leaf", balance.t_path.leaf_slot, balance.t_path.leaf_mod)
+    note("link", balance.s_slot, balance.s_link_mod)
+    note("leaf", balance.s_slot, balance.s_leaf_mod)
+    return list(locations.values())
+
+
 class AssuredDeletionClient:
     """Protocol client holding (or relaying) the master keys."""
 
@@ -91,8 +148,10 @@ class AssuredDeletionClient:
         # be shredded (deletion time T has not happened) and the NEW key
         # must not be lost (the server may already have applied the
         # deltas).  See :meth:`resume_delete`.
-        self._pending_deletes: dict[tuple[int, int], tuple[msg.DeleteCommit,
-                                                           bytes]] = {}
+        # Replacements journal their ReplaceCommit here too.
+        self._pending_deletes: dict[
+            tuple[int, int],
+            tuple[msg.DeleteCommit | msg.ReplaceCommit, bytes]] = {}
         # Same journal for batched deletions, keyed by the item-id tuple.
         self._pending_batch_deletes: dict[
             tuple[int, tuple[int, ...]],
@@ -323,6 +382,49 @@ class AssuredDeletionClient:
     # Deletion (the paper's core operation)
     # ------------------------------------------------------------------
 
+    def _open_challenge(self, file_id: int, master_key: bytes,
+                        item_id: int, balanced: bool
+                        ) -> tuple[msg.DeleteChallenge, bytes, bytes]:
+        """Fetch and verify a deletion challenge for ``item_id``.
+
+        Returns the challenge, the target's chain output ``F(K, M_k)``
+        and its plaintext.  Client refusal rules (Theorem 2, case ii):
+        the views' structure, then distinct values at all distinct
+        modulator locations -- in ``MT(k)`` alone its verified structure
+        makes every location distinct.  ``balanced=False`` (a
+        replacement, which moves no leaf) ignores the balancing view.
+        """
+        challenge = self._expect(
+            self.channel.request(msg.DeleteRequest(file_id=file_id,
+                                                   item_id=item_id)),
+            msg.DeleteChallenge)
+        mt = challenge.mt
+        ops.verify_mt_structure(mt)
+        if balanced and challenge.balance is not None:
+            modulators = _balanced_view_modulators(mt, challenge.balance)
+        elif balanced and len(mt.path_slots) > 1:
+            raise ProtocolError("server omitted the balancing view for a "
+                                "multi-leaf tree")
+        else:
+            modulators = mt.all_modulators()
+        ops.verify_distinct_modulators(modulators)
+
+        old_output = ops.chain_output_for_path(
+            self.engine, master_key,
+            ops.PathView(mt.path_slots, mt.path_links, mt.leaf_mod))
+        message, recovered_id = self.codec.decrypt(old_output,
+                                                   challenge.ciphertext)
+        if recovered_id != item_id:
+            raise IntegrityError(
+                f"server offered item {recovered_id} for deletion of "
+                f"{item_id}; rejecting MT(k)")
+        return challenge, old_output, message
+
+    @staticmethod
+    def _modulator_list(mt: MTView) -> list[bytes]:
+        """``M_k`` of the challenged leaf: its path links, then its leaf."""
+        return list(mt.path_links) + [mt.leaf_mod]
+
     @_traced("delete")
     def delete(self, file_id: int, master_key: bytes, item_id: int) -> bytes:
         """Assuredly delete one item; returns the *new* master key.
@@ -332,60 +434,9 @@ class AssuredDeletionClient:
         which the threat model allows the device to be seized.
         """
         begin = self._begin()
-        challenge = self._expect(
-            self.channel.request(msg.DeleteRequest(file_id=file_id,
-                                                   item_id=item_id)),
-            msg.DeleteChallenge)
+        challenge, old_output, _message = self._open_challenge(
+            file_id, master_key, item_id, balanced=True)
         mt = challenge.mt
-
-        # Client refusal rules (Theorem 2, case ii).  The MT view and the
-        # balancing view may legitimately reference the same physical
-        # modulator (t or s can sit on the cut of MT(k)), so distinctness
-        # is checked over *locations*: the same (kind, slot) must carry one
-        # consistent value, and all distinct locations must carry distinct
-        # values.
-        ops.verify_mt_structure(mt)
-        locations: dict[tuple[str, int], bytes] = {}
-
-        def _note(kind: str, slot: int, value: bytes) -> None:
-            previous = locations.setdefault((kind, slot), value)
-            if previous != value:
-                raise IntegrityError(
-                    f"server sent conflicting values for the {kind} "
-                    f"modulator of slot {slot}")
-
-        for slot, link in zip(mt.path_slots[1:], mt.path_links):
-            _note("link", slot, link)
-        _note("leaf", mt.path_slots[-1], mt.leaf_mod)
-        for entry in mt.cut:
-            _note("link", entry.slot, entry.link_mod)
-            if entry.leaf_mod is not None:
-                _note("leaf", entry.slot, entry.leaf_mod)
-        if challenge.balance is not None:
-            balance = challenge.balance
-            ops.verify_path_structure(balance.t_path)
-            if balance.s_slot != (balance.t_path.leaf_slot ^ 1):
-                raise ops.StructureError("balance sibling slot mismatch")
-            for slot, link in zip(balance.t_path.path_slots[1:],
-                                  balance.t_path.path_links):
-                _note("link", slot, link)
-            _note("leaf", balance.t_path.leaf_slot, balance.t_path.leaf_mod)
-            _note("link", balance.s_slot, balance.s_link_mod)
-            _note("leaf", balance.s_slot, balance.s_leaf_mod)
-        elif len(mt.path_slots) > 1:
-            raise ProtocolError("server omitted the balancing view for a "
-                                "multi-leaf tree")
-        ops.verify_distinct_modulators(list(locations.values()))
-
-        path_view = ops.PathView(mt.path_slots, mt.path_links, mt.leaf_mod)
-        old_output = ops.chain_output_for_path(self.engine, master_key,
-                                               path_view)
-        _message, recovered_id = self.codec.decrypt(old_output,
-                                                    challenge.ciphertext)
-        if recovered_id != item_id:
-            raise IntegrityError(
-                f"server offered item {recovered_id} for deletion of "
-                f"{item_id}; rejecting MT(k)")
 
         retries = 0
         while True:
@@ -393,7 +444,7 @@ class AssuredDeletionClient:
             # Re-pick if the deleted key would survive the key change
             # (Theorem 2's "the client can simply pick a different K'").
             new_output = self.engine.evaluate(new_key,
-                                              path_view.modulator_list())
+                                              self._modulator_list(mt))
             if new_output == old_output:
                 retries += 1
                 continue
@@ -432,6 +483,112 @@ class AssuredDeletionClient:
     def pending_deletes(self) -> list[tuple[int, int]]:
         """(file_id, item_id) pairs whose deletion commit is unconfirmed."""
         return sorted(self._pending_deletes)
+
+    def pending_commit(self, file_id: int, item_id: int
+                       ) -> msg.DeleteCommit | msg.ReplaceCommit | None:
+        """The unconfirmed commit journalled for ``item_id``, if any."""
+        entry = self._pending_deletes.get((file_id, item_id))
+        return None if entry is None else entry[0]
+
+    # ------------------------------------------------------------------
+    # Assured replacement (Section V: the meta tree's master-key records)
+    # ------------------------------------------------------------------
+
+    @_traced("open_replace")
+    def open_replace(self, file_id: int, master_key: bytes,
+                     item_id: int) -> ReplaceTicket:
+        """Fetch and verify ``item_id`` for replacement (one round trip).
+
+        The same challenge and refusal rules as a deletion, minus the
+        balancing view; the ticket carries the item's plaintext, so no
+        separate access is needed.  Read-only: recorded as
+        ``open_replace``.
+        """
+        begin = self._begin()
+        ticket = self._ticket(file_id, master_key, item_id)
+        self._finish("open_replace", begin)
+        return ticket
+
+    def _ticket(self, file_id: int, master_key: bytes,
+                item_id: int) -> ReplaceTicket:
+        challenge, old_output, message = self._open_challenge(
+            file_id, master_key, item_id, balanced=False)
+        return ReplaceTicket(file_id=file_id, item_id=item_id,
+                             mt=challenge.mt, old_output=old_output,
+                             message=message,
+                             tree_version=challenge.tree_version)
+
+    @_traced("replace")
+    def replace(self, ticket: ReplaceTicket, master_key: bytes,
+                new_message: bytes) -> tuple[bytes, int]:
+        """Assuredly replace an opened item; returns (new key, new item id).
+
+        Sends the cut deltas for a fresh key ``K'`` together with
+        ``new_message`` encrypted under ``F(K', M_k)`` in one
+        ``ReplaceCommit``; the server keeps the leaf in place and files
+        the record under a fresh item id.  The old item is deleted
+        exactly as by :meth:`delete` (its key needed ``K``, shredded at
+        the Ack), so the commit is recorded as one ``delete``.  A stale
+        challenge is re-fetched and a duplicate-modulator refusal
+        re-picks ``K'``; a lost Ack resumes through
+        :meth:`resume_replace`.
+        """
+        begin = self._begin()
+        file_id, item_id = ticket.file_id, ticket.item_id
+        new_item_id = self.keystore.next_item_id()
+        retries = 0
+        while True:
+            new_key = self.rng.bytes(self.params.master_key_size)
+            # Re-pick if the replaced record's key would survive the key
+            # change (Theorem 2's "the client can simply pick a
+            # different K'").
+            new_output = self.engine.evaluate(new_key,
+                                              self._modulator_list(ticket.mt))
+            if new_output == ticket.old_output:
+                retries += 1
+                continue
+            cut_slots, deltas = ops.compute_deltas(self.engine, master_key,
+                                                   new_key, ticket.mt)
+            commit = msg.ReplaceCommit(
+                file_id=file_id, item_id=item_id, new_item_id=new_item_id,
+                cut_slots=cut_slots, deltas=deltas,
+                ciphertext=self.codec.encrypt(new_output, new_message,
+                                              new_item_id, self.rng.bytes(8)),
+                tree_version=ticket.tree_version,
+                request_id=self._request_id())
+            # Journal before sending: if the Ack is lost, the server may
+            # already hold the new record under new_key.
+            self._pending_deletes[(file_id, item_id)] = (commit, new_key)
+            try:
+                self._expect(self.channel.request(commit), msg.Ack)
+            except (DuplicateModulatorError, StaleStateError) as exc:
+                self._pending_deletes.pop((file_id, item_id), None)
+                retries += 1
+                if retries > self.max_retries:
+                    raise
+                if isinstance(exc, StaleStateError):
+                    ticket = self._ticket(file_id, master_key, item_id)
+                continue
+            break
+
+        self._pending_deletes.pop((file_id, item_id), None)
+        if self.store_keys:
+            self.keystore.shred(self._key_name(file_id))
+            self.keystore.put(self._key_name(file_id), new_key)
+        self._finish("delete", begin, retries)
+        return new_key, new_item_id
+
+    def resume_replace(self, file_id: int, item_id: int) -> tuple[bytes, int]:
+        """Finalise a replacement whose Ack was lost in transit.
+
+        Same exactly-once resolution as :meth:`resume_delete`; returns
+        the new key and the replacement's item id.
+        """
+        commit = self.pending_commit(file_id, item_id)
+        if not isinstance(commit, msg.ReplaceCommit):
+            raise UnknownItemError(
+                f"no pending replacement for file {file_id} item {item_id}")
+        return self.resume_delete(file_id, item_id), commit.new_item_id
 
     @_traced("resume_delete")
     def resume_delete(self, file_id: int, item_id: int) -> bytes:

@@ -12,23 +12,30 @@ files it owns:
 * deleting a data item rotates the file's master key, which must then be
   *assuredly replaced* in the meta tree.
 
-The paper says the second step is "modifying the master key of the file
-in the meta modulation tree".  A plain in-place modify re-encrypts under
-the *same* meta data key -- but the threat model's server keeps every old
+The paper calls the replacement "modifying the master key of the file in
+the meta modulation tree".  A plain in-place modify re-encrypts under the
+*same* meta data key -- but the threat model's server keeps every old
 ciphertext, so the old master key ``K`` (and with it the deleted item)
-would stay recoverable once the meta data key leaks with the device.  The
-replacement here is therefore an assured *delete + insert* of the meta
-item, which rotates the control key exactly like any other deletion; the
-difference is measured by the two-level ablation benchmark and the attack
-is regression-tested in ``tests/security``.
+would stay recoverable once the meta data key leaks with the device.
+The replacement here is therefore an assured *replace*: the meta
+``DeleteChallenge`` for the file's record (whose ciphertext the client
+must decrypt-verify anyway, so it doubles as the fetch of ``K``), then
+one ``ReplaceCommit`` carrying the cut deltas for a fresh control key
+``C'`` and the new record under ``F(C', M_k)`` in the same leaf.  The
+old record needs ``C``, shredded at the Ack, exactly as after a
+deletion; no balancing move and no insertion split are needed.
+``docs/PROTOCOL.md`` gives the argument, the two-level ablation
+benchmark measures the cost, and ``tests/security`` regression-tests the
+in-place-modify attack.
 """
 
 from __future__ import annotations
 
 import struct
 
-from repro.client.client import AssuredDeletionClient
+from repro.client.client import AssuredDeletionClient, ReplaceTicket
 from repro.core.errors import IntegrityError, UnknownItemError
+from repro.protocol import messages as msg
 
 
 def encode_master_key_record(file_id: int, master_key: bytes) -> bytes:
@@ -99,33 +106,63 @@ class MetaKeyManager:
                                         self._control_key(), payload)
         self._meta_item_of_file[file_id] = meta_item
 
+    def _pending(self, file_id: int):
+        """The file's journalled, unacknowledged meta-tree commit."""
+        return self._client.pending_commit(self._meta_file_id,
+                                           self.meta_item_of(file_id))
+
+    def manages(self, file_id: int) -> bool:
+        return file_id in self._meta_item_of_file
+
     def master_key(self, file_id: int) -> bytes:
         """Retrieve a file's master key through the meta tree."""
-        meta_item = self._meta_item_of_file.get(file_id)
-        if meta_item is None:
-            raise UnknownItemError(f"file {file_id} is not registered")
         payload = self._client.access(self._meta_file_id, self._control_key(),
-                                      meta_item)
+                                      self.meta_item_of(file_id))
+        return self._checked_key(file_id, payload)
+
+    @staticmethod
+    def _checked_key(file_id: int, payload: bytes) -> bytes:
         stored_file_id, key = decode_master_key_record(payload)
         if stored_file_id != file_id:
             raise IntegrityError("meta tree returned a key for the wrong file")
         return key
 
-    def replace_master_key(self, file_id: int, new_master_key: bytes) -> None:
+    def open_replace(self, file_id: int) -> tuple[ReplaceTicket, bytes]:
+        """Open the replacement of a file's master key (one round trip).
+
+        Returns the verified ticket and the file's current master key,
+        decrypted from the challenge -- the caller needs no separate
+        :meth:`master_key` access.
+        """
+        ticket = self._client.open_replace(self._meta_file_id,
+                                           self._control_key(),
+                                           self.meta_item_of(file_id))
+        return ticket, self._checked_key(file_id, ticket.message)
+
+    def replace_master_key(self, file_id: int, new_master_key: bytes,
+                           ticket: ReplaceTicket | None = None) -> None:
         """Assuredly replace a file's master key after an item deletion.
 
-        Delete-then-insert: the old meta item (and with it the old master
-        key) becomes unrecoverable, and the control key rotates.
+        One ``ReplaceCommit`` against the ticket from :meth:`open_replace`;
+        without a ticket the replacement opens its own first (two round
+        trips).  The old meta item (and with it the old master key)
+        becomes unrecoverable, and the control key rotates -- both only
+        at the Ack; after a lost Ack, :meth:`resume_replace` finishes the
+        job.
         """
-        meta_item = self._meta_item_of_file.get(file_id)
-        if meta_item is None:
-            raise UnknownItemError(f"file {file_id} is not registered")
-        new_control = self._client.delete(self._meta_file_id,
-                                          self._control_key(), meta_item)
-        self._set_control_key(new_control)
+        if ticket is None:
+            ticket, _old_key = self.open_replace(file_id)
         payload = encode_master_key_record(file_id, new_master_key)
-        new_item = self._client.insert(self._meta_file_id,
-                                       self._control_key(), payload)
+        new_control, new_item = self._client.replace(
+            ticket, self._control_key(), payload)
+        self._set_control_key(new_control)
+        self._meta_item_of_file[file_id] = new_item
+
+    def resume_replace(self, file_id: int) -> None:
+        """Finish a replacement whose ``ReplaceCommit`` lost its Ack."""
+        new_control, new_item = self._client.resume_replace(
+            self._meta_file_id, self.meta_item_of(file_id))
+        self._set_control_key(new_control)
         self._meta_item_of_file[file_id] = new_item
 
     def remove(self, file_id: int) -> None:
@@ -133,11 +170,19 @@ class MetaKeyManager:
 
         After this the file's every item is unrecoverable regardless of
         what the server retains; dropping the server-side ciphertexts is
-        mere space reclamation.
+        mere space reclamation.  The file stays registered until the
+        deletion is acknowledged, so a call that failed in transit can
+        simply be repeated: a journalled commit is resumed, not re-sent
+        as a new deletion.
         """
-        meta_item = self._meta_item_of_file.pop(file_id, None)
-        if meta_item is None:
-            raise UnknownItemError(f"file {file_id} is not registered")
-        new_control = self._client.delete(self._meta_file_id,
-                                          self._control_key(), meta_item)
+        if isinstance(self._pending(file_id), msg.ReplaceCommit):
+            self.resume_replace(file_id)
+        meta_item = self.meta_item_of(file_id)
+        if isinstance(self._pending(file_id), msg.DeleteCommit):
+            new_control = self._client.resume_delete(self._meta_file_id,
+                                                     meta_item)
+        else:
+            new_control = self._client.delete(self._meta_file_id,
+                                              self._control_key(), meta_item)
         self._set_control_key(new_control)
+        del self._meta_item_of_file[file_id]

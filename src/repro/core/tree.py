@@ -350,6 +350,9 @@ class ModulationTree:
             raise UnknownItemError(f"unknown item id {item_id}")
         return slot
 
+    def has_item(self, item_id: int) -> bool:
+        return self._map.contains(item_id)
+
     def item_of_slot(self, slot: int) -> Optional[int]:
         return self._map.item_at(slot)
 
@@ -650,6 +653,20 @@ class ModulationTree:
         # Slots s and t (the two highest) are free now; drop their bytes.
         self._store.truncate(s_slot)
         return log
+
+    def replace_item(self, item_id: int, new_item_id: int) -> int:
+        """Re-point ``item_id``'s leaf to ``new_item_id``; returns the slot.
+
+        The replacement's structural step: the leaf, its modulators and
+        the tree shape stay as they are, only the slot's owner changes,
+        so the old item id vanishes from the map.
+        """
+        slot = self.slot_of_item(item_id)
+        if self.has_item(new_item_id):
+            raise StructureError(f"item id {new_item_id} already present")
+        self._map.remove(item_id)
+        self._map.set(new_item_id, slot)
+        return slot
 
     def insert_leaf(self, item_id: int, t_new_link: Optional[bytes],
                     t_new_leaf: Optional[bytes], e_link: Optional[bytes],

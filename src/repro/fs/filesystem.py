@@ -128,33 +128,57 @@ class OutsourcedFile:
 
         Two steps, as Section V prescribes: delete the item's data key
         from the file's modulation tree (rotating the file's master key),
-        then assuredly replace the master key in the meta tree.
+        then assuredly replace the master key in the meta tree.  Four
+        round trips: the meta challenge (which also yields the current
+        master key), the data challenge and commit, and one meta
+        ``ReplaceCommit``.  After a failure in transit,
+        :meth:`resume_delete` finishes the job.
         """
         item_id = self._record.index.item_id_at(position)
         meta = self._meta()
-        key = meta.master_key(self._record.file_id)
+        ticket, key = meta.open_replace(self._record.file_id)
         new_key = self._fs.client.delete(self._record.file_id, key, item_id)
-        meta.replace_master_key(self._record.file_id, new_key)
+        meta.replace_master_key(self._record.file_id, new_key, ticket)
+        self._record.index.remove(position)
+
+    @_traced_fs("resume_delete")
+    def resume_delete(self, position: int) -> None:
+        """Finalise a :meth:`delete_record` whose commit failed in transit.
+
+        If the data-tree commit is journalled, it is replayed
+        byte-for-byte (the server answers from its replay cache if it
+        already applied it) and the master key is then replaced in the
+        meta tree; otherwise the journalled meta ``ReplaceCommit`` is
+        replayed.  Either way the record is deleted exactly once.
+        """
+        file_id = self._record.file_id
+        item_id = self._record.index.item_id_at(position)
+        client, meta = self._fs.client, self._meta()
+        if client.pending_commit(file_id, item_id) is not None:
+            meta.replace_master_key(file_id,
+                                    client.resume_delete(file_id, item_id))
+        else:
+            meta.resume_replace(file_id)
         self._record.index.remove(position)
 
     @_traced_fs("resume_delete_many")
     def resume_delete_many(self, positions: Sequence[int]) -> None:
         """Finalise a batched deletion whose commit raised or lost its Ack.
 
-        Replays the client's journalled commit byte-for-byte (the server
-        answers from its replay cache if it already applied it), then
-        performs the meta-tree master-key replacement and index removal
-        that the failed :meth:`delete_many` never reached.  Per-shard
-        recovery for a cross-shard fan-out: each file resumes against
-        its own shard independently.
+        Same recovery as :meth:`resume_delete`, for :meth:`delete_many`.
+        Per-shard recovery for a cross-shard fan-out: each file resumes
+        against its own shard independently.
         """
         positions = list(positions)
-        item_ids = [self._record.index.item_id_at(position)
-                    for position in positions]
-        meta = self._meta()
-        new_key = self._fs.client.resume_delete_many(self._record.file_id,
-                                                     item_ids)
-        meta.replace_master_key(self._record.file_id, new_key)
+        file_id = self._record.file_id
+        item_ids = tuple(self._record.index.item_id_at(position)
+                         for position in positions)
+        client, meta = self._fs.client, self._meta()
+        if (file_id, item_ids) in client.pending_batch_deletes():
+            meta.replace_master_key(
+                file_id, client.resume_delete_many(file_id, item_ids))
+        else:
+            meta.resume_replace(file_id)
         for position in sorted(positions, reverse=True):
             self._record.index.remove(position)
 
@@ -164,7 +188,8 @@ class OutsourcedFile:
 
         One batched exchange replaces per-record deletions: the file's
         master key rotates once and the meta tree is updated once, so a
-        retention sweep over a file costs one round-trip pair end to end.
+        retention sweep over a file costs four round trips end to end,
+        as one :meth:`delete_record` does.
         """
         positions = list(positions)
         if not positions:
@@ -174,10 +199,10 @@ class OutsourcedFile:
         item_ids = [self._record.index.item_id_at(position)
                     for position in positions]
         meta = self._meta()
-        key = meta.master_key(self._record.file_id)
+        ticket, key = meta.open_replace(self._record.file_id)
         new_key = self._fs.client.delete_many(self._record.file_id, key,
                                               item_ids)
-        meta.replace_master_key(self._record.file_id, new_key)
+        meta.replace_master_key(self._record.file_id, new_key, ticket)
         # Remove positions highest-first so earlier removals don't shift
         # the later ones.
         for position in sorted(positions, reverse=True):
@@ -463,8 +488,13 @@ class OutsourcedFileSystem:
             return self._delete_file(name)
 
     def _delete_file(self, name: str) -> None:
-        record = self._files.pop(name, None)
+        # The name stays bound until every step is acknowledged, so a
+        # call that failed in transit can be repeated until it succeeds.
+        record = self._files.get(name)
         if record is None:
             raise UnknownItemError(f"no such file {name!r}")
-        self._group_manager(record.group).remove(record.file_id)
+        manager = self._group_manager(record.group)
+        if manager.manages(record.file_id):
+            manager.remove(record.file_id)
         self.client.delete_file_state(record.file_id)
+        del self._files[name]

@@ -14,6 +14,9 @@ Operations map to messages as follows (client -> server -> client):
 * drop file:  ``DeleteFileRequest`` -> ``Ack``
 * batch delete: ``BatchDeleteRequest`` -> ``BatchDeleteReply`` then
               ``BatchDeleteCommit`` -> ``Ack``
+* replace:    ``DeleteRequest`` -> ``DeleteChallenge`` then
+              ``ReplaceCommit`` -> ``Ack`` (the meta tree's master-key
+              replacement, Section V)
 
 Any failure is an ``ErrorReply``.  ``payload_bytes()`` reports how many of
 a message's encoded bytes are item content (ciphertexts); the accounting
@@ -697,3 +700,44 @@ class BatchDeleteCommit(Message):
                       for _ in range(r.u32()))
         return cls(file_id=file_id, item_ids=item_ids, deltas=deltas,
                    moves=moves, tree_version=r.u64(), request_id=r.u64())
+
+
+@register
+@dataclass(frozen=True)
+class ReplaceCommit(Message):
+    """Deltas plus a fresh record completing an assured replacement.
+
+    The challenge is an ordinary ``DeleteChallenge``.  The server applies
+    the cut deltas exactly as for a deletion but keeps the leaf in place
+    (no balancing): it re-points the slot from ``item_id`` to the fresh
+    ``new_item_id`` and stores ``ciphertext``, the new record encrypted
+    under ``F(K', M_k)``, in place of the old item's ciphertext.
+    """
+
+    TYPE: ClassVar[int] = 19
+    file_id: int = 0
+    item_id: int = 0
+    new_item_id: int = 0
+    cut_slots: tuple[int, ...] = ()
+    deltas: tuple[bytes, ...] = ()
+    ciphertext: bytes = b""
+    tree_version: int = 0
+    request_id: int = 0
+
+    def encode_body(self, w: Writer) -> None:
+        w.u64(self.file_id).u64(self.item_id).u64(self.new_item_id)
+        w.u64_list(self.cut_slots)
+        w.modulator_list(self.deltas)
+        w.blob(self.ciphertext)
+        w.u64(self.tree_version).u64(self.request_id)
+
+    @classmethod
+    def decode_body(cls, r: Reader) -> "ReplaceCommit":
+        return cls(file_id=r.u64(), item_id=r.u64(), new_item_id=r.u64(),
+                   cut_slots=tuple(r.u64_list()),
+                   deltas=tuple(r.modulator_list()),
+                   ciphertext=r.blob(),
+                   tree_version=r.u64(), request_id=r.u64())
+
+    def payload_bytes(self) -> int:
+        return 4 + len(self.ciphertext)

@@ -48,7 +48,8 @@ CRASH_POINT_AFTER_FLUSH = "after-flush"
 #: under their ``request_id``.
 MUTATING_REQUESTS = (msg.OutsourceRequest, msg.ModifyCommit,
                      msg.DeleteCommit, msg.BatchDeleteCommit,
-                     msg.InsertCommit, msg.DeleteFileRequest)
+                     msg.ReplaceCommit, msg.InsertCommit,
+                     msg.DeleteFileRequest)
 
 #: Requests that change the *file table* itself: they serialise against
 #: everything by taking the registry lock exclusively.
@@ -305,6 +306,7 @@ class CloudServer:
             msg.DeleteCommit: self._on_delete_commit,
             msg.BatchDeleteRequest: self._on_batch_delete_request,
             msg.BatchDeleteCommit: self._on_batch_delete_commit,
+            msg.ReplaceCommit: self._on_replace_commit,
             msg.InsertRequest: self._on_insert_request,
             msg.InsertCommit: self._on_insert_commit,
             msg.FetchFileRequest: self._on_fetch_file,
@@ -743,6 +745,30 @@ class CloudServer:
                                   ("delete", request.item_id, state.version),
                                   build)
 
+    @staticmethod
+    def _checked_cut(tree: ModulationTree, item_id: int,
+                     cut_slots: Sequence[int]) -> int:
+        """The item's leaf slot, once ``cut_slots`` is checked as its cut."""
+        slot = tree.slot_of_item(item_id)
+        expected_cut = tuple(s ^ 1 for s in tree.path_slots(slot)[1:])
+        if tuple(cut_slots) != expected_cut:
+            raise ReproError("cut slots do not match the item's path")
+        return slot
+
+    def _apply_deltas(self, state: ServerFile, cut_slots: Sequence[int],
+                      deltas: Sequence[bytes]) -> Optional[msg.ErrorReply]:
+        """XOR the deltas into the cut; roll back and refuse on a duplicate."""
+        tree = state.tree
+        delta_log = tree.apply_deltas(list(cut_slots), list(deltas))
+        if state.registry is not None and \
+                not self._registry_apply(state.registry, delta_log):
+            self._registry_revert(state.registry, delta_log)
+            tree.rollback(delta_log)
+            return msg.ErrorReply(code=msg.E_DUPLICATE_MODULATOR,
+                                  detail="delta application produced a "
+                                         "duplicate; retry with a new key")
+        return None
+
     def _on_delete_commit(self, request: msg.DeleteCommit) -> msg.Message:
         state = self._state(request.file_id)
         replayed = self._check_replay(state, request)
@@ -752,11 +778,7 @@ class CloudServer:
             return msg.ErrorReply(code=msg.E_STALE_STATE,
                                   detail="tree changed since challenge")
         tree = state.tree
-        slot = tree.slot_of_item(request.item_id)
-
-        expected_cut = tuple(s ^ 1 for s in tree.path_slots(slot)[1:])
-        if tuple(request.cut_slots) != expected_cut:
-            raise ReproError("cut slots do not match the item's path")
+        slot = self._checked_cut(tree, request.item_id, request.cut_slots)
 
         if self._fresh_values_clash(state, [request.x_s_prime,
                                             request.dest_link,
@@ -765,15 +787,9 @@ class CloudServer:
                                   detail="balancing modulators collide; retry "
                                          "with fresh randomness")
 
-        delta_log = tree.apply_deltas(list(request.cut_slots),
-                                      list(request.deltas))
-        if state.registry is not None:
-            if not self._registry_apply(state.registry, delta_log):
-                self._registry_revert(state.registry, delta_log)
-                tree.rollback(delta_log)
-                return msg.ErrorReply(code=msg.E_DUPLICATE_MODULATOR,
-                                      detail="delta application produced a "
-                                             "duplicate; retry with a new key")
+        error = self._apply_deltas(state, request.cut_slots, request.deltas)
+        if error is not None:
+            return error
 
         structure_log = tree.delete_leaf(slot, request.x_s_prime,
                                          request.dest_link, request.dest_leaf)
@@ -899,14 +915,9 @@ class CloudServer:
 
         self._validate_batch_moves(tree, item_ids, request.moves)
 
-        delta_log = tree.apply_deltas(list(cut_slots), list(request.deltas))
-        if state.registry is not None:
-            if not self._registry_apply(state.registry, delta_log):
-                self._registry_revert(state.registry, delta_log)
-                tree.rollback(delta_log)
-                return msg.ErrorReply(code=msg.E_DUPLICATE_MODULATOR,
-                                      detail="delta application produced a "
-                                             "duplicate; retry with a new key")
+        error = self._apply_deltas(state, cut_slots, request.deltas)
+        if error is not None:
+            return error
 
         for item_id, move in zip(item_ids, request.moves):
             slot = tree.slot_of_item(item_id)
@@ -917,6 +928,36 @@ class CloudServer:
             state.ciphertexts.delete(item_id)
         state.version += 1
         ack = msg.Ack(tree_version=state.version)
+        self._remember_commit(state, request, ack)
+        return ack
+
+    def _on_replace_commit(self, request: msg.ReplaceCommit) -> msg.Message:
+        """Deltas as for a deletion, then a fresh record in the same leaf.
+
+        No balancing and no split: the slot is re-pointed from the old
+        item id to ``new_item_id`` and the old ciphertext is dropped.
+        """
+        state = self._state(request.file_id)
+        replayed = self._check_replay(state, request)
+        if replayed is not None:
+            return replayed
+        if request.tree_version != state.version:
+            return msg.ErrorReply(code=msg.E_STALE_STATE,
+                                  detail="tree changed since challenge")
+        tree = state.tree
+        self._checked_cut(tree, request.item_id, request.cut_slots)
+        if tree.has_item(request.new_item_id):
+            raise ReproError(f"item id {request.new_item_id} already present")
+
+        error = self._apply_deltas(state, request.cut_slots, request.deltas)
+        if error is not None:
+            return error
+
+        tree.replace_item(request.item_id, request.new_item_id)
+        state.ciphertexts.delete(request.item_id)
+        state.ciphertexts.put(request.new_item_id, request.ciphertext)
+        state.version += 1
+        ack = msg.Ack(tree_version=state.version, item_id=request.new_item_id)
         self._remember_commit(state, request, ack)
         return ack
 

@@ -79,7 +79,7 @@ from repro.sim.threat import Adversary, snapshot_file
 
 #: Version bumps per model operation (data tree, meta tree).  A record
 #: deletion rotates the data tree once and assuredly replaces the master
-#: key in the meta tree (delete + insert = two meta commits); see
+#: key in the meta tree (one ``ReplaceCommit``); see
 #: :meth:`repro.core.meta.MetaKeyManager.replace_master_key`.
 _BUMPS = {
     "create": (0, 1),        # register = one meta insert
@@ -87,8 +87,8 @@ _BUMPS = {
     "read_all": (0, 0),
     "modify": (0, 0),        # same data key, no version bump
     "insert": (1, 0),
-    "delete": (1, 2),
-    "batch_delete": (1, 2),
+    "delete": (1, 1),
+    "batch_delete": (1, 1),
     "drop": (0, 1),          # remove = one meta delete
 }
 

@@ -293,6 +293,38 @@ def test_adopt_arithmetic_equivalent_to_adopt():
     assert tree.item_ids() == [100, 101, 102, 103, 104, 105]
 
 
+def _tree_over(kind, n=6):
+    """An n-leaf tree holding items 100.. under each item-map family."""
+    store = LazySeededStore(WIDTH, b"replace")
+    if kind == "dict":
+        return ModulationTree.adopt(store, n, list(range(100, 100 + n)))
+    if kind == "arithmetic":
+        return ModulationTree.adopt_arithmetic(store, n, base_item_id=100)
+    from repro.server.engine import MemoryTreeStore
+    from repro.server.paging import PagedItemMap
+    engine = MemoryTreeStore()
+    engine.write_items(7, [(100 + i, n + i) for i in range(n)])
+    return ModulationTree.wrap(store, n, PagedItemMap(engine, 7))
+
+
+@pytest.mark.parametrize("kind", ["dict", "arithmetic", "paged"])
+def test_replace_item_repoints_the_leaf_in_place(kind):
+    tree = _tree_over(kind)
+    before = list(tree.iter_modulators())
+    slot = tree.replace_item(102, 900)
+    assert slot == 8
+    assert tree.slot_of_item(900) == 8
+    assert tree.item_of_slot(8) == 900
+    assert not tree.has_item(102)
+    assert tree.item_ids() == [100, 101, 900, 103, 104, 105]
+    assert list(tree.iter_modulators()) == before  # no balancing, no split
+    with pytest.raises(StructureError):
+        tree.replace_item(103, 104)
+    with pytest.raises(UnknownItemError):
+        tree.replace_item(102, 901)
+    assert tree.item_ids() == [100, 101, 900, 103, 104, 105]
+
+
 def test_adopt_validates_counts():
     store = LazySeededStore(WIDTH, b"x")
     with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import pytest
 from repro.core.errors import ReproError, UnknownItemError
 from repro.crypto.rng import DeterministicRandom
 from repro.fs.filesystem import OutsourcedFileSystem, directory_group
+from repro.protocol import messages as msg
+from repro.server.server import MUTATING_REQUESTS
 
 
 @pytest.fixture
@@ -105,3 +107,60 @@ def test_empty_file_and_grow(fs):
     assert handle.record_count == 0
     handle.append_record(b"first")
     assert handle.read_all() == [b"first"]
+
+
+def _exchange(fs, monkeypatch, action):
+    """Round trips and mutating commits (by type) one fs call costs."""
+    seen = []
+    handle = fs.server.handle
+
+    def spy(request):
+        seen.append(type(request))
+        return handle(request)
+    monkeypatch.setattr(fs.server, "handle", spy)
+    before = fs.client.channel.counters.round_trips
+    action()
+    monkeypatch.undo()
+    commits = [kind for kind in seen if issubclass(kind, MUTATING_REQUESTS)]
+    return fs.client.channel.counters.round_trips - before, commits
+
+
+def test_record_deletes_cost_four_round_trips_and_two_commits(fs,
+                                                              monkeypatch):
+    """Section V's deletion: meta challenge, data challenge and commit,
+    one meta ReplaceCommit -- and the standalone replacement costs two."""
+    for i in range(4):
+        fs.create_file(f"g/f{i}", [b"r%d" % j for j in range(8)])
+    handle = fs.open("g/f2")
+
+    assert _exchange(fs, monkeypatch, lambda: handle.delete_record(3)) == \
+        (4, [msg.DeleteCommit, msg.ReplaceCommit])
+    assert _exchange(fs, monkeypatch,
+                     lambda: handle.delete_many([0, 2, 5])) == \
+        (4, [msg.BatchDeleteCommit, msg.ReplaceCommit])
+    assert handle.read_all() == [b"r1", b"r4", b"r5", b"r7"]
+
+    manager = fs.group_manager_of("g/f2")
+    key = manager.master_key(handle.file_id)
+    assert _exchange(fs, monkeypatch,
+                     lambda: manager.replace_master_key(handle.file_id,
+                                                        key)) == \
+        (2, [msg.ReplaceCommit])
+    assert handle.read_all() == [b"r1", b"r4", b"r5", b"r7"]
+
+
+def test_delete_records_each_replacement_once_in_the_meta_tree(fs):
+    """Every record deletion bumps the meta tree's version by exactly
+    one, and the file's master-key record moves to a fresh meta item."""
+    handle = fs.create_file("g/f", [b"r%d" % i for i in range(6)])
+    fs.create_file("g/other", [b"o"])
+    manager = fs.group_manager_of("g/f")
+    meta_state = fs.server.file_state(manager.meta_file_id)
+    version, item = meta_state.version, manager.meta_item_of(handle.file_id)
+    handle.delete_record(1)
+    handle.delete_many([0, 3])
+    assert fs.server.file_state(manager.meta_file_id).version == version + 2
+    assert manager.meta_item_of(handle.file_id) != item
+    assert not meta_state.tree.has_item(item)
+    assert fs.server.file_state(manager.meta_file_id).tree.leaf_count == 2
+    assert fs.open("g/other").read_all() == [b"o"]

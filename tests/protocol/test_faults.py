@@ -229,3 +229,140 @@ def test_crash_trap_does_not_leak_to_later_requests():
     assert channel.faults_injected == [CRASH_BEFORE_APPLY]
     client.delete(1, key, ids[1])  # would crash if the trap leaked
     assert server.file_state(1).tree.leaf_count == 3
+
+
+# ----------------------------------------------------------------------
+# File-system level: the two-level deletion under message loss
+# ----------------------------------------------------------------------
+
+def fs_pair(n=5):
+    """A file system over the fault channel, plus its server and file."""
+    from repro.fs.filesystem import OutsourcedFileSystem
+    server = CloudServer()
+    channel = FaultInjectingChannel(server, [])
+    fs = OutsourcedFileSystem(channel, rng=DeterministicRandom("fs-faults"))
+    fs.create_file("g/other", [b"other"])
+    handle = fs.create_file("g/f", [b"r%d" % i for i in range(n)])
+    return server, channel, fs, handle
+
+
+def _versions(server, fs, handle):
+    meta_id = fs.group_manager_of(handle.name).meta_file_id
+    return (server.file_state(handle.file_id).version,
+            server.file_state(meta_id).version)
+
+
+# delete_record's requests: meta DeleteRequest, data DeleteRequest, data
+# DeleteCommit, meta ReplaceCommit.
+@pytest.mark.parametrize("schedule", [
+    [NONE, NONE, DROP_RESPONSE],           # data commit applied, Ack lost
+    [NONE, NONE, DROP_REQUEST],            # data commit never arrived
+    [NONE, NONE, NONE, DROP_RESPONSE],     # replace applied, Ack lost
+    [NONE, NONE, NONE, DROP_REQUEST],      # replace never arrived
+], ids=["data-ack", "data-commit", "replace-ack", "replace-commit"])
+def test_fs_resume_delete_converges_exactly_once(schedule):
+    """Whichever commit of a record deletion is lost in transit,
+    resume_delete finishes it: both trees move exactly once, the record
+    is gone, the survivors read back, and nothing stays journalled."""
+    server, channel, fs, handle = fs_pair()
+    victim = handle._record.index.item_id_at(2)
+    adversary = Adversary()
+    adversary.observe(snapshot_file(server, handle.file_id))
+
+    channel._schedule = iter(schedule)
+    with pytest.raises(ChannelError):
+        handle.delete_record(2)
+    assert handle.record_count == 5  # not removed before the Ack
+    adversary.observe(snapshot_file(server, handle.file_id))
+
+    handle.resume_delete(2)
+    adversary.observe(snapshot_file(server, handle.file_id))
+    assert _versions(server, fs, handle) == (1, 3)  # 2 registers + 1
+    assert handle.read_all() == [b"r0", b"r1", b"r3", b"r4"]
+    assert fs.open("g/other").read_all() == [b"other"]
+    assert fs.client.pending_deletes() == []
+
+    manager = fs.group_manager_of(handle.name)
+    adversary.seize_keystore(fs.client.keystore.seize())
+    adversary.seized_keys.append(manager.master_key(handle.file_id))
+    assert adversary.try_recover(victim) is None
+
+
+def test_fs_resume_delete_many_after_lost_replace_ack():
+    """The batch path shares the meta recovery: a lost ReplaceCommit Ack
+    is finished from the journal, applied once."""
+    server, channel, fs, handle = fs_pair(n=6)
+    channel._schedule = iter([NONE, NONE, NONE, DROP_RESPONSE])
+    with pytest.raises(ChannelError):
+        handle.delete_many([1, 4])
+    handle.resume_delete_many([1, 4])
+    assert _versions(server, fs, handle) == (1, 3)
+    assert handle.read_all() == [b"r0", b"r2", b"r3", b"r5"]
+    assert fs.client.pending_deletes() == []
+
+
+def test_fs_resume_delete_requires_a_journal_entry():
+    _server, _channel, _fs, handle = fs_pair()
+    with pytest.raises(UnknownItemError):
+        handle.resume_delete(0)
+
+
+# delete_file's requests: meta DeleteRequest, meta DeleteCommit,
+# DeleteFileRequest.
+@pytest.mark.parametrize("schedule", [
+    [DROP_REQUEST],                        # challenge lost
+    [NONE, DROP_RESPONSE],                 # meta delete applied, Ack lost
+    [NONE, DROP_REQUEST],                  # meta delete never arrived
+    [NONE, NONE, DROP_RESPONSE],           # space reclamation Ack lost
+], ids=["challenge", "meta-ack", "meta-commit", "drop-ack"])
+def test_delete_file_is_retryable_after_a_transport_failure(schedule):
+    """The name and the meta-item mapping stay bound until every step is
+    acknowledged, so a repeated delete_file finishes the job -- the
+    master key is shredded exactly once -- instead of reporting "no such
+    file" while the key is still live on the server."""
+    server, channel, fs, handle = fs_pair()
+    manager = fs.group_manager_of(handle.name)
+    meta_item = manager.meta_item_of(handle.file_id)
+    adversary = Adversary()
+    adversary.observe(snapshot_file(server, manager.meta_file_id))
+
+    channel._schedule = iter(schedule)
+    with pytest.raises(ChannelError):
+        fs.delete_file("g/f")
+    assert fs.exists("g/f")
+    fs.delete_file("g/f")
+
+    assert not fs.exists("g/f")
+    assert not server.has_file(handle.file_id)
+    assert not manager.manages(handle.file_id)
+    assert server.file_state(manager.meta_file_id).version == 3  # 2 + 1
+    assert fs.open("g/other").read_all() == [b"other"]
+    adversary.observe(snapshot_file(server, manager.meta_file_id))
+    adversary.seize_keystore(fs.client.keystore.seize())
+    assert adversary.try_recover(meta_item) is None
+    with pytest.raises(UnknownItemError):
+        fs.delete_file("g/f")
+
+
+def test_delete_file_finishes_a_pending_replacement_first():
+    """A whole-file delete after a record delete lost its ReplaceCommit
+    Ack resumes the replacement before shredding, so neither the old nor
+    the new master-key record survives."""
+    server, channel, fs, handle = fs_pair()
+    manager = fs.group_manager_of(handle.name)
+    old_item = manager.meta_item_of(handle.file_id)
+    adversary = Adversary()
+    channel._schedule = iter([NONE, NONE, NONE, DROP_RESPONSE])
+    with pytest.raises(ChannelError):
+        handle.delete_record(0)
+    adversary.observe(snapshot_file(server, manager.meta_file_id))
+    new_item = fs.client.pending_commit(manager.meta_file_id,
+                                        old_item).new_item_id
+    fs.delete_file("g/f")
+    adversary.observe(snapshot_file(server, manager.meta_file_id))
+    assert fs.client.pending_deletes() == []
+    assert server.file_state(manager.meta_file_id).tree.leaf_count == 1
+    adversary.seize_keystore(fs.client.keystore.seize())
+    assert adversary.try_recover(old_item) is None
+    assert adversary.try_recover(new_item) is None
+    assert fs.open("g/other").read_all() == [b"other"]

@@ -73,6 +73,10 @@ MESSAGES = [
     bmsg.BlobAllReply(item_ids=(1,), ciphertexts=(b"x",)),
     bmsg.BlobPut(file_id=1, item_id=2, ciphertext=b"z"),
     bmsg.BlobDelete(file_id=1, item_id=2),
+    msg.ReplaceCommit(file_id=1, item_id=10, new_item_id=11,
+                      cut_slots=(3, 4), deltas=(m(9), m(10)),
+                      ciphertext=b"new-record", tree_version=4,
+                      request_id=7),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.client.client import AssuredDeletionClient
 from repro.core.errors import (DuplicateModulatorError, IntegrityError,
-                               ProtocolError)
+                               ProtocolError, StaleStateError)
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol.channel import LoopbackChannel
 from repro.server.adversary import (CloneCutServer, DeltaSkippingServer,
@@ -162,3 +162,111 @@ def test_inconsistent_duplicate_location_values_rejected():
     # the first item so that s appears in both views.
     with pytest.raises((IntegrityError, DuplicateModulatorError)):
         client.delete(1, key, ids[1])
+
+
+# ----------------------------------------------------------------------
+# The replace exchange (Section V's master-key replacement)
+# ----------------------------------------------------------------------
+
+def _replace(client, key, item_id, record=b"new-record"):
+    return client.replace(client.open_replace(1, key, item_id), key, record)
+
+
+def _clone_cut_server(depth):
+    server = CloneCutServer()
+    server.clone_depth = depth
+    return server
+
+
+@pytest.mark.parametrize("make_server", [
+    lambda: _clone_cut_server(0), lambda: _clone_cut_server(1),
+    lambda: _clone_cut_server(2), DuplicateInjectionServer],
+    ids=["clone-0", "clone-1", "clone-2", "duplicate"])
+def test_replace_rejects_conflicting_mt_values(make_server):
+    """A replacement's challenge gets the same MT(k) refusal rules as a
+    deletion: a cut modulator cloned from the path (Fig. 7) or any other
+    duplicate inside MT(k) is refused before a delta is computed."""
+    server = make_server()
+    client, key, ids = outsourced(server, "adv-replace-dup", n=8)
+    with pytest.raises(DuplicateModulatorError):
+        client.open_replace(1, key, ids[2])
+    assert server.file_state(1).version == 0
+    assert client.access(1, key, ids[2]) == b"item-2"
+
+
+@pytest.mark.parametrize("server_cls", [WrongCiphertextServer,
+                                        WrongLeafServer])
+def test_replace_rejects_another_items_ciphertext(server_cls):
+    """Another item's ciphertext (or its whole MT) fails the id binding,
+    so the client never replaces -- or shreds the key of -- the wrong
+    record."""
+    server = server_cls()
+    client, key, ids = outsourced(server, "adv-replace-ct")
+    with pytest.raises(IntegrityError):
+        client.open_replace(1, key, ids[3])
+    assert server.file_state(1).version == 0
+    for i, item in enumerate(ids):
+        assert client.access(1, key, item) == b"item-%d" % i
+
+
+def test_replace_refuses_a_challenge_that_stays_stale():
+    """A server replaying an old challenge (an out-of-date tree version)
+    gets one ReplaceCommit per fresh fetch, each refused as stale; the
+    client gives up without rotating its key, and nothing was applied."""
+    from dataclasses import replace
+
+    from repro.protocol import messages as msg
+    from repro.server.server import CloudServer
+
+    class StaleChallengeServer(CloudServer):
+        def _on_delete_request(self, request):
+            reply = super()._on_delete_request(request)
+            if isinstance(reply, msg.DeleteChallenge):
+                return replace(reply, tree_version=reply.tree_version + 7)
+            return reply
+
+    server = StaleChallengeServer()
+    client, key, ids = outsourced(server, "adv-replace-stale")
+    with pytest.raises(StaleStateError):
+        _replace(client, key, ids[1])
+    assert server.file_state(1).version == 0
+    assert client.pending_deletes() == []
+    assert client.access(1, key, ids[1]) == b"item-1"
+
+
+def test_replace_refetches_after_an_honest_interleaving():
+    """An honest version bump between challenge and commit (another
+    mutation of the same tree) is answered by a fresh challenge and a
+    retry, not by a failure."""
+    from repro.server.server import CloudServer
+
+    server = CloudServer()
+    client, key, ids = outsourced(server, "adv-replace-race")
+    ticket = client.open_replace(1, key, ids[1])
+    client.insert(1, key, b"interleaved")
+    new_key, new_id = client.replace(ticket, key, b"item-1-v2")
+    assert client.metrics.records[-1].retries == 1
+    assert client.access(1, new_key, new_id) == b"item-1-v2"
+    assert client.access(1, new_key, ids[0]) == b"item-0"
+
+
+def test_delta_skipping_cannot_resurrect_a_replaced_record():
+    """A server that Acks a ReplaceCommit without applying the deltas
+    still cannot serve the old record: its key needed the shredded K."""
+    from repro.protocol import messages as msg
+
+    class ReplaceSkippingServer(DeltaSkippingServer):
+        def _on_replace_commit(self, request):
+            state = self.file_state(request.file_id)
+            state.ciphertexts.put(request.new_item_id, request.ciphertext)
+            state.version += 1
+            return msg.Ack(tree_version=state.version)
+
+    server = ReplaceSkippingServer()
+    client, key, ids = outsourced(server, "adv-replace-skip")
+    adversary = Adversary()
+    adversary.observe(snapshot_file(server, 1))
+    new_key, _new_id = _replace(client, key, ids[2])
+    adversary.observe(snapshot_file(server, 1))
+    adversary.seize_keystore({"master": new_key})
+    assert adversary.try_recover(ids[2]) is None

@@ -73,6 +73,11 @@ def _op_batch_delete(h):
     h.client.delete_many(1, h.key, (h.ids[1], h.ids[4]))
 
 
+def _op_replace(h):
+    ticket = h.client.open_replace(1, h.key, h.ids[1])
+    h.client.replace(ticket, h.key, b"replacement")
+
+
 def _op_outsource(h):
     h.client.outsource(2, [b"second-file"])
 
@@ -86,6 +91,7 @@ OPS = [
     ("insert", _op_insert, [NONE], 1),
     ("delete", _op_delete, [NONE], 1),
     ("batch-delete", _op_batch_delete, [NONE], 1),
+    ("replace", _op_replace, [NONE], 1),
     ("outsource", _op_outsource, [], 2),
     ("delete-file", _op_delete_file, [], 1),
 ]
@@ -165,6 +171,29 @@ def test_journalled_batch_converges_across_restart(tmp_path, crash):
     for victim in victims:
         with pytest.raises(UnknownItemError):
             h.client.access(1, new_key, victim)
+
+
+@pytest.mark.parametrize("crash", CRASH_POINTS)
+def test_journalled_replace_converges_across_restart(tmp_path, crash):
+    """The replacement's journal survives the crash too: resume_replace
+    applies the ReplaceCommit exactly once, files the record under its
+    new id and only then hands back the new key."""
+    h = Harness(tmp_path)
+    ticket = h.client.open_replace(1, h.key, h.ids[2])
+    h.schedule([crash])
+    with pytest.raises(ChannelError):
+        h.client.replace(ticket, h.key, b"replacement")
+    assert h.client.pending_deletes() == [(1, h.ids[2])]
+
+    h.restart()
+    new_key, new_id = h.client.resume_replace(1, h.ids[2])
+    assert h.client.pending_deletes() == []
+    assert h.server.file_state(1).tree.leaf_count == 6  # kept in place
+    assert h.server.file_state(1).version == 1  # exactly once
+    assert h.client.access(1, new_key, new_id) == b"replacement"
+    assert h.client.access(1, new_key, h.ids[0]) == b"item-0"
+    with pytest.raises(UnknownItemError):
+        h.client.access(1, new_key, h.ids[2])
 
 
 @pytest.mark.parametrize("group_commit", [False, True],

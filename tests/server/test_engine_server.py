@@ -393,3 +393,40 @@ def test_cluster_compact_and_recover_shard(tmp_path, backend):
         assert after == before
     finally:
         cluster.stop()
+
+
+@pytest.mark.parametrize("backend", DURABLE)
+def test_replace_commit_twin_world_across_restart(tmp_path, backend):
+    """A ReplaceCommit against a paged-in file (the slot re-point lands
+    in the engine's item table) equals the in-memory reference, before
+    and after a compaction plus restart."""
+    def replace_script(server, client, compact=lambda: None):
+        key = client.outsource(1, [b"a", b"b", b"c", b"d", b"e"])
+        ids = client.item_ids_of(5)
+        compact()
+        key, new_id = client.replace(client.open_replace(1, key, ids[3]),
+                                     key, b"d-v2")
+        return key, ids, new_id
+
+    ref_server, ref_client, _ = _world(tmp_path, "ref")
+    eng_server, eng_client, wal_path = _world(tmp_path, backend,
+                                              backend=backend)
+    key, ids, new_id = replace_script(ref_server, ref_client)
+    assert replace_script(eng_server, eng_client,
+                          eng_server.compact_storage) == (key, ids, new_id)
+    assert snapshot_file(eng_server, 1) == snapshot_file(ref_server, 1)
+    eng_server.compact_storage()
+    eng_server.wal.close()
+    eng_server.engine.close()
+
+    engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
+    recovered = recover_server(None, wal_path, engine=engine)
+    assert snapshot_file(recovered, 1) == snapshot_file(ref_server, 1)
+    reader = AssuredDeletionClient(LoopbackChannel(recovered),
+                                   rng=DeterministicRandom("reader"))
+    assert reader.access(1, key, new_id) == b"d-v2"
+    assert reader.access(1, key, ids[0]) == b"a"
+    with pytest.raises(ReproError):
+        reader.access(1, key, ids[3])
+    recovered.wal.close()
+    engine.close()

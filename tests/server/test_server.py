@@ -164,3 +164,68 @@ def test_deleted_slots_free_their_modulators(scheme):
     assert len(state.tree.store._links) == 2 * n * width
     assert len(state.tree.store._leaves) == 2 * n * width
     assert per_item() <= before * 1.02
+
+
+def _replace_commit(challenge, fid, item_id, new_item_id, deltas=None,
+                    **fields):
+    cut = tuple(entry.slot for entry in challenge.mt.cut)
+    return msg.ReplaceCommit(
+        file_id=fid, item_id=item_id, new_item_id=new_item_id,
+        cut_slots=fields.pop("cut_slots", cut),
+        deltas=deltas if deltas is not None else
+        tuple(bytes([i + 1]) * 20 for i in range(len(cut))),
+        ciphertext=b"new-record", tree_version=challenge.tree_version,
+        request_id=fields.pop("request_id", 77), **fields)
+
+
+def test_replace_commit_repoints_the_leaf(scheme):
+    server = scheme.server
+    fid, ids = scheme.new_file([b"a", b"b", b"c", b"d", b"e"])
+    state = server.file_state(fid)
+    slot = state.tree.slot_of_item(ids[2])
+    path_mods = state.tree.path_view(slot).modulator_list()
+    challenge = server.handle(msg.DeleteRequest(file_id=fid, item_id=ids[2]))
+    commit = _replace_commit(challenge, fid, ids[2], 9000)
+    reply = server.handle(commit)
+    assert reply == msg.Ack(tree_version=1, item_id=9000)
+    assert server.handle(commit) == reply  # retransmission: replay cache
+    assert state.version == 1
+    assert state.tree.leaf_count == 5
+    assert state.tree.slot_of_item(9000) == slot
+    assert not state.tree.has_item(ids[2])
+    assert state.tree.path_view(slot).modulator_list() == path_mods
+    assert state.ciphertexts.get(9000) == b"new-record"
+    with pytest.raises(ReproError):
+        state.ciphertexts.get(ids[2])
+
+
+@pytest.mark.parametrize("fault", ["cut", "taken-id", "duplicate"])
+def test_replace_commit_refusals_apply_nothing(scheme, fault):
+    """A wrong cut, a new item id already in the tree, or deltas that
+    would duplicate a modulator: refused, with the tree untouched."""
+    server = scheme.server
+    fid, ids = scheme.new_file([b"a", b"b", b"c", b"d"])
+    state = server.file_state(fid)
+    before = list(state.tree.iter_modulators())
+    challenge = server.handle(msg.DeleteRequest(file_id=fid, item_id=ids[0]))
+    if fault == "cut":
+        commit = _replace_commit(challenge, fid, ids[0], 9000,
+                                 cut_slots=(2, 3))
+    elif fault == "taken-id":
+        commit = _replace_commit(challenge, fid, ids[0], ids[1])
+    else:
+        # XOR a cut leaf onto its neighbour's value: a duplicate.
+        cut = challenge.mt.cut
+        deltas = [b"\x00" * 20] * len(cut)
+        leaf = cut[-1]
+        sibling = state.tree.store.get_leaf(leaf.slot ^ 1)
+        deltas[-1] = bytes(a ^ b for a, b in zip(leaf.leaf_mod, sibling))
+        commit = _replace_commit(challenge, fid, ids[0], 9000,
+                                 deltas=tuple(deltas))
+    reply = server.handle(commit)
+    assert isinstance(reply, msg.ErrorReply)
+    if fault == "duplicate":
+        assert reply.code == msg.E_DUPLICATE_MODULATOR
+    assert state.version == 0
+    assert list(state.tree.iter_modulators()) == before
+    assert state.tree.item_ids() == ids

@@ -269,6 +269,35 @@ def test_engine_reopen_durability(kind, tmp_path):
         engine.close()
 
 
+@pytest.mark.parametrize("kind", ENGINES)
+def test_engine_item_repoint_survives_reopen(kind, tmp_path):
+    """A replacement re-points a leaf slot to a fresh item id (the old id
+    vanishes, the slot keeps its place) through the paged item map; the
+    flushed mapping reads back after a restart."""
+    from repro.core.modstore import LazySeededStore
+    from repro.core.tree import ModulationTree
+    from repro.server.paging import PagedItemMap
+    engine = make_tree_store(kind, tmp_path)
+    engine.write_items(FID, [(100, 4), (101, 5), (102, 6), (103, 7)])
+    engine.flush()
+    items = PagedItemMap(engine, FID)
+    tree = ModulationTree.wrap(LazySeededStore(20, b"repoint"), 4, items)
+    assert tree.replace_item(101, 900) == 5
+    items.flush_to_engine()
+    engine.flush()
+    engine = reopen(engine, kind, tmp_path)
+    try:
+        assert engine.get_slot(FID, 101) is None
+        assert engine.get_slot(FID, 900) == 5
+        assert engine.get_item(FID, 5) == 900
+        assert engine.get_item(FID, 4) == 100
+        reread = ModulationTree.wrap(LazySeededStore(20, b"repoint"), 4,
+                                     PagedItemMap(engine, FID))
+        assert reread.item_ids() == [100, 900, 102, 103]
+    finally:
+        engine.close()
+
+
 @pytest.mark.parametrize("kind", DURABLE_ENGINES)
 def test_engine_unflushed_writes_do_not_survive_crash(kind, tmp_path):
     """Everything since the last flush is gone after a crash -- the
