@@ -810,11 +810,8 @@ class CloudServer:
             raise ReproError("batch item ids must be distinct")
         def build() -> msg.Message:
             tree = state.tree
-            slots = tuple(tree.slot_of_item(item_id)
-                          for item_id in request.item_ids)
-            view = tree.batch_view(slots)
-            ciphertexts = tuple(state.ciphertexts.get(item_id)
-                                for item_id in request.item_ids)
+            view = tree.batch_view(tree.slots_of_items(request.item_ids))
+            ciphertexts = tuple(state.ciphertexts.get_many(request.item_ids))
             return msg.BatchDeleteReply(n_leaves=view.n_leaves,
                                         target_slots=view.target_slots,
                                         links=view.links,
@@ -828,22 +825,26 @@ class CloudServer:
     @staticmethod
     def _validate_batch_moves(tree: ModulationTree,
                               item_ids: Sequence[int],
-                              moves: Sequence["msg.BalanceMove"]) -> None:
+                              slots: Sequence[int],
+                              moves: Sequence["msg.BalanceMove"]) -> list[int]:
         """Dry-run the batch's ``delete_leaf`` sequence without mutating.
 
         Replays the exact argument-shape checks and item relocations of
         :meth:`~repro.core.tree.ModulationTree.delete_leaf` for every move
         so the real applications below cannot fail halfway through -- the
-        batch commit stays all-or-nothing.
+        batch commit stays all-or-nothing.  ``slots`` are the items' leaf
+        slots before the first move; returns each move's target slot at
+        the time it applies.
         """
-        current = {item_id: tree.slot_of_item(item_id)
-                   for item_id in item_ids}
+        current = dict(zip(item_ids, slots))
         owner = {slot: item_id for item_id, slot in current.items()}
         m = tree.leaf_count
+        targets = []
         for item_id, move in zip(item_ids, moves):
             if m < 1:
                 raise ReproError("more deletions than leaves")
             slot_k = current[item_id]
+            targets.append(slot_k)
             if not m <= slot_k <= 2 * m - 1:
                 raise ReproError(f"slot {slot_k} is not a leaf of the "
                                  f"current tree")
@@ -880,6 +881,7 @@ class CloudServer:
                     owner[dest] = moved
                     current[moved] = dest
             m -= 1
+        return targets
 
     def _on_batch_delete_commit(self,
                                 request: msg.BatchDeleteCommit) -> msg.Message:
@@ -898,7 +900,7 @@ class CloudServer:
             raise ReproError("batch item ids must be distinct")
         if len(request.moves) != len(item_ids):
             raise ReproError("one rebalancing move per deleted item required")
-        slots = tuple(tree.slot_of_item(item_id) for item_id in item_ids)
+        slots = tree.slots_of_items(item_ids)
 
         # The cut is derived, not trusted: same canonical order as the
         # client's compute_deltas_multi.
@@ -913,14 +915,14 @@ class CloudServer:
                                   detail="balancing modulators collide; retry "
                                          "with fresh randomness")
 
-        self._validate_batch_moves(tree, item_ids, request.moves)
+        targets = self._validate_batch_moves(tree, item_ids, slots,
+                                             request.moves)
 
         error = self._apply_deltas(state, cut_slots, request.deltas)
         if error is not None:
             return error
 
-        for item_id, move in zip(item_ids, request.moves):
-            slot = tree.slot_of_item(item_id)
+        for item_id, slot, move in zip(item_ids, targets, request.moves):
             structure_log = tree.delete_leaf(slot, move.x_s_prime,
                                              move.dest_link, move.dest_leaf)
             if state.registry is not None:
@@ -1001,16 +1003,9 @@ class CloudServer:
         def build() -> msg.Message:
             tree = state.tree
             n = tree.leaf_count
-            links = []
-            leaves = []
-            for kind, _slot, value in tree.iter_modulators():
-                if kind == LINK:
-                    links.append(value)
-                else:
-                    leaves.append(value)
+            links, leaves = tree.modulator_values()
             item_ids = tree.item_ids()
-            ciphertexts = tuple(state.ciphertexts.get(item_id)
-                                for item_id in item_ids)
+            ciphertexts = tuple(state.ciphertexts.get_many(item_ids))
             return msg.FetchFileReply(n_leaves=n, item_ids=tuple(item_ids),
                                       links=tuple(links), leaves=tuple(leaves),
                                       ciphertexts=ciphertexts,

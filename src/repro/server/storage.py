@@ -15,7 +15,7 @@ engines of :mod:`repro.server.engine`):
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.core.errors import UnknownItemError
 
@@ -26,6 +26,11 @@ class CiphertextStore(abc.ABC):
     @abc.abstractmethod
     def get(self, item_id: int) -> bytes:
         """Return the ciphertext of ``item_id`` (raises UnknownItemError)."""
+
+    def get_many(self, item_ids: Sequence[int]) -> list[bytes]:
+        """Ciphertexts of ``item_ids``, in the given order (raises
+        UnknownItemError if any is absent)."""
+        return [self.get(item_id) for item_id in item_ids]
 
     @abc.abstractmethod
     def put(self, item_id: int, ciphertext: bytes) -> None:
