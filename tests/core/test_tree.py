@@ -251,10 +251,10 @@ def test_item_map_basics():
     mapping.set(10, 4)
     assert mapping.slot_of(10) == 4
     assert mapping.item_at(4) == 10
-    mapping.move(10, 7)
+    mapping.move(10, 4, 7)
     assert mapping.slot_of(10) == 7
     assert mapping.item_at(4) is None
-    mapping.remove(10)
+    mapping.remove(10, 7)
     assert mapping.slot_of(10) is None
     assert not mapping.contains(10)
 
@@ -272,11 +272,11 @@ def test_arithmetic_map_natural_layout():
 
 def test_arithmetic_map_overrides():
     mapping = ArithmeticItemMap(base_item_id=100, n0=8)
-    mapping.move(107, 7)  # balancing move into the collapsed parent slot
+    mapping.move(107, 15, 7)  # balancing move into the collapsed parent slot
     assert mapping.slot_of(107) == 7
     assert mapping.item_at(15) is None
     assert mapping.item_at(7) == 107
-    mapping.remove(103)
+    mapping.remove(103, 11)
     assert mapping.slot_of(103) is None
     assert mapping.item_at(11) is None
     mapping.set(500, 11)
