@@ -24,6 +24,7 @@ from repro.crypto.rng import DeterministicRandom
 from repro.fs.filesystem import OutsourcedFileSystem
 from repro.obs import spanexport
 from repro.obs.audit import AuditLog
+from repro.server.wal import CommitLog, head_path_for
 
 ITEMS = 64
 ROUNDS = 3
@@ -37,7 +38,8 @@ def _fast_dir():
 
     The evidence benchmark measures the *code path* cost (hashing,
     canonical JSON, span serialisation), not the speed of the CI disk;
-    tmpfs keeps the per-append fsync from dominating the measurement.
+    tmpfs keeps the WAL fsync and head sync from dominating the
+    measurement.
     """
     base = "/dev/shm" if os.path.isdir("/dev/shm") else None
     return tempfile.mkdtemp(prefix="repro-obs-bench-", dir=base)
@@ -50,14 +52,28 @@ def build_fs(seed):
     return fs, handle
 
 
-def time_deletes(seed, audit=None):
+def time_deletes(seed, workdir=None, audit=False):
+    """Seconds for ``ITEMS`` record deletions.  With ``workdir`` the
+    server runs a WAL there; ``audit`` makes it the audit chain too
+    (outcome frames, head anchor, archive)."""
     fs, handle = build_fs(seed)
-    if audit is not None:
-        fs.server.attach_audit(audit)
+    if workdir is not None:
+        wal_path = os.path.join(workdir, "server.wal")
+        archive = os.path.join(workdir, "audit.log")
+        wal = CommitLog(wal_path, archive=archive if audit else None)
+        fs.server.attach_wal(wal)
+        if audit:
+            fs.server.attach_audit(AuditLog(wal))
     start = time.perf_counter()
     for _ in range(ITEMS):
         handle.delete_record(0)
-    return time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    if workdir is not None:
+        wal.close()
+        for stale in (wal_path, archive, head_path_for(archive)):
+            if os.path.exists(stale):
+                os.unlink(stale)
+    return elapsed
 
 
 def test_disabled_observability_overhead_is_small():
@@ -101,12 +117,13 @@ def test_enabled_metrics_only_overhead_is_bounded():
 
 
 def test_evidence_path_overhead_is_recorded_and_bounded():
-    """Delete hot path with the full evidence surface on: fsync'd audit
-    chain plus span export (sample=1.0), measured against the same
-    instrumented server with the evidence features disabled.  The
-    budget is <5% -- appending a hash-chained record and serialising
-    finished spans must ride on the instrumentation PR 3 already paid
-    for, not multiply it.  Wall-clock ratios of short runs are too noisy
+    """Delete hot path with the full evidence surface on: the WAL as
+    audit chain (outcome frames + head anchor) plus span export
+    (sample=1.0), measured against the same instrumented server on a
+    plain WAL with the evidence features disabled.  The budget is <5%
+    -- writing an outcome frame and serialising finished spans must
+    ride on the WAL and instrumentation already paid for, not multiply
+    them.  Wall-clock ratios of short runs are too noisy
     to gate CI at 1.05, so -- as with the disabled-path test above --
     the measured ratio is recorded (``BENCH_obs.json`` at the repo root,
     with the fully-disabled time alongside for context) and the hard
@@ -115,37 +132,33 @@ def test_evidence_path_overhead_is_recorded_and_bounded():
     multiple."""
     workdir = _fast_dir()
     span_path = os.path.join(workdir, "spans.jsonl")
-    audit_path = os.path.join(workdir, "audit.log")
 
-    disabled = min(time_deletes(f"ev-off-{i}") for i in range(ROUNDS))
+    disabled = min(time_deletes(f"ev-off-{i}", workdir)
+                   for i in range(ROUNDS))
 
     obs.enable()  # both measured configs run fully instrumented
     try:
-        baseline = min(time_deletes(f"ev-base-{i}")
+        baseline = min(time_deletes(f"ev-base-{i}", workdir)
                        for i in range(ROUNDS))
         evidence = sampled = float("inf")
         for i in range(ROUNDS):
             spanexport.configure(span_path)
-            with AuditLog(audit_path) as audit:
-                evidence = min(evidence,
-                               time_deletes(f"ev-on-{i}", audit=audit))
+            evidence = min(evidence, time_deletes(f"ev-on-{i}", workdir,
+                                                  audit=True))
             # The production-shaped config: audit always on, spans
             # head-sampled at 10% (sampling is the designed lever for
             # keeping export cost off the hot path).
             spanexport.configure(span_path, sample=0.1)
-            with AuditLog(audit_path) as audit:
-                sampled = min(sampled,
-                              time_deletes(f"ev-s-{i}", audit=audit))
+            sampled = min(sampled, time_deletes(f"ev-s-{i}", workdir,
+                                                audit=True))
             spanexport.detach()
-            for stale in (audit_path, audit_path + ".head"):
-                os.unlink(stale)
     finally:
         obs.disable()
         obs.REGISTRY.reset()
 
     ratio = evidence / baseline
     record = {
-        "op": "delete with audit chain + span export",
+        "op": "delete with WAL audit chain + span export",
         "n": ITEMS,
         "seconds": evidence,
         "baseline_seconds": baseline,

@@ -9,13 +9,15 @@ replay-cache series are present and non-zero.  It then checks the
 operational-evidence surface the same serve produced:
 
 * ``/readyz`` answers 200 while the server is healthy;
-* ``repro-vault audit verify`` walks the hash chain the deletion
-  extended (and counts at least one Delete record);
+* after a clean stop (SIGINT: the shutdown checkpoint seals the WAL into
+  ``audit.log``), ``repro-vault audit verify`` walks the sealed archive
+  plus the live WAL the deletion extended (and counts at least one
+  Delete outcome);
 * the span export contains the deletion's ``server.handle`` span.
 
-The audit log (+ head) and the span file are copied into
-``smoke-artifacts/`` so CI can upload an independently verifiable
-deletion record from every run.
+The evidence -- sealed archive, live WAL, head anchor -- and the span
+file are copied into ``smoke-artifacts/`` so CI can upload an
+independently verifiable deletion record from every run.
 
 With ``--shards N`` the smoke instead serves the vault as N
 consistent-hash shards (``serve --shards N --durable --audit``), drives
@@ -24,7 +26,8 @@ asserts the sharded observability contract: ``/readyz`` lists one
 ``shard-<i>`` probe per shard, the aggregated ``/metrics`` scrape's
 per-shard ``repro_shard_requests_total`` series sum to the global
 ``repro_server_requests_total``, and every shard's audit chain
-verifies independently.
+verifies independently from the live WAL it left behind after a hard
+stop (SIGTERM: nothing sealed).
 
 Exits non-zero (with the scrape dumped to stderr) on any failure, so it
 can gate CI directly:
@@ -40,6 +43,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -176,10 +180,12 @@ def sharded_main(shards: int) -> int:
     # recorded on exactly the shard that owns the file.
     deletions = 0
     for shard_id in range(shards):
-        log = os.path.join(workdir, ".repro-vault", "shards",
-                           f"shard-{shard_id}", "audit.log")
-        report = json.loads(run_cli(workdir, "audit", "verify",
-                                    "--log", log))
+        shard_dir = os.path.join(workdir, ".repro-vault", "shards",
+                                 f"shard-{shard_id}")
+        report = json.loads(run_cli(
+            workdir, "audit", "verify",
+            "--log", os.path.join(shard_dir, "audit.log"),
+            "--wal", os.path.join(shard_dir, "shard.wal")))
         assert report["ok"] is True, (shard_id, report)
         deletions += report["deletions"]
     assert deletions >= 1, "deletion not audited on any shard"
@@ -264,16 +270,21 @@ def main() -> int:
         assert hits > 0, f"no replay-cache hits recorded: {hits}"
         assert requests > 0, f"no server requests recorded: {requests}"
     finally:
-        serve.terminate()
+        # A clean stop: the shutdown checkpoint seals the WAL's history
+        # into the archive.
+        serve.send_signal(signal.SIGINT)
         try:
-            serve.wait(timeout=10)
+            serve.wait(timeout=30)
         except subprocess.TimeoutExpired:
             serve.kill()
+    assert serve.returncode == 0, f"serve exited with {serve.returncode}"
 
     # ---- operational evidence, checked after the server is gone -----
-    # (the audit log fsyncs per append and the span export flushes per
-    # record, so both survive the hard stop intact)
+    # (the span export flushes per record)
 
+    vault_dir = os.path.join(workdir, ".repro-vault")
+    audit_log = os.path.join(vault_dir, "audit.log")
+    assert os.path.exists(audit_log), "shutdown sealed no archive"
     report = json.loads(run_cli(workdir, "audit", "verify"))
     assert report["ok"] is True, report
     assert report["records"] > 0, report
@@ -291,8 +302,8 @@ def main() -> int:
     # Leave the evidence behind for CI to upload.
     artifacts = os.path.join(REPO, "smoke-artifacts")
     os.makedirs(artifacts, exist_ok=True)
-    audit_log = os.path.join(workdir, ".repro-vault", "audit.log")
-    for source in (audit_log, audit_log + ".head", span_path):
+    for source in (audit_log, audit_log + ".head",
+                   os.path.join(vault_dir, "server.wal"), span_path):
         shutil.copy(source, artifacts)
 
     print(f"metrics smoke OK: {int(requests)} requests, "

@@ -29,7 +29,7 @@ Commands::
     repro-vault serve --metrics-port 9100   # + /metrics /healthz /readyz
                                             #   /statusz over HTTP
     repro-vault serve --max-conns 64        # bound concurrent connections
-    repro-vault serve --audit               # hash-chained deletion audit log
+    repro-vault serve --durable --audit     # the WAL doubles as the audit chain
     repro-vault serve --shards 4            # consistent-hash sharded tier
                                             #   (one host+WAL+audit per shard)
     repro-vault serve --trace-export spans.jsonl --trace-slow-ms 50
@@ -232,35 +232,44 @@ def cmd_stats(vault: Vault, args) -> int:
     return 0
 
 
-def _audit_log_path(vault: Vault, args) -> str:
-    if args.log is not None:
-        return args.log
-    return os.path.join(vault.server_dir, "audit.log")
+def _kept_audit_path(directory: str, wanted: bool):
+    """The archive to audit into: asked for, or already kept in
+    ``directory`` (a trail that exists is continued, so it stays
+    gap-free)."""
+    from repro.obs.audit import head_path_for
+    path = os.path.join(directory, "audit.log")
+    if wanted or os.path.exists(path) or os.path.exists(head_path_for(path)):
+        return path
+    return None
 
 
 def cmd_audit(vault: Vault, args) -> int:
     """Verify or tail the tamper-evident deletion audit chain."""
     from repro.obs import audit as audit_mod
 
-    path = _audit_log_path(vault, args)
+    archive = args.log if args.log is not None else \
+        os.path.join(vault.server_dir, "audit.log")
+    wal_path = args.wal if args.wal is not None else \
+        os.path.join(os.path.dirname(archive), "server.wal")
+    try:
+        if args.audit_command == "verify":
+            chain = audit_mod.verify_log(archive, wal_path,
+                                         require_head=not args.no_head)
+        else:
+            records = audit_mod.tail_records(archive, wal_path, args.n)
+    except audit_mod.AuditError as exc:
+        print(f"audit {args.audit_command} FAILED: {exc}", file=sys.stderr)
+        return 1
     if args.audit_command == "verify":
-        try:
-            records = audit_mod.verify_log(path,
-                                           require_head=not args.no_head)
-        except audit_mod.AuditError as exc:
-            print(f"audit verify FAILED: {exc}", file=sys.stderr)
-            return 1
-        deletions = sum(1 for r in records
-                        if "Delete" in r.get("op", ""))
         _print(json.dumps({
             "ok": True,
-            "records": len(records),
-            "deletions": deletions,
-            "head": records[-1]["hash"] if records else audit_mod.GENESIS,
+            "records": len(chain.requests),
+            "deletions": chain.deletions,
+            "pending": len(chain.pending),
+            "head": chain.head,
         }, indent=2))
         return 0
-    # tail
-    for record in audit_mod.tail_records(path, args.n):
+    for record in records:
         _print(json.dumps(record, sort_keys=True))
     return 0
 
@@ -279,6 +288,10 @@ def cmd_serve(vault: Vault, args) -> int:
         raise ReproError(
             f"--backend {args.backend} requires --durable (the engine "
             f"file replaces the checkpoint image)")
+    if args.audit and not args.durable:
+        raise ReproError(
+            "--audit requires --durable: the audit chain is the commit "
+            "log's own hash chain (serve --durable --audit)")
     from repro.obs.health import HEALTH
     from repro.protocol.aio import AsyncTcpServerHost
 
@@ -317,6 +330,7 @@ def cmd_serve(vault: Vault, args) -> int:
         from repro.server.wal import checkpoint, recover_server
         image = os.path.join(vault.server_dir, "server.img")
         wal_path = os.path.join(vault.server_dir, "server.wal")
+        audit_path = _kept_audit_path(vault.server_dir, args.audit)
         if args.backend != "memory":
             from repro.server.engine import engine_path, make_engine
             engine_file = engine_path(vault.server_dir, args.backend)
@@ -331,7 +345,8 @@ def cmd_serve(vault: Vault, args) -> int:
             server = recover_server(None, wal_path,
                                     group_commit=args.group_commit,
                                     engine=engine,
-                                    cache_nodes=args.cache_nodes)
+                                    cache_nodes=args.cache_nodes,
+                                    audit_path=audit_path)
             _print(f"durable state: {engine_file} ({args.backend} engine) "
                    f"+ {wal_path}"
                    + (" (group commit)" if args.group_commit else ""))
@@ -339,7 +354,8 @@ def cmd_serve(vault: Vault, args) -> int:
             if not os.path.exists(image) and not os.path.exists(wal_path):
                 save_server(server, image)
             server = recover_server(image, wal_path,
-                                    group_commit=args.group_commit)
+                                    group_commit=args.group_commit,
+                                    audit_path=audit_path)
             _print(f"durable state: {image} + {wal_path}"
                    + (" (group commit)" if args.group_commit else ""))
         HEALTH.register("wal", server.wal.health)
@@ -348,17 +364,9 @@ def cmd_serve(vault: Vault, args) -> int:
                f" (state load {rec['load_seconds']:.3f}s + WAL replay of "
                f"{rec['replayed_records']} record(s) "
                f"{rec['replay_seconds']:.3f}s)")
-
-    audit_log = None
-    if args.audit:
-        # Attached AFTER recovery so replayed history is not re-recorded;
-        # from here on every mutating request appends one chained record.
-        from repro.obs.audit import AuditLog
-        audit_path = os.path.join(vault.server_dir, "audit.log")
-        audit_log = AuditLog(audit_path)
-        server.attach_audit(audit_log)
-        _print(f"audit trail: {audit_path} "
-               f"(chain at seq {audit_log.seq})")
+        if server.audit is not None:
+            _print(f"audit trail: {wal_path} sealing into {audit_path} "
+                   f"(chain at frame {server.audit.seq})")
 
     with AsyncTcpServerHost(server, port=args.port,
                             max_conns=args.max_conns) as host:
@@ -375,9 +383,8 @@ def cmd_serve(vault: Vault, args) -> int:
             HEALTH.set_stopping()
             if args.durable:
                 checkpoint(server, image)
+                server.wal.close()
                 HEALTH.unregister("wal")
-            if audit_log is not None:
-                audit_log.close()
             if metrics_server is not None:
                 metrics_server.stop()
     return 0
@@ -397,9 +404,11 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
     from repro.server.cluster import ShardCluster
 
     shard_dir = os.path.join(vault.server_dir, "shards")
+    audit = args.durable and _kept_audit_path(
+        os.path.join(shard_dir, "shard-0"), args.audit) is not None
     cluster = ShardCluster(
         args.shards, params=vault.fs.params, transport="tcp",
-        data_dir=shard_dir, durable=args.durable, audit=args.audit,
+        data_dir=shard_dir, durable=args.durable, audit=audit,
         group_commit=args.group_commit, max_conns=args.max_conns,
         base_port=args.port, storage_backend=args.backend,
         cache_nodes=args.cache_nodes)
@@ -416,8 +425,9 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
                + (" (group commit)" if args.group_commit else ""))
     else:
         cluster.adopt_server(vault.fs.server)
-    if args.audit:
-        _print(f"audit trails: {shard_dir}/shard-*/audit.log")
+    if audit:
+        _print(f"audit trails: {shard_dir}/shard-*/shard.wal sealing "
+               f"into audit.log")
     cluster.register_health()
     try:
         cluster.start()
@@ -465,7 +475,9 @@ def cmd_compact(vault: Vault, _args) -> int:
     wal_path = os.path.join(vault.server_dir, "server.wal")
     engine = SQLiteTreeStore(engine_file)
     try:
-        server = recover_server(None, wal_path, engine=engine)
+        server = recover_server(None, wal_path, engine=engine,
+                                audit_path=_kept_audit_path(
+                                    vault.server_dir, False))
         stats = server.compact_storage()
         engine.compact()  # reclaim dead space in the database file
         server.wal.close()
@@ -651,16 +663,22 @@ def build_parser() -> argparse.ArgumentParser:
     audit_sub = audit.add_subparsers(dest="audit_command", required=True)
     audit_verify = audit_sub.add_parser("verify")
     audit_verify.add_argument("--log", default=None,
-                              help="audit log path (default: "
+                              help="sealed archive path (default: "
                                    "<server-dir>/audit.log)")
+    audit_verify.add_argument("--wal", default=None,
+                              help="live commit log (default: server.wal "
+                                   "next to the archive)")
     audit_verify.add_argument("--no-head", action="store_true",
                               help="skip the head-anchor check (cannot "
                                    "then detect a truncated tail)")
     audit_verify.set_defaults(func=cmd_audit)
     audit_tail = audit_sub.add_parser("tail")
     audit_tail.add_argument("--log", default=None,
-                            help="audit log path (default: "
+                            help="sealed archive path (default: "
                                  "<server-dir>/audit.log)")
+    audit_tail.add_argument("--wal", default=None,
+                            help="live commit log (default: server.wal "
+                                 "next to the archive)")
     audit_tail.add_argument("-n", type=int, default=10,
                             help="records to show")
     audit_tail.set_defaults(func=cmd_audit)
@@ -697,8 +715,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --durable: coalesce concurrent WAL appends "
                             "into shared write+fsync batches")
     serve.add_argument("--audit", action="store_true",
-                       help="append a hash-chained audit record for every "
-                            "mutation to <server-dir>/audit.log")
+                       help="with --durable: write an outcome frame for every "
+                            "mutation into the hash-chained WAL, anchor its "
+                            "head, and seal compacted history into "
+                            "<server-dir>/audit.log")
     serve.add_argument("--trace-export", metavar="PATH", default=None,
                        help="enable observability and export finished "
                             "spans to PATH as JSON lines")

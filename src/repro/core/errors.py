@@ -11,6 +11,10 @@ class ProtocolError(ReproError):
     """A message was malformed or violated the protocol state machine."""
 
 
+class AuditError(ReproError):
+    """The audit chain failed verification (tampering or corruption)."""
+
+
 class IntegrityError(ReproError):
     """Decrypt-verification failed: ciphertext, key, or hash did not match.
 

@@ -1,23 +1,32 @@
-"""Tamper-evident deletion audit trail: an append-only hash chain.
+"""Tamper-evident deletion audit trail: the commit log's own hash chain.
 
 The paper promises *assured* deletion, but assurance that dies with the
 process is not evidence: an operator (or a regulator) asking "who
 deleted what, when, and under which tree version?" needs a durable
 record that a compromised or careless server cannot silently rewrite.
-This module provides the dependency-free version of the signed-tombstone
-/ verifiable-deletion story: every mutating request the server applies
-is appended to a JSON-lines log whose records are SHA-256 hash-chained,
-fsync'd, and anchored by a sidecar *head* file, so after the fact
 
-* a **flipped byte** anywhere breaks that record's hash;
-* a **spliced-out record** breaks its successor's ``prev`` link (and the
-  sequence numbering);
-* a **truncated tail** leaves the head file pointing past the end of the
-  log.
+The write-ahead commit log (:mod:`repro.server.wal`) already holds every
+mutating request, fsync'd before it is applied, and chains its frames
+with SHA-256.  Evidence mode adds what an auditor needs on top:
 
-Record format (one JSON object per line, keys sorted)::
+* an **outcome frame** per request, written by :class:`AuditLog` under
+  the file's lock right after the apply -- what the request did;
+* the **head anchor** ``audit.log.head`` naming the last fsync'd frame,
+  rewritten in place once per fsync batch;
+* the **sealed archive** ``audit.log`` that compaction appends the
+  truncated history to (request payloads reduced to their digests).
 
-    seq             u64     1-based position in the chain
+:func:`verify_log` walks archive plus live log, so after the fact
+
+* a **flipped byte** anywhere fails that frame's CRC (in the archive or
+  under the head) or, with the CRC recomputed, the chain at the head;
+* a **spliced-out frame** leaves an outcome naming a frame that is not
+  its request, or breaks the chain at the next marker or the head;
+* a **truncated tail** leaves the head anchor pointing past the end;
+* a **rewritten tail** with a rebuilt chain cannot match the head hash.
+
+Outcome record fields (canonical JSON, keys sorted)::
+
     ts              float   seconds since the epoch
     op              str     message type name (DeleteCommit, ...)
     request_id      int     protocol idempotency id (0 = none)
@@ -28,156 +37,75 @@ Record format (one JSON object per line, keys sorted)::
     version_after   int?    tree version after
     ok              bool    false when the handler answered ErrorReply
     code            int?    ErrorReply code when not ok
-    prev            str     hex SHA-256 of the previous record (or genesis)
-    hash            str     hex SHA-256 over ``prev || canonical record``
 
-The hash covers the canonical serialisation of every field except
-``hash`` itself, prefixed with the previous record's hash, so the log is
-a classic hash chain.  The head file (``<log>.head``) holds the sequence
-number and hash of the last acknowledged record and is atomically
-replaced on every append; a verifier that trusts the head (kept on
-separate storage, mirrored, or compared out of band) detects tail
-truncation, which a bare chain cannot.
-
-Appends are fsync'd by default (``sync="always"``); ``sync="off"``
-skips the barriers for benchmarking the CPU cost of the chain itself.
-The audit log is attached explicitly (``CloudServer.attach_audit`` /
-``repro-vault serve --audit``) and is independent of the global
-observability switch -- evidence should not vanish because metrics were
-off.
+:func:`verify_log` adds ``seq`` (the outcome frame's position in the
+chain), ``req`` (its request frame's) and ``hash`` (hex chain hash).
+The audit trail is attached explicitly (``CloudServer.attach_audit`` /
+``repro-vault serve --durable --audit``) and is independent of the
+global observability switch -- evidence should not vanish because
+metrics were off.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import threading
 import time
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
-from repro.core.errors import ReproError
+from repro.core.errors import AuditError, ProtocolError
+from repro.server import wal as walfmt
+from repro.server.wal import head_path_for, read_head
 
-#: ``prev`` of the first record in a chain.
-GENESIS = "0" * 64
-
-#: Fields every record must carry (beyond these, extras are allowed and
-#: covered by the hash like everything else).
-REQUIRED_FIELDS = ("seq", "ts", "op", "prev", "hash")
-
-
-class AuditError(ReproError):
-    """The audit chain failed verification (tampering or corruption)."""
-
-
-def head_path_for(path: str) -> str:
-    """The sidecar head file anchoring ``path``'s chain tail."""
-    return path + ".head"
-
-
-def _canonical(record: dict) -> bytes:
-    """The byte string a record's hash covers (everything but ``hash``)."""
-    body = {key: value for key, value in record.items() if key != "hash"}
-    return json.dumps(body, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
-def chain_hash(prev: str, record: dict) -> str:
-    """SHA-256 over the previous hash and the record's canonical bytes."""
-    return hashlib.sha256(prev.encode("ascii")
-                          + _canonical(record)).hexdigest()
+__all__ = ["AuditChain", "AuditError", "AuditLog", "head_path_for",
+           "read_head", "tail_records", "verify_log"]
 
 
 class AuditLog:
-    """Append-only hash-chained audit log with a durable head anchor.
+    """Writes one outcome frame per mutating request into a commit log.
 
-    Opening an existing log scans it to recover the chain position; a
-    torn final line that the head does not acknowledge (the crash landed
-    mid-append) is truncated away, exactly like a torn WAL record.
-    ``append`` assigns ``seq``/``ts``/``prev``/``hash``, writes the
-    line, fsyncs it, and atomically replaces the head file before
-    returning -- an acknowledged record is both durable and anchored.
+    ``wal`` must be a :class:`~repro.server.wal.CommitLog` opened with an
+    ``archive`` (evidence mode): the frames ride its chain, its head
+    anchor and its fsyncs.  ``append`` is called by the server under
+    the file's lock and does not fsync.
     """
 
-    def __init__(self, path: str, *, sync: str = "always") -> None:
-        if sync not in ("always", "off"):
-            raise ValueError(f"unknown sync mode {sync!r}")
-        self.path = path
-        self.head_path = head_path_for(path)
-        self.sync = sync
-        self._lock = threading.Lock()
-        self._seq, self._head_hash = self._recover()
-        self._handle = open(path, "a", encoding="utf-8")
+    def __init__(self, wal) -> None:
+        if wal.archive_path is None:
+            raise ValueError("AuditLog needs a CommitLog opened with "
+                             "archive=<path> (evidence mode)")
+        self.wal = wal
+        #: Outcome frames appended through this object.
+        self.appended = 0
+        self._count_lock = threading.Lock()
 
-    # -- opening ---------------------------------------------------------
-
-    def _recover(self) -> tuple[int, str]:
-        """Find the chain tail, truncating an unacknowledged torn line."""
-        try:
-            with open(self.path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return 0, GENESIS
-        if not data:
-            return 0, GENESIS
-        good_end = 0
-        seq, head = 0, GENESIS
-        pos = 0
-        while pos < len(data):
-            newline = data.find(b"\n", pos)
-            if newline < 0:
-                break  # torn final line (no terminator)
-            line = data[pos:newline]
-            try:
-                record = json.loads(line)
-                seq = int(record["seq"])
-                head = str(record["hash"])
-            except (ValueError, KeyError, TypeError):
-                break  # unparseable: treat as torn from here on
-            pos = newline + 1
-            good_end = pos
-        head_record = read_head(self.head_path)
-        if good_end < len(data):
-            if head_record is not None and head_record[0] > seq:
-                raise AuditError(
-                    f"audit log {self.path!r} ends torn at record {seq} "
-                    f"but its head acknowledges {head_record[0]}")
-            with open(self.path, "r+b") as handle:
-                handle.truncate(good_end)
-                handle.flush()
-                if self.sync == "always":
-                    os.fsync(handle.fileno())
-        return seq, head
-
-    # -- appending -------------------------------------------------------
+    @property
+    def path(self) -> str:
+        """The sealed archive (``audit.log``)."""
+        return self.wal.archive_path
 
     @property
     def seq(self) -> int:
-        """Sequence number of the last appended record (0 = empty)."""
-        return self._seq
+        """Sequence number of the commit log's last frame."""
+        return self.wal.seq
 
     def append(self, record: dict) -> dict:
-        """Chain, persist, and anchor one record; returns it completed.
+        """Write the outcome of request frame ``record["req"]``.
 
-        ``seq``/``ts``/``prev``/``hash`` are assigned here; the caller
-        provides the audit payload (op, ids, versions, outcome).
+        ``ts`` is assigned here; the caller provides the outcome (op,
+        ids, versions, ok/code).  Returns the completed record.
         """
         start = time.perf_counter()
-        with self._lock:
-            entry = dict(record)
-            entry["seq"] = self._seq + 1
-            entry.setdefault("ts", time.time())
-            entry["prev"] = self._head_hash
-            entry["hash"] = chain_hash(self._head_hash, entry)
-            line = json.dumps(entry, sort_keys=True,
-                              separators=(",", ":"))
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            if self.sync == "always":
-                os.fsync(self._handle.fileno())
-            self._write_head(entry["seq"], entry["hash"])
-            self._seq = entry["seq"]
-            self._head_hash = entry["hash"]
+        entry = dict(record)
+        entry.setdefault("ts", time.time())
+        request_seq = entry.pop("req")
+        document = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        self.wal.append_outcome(
+            walfmt.encode_outcome(request_seq, document.encode("utf-8")))
+        entry["req"] = request_seq
+        with self._count_lock:
+            self.appended += 1
         from repro.obs import runtime as obs
         if obs.enabled:
             from repro.obs import instruments as ins
@@ -185,119 +113,185 @@ class AuditLog:
             ins.AUDIT_APPEND_SECONDS.observe(time.perf_counter() - start)
         return entry
 
-    def _write_head(self, seq: int, digest: str) -> None:
-        """Atomically replace the head anchor (write temp, fsync, rename)."""
-        tmp = self.head_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({"seq": seq, "hash": digest}, handle,
-                      sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
-            handle.flush()
-            if self.sync == "always":
-                os.fsync(handle.fileno())
-        os.replace(tmp, self.head_path)
-
-    def close(self) -> None:
-        try:
-            self._handle.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "AuditLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 # ---------------------------------------------------------------------
 # Reading and verification
 # ---------------------------------------------------------------------
 
-def read_head(head_path: str) -> Optional[tuple[int, str]]:
-    """The (seq, hash) anchor, or ``None`` when no head file exists."""
+@dataclass
+class AuditChain:
+    """What :func:`verify_log` found along archive + live log."""
+
+    #: Outcome records in chain order (with ``seq``/``req``/``hash``).
+    records: list[dict] = field(default_factory=list)
+    #: Request frame seq -> payload (``None`` once sealed as a digest).
+    requests: dict[int, Optional[bytes]] = field(default_factory=dict)
+    #: Request seqs without an outcome yet (a crash before recovery).
+    pending: list[int] = field(default_factory=list)
+    #: Seq and hex chain hash of the last frame.
+    seq: int = 0
+    head: str = walfmt.GENESIS.hex()
+    #: Seq the evidence starts after (0 = genesis).
+    origin: int = 0
+    #: Unacknowledged torn bytes at the end of the live log.
+    torn_bytes: int = 0
+
+    @property
+    def deletions(self) -> int:
+        return sum(1 for r in self.records if "Delete" in r.get("op", ""))
+
+
+def _read(path: str, header: bytes, what: str) -> Optional[bytes]:
     try:
-        with open(head_path, encoding="utf-8") as handle:
-            head = json.load(handle)
-        return int(head["seq"]), str(head["hash"])
+        with open(path, "rb") as handle:
+            data = handle.read()
     except FileNotFoundError:
         return None
-    except (ValueError, KeyError, TypeError) as exc:
-        raise AuditError(f"audit head {head_path!r} is unreadable: {exc}")
+    try:
+        walfmt.check_header(data, header, what, path)
+    except ProtocolError as exc:
+        raise AuditError(str(exc)) from None
+    return data
 
 
-def iter_records(path: str) -> Iterator[dict]:
-    """Yield raw records (no chain checks; see :func:`verify_log`)."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except ValueError as exc:
-                raise AuditError(
-                    f"audit log {path!r} line {lineno} is not valid "
-                    f"JSON: {exc}")
+def _frames(data: bytes, header: bytes, path: str) -> tuple[list, int]:
+    try:
+        return walfmt.split_frames(data, len(header))
+    except ProtocolError as exc:
+        raise AuditError(f"{path!r}: {exc}") from None
 
 
-def verify_log(path: str, head_path: Optional[str] = None, *,
-               require_head: bool = True) -> list[dict]:
-    """Verify the whole chain; return its records or raise AuditError.
+def verify_log(archive_path: str, wal_path: str,
+               head_path: Optional[str] = None, *,
+               require_head: bool = True) -> AuditChain:
+    """Verify the sealed archive plus the live log; raise AuditError.
 
-    Checks, in order: every line parses and carries the required
-    fields; sequence numbers run 1..N without gaps; each record's
-    ``prev`` equals its predecessor's ``hash`` (genesis first); each
-    ``hash`` recomputes from its content; and -- unless ``require_head``
-    is off -- the head anchor names a record that exists with the same
-    hash, so a truncated tail cannot masquerade as a shorter valid log.
+    Checks, in order: both files carry the right header and version;
+    the archive holds exactly the bytes the live log's marker records,
+    every one inside a CRC-valid frame; the chain links across every
+    snapshot marker; each outcome frame names an earlier request frame
+    that has no outcome yet; and -- unless ``require_head`` is off --
+    the head anchor names a frame that exists with the same hash and
+    the same chain origin, so a truncated or rewritten tail cannot
+    masquerade as a shorter valid log.  Only a torn live tail *past*
+    the head is tolerated: a crash mid-append the head never covered.
     """
     if head_path is None:
-        head_path = head_path_for(path)
-    records: list[dict] = []
-    prev = GENESIS
-    for record in iter_records(path):
-        index = len(records) + 1
-        missing = [f for f in REQUIRED_FIELDS if f not in record]
-        if missing:
+        head_path = head_path_for(archive_path)
+    live = _read(wal_path, walfmt.LOG_HEADER, "a commit log")
+    if live is None:
+        raise AuditError(f"no commit log at {wal_path!r}")
+    live_frames, live_end = _frames(live, walfmt.LOG_HEADER, wal_path)
+    recorded = 0
+    if live_frames and live_frames[0][1] == walfmt.KIND_MARKER:
+        recorded = _marker(live_frames[0][2])[2]
+    frames = []
+    if recorded:
+        archive = _read(archive_path, walfmt.ARCHIVE_HEADER,
+                        "an audit archive")
+        if archive is None or len(archive) < recorded:
             raise AuditError(
-                f"record {index} is missing fields {missing}")
-        if record["seq"] != index:
-            raise AuditError(
-                f"sequence break at record {index}: found seq "
-                f"{record['seq']} (a record was spliced out or "
-                f"reordered)")
-        if record["prev"] != prev:
-            raise AuditError(
-                f"chain break at record {index}: prev {record['prev']!r} "
-                f"does not match the preceding hash {prev!r}")
-        expected = chain_hash(prev, record)
-        if record["hash"] != expected:
-            raise AuditError(
-                f"hash mismatch at record {index}: content was altered")
-        prev = record["hash"]
-        records.append(record)
+                f"sealed archive {archive_path!r} is missing or "
+                f"truncated: the commit log records {recorded} bytes")
+        sealed, end = _frames(archive[:recorded], walfmt.ARCHIVE_HEADER,
+                              archive_path)
+        if end != recorded:
+            raise AuditError(f"sealed archive {archive_path!r} is "
+                             f"corrupt at byte {end}")
+        frames += [(kind, payload, True) for _o, kind, payload in sealed]
+    frames += [(kind, payload, False) for _o, kind, payload in live_frames]
 
+    chain = AuditChain(torn_bytes=len(live) - live_end)
+    tip = walfmt.GENESIS
+    if frames and frames[0][0] == walfmt.KIND_MARKER:
+        chain.origin, tip = _marker(frames[0][1])[:2]
+    seq = chain.origin
     head = read_head(head_path)
+    anchored = None
+    answered: set[int] = set()
+    for index, (kind, payload, sealed) in enumerate(frames):
+        frame = seq + 1
+        if kind == walfmt.KIND_MARKER:
+            base_seq, base_hash = _marker(payload)[:2]
+            if (base_seq, base_hash) != (seq, tip):
+                raise AuditError(
+                    f"chain break at frame {frame}: its snapshot marker "
+                    f"continues from frame {base_seq}, not from the "
+                    f"chain at frame {seq}")
+            if not sealed and index != len(frames) - len(live_frames):
+                raise AuditError(f"frame {frame}: snapshot marker inside "
+                                 f"the live log")
+        elif kind in (walfmt.KIND_REQUEST, walfmt.KIND_DIGEST):
+            if sealed != (kind == walfmt.KIND_DIGEST):
+                raise AuditError(
+                    f"frame {frame}: {walfmt.KIND_NAMES[kind]} frame in "
+                    f"the {'archive' if sealed else 'live log'}")
+            chain.requests[frame] = \
+                payload if kind == walfmt.KIND_REQUEST else None
+        else:
+            chain.records.append(_outcome(frame, payload, chain.requests,
+                                          answered))
+        seq = frame
+        tip = walfmt.link(tip, kind, payload)
+        if kind == walfmt.KIND_OUTCOME:
+            chain.records[-1]["hash"] = tip.hex()
+        if head is not None and seq == head[1]:
+            anchored = tip
+    chain.seq, chain.head = seq, tip.hex()
+    chain.pending = [r for r in chain.requests if r not in answered]
+
     if head is None:
-        if require_head and records:
-            raise AuditError(
-                f"audit head {head_path!r} is missing; cannot rule out "
-                f"a truncated tail")
-    else:
-        head_seq, head_hash = head
-        if head_seq > len(records):
-            raise AuditError(
-                f"truncated tail: head acknowledges record {head_seq} "
-                f"but the log ends at {len(records)}")
-        if head_seq >= 1 and records[head_seq - 1]["hash"] != head_hash:
-            raise AuditError(
-                f"head anchor mismatch at record {head_seq}: the "
-                f"anchored hash does not match the log")
-    return records
+        if require_head and frames:
+            raise AuditError(f"audit head {head_path!r} is missing; cannot "
+                             f"rule out a truncated tail")
+        return chain
+    origin, head_seq, head_hash = head
+    if head_seq > seq:
+        raise AuditError(
+            f"truncated tail: head acknowledges frame {head_seq} but the "
+            f"log ends {'torn ' if chain.torn_bytes else ''}at {seq}")
+    if anchored != head_hash:
+        raise AuditError(f"head anchor mismatch at frame {head_seq}: the "
+                         f"anchored hash does not match the log")
+    if origin != chain.origin:
+        raise AuditError(f"chain origin mismatch: the head records "
+                         f"evidence after frame {origin}, the log starts "
+                         f"after frame {chain.origin}")
+    return chain
 
 
-def tail_records(path: str, count: int = 10) -> list[dict]:
-    """The last ``count`` raw records (for ``repro-vault audit tail``)."""
-    records = list(iter_records(path))
+def _marker(payload: bytes) -> tuple[int, bytes, int, bytes]:
+    try:
+        return walfmt.decode_marker(payload)
+    except ProtocolError as exc:
+        raise AuditError(str(exc)) from None
+
+
+def _outcome(frame: int, payload: bytes,
+             requests: dict[int, Optional[bytes]],
+             answered: set[int]) -> dict:
+    try:
+        request_seq, document = walfmt.decode_outcome(payload)
+        record = json.loads(document)
+    except (ProtocolError, ValueError) as exc:
+        raise AuditError(f"outcome frame {frame} is unreadable: {exc}") \
+            from None
+    if not isinstance(record, dict):
+        raise AuditError(f"outcome frame {frame} is not a JSON object")
+    if request_seq not in requests or request_seq in answered:
+        raise AuditError(
+            f"outcome frame {frame} names frame {request_seq}, which is "
+            f"not a request awaiting its outcome (a frame was spliced "
+            f"out or reordered)")
+    answered.add(request_seq)
+    record["seq"], record["req"] = frame, request_seq
+    return record
+
+
+def tail_records(archive_path: str, wal_path: str,
+                 count: int = 10) -> list[dict]:
+    """The last ``count`` outcome records (for ``repro-vault audit
+    tail``); the chain is walked but the head is not required."""
+    records = verify_log(archive_path, wal_path,
+                         require_head=False).records
     return records[-count:] if count > 0 else []

@@ -207,10 +207,10 @@ OP_RETRIES = REGISTRY.counter(
 
 AUDIT_RECORDS = REGISTRY.counter(
     "repro_audit_records_total",
-    "Records appended to the hash-chained audit log")
+    "Outcome frames appended to the commit log's audit chain")
 AUDIT_APPEND_SECONDS = REGISTRY.histogram(
     "repro_audit_append_seconds",
-    "Latency of one audit append (chain hash + write + fsync + head)",
+    "Latency of one outcome-frame append (chain hash + unsynced write)",
     (), DISK_BUCKETS)
 
 # ---------------------------------------------------------------------

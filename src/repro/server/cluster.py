@@ -3,7 +3,7 @@
 Each shard is a complete, isolated server unit -- its own
 :class:`~repro.server.server.CloudServer` (lock table, replay caches,
 view cache), its own write-ahead :class:`~repro.server.wal.CommitLog`,
-its own checkpoint image and audit chain, optionally its own TCP host.
+its own checkpoint image and audit archive, optionally its own TCP host.
 Nothing is shared between shards except the process, so a shard crash,
 recovery, or checkpoint never touches its siblings, and
 durable-mutation throughput scales with the number of independent WAL
@@ -110,10 +110,16 @@ class ShardCluster:
     * ``wal_factory`` given -- each unit gets a fresh server with
       ``wal_factory(wal_path)`` attached (the stress harness and the
       shard-scaling benchmark, which inject their own log subclasses);
+      with ``audit`` it is called as ``wal_factory(wal_path,
+      archive=audit_path)``;
     * ``durable=True`` -- each unit is rebuilt by
       :func:`~repro.server.wal.recover_server` from its checkpoint image
       plus WAL (the ``serve --shards N --durable`` path);
     * neither -- plain in-memory servers.
+
+    ``audit=True`` makes each unit's WAL its audit chain (outcome
+    frames, head anchor, archive sealed at ``<shard>/audit.log``); it
+    needs ``durable`` or ``wal_factory``.
 
     ``fresh=True`` deletes any existing per-shard state files first
     (stress runs and tests that must not inherit a previous run's log).
@@ -123,7 +129,7 @@ class ShardCluster:
                  transport: str = "loopback",
                  data_dir: str | None = None,
                  durable: bool = False,
-                 audit: bool = False, audit_sync: str = "always",
+                 audit: bool = False,
                  group_commit: bool = False,
                  max_conns: int | None = None,
                  base_port: int = 0,
@@ -140,6 +146,9 @@ class ShardCluster:
         if durable and wal_factory is not None:
             raise ValueError("durable recovery and wal_factory are "
                              "mutually exclusive")
+        if audit and not durable and wal_factory is None:
+            raise ValueError("audit needs a WAL: pass durable=True or "
+                             "wal_factory")
         if storage_backend not in BACKENDS:
             raise ValueError(f"unknown storage backend {storage_backend!r}")
         self.params = params if params is not None else Params()
@@ -178,27 +187,33 @@ class ShardCluster:
                 unit.server = recover_server(
                     unit.image_path, unit.wal_path, self.params,
                     group_commit=group_commit, engine=unit.engine,
-                    cache_nodes=cache_nodes)
+                    cache_nodes=cache_nodes,
+                    audit_path=unit.audit_path if audit else None)
                 unit.wal = unit.server.wal
+                unit.audit = unit.server.audit
             else:
                 unit.server = CloudServer(self.params)
                 if unit.engine is not None:
                     unit.server.attach_engine(unit.engine,
                                               cache_nodes=cache_nodes)
                 if wal_factory is not None:
-                    unit.wal = wal_factory(unit.wal_path)
+                    if audit:
+                        unit.wal = wal_factory(unit.wal_path,
+                                               archive=unit.audit_path)
+                    else:
+                        unit.wal = wal_factory(unit.wal_path)
                     unit.server.attach_wal(unit.wal)
-            if audit:
-                from repro.obs.audit import AuditLog
-                unit.audit = AuditLog(unit.audit_path, sync=audit_sync)
-                unit.server.attach_audit(unit.audit)
+                if audit:
+                    from repro.obs.audit import AuditLog
+                    unit.audit = AuditLog(unit.wal)
+                    unit.server.attach_audit(unit.audit)
             self.units.append(unit)
 
     @staticmethod
     def _wipe(unit: ShardUnit) -> None:
-        from repro.obs import audit as audit_mod
+        from repro.server.wal import head_path_for
         stale_paths = [unit.wal_path, unit.image_path, unit.audit_path,
-                       audit_mod.head_path_for(unit.audit_path)]
+                       head_path_for(unit.audit_path)]
         if unit.engine_path is not None:
             # SQLite leaves journal/WAL sidecars next to the database.
             stale_paths.extend(unit.engine_path + suffix for suffix in
@@ -232,8 +247,6 @@ class ShardCluster:
         for unit in self.units:
             if unit.wal is not None:
                 unit.wal.close()
-            if unit.audit is not None:
-                unit.audit.close()
             if unit.engine is not None:
                 unit.engine.close()
 
@@ -350,14 +363,15 @@ class ShardCluster:
             unit.engine.close()
             from repro.server.engine import make_engine
             unit.engine = make_engine(self.storage_backend, unit.engine_path)
+        audit_path = unit.audit_path if unit.audit is not None else None
         unit.server = recover_server(unit.image_path, unit.wal_path,
                                      self.params,
                                      group_commit=self.group_commit,
                                      engine=unit.engine,
-                                     cache_nodes=self.cache_nodes)
+                                     cache_nodes=self.cache_nodes,
+                                     audit_path=audit_path)
         unit.wal = unit.server.wal
-        if unit.audit is not None:
-            unit.server.attach_audit(unit.audit)
+        unit.audit = unit.server.audit
         return unit.server
 
     # ------------------------------------------------------------------
@@ -392,5 +406,6 @@ class ShardCluster:
                    if unit.wal is not None)
 
     def total_audit_records(self) -> int:
-        return sum(unit.audit.seq for unit in self.units
+        """Outcome frames written by every shard's audit writer."""
+        return sum(unit.audit.appended for unit in self.units
                    if unit.audit is not None)

@@ -95,6 +95,9 @@ class CloudServer:
     #: steady state and the next requests simply rebuild).
     VIEW_CACHE_LIMIT = 4096
 
+    #: ``(seq, audit)`` while :meth:`replay_bytes` re-executes a frame.
+    _replaying = None
+
     #: Serve read replies (access/fetch/challenge views) from the per-file
     #: view cache.  Replies are cached *after* assembly and invalidated
     #: under the file's exclusive lock on every mutation, so a cached
@@ -108,7 +111,7 @@ class CloudServer:
         self.ctx = WireContext(modulator_width=self.params.modulator_size)
         self._files: dict[int, ServerFile] = {}
         self.wal = wal
-        self.audit = audit
+        self.audit = None
         #: Out-of-core storage engine (:mod:`repro.server.engine`); when
         #: attached, files are paged in on demand instead of resident.
         self.engine = None
@@ -120,6 +123,8 @@ class CloudServer:
         self._applied: OrderedDict[int, msg.Message] = OrderedDict()
         self._crash_point: Optional[str] = None
         self._init_locks()
+        if audit is not None:
+            self.attach_audit(audit)
         if engine is not None:
             self.attach_engine(engine)
 
@@ -203,14 +208,18 @@ class CloudServer:
             self.restore_replay_cache(entries)
 
     def attach_audit(self, audit) -> None:
-        """Start emitting tamper-evident audit records for mutations.
+        """Start writing an outcome frame into the WAL for every mutation.
 
-        ``audit`` is an :class:`~repro.obs.audit.AuditLog` (anything with
-        an ``append(dict)`` method works).  Every mutating request that
-        reaches its handler -- applied or rejected -- is recorded under
-        the file's lock, so per-file audit order equals apply order and
-        matches the WAL record order exactly.
+        ``audit`` is an :class:`~repro.obs.audit.AuditLog` over the
+        attached WAL: the audit chain *is* the commit log, so a WAL must
+        be attached first.  Every mutating request that reaches its
+        handler -- applied or rejected -- gets its outcome written under
+        the file's lock, right after its request frame and before the
+        next request on that file.
         """
+        if self.wal is None or audit.wal is not self.wal:
+            raise ReproError("the audit chain lives in the commit log: "
+                             "attach a WAL and audit that same log")
         self.audit = audit
 
     def arm_crash(self, point: str) -> None:
@@ -223,6 +232,20 @@ class CloudServer:
     def disarm_crash(self) -> None:
         """Clear an armed crash point that did not fire."""
         self._crash_point = None
+
+    def replay_bytes(self, data: bytes, seq: int, audit=None) -> None:
+        """Re-execute logged request frame ``seq`` (crash recovery).
+
+        The request is not logged again; with ``audit`` given (the
+        frame has no outcome yet) its outcome frame is written from this
+        replay.  Recovery is single-threaded, so the replay context is a
+        plain attribute.
+        """
+        self._replaying = (seq, audit)
+        try:
+            self.handle_bytes(data)
+        finally:
+            self._replaying = None
 
     def _fire_crash(self, point: str) -> None:
         if self._crash_point == point:
@@ -319,6 +342,7 @@ class CloudServer:
                                          f"{type(request).__name__}")
         mutating = isinstance(request, MUTATING_REQUESTS)
         request_id = getattr(request, "request_id", 0) if mutating else 0
+        replay = self._replaying
         if request_id:
             with self._applied_mutex:
                 cached = self._applied.get(request_id)
@@ -331,23 +355,35 @@ class CloudServer:
                               cache="request_id", request_id=request_id,
                               type=type(request).__name__)
             if cached is not None:
+                if replay is not None and replay[1] is not None:
+                    # A replayed frame whose effect the checkpoint
+                    # already holds: its versions are no longer known.
+                    self._emit_audit(replay[1], replay[0], request,
+                                     cached, None, None)
                 return cached  # retransmission: answer, do not re-apply
         try:
             with self._lock_scope(request, mutating):
+                audit, seq = None, 0
                 if mutating:
-                    if self.wal is not None:
-                        # Durable before applied: the encode is
-                        # deterministic, so the log holds exactly the
-                        # bytes the wire carried.  Appending under the
-                        # per-file lock keeps WAL order identical to
-                        # apply order for each file.
-                        self.wal.append(msg.encode_message(self.ctx, request))
+                    if replay is not None:
+                        seq, audit = replay
+                    else:
+                        audit = self.audit
+                        if self.wal is not None:
+                            # Durable before applied: the encode is
+                            # deterministic, so the log holds exactly
+                            # the bytes the wire carried.  Appending
+                            # under the per-file lock keeps WAL order
+                            # identical to apply order for each file.
+                            seq = self.wal.append(
+                                msg.encode_message(self.ctx, request))
                     self._fire_crash(CRASH_POINT_BEFORE_APPLY)
-                audited = mutating and self.audit is not None
-                version_before = self._version_of(request) if audited else None
+                version_before = None
+                if audit is not None:
+                    version_before = self._version_of(request)
                 # Handler failures are converted to ErrorReply HERE,
-                # inside the lock scope, so the audit record of a
-                # rejected mutation is emitted in apply order too (the
+                # inside the lock scope, so the outcome frame of a
+                # rejected mutation is written in apply order too (the
                 # WAL already holds the request either way).
                 try:
                     reply = handler(request)
@@ -364,8 +400,10 @@ class CloudServer:
                 else:
                     if mutating:
                         self._fire_crash(CRASH_POINT_AFTER_APPLY)
-                if audited:
-                    self._emit_audit(request, reply, version_before)
+                if audit is not None:
+                    self._emit_audit(audit, seq, request, reply,
+                                     version_before,
+                                     self._version_of(request))
         except SimulatedCrash:
             raise
         except UnknownItemError as exc:
@@ -387,15 +425,19 @@ class CloudServer:
         if file_id is None:
             return None
         state = self._files.get(file_id)
+        if state is None and self.engine is not None:
+            state = self._materialise(file_id)
         return None if state is None else state.version
 
-    def _emit_audit(self, request: msg.Message, reply: msg.Message,
-                    version_before: Optional[int]) -> None:
-        """Append one chained audit record (file lock held).
+    def _emit_audit(self, audit, seq: int, request: msg.Message,
+                    reply: msg.Message, version_before: Optional[int],
+                    version_after: Optional[int]) -> None:
+        """Write the outcome frame of request frame ``seq`` (file lock
+        held).
 
-        Runs under the same lock scope as the apply, so the audit log's
-        per-file record order is exactly the apply order (and therefore
-        the WAL order) -- the property the stress harness verifies.
+        Runs under the same lock scope as the apply, so a file's outcome
+        frames follow its request frames in apply order -- the property
+        the stress harness verifies.
         """
         items: list[int] = []
         item_id = getattr(request, "item_id", None)
@@ -405,17 +447,18 @@ class CloudServer:
         error = isinstance(reply, msg.ErrorReply)
         context = current_trace()
         record = {
+            "req": seq,
             "op": type(request).__name__,
             "request_id": getattr(request, "request_id", 0),
             "trace_id": None if context is None else context.trace_id_hex,
             "file_id": getattr(request, "file_id", None),
             "items": items,
             "version_before": version_before,
-            "version_after": self._version_of(request),
+            "version_after": version_after,
             "ok": not error,
             "code": reply.code if error else None,
         }
-        self.audit.append(record)
+        audit.append(record)
 
     # ------------------------------------------------------------------
     # Concurrency control
@@ -1059,6 +1102,10 @@ class CloudServer:
                  "dirty_records": 0}
         with self._registry_lock.exclusive(scope="registry"):
             self._fire_crash(CRASH_POINT_BEFORE_FLUSH)
+            if self.wal is not None:
+                # Outcome frames durable before the engine absorbs
+                # their requests (replay could no longer re-derive them).
+                self.wal.sync()
             for file_id, state in sorted(self._files.items()):
                 self._flush_file(file_id, state, stats)
             self.engine.set_replay_entries(

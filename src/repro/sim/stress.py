@@ -42,12 +42,14 @@ invariants:
    snapshot plus the WAL tail left by mid-run compaction) reproduces
    that shard's exact per-file state, byte for byte (modulators, item
    maps, ciphertexts, versions);
-6. **audit chain** -- each shard's tamper-evident audit log verifies end
-   to end (hash chain, sequence numbers, head anchor) and its per-file
-   record sequence equals that shard's WAL-decoded op history exactly
-   (the WAL history is a *suffix* of the audit history when mid-run
-   compaction truncated the log) -- the evidence trail matches what was
-   actually committed.
+6. **audit chain** -- each shard's commit log is its audit chain: the
+   sealed archive plus the live log verify end to end (CRC frames, hash
+   chain across every compaction, head anchor); every request frame
+   has exactly one outcome frame, and a file's outcomes follow its
+   requests in order (matching the decoded request where the payload
+   is still live); and a file's consecutive successful outcomes chain
+   ``version_after`` to ``version_before`` -- the evidence trail matches
+   what was actually committed.
 
 With ``backend`` set to ``sqlite``, every shard pages its
 files from a storage engine and a compactor thread races
@@ -466,20 +468,17 @@ def run_stress(config: StressConfig) -> StressReport:
     report = StressReport(config=config)
     start = time.perf_counter()
 
-    # Every shard is an isolated server + WAL + audit chain; routing to
+    # Every shard is an isolated server + WAL-as-audit-chain; routing to
     # it goes through the consistent-hash ring regardless of transport.
     # The async transport exercises the group-commit WAL path: many
     # pipelined mutators coalescing into shared fsyncs, with the usual
-    # per-shard WAL-replay invariant still checked at the end.  Audit
-    # fsyncs are off: the chain's *structure* is what the invariant
-    # verifies, and the harness runs hundreds of seeded iterations in CI.
+    # per-shard WAL-replay invariant still checked at the end.
     wal_dir = config.wal_dir or tempfile.mkdtemp(prefix="repro-stress-")
     cluster = ShardCluster(
         config.shards, transport=config.transport, data_dir=wal_dir,
-        fresh=True, audit=True, audit_sync="off",
-        storage_backend=config.backend,
-        wal_factory=lambda path: CommitLog(
-            path, group_commit=(config.transport == "async")))
+        fresh=True, audit=True, storage_backend=config.backend,
+        wal_factory=lambda path, **kwargs: CommitLog(
+            path, group_commit=(config.transport == "async"), **kwargs))
 
     channels = []
     try:
@@ -636,7 +635,8 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
     #    still rebuild the live state byte for byte.  Copying mid-test
     #    is safe because the engine file only mutates inside
     #    ``compact_storage`` and the compactor thread has quiesced.
-    wal_payloads_by_shard: dict[int, list[bytes]] = {}
+    for unit in cluster.units:
+        unit.wal.sync()  # queued group-commit outcome frames land
     for unit in cluster.units:
         shard_live = {file_id for file_id, shard_id in placement.items()
                       if shard_id == unit.shard_id}
@@ -665,69 +665,58 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
                 raise InvariantViolation(
                     f"shard {unit.shard_id}: WAL replay diverged on "
                     f"file {file_id}")
-        wal_payloads_by_shard[unit.shard_id] = recovered.wal.records()
         recovered.wal.close()
         if tmp_engine is not None:
             tmp_engine.close()
     report.invariants.append("wal-replay-reproduces-state")
 
-    # 6. Each shard's audit chain verifies untampered and its per-file
-    #    record sequence equals that shard's WAL-decoded op history.
-    #    (Per-file, not global: both logs append under the per-file
-    #    lock, so different files' records may interleave differently
-    #    between the two.)
+    # 6. Each shard's commit log verifies as an audit chain (archive
+    #    plus live log), every request frame carries exactly one outcome
+    #    frame in per-file order, and a file's successful outcomes chain
+    #    their versions.
     for unit in cluster.units:
-        wal_payloads = wal_payloads_by_shard[unit.shard_id]
-        try:
-            audit_records = audit_mod.verify_log(unit.audit_path)
-        except audit_mod.AuditError as exc:
-            raise InvariantViolation(
-                f"shard {unit.shard_id}: audit chain failed to verify: "
-                f"{exc}")
-        compacted = unit.wal is not None and unit.wal.compactions > 0
-        if not compacted and len(audit_records) != len(wal_payloads):
-            raise InvariantViolation(
-                f"shard {unit.shard_id}: audit log holds "
-                f"{len(audit_records)} records, WAL holds "
-                f"{len(wal_payloads)} -- a mutation escaped the trail")
-        if compacted and len(audit_records) < len(wal_payloads):
-            raise InvariantViolation(
-                f"shard {unit.shard_id}: audit log holds "
-                f"{len(audit_records)} records, compacted WAL still "
-                f"holds {len(wal_payloads)} -- a mutation escaped the "
-                f"trail")
-        wal_history: dict[int, list[tuple[str, int]]] = {}
-        for payload in wal_payloads:
-            request = msg.decode_message(unit.server.ctx, payload)
-            wal_history.setdefault(request.file_id, []).append(
-                (type(request).__name__,
-                 getattr(request, "request_id", 0)))
-        audit_history: dict[int, list[tuple[str, int]]] = {}
-        for record in audit_records:
-            audit_history.setdefault(record["file_id"], []).append(
-                (record["op"], record["request_id"]))
-        if compacted:
-            # Compaction truncated the WAL mid-run, so each file's WAL
-            # sequence is the *suffix* of its audit sequence (the audit
-            # chain keeps the full history by design -- it is the
-            # deletion evidence trail, never truncated).
-            for file_id, ops in wal_history.items():
-                audit_ops = audit_history.get(file_id, [])
-                if (len(ops) > len(audit_ops)
-                        or ops != audit_ops[len(audit_ops) - len(ops):]):
-                    raise InvariantViolation(
-                        f"shard {unit.shard_id}: file {file_id}: "
-                        f"compacted WAL history is not a suffix of the "
-                        f"audit history")
-        elif audit_history != wal_history:
-            diverged = sorted(
-                file_id for file_id in
-                set(wal_history) | set(audit_history)
-                if wal_history.get(file_id) != audit_history.get(file_id))
-            raise InvariantViolation(
-                f"shard {unit.shard_id}: audit history diverged from "
-                f"the WAL on files {diverged}")
+        _verify_audit_chain(unit)
     report.invariants.append("audit-chain-matches-history")
+
+
+def _verify_audit_chain(unit) -> None:
+    shard = f"shard {unit.shard_id}"
+    try:
+        chain = audit_mod.verify_log(unit.audit_path, unit.wal_path)
+    except audit_mod.AuditError as exc:
+        raise InvariantViolation(f"{shard}: audit chain failed to verify: "
+                                 f"{exc}")
+    if chain.pending:
+        raise InvariantViolation(
+            f"{shard}: request frames {chain.pending[:5]} have no outcome "
+            f"frame -- a mutation escaped the trail")
+    last_request: dict[int, int] = {}
+    last_version: dict[int, object] = {}
+    for record in chain.records:
+        file_id = record["file_id"]
+        if record["req"] <= last_request.get(file_id, 0):
+            raise InvariantViolation(
+                f"{shard}: file {file_id}: outcome frame {record['seq']} "
+                f"is out of its requests' order")
+        last_request[file_id] = record["req"]
+        payload = chain.requests[record["req"]]
+        if payload is not None:
+            request = msg.decode_message(unit.server.ctx, payload)
+            if (type(request).__name__, request.file_id,
+                    getattr(request, "request_id", 0)) != \
+                    (record["op"], file_id, record["request_id"]):
+                raise InvariantViolation(
+                    f"{shard}: outcome frame {record['seq']} does not "
+                    f"describe its request frame {record['req']}")
+        if not record["ok"]:
+            continue
+        if file_id in last_version and \
+                last_version[file_id] != record["version_before"]:
+            raise InvariantViolation(
+                f"{shard}: file {file_id}: outcome frame {record['seq']} "
+                f"starts at version {record['version_before']}, the "
+                f"previous one ended at {last_version[file_id]}")
+        last_version[file_id] = record["version_after"]
 
 
 def _verify_theorem2(tenant: _Tenant) -> None:

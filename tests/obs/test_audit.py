@@ -1,43 +1,77 @@
 """The tamper-evident audit chain: appends, recovery, tamper detection.
 
-The acceptance bar (ISSUE 8): a flipped byte, a truncated tail, and a
-spliced-out record must each fail verification, while an untampered log
-verifies clean and mirrors what the server actually applied.
+The audit chain is the commit log itself: request frames, the outcome
+frame after each, the head anchor, and the archive compaction seals.
+A flipped byte, a truncated tail, a spliced-out frame and a rewritten
+tail must each fail verification -- in the live log and in the sealed
+archive -- while an untampered log verifies clean and mirrors what the
+server actually applied.
 """
 
-import json
 import os
 import pickle
 
 import pytest
 
+from repro.core.errors import ReproError
 from repro.crypto.rng import DeterministicRandom
 from repro.fs.filesystem import OutsourcedFileSystem
 from repro.obs import audit as audit_mod
-from repro.obs.audit import (GENESIS, AuditError, AuditLog, chain_hash,
-                             head_path_for, verify_log)
+from repro.obs.audit import AuditError, AuditLog, read_head, verify_log
 from repro.protocol import messages as msg
 from repro.server.server import CloudServer
+from repro.server.wal import (ARCHIVE_HEADER, GENESIS, KIND_DIGEST,
+                              KIND_MARKER, KIND_OUTCOME, CommitLog,
+                              decode_marker, encode_frame, encode_outcome,
+                              head_path_for, link, split_frames)
+
+HEADER_SIZE = 6  # magic + u16 version, for the log and the archive
 
 
-def _fill(path, ops):
-    with AuditLog(str(path)) as log:
+class Paths:
+    def __init__(self, tmp_path):
+        self.wal = str(tmp_path / "server.wal")
+        self.archive = str(tmp_path / "audit.log")
+        self.head = head_path_for(self.archive)
+
+    def open(self, **kwargs):
+        return CommitLog(self.wal, archive=self.archive, **kwargs)
+
+    def verify(self, **kwargs):
+        return verify_log(self.archive, self.wal, **kwargs)
+
+
+def _outcome(op, seq):
+    return {"req": seq, "op": op, "request_id": 1, "file_id": 7,
+            "items": [], "version_before": 0, "version_after": 1,
+            "ok": True, "code": None, "trace_id": None}
+
+
+def _fill(tmp_path, ops):
+    """One request frame plus its outcome frame per op, as the server
+    writes them; closing the log anchors the last outcome."""
+    paths = Paths(tmp_path)
+    with paths.open() as wal:
+        audit = AuditLog(wal)
         for op in ops:
-            log.append({"op": op, "request_id": 1, "file_id": 7,
-                        "items": [], "version_before": 0,
-                        "version_after": 1, "ok": True, "code": None,
-                        "trace_id": None})
-    return str(path)
+            audit.append(_outcome(op, wal.append(op.encode())))
+    return paths
 
 
-def _lines(path):
-    with open(path, encoding="utf-8") as handle:
-        return handle.read().splitlines()
+def _frames(path, header_size=HEADER_SIZE):
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return data, split_frames(data, header_size)[0]
 
 
-def _write_lines(path, lines):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + ("\n" if lines else ""))
+def _frame_end(frame):
+    offset, _kind, payload = frame
+    return offset + 8 + len(payload)
+
+
+def _write(path, data):
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 # ---------------------------------------------------------------------
@@ -45,55 +79,72 @@ def _write_lines(path, lines):
 # ---------------------------------------------------------------------
 
 def test_appends_chain_and_verify_clean(tmp_path):
-    path = _fill(tmp_path / "a.log", ["DeleteCommit", "InsertCommit",
-                                      "ModifyCommit"])
-    records = verify_log(path)
-    assert [r["seq"] for r in records] == [1, 2, 3]
-    assert records[0]["prev"] == GENESIS
-    assert records[1]["prev"] == records[0]["hash"]
-    assert records[2]["prev"] == records[1]["hash"]
-    for record in records:
-        assert record["hash"] == chain_hash(record["prev"], record)
+    paths = _fill(tmp_path, ["DeleteCommit", "InsertCommit",
+                             "ModifyCommit"])
+    chain = paths.verify()
+    assert [r["op"] for r in chain.records] == ["DeleteCommit",
+                                               "InsertCommit",
+                                               "ModifyCommit"]
+    assert [r["seq"] for r in chain.records] == [2, 4, 6]
+    assert [r["req"] for r in chain.records] == [1, 3, 5]
+    assert sorted(chain.requests) == [1, 3, 5]
+    assert chain.pending == []
+    # Every frame links onto its predecessor: hᵢ = H(hᵢ₋₁ ‖ kind ‖ H(p)).
+    tip, hashes = GENESIS, {}
+    for seq, (_offset, kind, payload) in enumerate(_frames(paths.wal)[1],
+                                                   start=1):
+        tip = link(tip, kind, payload)
+        hashes[seq] = tip.hex()
+    assert [r["hash"] for r in chain.records] == \
+        [hashes[2], hashes[4], hashes[6]]
+    assert chain.head == hashes[6]
 
 
 def test_head_file_anchors_the_tail(tmp_path):
-    path = _fill(tmp_path / "a.log", ["DeleteCommit", "DeleteCommit"])
-    head = json.load(open(head_path_for(path)))
-    records = verify_log(path)
-    assert head["seq"] == 2
-    assert head["hash"] == records[-1]["hash"]
+    paths = _fill(tmp_path, ["DeleteCommit", "DeleteCommit"])
+    origin, seq, digest = read_head(paths.head)
+    chain = paths.verify()
+    assert (origin, seq) == (0, 4)
+    assert digest.hex() == chain.head
+    # Fixed layout, overwritten in place: two slots, never a temp file.
+    assert os.path.getsize(paths.head) == 6 + 2 * 52
+    assert not os.path.exists(paths.head + ".tmp")
 
 
 def test_reopen_continues_the_chain(tmp_path):
-    path = str(tmp_path / "a.log")
-    with AuditLog(path) as log:
-        log.append({"op": "DeleteCommit"})
-    with AuditLog(path) as log:
-        assert log.seq == 1
-        log.append({"op": "InsertCommit"})
-    records = verify_log(path)
-    assert [r["op"] for r in records] == ["DeleteCommit", "InsertCommit"]
+    paths = Paths(tmp_path)
+    with paths.open() as wal:
+        AuditLog(wal).append(_outcome("DeleteCommit", wal.append(b"d")))
+    with paths.open() as wal:
+        assert wal.seq == 2
+        AuditLog(wal).append(_outcome("InsertCommit", wal.append(b"i")))
+    assert [r["op"] for r in paths.verify().records] == \
+        ["DeleteCommit", "InsertCommit"]
 
 
 def test_torn_unacknowledged_tail_is_truncated_on_open(tmp_path):
-    path = _fill(tmp_path / "a.log", ["DeleteCommit"])
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"seq": 2, "op": "Inse')  # crash mid-append
-    with AuditLog(path) as log:
-        assert log.seq == 1
-        log.append({"op": "ModifyCommit"})
-    assert [r["op"] for r in verify_log(path)] == \
+    paths = _fill(tmp_path, ["DeleteCommit"])
+    with open(paths.wal, "ab") as handle:  # crash mid-append
+        handle.write(encode_frame(0, b"InsertCommit")[:11])
+    assert paths.verify().torn_bytes == 11  # past the head: tolerated
+    with paths.open() as wal:
+        assert wal.seq == 2
+        AuditLog(wal).append(_outcome("ModifyCommit", wal.append(b"m")))
+    assert [r["op"] for r in paths.verify().records] == \
         ["DeleteCommit", "ModifyCommit"]
 
 
 def test_torn_tail_the_head_acknowledges_is_an_error(tmp_path):
-    # If the head says record 2 is durable but the log ends torn at 1,
-    # the tail was tampered with (or the head was forged) -- refuse.
-    path = _fill(tmp_path / "a.log", ["DeleteCommit", "InsertCommit"])
-    lines = _lines(path)
-    _write_lines(path, lines[:1] + [lines[1][:20]])
-    with pytest.raises(AuditError, match="head acknowledges"):
-        AuditLog(path)
+    # If the head says frame 4 is durable but the log ends torn at 3,
+    # the tail was tampered with (or the head was forged) -- refuse to
+    # open, never truncate acknowledged history away.
+    paths = _fill(tmp_path, ["DeleteCommit", "InsertCommit"])
+    data, frames = _frames(paths.wal)
+    _write(paths.wal, data[:frames[-1][0] + 10])
+    with pytest.raises(AuditError, match="head acknowledges frame 4"):
+        paths.open()
+    with pytest.raises(AuditError, match="truncated tail"):
+        paths.verify()
 
 
 # ---------------------------------------------------------------------
@@ -101,62 +152,121 @@ def test_torn_tail_the_head_acknowledges_is_an_error(tmp_path):
 # ---------------------------------------------------------------------
 
 def test_flipped_byte_is_detected(tmp_path):
-    path = _fill(tmp_path / "a.log", ["DeleteCommit", "InsertCommit",
-                                      "ModifyCommit"])
-    with open(path, "rb") as handle:
-        data = bytearray(handle.read())
-    # Flip one byte inside the second record's op name.
-    position = data.find(b"InsertCommit")
-    data[position] ^= 0x01
-    with open(path, "wb") as handle:
-        handle.write(bytes(data))
-    with pytest.raises(AuditError, match="hash mismatch at record 2"):
-        verify_log(path)
+    paths = _fill(tmp_path, ["DeleteCommit", "InsertCommit",
+                             "ModifyCommit"])
+    data, frames = _frames(paths.wal)
+    offset, kind, payload = frames[3]  # the InsertCommit outcome
+    position = data.index(b"InsertCommit", offset)
+    flipped = bytearray(data)
+    flipped[position] ^= 0x01
+    _write(paths.wal, bytes(flipped))
+    # The frame's CRC fails: everything from frame 4 on is unreadable,
+    # yet the head acknowledges frame 6.
+    with pytest.raises(AuditError, match="head acknowledges frame 6 but "
+                                         "the log ends torn at 3"):
+        paths.verify()
+    # Re-framing the altered payload with a fresh CRC moves the chain
+    # off the anchored hash instead.
+    forged = payload.replace(b"InsertCommit", b"InsertCommiu")
+    _write(paths.wal, data[:offset] + encode_frame(kind, forged)
+           + data[_frame_end(frames[3]):])
+    with pytest.raises(AuditError, match="head anchor mismatch"):
+        paths.verify()
 
 
 def test_spliced_out_record_is_detected(tmp_path):
-    path = _fill(tmp_path / "a.log", ["DeleteCommit", "InsertCommit",
-                                      "ModifyCommit"])
-    lines = _lines(path)
-    _write_lines(path, [lines[0], lines[2]])  # drop the middle record
-    with pytest.raises(AuditError, match="sequence break at record 2"):
-        verify_log(path)
+    paths = _fill(tmp_path, ["DeleteCommit", "InsertCommit",
+                             "ModifyCommit"])
+    data, frames = _frames(paths.wal)
+    # Drop the middle request frame: its outcome now names a frame that
+    # is not a request awaiting one.
+    _write(paths.wal, data[:frames[2][0]] + data[frames[3][0]:])
+    with pytest.raises(AuditError, match="spliced out"):
+        paths.verify()
+    # Drop the middle request AND outcome: every later outcome now
+    # names the wrong frame too.
+    _write(paths.wal, data[:frames[2][0]] + data[frames[4][0]:])
+    with pytest.raises(AuditError, match="outcome frame 4 names frame 5"):
+        paths.verify()
 
 
 def test_truncated_tail_is_detected_via_the_head(tmp_path):
-    path = _fill(tmp_path / "a.log", ["DeleteCommit", "InsertCommit",
-                                      "ModifyCommit"])
-    lines = _lines(path)
-    _write_lines(path, lines[:2])  # drop the (acknowledged) tail record
+    paths = _fill(tmp_path, ["DeleteCommit", "InsertCommit",
+                             "ModifyCommit"])
+    data, frames = _frames(paths.wal)
+    _write(paths.wal, data[:frames[4][0]])  # drop the acknowledged tail
     with pytest.raises(AuditError, match="truncated tail"):
-        verify_log(path)
+        paths.verify()
     # Without the head anchor the shortened log looks internally valid:
-    # exactly the attack the head file exists to catch.
-    os.unlink(head_path_for(path))
-    assert len(verify_log(path, require_head=False)) == 2
+    # exactly the attack the head exists to catch.
+    os.unlink(paths.head)
+    assert len(paths.verify(require_head=False).records) == 2
 
 
 def test_rewritten_tail_with_rebuilt_chain_fails_the_head_anchor(tmp_path):
-    # An attacker who rewrites the last record AND recomputes its hash
-    # still cannot match the anchored head hash.
-    path = _fill(tmp_path / "a.log", ["DeleteCommit", "InsertCommit"])
-    records = verify_log(path)
-    forged = dict(records[1])
-    forged["op"] = "ModifyCommit"
-    forged["hash"] = chain_hash(forged["prev"], forged)
-    _write_lines(path, [_lines(path)[0],
-                        json.dumps(forged, sort_keys=True,
-                                   separators=(",", ":"))])
+    # An attacker who rewrites the last outcome AND re-frames it (valid
+    # CRC, chain recomputed on the fly) still cannot match the head.
+    paths = _fill(tmp_path, ["DeleteCommit", "InsertCommit"])
+    data, frames = _frames(paths.wal)
+    forged = encode_outcome(3, b'{"code":null,"file_id":7,"items":[],'
+                               b'"ok":true,"op":"ModifyCommit",'
+                               b'"request_id":1,"trace_id":null,'
+                               b'"ts":0,"version_after":1,'
+                               b'"version_before":0}')
+    _write(paths.wal, data[:frames[3][0]]
+           + encode_frame(KIND_OUTCOME, forged))
     with pytest.raises(AuditError, match="head anchor mismatch"):
-        verify_log(path)
+        paths.verify()
 
 
 def test_missing_head_is_an_error_unless_waived(tmp_path):
-    path = _fill(tmp_path / "a.log", ["DeleteCommit"])
-    os.unlink(head_path_for(path))
+    paths = _fill(tmp_path, ["DeleteCommit"])
+    os.unlink(paths.head)
     with pytest.raises(AuditError, match="head .* missing"):
-        verify_log(path)
-    assert len(verify_log(path, require_head=False)) == 1
+        paths.verify()
+    assert len(paths.verify(require_head=False).records) == 1
+
+
+def test_tampered_sealed_archive_is_detected(tmp_path):
+    paths = _fill(tmp_path, ["DeleteCommit", "InsertCommit"])
+    with paths.open() as wal:
+        wal.compact(b"snapshot files=1")
+        AuditLog(wal).append(_outcome("ModifyCommit", wal.append(b"m")))
+    chain = paths.verify()
+    assert [r["op"] for r in chain.records] == \
+        ["DeleteCommit", "InsertCommit", "ModifyCommit"]
+    # Sealing kept digests and outcomes, not request payloads; the live
+    # log's marker carries the archive's size and final hash.
+    sealed, frames = _frames(paths.archive)
+    assert sealed.startswith(ARCHIVE_HEADER)
+    assert [kind for _o, kind, _p in frames] == \
+        [KIND_DIGEST, KIND_OUTCOME] * 2
+    assert chain.requests == {1: None, 3: None, 6: b"m"}
+    tip = GENESIS
+    for _offset, kind, payload in frames:
+        tip = link(tip, kind, payload)
+    marker = _frames(paths.wal)[1][0]
+    assert marker[1] == KIND_MARKER
+    assert decode_marker(marker[2])[:3] == (4, tip, len(sealed))
+
+    # A flipped byte inside the archive.
+    flipped = bytearray(sealed)
+    flipped[frames[1][0] + 20] ^= 0x01
+    _write(paths.archive, bytes(flipped))
+    with pytest.raises(AuditError, match="corrupt"):
+        paths.verify()
+    # A re-framed (CRC-valid) rewrite: the chain no longer reaches the
+    # hash the marker continues from.
+    offset, kind, payload = frames[1]
+    forged = payload.replace(b"DeleteCommit", b"ModifyCommit")
+    _write(paths.archive, sealed[:offset] + encode_frame(kind, forged)
+           + sealed[_frame_end(frames[1]):])
+    with pytest.raises(AuditError, match="chain break at frame 5"):
+        paths.verify()
+    # A truncated archive.
+    _write(paths.archive, sealed[:frames[2][0]])
+    with pytest.raises(AuditError, match="truncated"):
+        paths.verify()
 
 
 # ---------------------------------------------------------------------
@@ -165,42 +275,47 @@ def test_missing_head_is_an_error_unless_waived(tmp_path):
 
 def _fs_with_audit(tmp_path, seed="audit"):
     fs = OutsourcedFileSystem(rng=DeterministicRandom(seed))
-    audit = AuditLog(str(tmp_path / "audit.log"))
-    fs.server.attach_audit(audit)
-    return fs, audit
+    paths = Paths(tmp_path)
+    wal = paths.open()
+    fs.server.attach_wal(wal)
+    fs.server.attach_audit(AuditLog(wal))
+    return fs, paths
 
 
 def test_every_mutation_kind_is_audited(tmp_path):
-    fs, audit = _fs_with_audit(tmp_path)
+    fs, paths = _fs_with_audit(tmp_path)
     f = fs.create_file("a", [b"r0", b"r1", b"r2", b"r3"])
     f.write_record(0, b"new")
     f.append_record(b"r4")
     f.delete_record(1)
     f.delete_many([0, 1])
     fs.delete_file("a")
-    audit.close()
+    fs.server.wal.close()
 
-    records = verify_log(audit.path)
-    ops = [r["op"] for r in records]
+    chain = paths.verify()
+    ops = [r["op"] for r in chain.records]
     for expected in ("OutsourceRequest", "ModifyCommit", "InsertCommit",
                      "DeleteCommit", "BatchDeleteCommit",
                      "DeleteFileRequest"):
         assert expected in ops, expected
     # Reads are not mutations and never hit the trail.
     assert "AccessRequest" not in ops
+    # One outcome per request frame, each right behind its request.
+    assert chain.pending == []
+    assert len(chain.records) == len(chain.requests)
 
 
 def test_audit_record_carries_versions_items_and_request_id(tmp_path):
-    fs, audit = _fs_with_audit(tmp_path)
+    fs, paths = _fs_with_audit(tmp_path)
     f = fs.create_file("a", [b"x", b"y", b"z"])
     file_id = f.file_id
     item_id = f._record.index.item_id_at(1)
     f.delete_record(1)
-    audit.close()
+    fs.server.wal.close()
 
     # The deletion also shreds the master-key record in the meta tree
-    # (its own DeleteCommit there); look at the data file's only.
-    deletes = [r for r in verify_log(audit.path)
+    # (its own ReplaceCommit there); look at the data file's only.
+    deletes = [r for r in paths.verify().records
                if r["op"] == "DeleteCommit" and r["file_id"] == file_id]
     (record,) = deletes
     assert record["file_id"] == file_id
@@ -211,14 +326,14 @@ def test_audit_record_carries_versions_items_and_request_id(tmp_path):
 
 
 def test_rejected_mutation_is_audited_with_its_error_code(tmp_path):
-    fs, audit = _fs_with_audit(tmp_path)
+    fs, paths = _fs_with_audit(tmp_path)
     fs.create_file("a", [b"x"])
     reply = fs.server.handle(msg.DeleteCommit(
         file_id=999_999, item_id=5, request_id=12345))
     assert isinstance(reply, msg.ErrorReply)
-    audit.close()
+    fs.server.wal.close()
 
-    rejected = [r for r in verify_log(audit.path) if not r["ok"]]
+    rejected = [r for r in paths.verify().records if not r["ok"]]
     (record,) = rejected
     assert record["op"] == "DeleteCommit"
     assert record["file_id"] == 999_999
@@ -231,22 +346,22 @@ def test_audit_works_with_observability_disabled(tmp_path):
     # global obs flag off (the default in this suite's fixture).
     from repro.obs import runtime
     assert not runtime.enabled
-    fs, audit = _fs_with_audit(tmp_path)
+    fs, paths = _fs_with_audit(tmp_path)
     f = fs.create_file("a", [b"x", b"y"])
     f.delete_record(0)
-    audit.close()
-    assert any(r["op"] == "DeleteCommit" for r in verify_log(audit.path))
+    fs.server.wal.close()
+    assert any(r["op"] == "DeleteCommit" for r in paths.verify().records)
 
 
 def test_traced_mutation_records_its_trace_id(tmp_path):
     from repro import obs
     obs.enable()
     try:
-        fs, audit = _fs_with_audit(tmp_path)
+        fs, paths = _fs_with_audit(tmp_path)
         f = fs.create_file("a", [b"x", b"y"])
         f.delete_record(0)
-        audit.close()
-        deletes = [r for r in verify_log(audit.path)
+        fs.server.wal.close()
+        deletes = [r for r in paths.verify().records
                    if r["op"] == "DeleteCommit"]
         assert all(isinstance(r["trace_id"], str)
                    and len(r["trace_id"]) == 32 for r in deletes)
@@ -255,17 +370,30 @@ def test_traced_mutation_records_its_trace_id(tmp_path):
 
 
 def test_server_with_audit_still_pickles(tmp_path):
-    fs, audit = _fs_with_audit(tmp_path)
+    fs, _paths = _fs_with_audit(tmp_path)
     fs.create_file("a", [b"x"])
     clone = pickle.loads(pickle.dumps(fs.server))
-    assert clone.audit is None  # open log handles cannot travel
+    assert clone.audit is None and clone.wal is None  # open handles stay
     assert clone.file_ids() == fs.server.file_ids()
-    audit.close()
+    fs.server.wal.close()
+
+
+def test_audit_needs_the_commit_log(tmp_path):
+    paths = Paths(tmp_path)
+    with pytest.raises(ValueError, match="archive"):
+        AuditLog(CommitLog(str(tmp_path / "plain.wal")))
+    with paths.open() as wal:
+        with pytest.raises(ReproError, match="attach a WAL"):
+            CloudServer().attach_audit(AuditLog(wal))
+        server = CloudServer(wal=CommitLog(str(tmp_path / "other.wal")))
+        with pytest.raises(ReproError, match="attach a WAL"):
+            server.attach_audit(AuditLog(wal))
+        server.wal.close()
 
 
 def test_tail_records_returns_the_last_n(tmp_path):
-    path = _fill(tmp_path / "a.log", [f"Op{i}" for i in range(7)])
-    tail = audit_mod.tail_records(path, 3)
+    paths = _fill(tmp_path, [f"Op{i}" for i in range(7)])
+    tail = audit_mod.tail_records(paths.archive, paths.wal, 3)
     assert [r["op"] for r in tail] == ["Op4", "Op5", "Op6"]
 
 
@@ -274,7 +402,7 @@ def test_append_counts_into_metrics_when_enabled(tmp_path):
     from repro.obs import instruments as ins
     obs.enable()
     try:
-        _fill(tmp_path / "a.log", ["DeleteCommit", "InsertCommit"])
+        _fill(tmp_path, ["DeleteCommit", "InsertCommit"])
         assert ins.AUDIT_RECORDS.value() == 2
         assert ins.AUDIT_APPEND_SECONDS.count() == 2
     finally:

@@ -19,7 +19,7 @@ from repro.sim.threat import snapshot_file
 
 pytestmark = pytest.mark.slow
 
-HEADER = b"RWAL" + struct.pack(">H", 1)
+HEADER = b"RWAL" + struct.pack(">H", 2)
 
 
 def test_empty_log_roundtrip(tmp_path):

@@ -180,3 +180,45 @@ def test_vault_save_crash_keeps_previous_vault(tmp_path, monkeypatch):
     assert not reloaded.fs.exists("lost")
     assert reloaded.fs.open("kept").read_all() == [b"a", b"b"]
     assert os.listdir(server_dir) == ["vault.state"]
+
+
+def test_audit_needs_durable_and_verifies_after_offline_compact(tmp_path):
+    """``serve --audit`` without ``--durable`` is refused (the audit chain
+    is the WAL), and the offline ``compact`` of an audited vault seals
+    its history into the archive instead of dropping it."""
+    import json
+
+    from repro.cli import Vault, main
+    from repro.obs.audit import AuditLog
+    from repro.server.engine import engine_path, make_engine
+    from repro.server.wal import CommitLog
+
+    assert vault(tmp_path, "init").returncode == 0
+    refused = vault(tmp_path, "serve", "--audit")
+    assert refused.returncode == 1
+    assert "--audit requires --durable" in refused.stderr
+
+    server_dir = str(tmp_path / "server")
+    vault_ = Vault(server_dir, str(tmp_path / "keys"))
+    vault_.load()
+    server = vault_.fs.server
+    engine = make_engine("sqlite", engine_path(server_dir, "sqlite"))
+    server.attach_engine(engine)
+    server.compact_storage()
+    wal = CommitLog(os.path.join(server_dir, "server.wal"),
+                    archive=os.path.join(server_dir, "audit.log"))
+    server.attach_wal(wal)
+    server.attach_audit(AuditLog(wal))
+    vault_.fs.create_file("f", [b"a", b"b", b"c"])
+    vault_.fs.open("f").delete_record(1)
+    wal.close()
+    engine.close()
+    before = json.loads(vault(tmp_path, "audit", "verify").stdout)
+
+    assert main(["--server-dir", server_dir, "compact"]) == 0
+    after = vault(tmp_path, "audit", "verify")
+    assert after.returncode == 0, after.stderr
+    report = json.loads(after.stdout)
+    assert report["records"] == before["records"] > 0
+    assert report["deletions"] == before["deletions"] >= 1
+    assert os.path.getsize(os.path.join(server_dir, "audit.log")) > 6
