@@ -83,7 +83,21 @@ class Vault:
         self._state_path = os.path.join(server_dir, "vault.state")
         self.fs: OutsourcedFileSystem | None = None
 
+    #: Durable server state ``serve --durable`` leaves in the server
+    #: directory; a later serve recovers from whatever it finds there.
+    DURABLE_STATE = ("server.img", "server.wal", "state.db", "audit.log",
+                     "audit.log.head", "shards")
+
     def create(self) -> None:
+        # A fresh vault over an old server's durable state would be
+        # served that old state by the next ``serve --durable``.
+        leftover = [name for name in self.DURABLE_STATE
+                    if os.path.exists(os.path.join(self.server_dir, name))]
+        if leftover:
+            raise ReproError(
+                f"{self.server_dir!r} holds durable server state of an "
+                f"earlier vault ({', '.join(leftover)}); 'init' in a fresh "
+                f"--server-dir")
         os.makedirs(self.server_dir, exist_ok=True)
         self.fs = OutsourcedFileSystem(rng=SystemRandom())
         self.save()

@@ -18,9 +18,12 @@ IV-C/D/E against a server reached through a metering channel:
 
 Master keys are passed in and returned explicitly so the two-level scheme
 of Section V (master keys themselves outsourced under a control key) can
-drive this client for both levels.  When ``store_keys=True`` the client
-also tracks keys in its local :class:`~repro.client.keystore.KeyStore`
-for standalone (one-level) use.
+drive this client for both levels.  A record op may instead be given a
+*key source*, a zero-argument callable that fetches the key through the
+meta tree: its request then shares one flight with the op's first
+request (both are read-only, and the data request needs no key).  When
+``store_keys=True`` the client also tracks keys in its local
+:class:`~repro.client.keystore.KeyStore` for standalone (one-level) use.
 
 Every public operation appends one :class:`~repro.sim.metrics.OpRecord`
 to the collector: exact protocol bytes both ways (item payload split
@@ -32,7 +35,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from repro.client.keystore import KeyStore
 from repro.core import ops
@@ -68,6 +71,30 @@ def _traced(op: str):
                 return fn(self, *args, **kwargs)
             with span(name):
                 return fn(self, *args, **kwargs)
+        return wrapper
+    return decorate
+
+
+#: A master key, or a zero-argument callable that fetches it.
+KeySource = Union[bytes, Callable[[], bytes]]
+
+
+def _takes_key_source(first_request):
+    """Let a record op take a :data:`KeySource` for its master key.
+
+    ``first_request(file_id, *args)`` builds the op's first request.  A
+    key source is called inside a pipelined block, so the request it
+    sends flies together with that first request, whose reply the op
+    then finds already fetched.  The fetch is its own op with its own
+    record; the wrapped op measures from after it.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(self, file_id, master_key, *args):
+            if not callable(master_key):
+                return fn(self, file_id, master_key, *args)
+            with self.channel.pipelined(first_request(file_id, *args)):
+                return fn(self, file_id, master_key(), *args)
         return wrapper
     return decorate
 
@@ -306,7 +333,10 @@ class AssuredDeletionClient:
         return message, chain_output, reply.tree_version
 
     @_traced("access")
-    def access(self, file_id: int, master_key: bytes, item_id: int) -> bytes:
+    @_takes_key_source(lambda file_id, item_id: msg.AccessRequest(
+        file_id=file_id, item_id=item_id))
+    def access(self, file_id: int, master_key: KeySource,
+               item_id: int) -> bytes:
         """Fetch, decrypt, and verify one item."""
         begin = self._begin()
         message, _output, _version = self._fetch_verified(file_id, master_key,
@@ -315,7 +345,9 @@ class AssuredDeletionClient:
         return message
 
     @_traced("modify")
-    def modify(self, file_id: int, master_key: bytes, item_id: int,
+    @_takes_key_source(lambda file_id, item_id, _message: msg.AccessRequest(
+        file_id=file_id, item_id=item_id))
+    def modify(self, file_id: int, master_key: KeySource, item_id: int,
                new_message: bytes) -> None:
         """Replace one item's plaintext, re-encrypting under the same key."""
         begin = self._begin()
@@ -345,7 +377,10 @@ class AssuredDeletionClient:
     # ------------------------------------------------------------------
 
     @_traced("insert")
-    def insert(self, file_id: int, master_key: bytes, message: bytes) -> int:
+    @_takes_key_source(lambda file_id, _message: msg.InsertRequest(
+        file_id=file_id))
+    def insert(self, file_id: int, master_key: KeySource,
+               message: bytes) -> int:
         """Insert a new item; returns its id."""
         begin = self._begin()
         retries = 0
@@ -426,7 +461,10 @@ class AssuredDeletionClient:
         return list(mt.path_links) + [mt.leaf_mod]
 
     @_traced("delete")
-    def delete(self, file_id: int, master_key: bytes, item_id: int) -> bytes:
+    @_takes_key_source(lambda file_id, item_id: msg.DeleteRequest(
+        file_id=file_id, item_id=item_id))
+    def delete(self, file_id: int, master_key: KeySource,
+               item_id: int) -> bytes:
         """Assuredly delete one item; returns the *new* master key.
 
         The old master key is shredded from the keystore only after the
@@ -619,7 +657,9 @@ class AssuredDeletionClient:
     # ------------------------------------------------------------------
 
     @_traced("delete_many")
-    def delete_many(self, file_id: int, master_key: bytes,
+    @_takes_key_source(lambda file_id, item_ids: msg.BatchDeleteRequest(
+        file_id=file_id, item_ids=tuple(item_ids)))
+    def delete_many(self, file_id: int, master_key: KeySource,
                     item_ids: Sequence[int]) -> bytes:
         """Assuredly delete a *set* of items in one exchange.
 

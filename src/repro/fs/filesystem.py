@@ -69,8 +69,32 @@ class FileRecord:
     index: ItemIndex = field(default_factory=ItemIndex)
 
 
+class _OpenedReplace:
+    """Key source of a record deletion: opening the meta-tree replacement
+    yields the master key (the client calls it in the flight of its own
+    challenge), and the ticket waits here for the replacement commit."""
+
+    def __init__(self, meta: MetaKeyManager, file_id: int) -> None:
+        self._meta = meta
+        self._file_id = file_id
+        self._ticket = None
+
+    def __call__(self) -> bytes:
+        self._ticket, key = self._meta.open_replace(self._file_id)
+        return key
+
+    def commit(self, new_master_key: bytes) -> None:
+        self._meta.replace_master_key(self._file_id, new_master_key,
+                                      self._ticket)
+
+
 class OutsourcedFile:
-    """Handle for record-level operations on one outsourced file."""
+    """Handle for record-level operations on one outsourced file.
+
+    Every record op is two-level (Section V): its client op is handed a
+    key source, so the meta-tree request and the data tree's first
+    request go out in one flight (``docs/PROTOCOL.md``, "Flights").
+    """
 
     def __init__(self, fs: "OutsourcedFileSystem", record: FileRecord) -> None:
         self._fs = fs
@@ -95,26 +119,32 @@ class OutsourcedFile:
     def _meta(self) -> MetaKeyManager:
         return self._fs._group_manager(self._record.group)
 
+    def _master_key(self):
+        """Key source for a record op: the client fetches the master key
+        through the meta tree in one flight with its own first request."""
+        return functools.partial(self._meta().master_key,
+                                 self._record.file_id)
+
     @_traced_fs("read_record")
     def read_record(self, position: int) -> bytes:
         """Read the record at logical ``position``."""
         item_id = self._record.index.item_id_at(position)
-        key = self._meta().master_key(self._record.file_id)
-        return self._fs.client.access(self._record.file_id, key, item_id)
+        return self._fs.client.access(self._record.file_id,
+                                      self._master_key(), item_id)
 
     @_traced_fs("write_record")
     def write_record(self, position: int, data: bytes) -> None:
         """Replace the record at logical ``position`` (same data key)."""
         item_id = self._record.index.item_id_at(position)
-        key = self._meta().master_key(self._record.file_id)
-        self._fs.client.modify(self._record.file_id, key, item_id, data)
+        self._fs.client.modify(self._record.file_id, self._master_key(),
+                               item_id, data)
         self._record.index.update_size(position, len(data))
 
     @_traced_fs("insert_record")
     def insert_record(self, position: int, data: bytes) -> int:
         """Insert a new record before logical ``position``; returns its id."""
-        key = self._meta().master_key(self._record.file_id)
-        item_id = self._fs.client.insert(self._record.file_id, key, data)
+        item_id = self._fs.client.insert(self._record.file_id,
+                                         self._master_key(), data)
         self._record.index.insert(position, item_id, len(data))
         return item_id
 
@@ -129,16 +159,16 @@ class OutsourcedFile:
         Two steps, as Section V prescribes: delete the item's data key
         from the file's modulation tree (rotating the file's master key),
         then assuredly replace the master key in the meta tree.  Four
-        round trips: the meta challenge (which also yields the current
-        master key), the data challenge and commit, and one meta
-        ``ReplaceCommit``.  After a failure in transit,
-        :meth:`resume_delete` finishes the job.
+        messages in three flights: the meta challenge (which also yields
+        the current master key) together with the data challenge, the
+        data commit, and one meta ``ReplaceCommit``.  After a failure in
+        transit, :meth:`resume_delete` finishes the job.
         """
         item_id = self._record.index.item_id_at(position)
-        meta = self._meta()
-        ticket, key = meta.open_replace(self._record.file_id)
-        new_key = self._fs.client.delete(self._record.file_id, key, item_id)
-        meta.replace_master_key(self._record.file_id, new_key, ticket)
+        opened = _OpenedReplace(self._meta(), self._record.file_id)
+        new_key = self._fs.client.delete(self._record.file_id, opened,
+                                         item_id)
+        opened.commit(new_key)
         self._record.index.remove(position)
 
     @_traced_fs("resume_delete")
@@ -188,8 +218,8 @@ class OutsourcedFile:
 
         One batched exchange replaces per-record deletions: the file's
         master key rotates once and the meta tree is updated once, so a
-        retention sweep over a file costs four round trips end to end,
-        as one :meth:`delete_record` does.
+        retention sweep over a file costs four messages in three flights
+        end to end, as one :meth:`delete_record` does.
         """
         positions = list(positions)
         if not positions:
@@ -198,11 +228,10 @@ class OutsourcedFile:
             raise ReproError("positions must be distinct")
         item_ids = [self._record.index.item_id_at(position)
                     for position in positions]
-        meta = self._meta()
-        ticket, key = meta.open_replace(self._record.file_id)
-        new_key = self._fs.client.delete_many(self._record.file_id, key,
+        opened = _OpenedReplace(self._meta(), self._record.file_id)
+        new_key = self._fs.client.delete_many(self._record.file_id, opened,
                                               item_ids)
-        meta.replace_master_key(self._record.file_id, new_key, ticket)
+        opened.commit(new_key)
         # Remove positions highest-first so earlier removals don't shift
         # the later ones.
         for position in sorted(positions, reverse=True):

@@ -20,7 +20,8 @@ module supplies the routing layer:
   clients can share one map without sharing sockets or counters.
 * :class:`ShardRoutingChannel` -- a drop-in :class:`Channel` that
   resolves ``message.file_id`` through the ring and forwards to the
-  owning shard's channel (opened lazily, one per shard).  All per-shard
+  owning shard's channel (opened lazily, one per shard); a flight is
+  split into one flight per shard.  All per-shard
   sub-channels share the router's :class:`ChannelCounters` object, so
   client-side metering and the paper's overhead accounting keep working
   unchanged across any number of shards.
@@ -221,13 +222,29 @@ class ShardRoutingChannel(Channel):
             self._channels[shard_id] = channel
         return channel
 
-    def request(self, message):
+    def _route(self, message) -> Channel:
         file_id = getattr(message, "file_id", None)
         if file_id is None:
             raise ProtocolError(
                 f"{type(message).__name__} carries no file_id; "
                 f"cannot route it to a shard")
-        return self._shard_channel(self.shard_of(file_id)).request(message)
+        return self._shard_channel(self.shard_of(file_id))
+
+    def _request(self, message):
+        return self._route(message).request(message)
+
+    def _request_many(self, messages):
+        """One flight per shard the messages route to, shards in the
+        order of their first message; replies in request order."""
+        by_channel: Dict[Channel, List[int]] = {}
+        for index, message in enumerate(messages):
+            by_channel.setdefault(self._route(message), []).append(index)
+        replies = [None] * len(messages)
+        for channel, indices in by_channel.items():
+            flight = channel.request_many([messages[i] for i in indices])
+            for index, reply in zip(indices, flight):
+                replies[index] = reply
+        return replies
 
     def _transport(self, request_bytes: bytes) -> bytes:
         raise ProtocolError("the routing channel has no transport of its "

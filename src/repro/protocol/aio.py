@@ -334,6 +334,13 @@ class AsyncTcpServerHost:
         assert task is not None
         self._conn_tasks.add(task)
         self._conn_writers.add(writer)
+        # asyncio sets TCP_NODELAY only on sockets whose ``proto`` is
+        # IPPROTO_TCP, and sockets accepted from the plain listening
+        # socket report 0: without this, Nagle holds a pipelined
+        # flight's second reply until the client's delayed ACK.
+        sock = writer.get_extra_info("socket")
+        if sock is not None:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if obs.enabled:
             from repro.obs import instruments as ins
             ins.TCP_CONNECTIONS.inc()
@@ -462,7 +469,8 @@ class AsyncTcpChannel(Channel):
     tagged frame and a background reader thread correlates replies by
     tag, so MANY requests ride the same connection simultaneously
     (against :class:`AsyncTcpServerHost`, which replies to tagged frames
-    possibly out of order).
+    possibly out of order).  A flight of several requests takes one tag
+    each and goes out in one write.
 
     Timeouts do NOT tear the connection down: the retransmit goes out
     under a fresh tag and the late reply to the old tag -- if it ever
@@ -571,29 +579,41 @@ class AsyncTcpChannel(Channel):
 
     # -- request path ---------------------------------------------------
 
-    def _register_and_send(self, request_bytes: bytes) -> tuple[_Waiter, int]:
+    def _register_and_send(self, requests: list[bytes]
+                           ) -> list[tuple[_Waiter, int]]:
+        """Tag every request and send them all in one write."""
         with self._mutex:
             sock = self._ensure_connected()
-            self._next_tag += 1
-            tag = self._next_tag
-            waiter = _Waiter(self._generation)
-            self._pending[tag] = waiter
             generation = self._generation
-        frame = (_LENGTH.pack(TAG_FLAG | len(request_bytes))
-                 + _TAG.pack(tag) + request_bytes)
+            sent = []
+            for _request in requests:
+                self._next_tag += 1
+                waiter = _Waiter(generation)
+                self._pending[self._next_tag] = waiter
+                sent.append((waiter, self._next_tag))
+        frames = b"".join(_LENGTH.pack(TAG_FLAG | len(request_bytes))
+                          + _TAG.pack(tag) + request_bytes
+                          for request_bytes, (_waiter, tag)
+                          in zip(requests, sent))
         try:
             with self._send_lock:
-                sock.sendall(frame)
+                sock.sendall(frames)
         except (OSError, ConnectionError) as exc:
             with self._mutex:
-                self._pending.pop(tag, None)
+                for _waiter, tag in sent:
+                    self._pending.pop(tag, None)
                 self._invalidate(generation, exc)
             raise
-        return waiter, tag
+        return sent
 
     def _transport(self, request_bytes: bytes) -> bytes:
-        if len(request_bytes) > MAX_FRAME:
-            raise ProtocolError("frame too large")
+        return self._transport_many([request_bytes])[0]
+
+    def _transport_many(self, requests: list[bytes]) -> list[bytes]:
+        for request_bytes in requests:
+            if len(request_bytes) > MAX_FRAME:
+                raise ProtocolError("frame too large")
+        responses: list[bytes | None] = [None] * len(requests)
         last_error: Exception | None = None
         for attempt in range(self.retry.attempts):
             if attempt:
@@ -605,27 +625,35 @@ class AsyncTcpChannel(Channel):
                     ins.RPC_RETRANSMITS.inc()
                     log_event("rpc.retransmit", attempt=attempt,
                               error=repr(last_error))
+            # Only the requests still unanswered go out again.
+            todo = [i for i, response in enumerate(responses)
+                    if response is None]
             try:
-                waiter, tag = self._register_and_send(request_bytes)
+                sent = self._register_and_send([requests[i] for i in todo])
             except ChannelError:
                 raise
             except (OSError, ConnectionError) as exc:
                 last_error = exc
                 continue
-            if not waiter.event.wait(self.retry.timeout):
-                # Timed out: forget the tag (a late reply will be
-                # dropped by the reader) and retransmit under a NEW tag.
-                with self._mutex:
-                    self._pending.pop(tag, None)
-                last_error = TimeoutError(
-                    f"no reply within {self.retry.timeout}s")
-                continue
-            if waiter.error is not None:
-                last_error = waiter.error
-                continue
-            self.frame_bytes += 24  # u32 word + u64 tag, each way
-            assert waiter.response is not None
-            return waiter.response
+            deadline = time.monotonic() + self.retry.timeout
+            for i, (waiter, tag) in zip(todo, sent):
+                if not waiter.event.wait(max(0.0,
+                                             deadline - time.monotonic())):
+                    # Timed out: forget the tag (a late reply will be
+                    # dropped by the reader) and retransmit under a NEW
+                    # tag.
+                    with self._mutex:
+                        self._pending.pop(tag, None)
+                    last_error = TimeoutError(
+                        f"no reply within {self.retry.timeout}s")
+                elif waiter.error is not None:
+                    last_error = waiter.error
+                else:
+                    responses[i] = waiter.response
+            if None not in responses:
+                # u32 word + u64 tag, each way
+                self.frame_bytes += 24 * len(requests)
+                return responses  # type: ignore[return-value]
         if self._closing.is_set():
             raise ChannelError("channel is closed")
         raise ChannelError(

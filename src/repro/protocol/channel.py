@@ -9,13 +9,17 @@ per-operation records.
 from __future__ import annotations
 
 import abc
+import contextlib
+import threading
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.errors import ProtocolError
 from repro.obs import runtime as obs
 from repro.obs.trace import span
-from repro.protocol.messages import Message, decode_message, encode_message
+from repro.protocol.messages import (READ_ONLY_REQUESTS, Message,
+                                     decode_message, encode_message)
 from repro.protocol.wire import WireContext
 from repro.sim.network import NetworkModel
 
@@ -32,12 +36,16 @@ class ChannelCounters:
     simulated_seconds: float = 0.0
     server_seconds: float = 0.0
     retransmits: int = 0
+    #: Waits on the link: a flight of several requests is one flight but
+    #: as many round trips.
+    flights: int = 0
 
     def snapshot(self) -> "ChannelCounters":
         return ChannelCounters(self.bytes_sent, self.bytes_received,
                                self.payload_sent, self.payload_received,
                                self.round_trips, self.simulated_seconds,
-                               self.server_seconds, self.retransmits)
+                               self.server_seconds, self.retransmits,
+                               self.flights)
 
     def delta(self, earlier: "ChannelCounters") -> "ChannelCounters":
         return ChannelCounters(
@@ -49,67 +57,208 @@ class ChannelCounters:
             self.simulated_seconds - earlier.simulated_seconds,
             self.server_seconds - earlier.server_seconds,
             self.retransmits - earlier.retransmits,
+            self.flights - earlier.flights,
         )
 
 
 class Channel(abc.ABC):
-    """A request/response link from the client to one server."""
+    """A request/response link from the client to one server.
+
+    A *flight* is several requests written before any reply is read, so
+    they share one wait on the link.  Only independent read-only requests
+    may share a flight (:meth:`request_many`, :meth:`pipelined`); every
+    commit flies alone.
+    """
 
     def __init__(self, ctx: WireContext,
                  network: NetworkModel | None = None) -> None:
         self.ctx = ctx
         self.network = network
         self.counters = ChannelCounters()
+        self._local = threading.local()  # each thread's open pipelined block
+
+    def __getstate__(self) -> dict:
+        # A pipelined block lives for one call; it is never saved.
+        state = self.__dict__.copy()
+        state.pop("_local", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._local = threading.local()
 
     @abc.abstractmethod
     def _transport(self, request_bytes: bytes) -> bytes:
         """Deliver encoded request bytes; return encoded response bytes."""
 
+    def _transport_many(self, requests: list[bytes]) -> list[bytes]:
+        """Deliver one flight; the replies come back in request order.
+
+        The default delivers one request after the other; a socket
+        transport writes them all before it reads the first reply.
+        """
+        return [self._transport(request) for request in requests]
+
     def request(self, message: Message) -> Message:
-        """Send one request and return the decoded response, metering both."""
+        """Send one request and return the decoded response, metering both.
+
+        Inside a :meth:`pipelined` block the first request also carries
+        the block's requests, and a later request for one of them is
+        answered from that flight.
+        """
+        block = getattr(self._local, "block", None)
+        if block is not None:
+            return block.request(message)
+        return self._request(message)
+
+    def _request(self, message: Message) -> Message:
         if obs.enabled:
-            return self._request_observed(message)
+            return self._request_observed([message])[0]
         return self._exchange(message, None)
 
-    def _request_observed(self, message: Message) -> Message:
-        """Traced/metered variant: a span per round trip, context on the
-        wire, and per-message-type latency histograms."""
-        import time as _time
+    def request_many(self, messages: Sequence[Message]) -> list[Message]:
+        """Send read-only requests as one flight; return replies in order.
 
+        A mutating request is refused with :class:`ProtocolError`: a
+        commit never shares a flight, so the order of commits (and the
+        deletion journal's exactly-once argument) is the sequential one.
+        """
+        messages = list(messages)
+        _check_read_only(messages)
+        return self._request_many(messages)
+
+    def _request_many(self, messages: list[Message]) -> list[Message]:
+        if obs.enabled:
+            return self._request_observed(messages)
+        return self._exchange_many(messages, (None,) * len(messages))
+
+    def pipelined(self, *ahead: Message) -> "_Pipelined":
+        """A block whose first request flies together with ``ahead``.
+
+        The requests in ``ahead`` go out with the first request sent
+        inside the block (all must be read-only, or that request raises
+        :class:`ProtocolError`); a later request in the block equal to
+        one of them is answered from that flight instead of crossing the
+        link again.  Replies not asked for by the end of the block are
+        dropped.  The block is per thread.
+        """
+        return _Pipelined(self, ahead)
+
+    def _request_observed(self, messages: list[Message]) -> list[Message]:
+        """Traced/metered variant: a span per message, its context on the
+        wire, and per-message-type latency histograms."""
         from repro.obs import instruments as ins
-        mtype = type(message).__name__
-        with span("rpc.request", type=mtype) as sp:
-            start = _time.perf_counter()
+        spans = [span("rpc.request", type=type(message).__name__)
+                 for message in messages]
+        with contextlib.ExitStack() as stack:
+            for sp in spans:  # siblings: every span was opened above
+                stack.enter_context(sp)
+            start = time.perf_counter()
             try:
-                response = self._exchange(message, sp.context)
+                responses = self._exchange_many(
+                    messages, [sp.context for sp in spans])
             except Exception:
-                ins.RPC_FAILURES.inc()
+                ins.RPC_FAILURES.inc(len(messages))
                 raise
-            ins.RPC_SECONDS.observe(_time.perf_counter() - start,
-                                    type=mtype)
-            sp.annotate(response=type(response).__name__)
-            return response
+            elapsed = time.perf_counter() - start
+            for message, sp, response in zip(messages, spans, responses):
+                ins.RPC_SECONDS.observe(elapsed, type=type(message).__name__)
+                sp.annotate(response=type(response).__name__)
+            return responses
 
     def _exchange(self, message: Message, trace) -> Message:
         request_bytes = encode_message(self.ctx, message, trace=trace)
         response_bytes = self._transport(request_bytes)
+        self.counters.flights += 1
+        self._meter(message, request_bytes, response_bytes)
+        response = decode_message(self.ctx, response_bytes)
+        self.counters.payload_received += response.payload_bytes()
+        return response
+
+    def _exchange_many(self, messages: list[Message],
+                       traces) -> list[Message]:
+        requests = [encode_message(self.ctx, message, trace=trace)
+                    for message, trace in zip(messages, traces)]
+        responses = self._transport_many(requests)
+        self.counters.flights += 1
+        for message, request_bytes, response_bytes in zip(messages, requests,
+                                                          responses):
+            self._meter(message, request_bytes, response_bytes)
+        replies = []
+        for response_bytes in responses:
+            replies.append(decode_message(self.ctx, response_bytes))
+            self.counters.payload_received += replies[-1].payload_bytes()
+        return replies
+
+    def _meter(self, message: Message, request_bytes: bytes,
+               response_bytes: bytes) -> None:
         # Transport byte/round-trip metering happens BEFORE decoding: a
         # malformed reply still crossed the wire, and its bytes must not
         # vanish from the accounting when decode_message raises.
-        self.counters.bytes_sent += len(request_bytes)
-        self.counters.bytes_received += len(response_bytes)
-        self.counters.payload_sent += message.payload_bytes()
-        self.counters.round_trips += 1
+        counters = self.counters
+        counters.bytes_sent += len(request_bytes)
+        counters.bytes_received += len(response_bytes)
+        counters.payload_sent += message.payload_bytes()
+        counters.round_trips += 1
         if self.network is not None:
-            self.counters.simulated_seconds += self.network.round_trip_seconds(
+            counters.simulated_seconds += self.network.round_trip_seconds(
                 len(request_bytes), len(response_bytes))
         if obs.enabled:
             from repro.obs import instruments as ins
             ins.RPC_BYTES.inc(len(request_bytes), direction="sent")
             ins.RPC_BYTES.inc(len(response_bytes), direction="received")
-        response = decode_message(self.ctx, response_bytes)
-        self.counters.payload_received += response.payload_bytes()
-        return response
+
+
+def _check_read_only(messages) -> None:
+    for message in messages:
+        if not isinstance(message, READ_ONLY_REQUESTS):
+            raise ProtocolError(f"{type(message).__name__} cannot share a "
+                                f"flight: only read-only requests can")
+
+
+class _Pipelined:
+    """One thread's :meth:`Channel.pipelined` block."""
+
+    def __init__(self, channel: Channel, ahead: tuple[Message, ...]) -> None:
+        self._channel = channel
+        self._ahead = ahead
+        #: (request, reply) fetched ahead and not yet asked for.
+        self._fetched: list[tuple[Message, Message]] = []
+
+    def request(self, message: Message) -> Message:
+        for index, (request, reply) in enumerate(self._fetched):
+            if request == message:
+                del self._fetched[index]
+                if not self._fetched:
+                    self._detach()  # nothing left: later requests fly alone
+                return reply
+        if not self._ahead:
+            return self._channel._request(message)
+        flight = (message, *self._ahead)
+        self._ahead = ()
+        replies = self._channel.request_many(flight)
+        self._fetched = list(zip(flight[1:], replies[1:]))
+        return replies[0]
+
+    def __enter__(self) -> "_Pipelined":
+        local = self._channel._local
+        if getattr(local, "block", None) is not None:
+            raise ProtocolError("pipelined blocks do not nest")
+        local.block = self
+        return self
+
+    def __exit__(self, *exc_info) -> bool:
+        self._detach()
+        return False
+
+    def _detach(self) -> None:
+        local = self._channel._local
+        if getattr(local, "block", None) is self:
+            local.block = None
+
+
+#: The block of a channel whose requests all go alone (reentrant).
+_ALONE = contextlib.nullcontext()
 
 
 class LoopbackChannel(Channel):
@@ -118,6 +267,10 @@ class LoopbackChannel(Channel):
     Messages still round-trip through the real wire codec, so every byte
     count is exactly what a TCP deployment would transfer (sans TCP/IP
     framing, which the paper's numbers also exclude).
+
+    A call in process has no link to wait on, so a flight would save
+    nothing: :meth:`pipelined` blocks send every request alone, and the
+    server sees the same requests in the same order either way.
     """
 
     def __init__(self, server, ctx: WireContext | None = None,
@@ -128,6 +281,9 @@ class LoopbackChannel(Channel):
             raise ProtocolError("server does not expose a wire context")
         super().__init__(ctx, network)
         self._server = server
+
+    def pipelined(self, *ahead: Message) -> contextlib.nullcontext:
+        return _ALONE
 
     def _transport(self, request_bytes: bytes) -> bytes:
         # Server time is metered separately so client-computation metrics

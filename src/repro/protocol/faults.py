@@ -67,7 +67,8 @@ class FaultInjectingChannel(Channel):
     """Delivers requests through ``inner`` according to a fault schedule.
 
     ``schedule`` is any iterable of fault kinds; it is consumed one entry
-    per request and treated as :data:`NONE` once exhausted.
+    per request (per message of a flight, which is delivered one message
+    after the other) and treated as :data:`NONE` once exhausted.
     """
 
     def __init__(self, server, schedule: Iterable[str],

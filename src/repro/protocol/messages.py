@@ -741,3 +741,10 @@ class ReplaceCommit(Message):
 
     def payload_bytes(self) -> int:
         return 4 + len(self.ciphertext)
+
+
+#: Requests that read server state and change none of it: the only ones
+#: that may share a flight (:meth:`repro.protocol.channel.Channel.
+#: request_many`).
+READ_ONLY_REQUESTS = (AccessRequest, DeleteRequest, InsertRequest,
+                      BatchDeleteRequest, FetchFileRequest)

@@ -5,13 +5,15 @@ The loopback channel is exact for measurement, but a reproduction of a
 frames the existing binary messages over TCP (4-byte big-endian length
 prefix) and provides:
 
-* the framing helpers (:func:`send_frame`, :func:`recv_frame`,
-  :func:`recv_exact`) and :func:`error_reply_bytes`, shared with the
-  server host, :class:`~repro.protocol.aio.AsyncTcpServerHost`, which
-  answers these untagged frames as well as its own pipelined tagged ones;
+* the framing helpers (:func:`recv_frame`, :func:`recv_exact`) and
+  :func:`error_reply_bytes`, shared with the server host,
+  :class:`~repro.protocol.aio.AsyncTcpServerHost`, which answers these
+  untagged frames (in arrival order) as well as its own pipelined
+  tagged ones;
 * :class:`TcpChannel` -- a :class:`~repro.protocol.channel.Channel` that
   speaks the framing over a persistent connection, with the same byte
-  accounting as the loopback channel;
+  accounting as the loopback channel; a flight of read-only requests
+  goes out in one write and its replies are read back in order;
 * :class:`RetryPolicy` -- per-request timeout and exponential-backoff
   retry knobs for the channel.
 
@@ -72,13 +74,6 @@ class RetryPolicy:
         """Backoff before retry ``attempt`` (the first retry is 1)."""
         return min(self.max_delay,
                    self.base_delay * self.multiplier ** (attempt - 1))
-
-
-def send_frame(sock: socket.socket, payload: bytes) -> None:
-    """Write one length-prefixed frame."""
-    if len(payload) > MAX_FRAME:
-        raise ProtocolError("frame too large")
-    sock.sendall(_LENGTH.pack(len(payload)) + payload)
 
 
 def recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -177,6 +172,19 @@ class TcpChannel(Channel):
             self._sock = None
 
     def _transport(self, request_bytes: bytes) -> bytes:
+        return self._transport_many([request_bytes])[0]
+
+    def _transport_many(self, requests: list[bytes]) -> list[bytes]:
+        # One flight: every frame in one write, then the replies in
+        # request order (the host answers untagged frames in order).
+        # A failed attempt retransmits the whole flight on a fresh
+        # connection; only read-only requests share a flight, so a
+        # request answered before the failure is safe to send again.
+        for request_bytes in requests:
+            if len(request_bytes) > MAX_FRAME:
+                raise ProtocolError("frame too large")
+        frames = b"".join(_LENGTH.pack(len(request_bytes)) + request_bytes
+                          for request_bytes in requests)
         last_error: Exception | None = None
         for attempt in range(self.retry.attempts):
             if attempt:
@@ -197,8 +205,8 @@ class TcpChannel(Channel):
                 try:
                     sock = self._sock if self._sock is not None \
                         else self._connect()
-                    send_frame(sock, request_bytes)
-                    response = recv_frame(sock)
+                    sock.sendall(frames)
+                    responses = [recv_frame(sock) for _ in requests]
                 except ProtocolError:
                     # Peer framing violation: not transient, do not retry.
                     self._invalidate()
@@ -210,8 +218,8 @@ class TcpChannel(Channel):
                     self._invalidate()
                     last_error = exc
                     continue
-                self.frame_bytes += 8  # 4-byte length each way
-                return response
+                self.frame_bytes += 8 * len(requests)  # u32 length each way
+                return responses
         if self._closing.is_set():
             raise ChannelError("channel is closed")
         raise ChannelError(

@@ -63,6 +63,40 @@ def test_traced_delete_over_tcp_shares_one_trace_id(tmp_path):
     assert ins.WAL_APPENDS.value() >= 1
 
 
+def test_traced_tcp_read_flies_two_request_spans_in_one_trace():
+    """A record read sends its meta and data requests in one flight, and
+    each keeps its own rpc span and trace trailer: two request spans,
+    both in the read's trace, each adopted by the server span it
+    carried."""
+    buf = io.StringIO()
+    server = CloudServer()
+    with AsyncTcpServerHost(server) as host:
+        fs = OutsourcedFileSystem.connect(host.address,
+                                          rng=DeterministicRandom("read"))
+        handle = fs.create_file("g/f", [b"a", b"b", b"c"])
+        counters = fs.client.channel.counters
+        before = counters.snapshot()
+        obs.enable(log_stream=buf)
+        assert handle.read_record(1) == b"b"
+        delta = counters.delta(before)
+        fs.client.channel.close()
+
+    recs = records(buf)
+    (root,) = spans_named(recs, "fs.read_record")
+    rpcs = spans_named(recs, "rpc.request")
+    assert sorted(r["type"] for r in rpcs) == ["AccessRequest"] * 2
+    assert len({r["span_id"] for r in rpcs}) == 2
+    assert {r["trace_id"] for r in rpcs} == {root["trace_id"]}
+    handled = spans_named(recs, "server.handle")
+    assert len(handled) == 2
+    assert {r["trace_id"] for r in handled} == {root["trace_id"]}
+    assert {r["parent_span_id"] for r in handled} == \
+        {r["span_id"] for r in rpcs}
+    assert (delta.round_trips, delta.flights) == (2, 1)
+    from repro.obs import instruments as ins
+    assert ins.RPC_SECONDS.count(type="AccessRequest") == 2
+
+
 class _SlowReplyOnce:
     """Apply the first DeleteCommit but stall its reply past the client
     timeout, forcing a real retransmit of identical bytes."""

@@ -222,3 +222,34 @@ def test_audit_needs_durable_and_verifies_after_offline_compact(tmp_path):
     assert report["records"] == before["records"] > 0
     assert report["deletions"] == before["deletions"] >= 1
     assert os.path.getsize(os.path.join(server_dir, "audit.log")) > 6
+
+
+def test_init_refuses_a_server_dir_with_durable_state(tmp_path):
+    """A second ``init`` over a directory a durable serve has used is
+    refused by name: the next ``serve --durable`` would otherwise recover
+    the earlier server's state under the new vault."""
+    import signal
+
+    assert vault(tmp_path, "init").returncode == 0
+    assert vault(tmp_path, "put", "f", stdin="a\nb\n").returncode == 0
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "--server-dir",
+         str(tmp_path / "server"), "serve", "--durable", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        for line in serve.stdout:
+            if line.startswith("serving vault"):
+                break
+        else:
+            pytest.fail(serve.stderr.read())
+    finally:
+        serve.send_signal(signal.SIGINT)
+        serve.communicate(timeout=60)
+    assert (tmp_path / "server" / "server.wal").exists()
+
+    again = vault(tmp_path, "init")
+    assert again.returncode == 1
+    assert "server.img" in again.stderr and "server.wal" in again.stderr
+    assert "Traceback" not in again.stderr
+    # The refused init left the old vault in place.
+    assert vault(tmp_path, "cat", "f").stdout.splitlines() == ["a", "b"]
