@@ -1,24 +1,24 @@
-"""Cold-start and warm-delete cost of the out-of-core storage engines.
+"""Cold-start and warm-delete cost of the out-of-core storage engine.
 
-ISSUE 10 acceptance benchmark.  One dense world of ``N`` items is built
-directly (random modulators via :meth:`DenseModulatorStore.bulk_fill`,
-real ciphertexts only for the delete targets) and persisted two ways:
-
-* the legacy whole-image format (``save_server``/``load_server``), and
-* the SQLite storage engine.
+One dense world of ``N`` items is built directly (random modulators via
+:meth:`DenseModulatorStore.bulk_fill`, real ciphertexts only for the
+delete targets) and written into the SQLite storage engine.
 
 Cold start is then the wall time to get a serving server back:
-``load_server(image)`` decodes every node up front, while
-``recover_server(None, wal, engine=...)`` opens the engine and replays
-only the WAL tail -- O(working set), independent of N.  Warm delete
-latency runs the full two-party deletion protocol over a loopback
-channel against both worlds (same keys, same targets, same client rng)
-and compares medians.  Finally the WAL-replay bound is checked: replay
-work equals the mutations since the last ``compact_storage``, and drops
-to zero right after one.
+``recover_server(wal, engine=...)`` opens the engine and replays only
+the WAL tail -- O(working set), independent of N.  Its O(n) reference
+is an eager load of the same engine state into a resident server
+through the engine's range scans (``scan_nodes``/``scan_items`` plus one
+multi-key ciphertext read), which is what any whole-state format must
+do before serving.  Warm delete latency runs the full two-party
+deletion protocol over a loopback channel against the engine world and
+against a resident in-memory world built from the same seed (same
+keys, same targets, same client rng) and compares medians.  Finally the
+WAL-replay bound is checked: replay work equals the mutations since the
+last ``compact_storage``, and drops to zero right after one.
 
-Floors (ISSUE 10): SQLite cold start >= 10x faster than image load,
-warm delete median <= 1.3x in-memory, WAL replay bounded by work since
+Floors: SQLite cold start >= 10x faster than the eager load, warm
+delete median <= 1.3x in-memory, WAL replay bounded by work since
 compaction.  The sweep lands in ``BENCH_storage.json`` at the repo root
 (next to ``BENCH_shard.json``); ``REPRO_FULL_SCALE=1`` runs the paper
 scale n=10^6, the default n=10^5 keeps CI within budget.
@@ -40,13 +40,13 @@ from benchmarks.conftest import save_result
 from repro.client.client import AssuredDeletionClient
 from repro.core import ops
 from repro.core.ciphertext import ItemCodec
+from repro.core.modstore import DenseModulatorStore
 from repro.core.modulated_chain import ChainEngine
 from repro.core.params import Params
-from repro.core.tree import ModulationTree
+from repro.core.tree import ItemMap, ModulationTree
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol.channel import LoopbackChannel
-from repro.server.engine import make_engine
-from repro.server.persistence import load_server, save_server
+from repro.server.engine import KIND_LEAF, KIND_LINK, make_engine
 from repro.server.server import CloudServer
 from repro.server.storage import InMemoryCiphertextStore
 from repro.server.wal import CommitLog, recover_server
@@ -117,15 +117,41 @@ def _timed_deletes(server: CloudServer, master_key: bytes,
     return timings
 
 
+def _eager_load(engine_file: str) -> CloudServer:
+    """Read the engine's whole state into a resident server: the O(n)
+    work a whole-state format does before it can serve."""
+    engine = make_engine("sqlite", engine_file)
+    try:
+        n = engine.get_meta(FILE_ID).n_leaves
+        store = DenseModulatorStore(PARAMS.modulator_size)
+        for slot, value in engine.scan_nodes(FILE_ID, KIND_LINK, 2, 2 * n):
+            store.set_link(slot, value)
+        for slot, value in engine.scan_nodes(FILE_ID, KIND_LEAF, n, 2 * n):
+            store.set_leaf(slot, value)
+        item_map = ItemMap()
+        items = engine.scan_items(FILE_ID, n, 2 * n)
+        for slot, item_id in items:
+            item_map.set(item_id, slot)
+        item_ids = [item_id for _slot, item_id in items]
+        cts = InMemoryCiphertextStore()
+        for item_id, ciphertext in zip(
+                item_ids, engine.get_ciphertexts(FILE_ID, item_ids)):
+            cts.put(item_id, ciphertext)
+    finally:
+        engine.close()
+    server = CloudServer(PARAMS)
+    server.adopt_file(FILE_ID, ModulationTree.wrap(store, n, item_map), cts,
+                      build_registry=False)
+    return server
+
+
 def _engine_world(data_dir: str, backend: str, n: int,
                   seed: str) -> dict[str, float]:
-    """Build + convert one world; measure image vs engine cold start."""
-    image_path = os.path.join(data_dir, f"{backend}.image")
+    """Build + convert one world; measure eager load vs engine cold start."""
     engine_file = os.path.join(data_dir, f"{backend}.engine")
     wal_path = os.path.join(data_dir, f"{backend}.wal")
 
     seed_server, master_key, targets = _build_seed(n, seed)
-    save_server(seed_server, image_path)
     engine = make_engine(backend, engine_file)
     seed_server.attach_engine(engine)
     convert_start = time.perf_counter()
@@ -135,28 +161,32 @@ def _engine_world(data_dir: str, backend: str, n: int,
     del seed_server
 
     load_start = time.perf_counter()
-    image_server = load_server(image_path, PARAMS)
-    image_seconds = time.perf_counter() - load_start
-    image_server.attach_wal(CommitLog(os.path.join(data_dir,
-                                                   f"{backend}.mem.wal")))
+    loaded = _eager_load(engine_file)
+    eager_seconds = time.perf_counter() - load_start
+    del loaded
 
     recover_start = time.perf_counter()
-    engine_server = recover_server(None, wal_path, PARAMS,
+    engine_server = recover_server(wal_path, PARAMS,
                                    engine=make_engine(backend, engine_file))
     engine_seconds = time.perf_counter() - recover_start
+
+    # The in-memory side of the delete comparison, built directly from
+    # the same seed (identical tree, keys and targets).
+    memory_server, _, _ = _build_seed(n, seed)
+    memory_server.attach_wal(CommitLog(os.path.join(data_dir,
+                                                    f"{backend}.mem.wal")))
 
     result = {
         "backend": backend,
         "n_items": n,
-        "image_bytes": os.path.getsize(image_path),
         "engine_bytes": os.path.getsize(engine_file),
         "convert_seconds": convert_seconds,
-        "image_load_seconds": image_seconds,
+        "eager_load_seconds": eager_seconds,
         "engine_cold_start_seconds": engine_seconds,
-        "cold_start_speedup": image_seconds / engine_seconds,
+        "cold_start_speedup": eager_seconds / engine_seconds,
         "master_key": master_key,
         "targets": targets,
-        "image_server": image_server,
+        "memory_server": memory_server,
         "engine_server": engine_server,
         "wal_path": wal_path,
         "engine_file": engine_file,
@@ -165,7 +195,7 @@ def _engine_world(data_dir: str, backend: str, n: int,
 
 
 def _close_world(world: dict) -> None:
-    for key in ("image_server", "engine_server"):
+    for key in ("memory_server", "engine_server"):
         server = world.get(key)
         if server is None:
             continue
@@ -184,8 +214,8 @@ def storage_curve() -> dict:
     try:
         # -- SQLite at full N -------------------------------------------
         world = _engine_world(data_dir, "sqlite", N_ITEMS, "storage-bench")
-        mem_times = _timed_deletes(world["image_server"], world["master_key"],
-                                   world["targets"])
+        mem_times = _timed_deletes(world["memory_server"],
+                                   world["master_key"], world["targets"])
         eng_times = _timed_deletes(world["engine_server"], world["master_key"],
                                    world["targets"])
         mem_median = statistics.median(mem_times[WARMUP_DELETES:])
@@ -194,7 +224,7 @@ def storage_curve() -> dict:
         # -- WAL replay bound: work since the last compaction -----------
         deletes = len(world["targets"])
         _close_world(world)
-        replay_server = recover_server(None, world["wal_path"], PARAMS,
+        replay_server = recover_server(world["wal_path"], PARAMS,
                                        engine=make_engine("sqlite",
                                                           world["engine_file"]))
         replayed_before = replay_server.last_recovery["replayed_records"]
@@ -202,7 +232,7 @@ def storage_curve() -> dict:
         replay_server.wal.close()
         replay_server.engine.close()
         compacted_start = time.perf_counter()
-        compacted = recover_server(None, world["wal_path"], PARAMS,
+        compacted = recover_server(world["wal_path"], PARAMS,
                                    engine=make_engine("sqlite",
                                                       world["engine_file"]))
         compacted_seconds = time.perf_counter() - compacted_start
@@ -212,10 +242,9 @@ def storage_curve() -> dict:
 
         record["sqlite"] = {
             "n_items": N_ITEMS,
-            "image_bytes": world["image_bytes"],
             "engine_bytes": world["engine_bytes"],
             "convert_seconds": round(world["convert_seconds"], 4),
-            "image_load_seconds": round(world["image_load_seconds"], 4),
+            "eager_load_seconds": round(world["eager_load_seconds"], 4),
             "engine_cold_start_seconds":
                 round(world["engine_cold_start_seconds"], 4),
             "cold_start_speedup": round(world["cold_start_speedup"], 2),
@@ -232,16 +261,16 @@ def storage_curve() -> dict:
         shutil.rmtree(data_dir, ignore_errors=True)
 
     lines = [
-        f"Storage-engine cold start vs whole-image persistence "
+        f"Storage-engine cold start vs an eager whole-state load "
         f"(n={N_ITEMS}, {MEASURED_DELETES} measured deletes)",
         "",
-        f"{'backend':>8} {'n':>9} {'image load':>11} {'cold start':>11} "
+        f"{'backend':>8} {'n':>9} {'eager load':>11} {'cold start':>11} "
         f"{'speedup':>8}",
     ]
     sq = record["sqlite"]
     lines.append(
         f"{'sqlite':>8} {sq['n_items']:>9} "
-        f"{sq['image_load_seconds']:>10.3f}s "
+        f"{sq['eager_load_seconds']:>10.3f}s "
         f"{sq['engine_cold_start_seconds']:>10.4f}s "
         f"{sq['cold_start_speedup']:>7.1f}x")
     lines += [
@@ -264,14 +293,14 @@ def storage_curve() -> dict:
 
 
 def test_cold_start_floor(storage_curve):
-    """ISSUE 10 acceptance: SQLite cold start >= 10x faster than the
-    whole-image load -- the engine opens O(1), the image decodes O(n)."""
+    """SQLite cold start >= 10x faster than an eager load of the same
+    state -- the engine opens O(1), the eager load reads O(n)."""
     assert storage_curve["sqlite"]["cold_start_speedup"] >= 10.0, \
         storage_curve["sqlite"]
 
 
 def test_warm_delete_latency_floor(storage_curve):
-    """ISSUE 10 acceptance: paged deletes within 1.3x of in-memory."""
+    """Paged deletes within 1.3x of in-memory."""
     assert storage_curve["sqlite"]["delete_latency_ratio"] <= 1.3, \
         storage_curve["sqlite"]
 
@@ -288,7 +317,7 @@ def test_wal_replay_bounded_by_compaction(storage_curve):
 
 def test_quick_storage_smoke():
     """CI smoke: tiny world, shape only -- engine cold start beats the
-    image load and the deletion protocol works over paged state."""
+    eager load and the deletion protocol works over paged state."""
     data_dir = tempfile.mkdtemp(prefix="repro-bench-storage-smoke-")
     try:
         world = _engine_world(data_dir, "sqlite", 4096, "smoke")
@@ -296,7 +325,7 @@ def test_quick_storage_smoke():
                                world["targets"][:6])
         assert len(times) == 6
         assert world["engine_cold_start_seconds"] < \
-            world["image_load_seconds"], world
+            world["eager_load_seconds"], world
         _close_world(world)
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)

@@ -21,10 +21,8 @@ Commands::
                                             # (several positions = one batch)
     repro-vault drop <name>                 # assured whole-file deletion
     repro-vault serve --port 9000           # expose the vault over TCP
-    repro-vault serve --port 9000 --durable # crash-safe: WAL + checkpoints
-    repro-vault serve --durable --backend sqlite
-                                            # out-of-core: files page in
-                                            #   from a storage engine
+    repro-vault serve --port 9000 --durable # crash-safe: SQLite engine + WAL
+                                            #   (files page in on demand)
     repro-vault compact                     # offline flush + WAL compact
     repro-vault serve --metrics-port 9100   # + /metrics /healthz /readyz
                                             #   /statusz over HTTP
@@ -89,14 +87,16 @@ class Vault:
                      "audit.log.head", "shards")
 
     def create(self) -> None:
-        # A fresh vault over an old server's durable state would be
-        # served that old state by the next ``serve --durable``.
-        leftover = [name for name in self.DURABLE_STATE
+        # Replacing an existing vault would destroy the client's only
+        # copy of its keys, and a fresh vault over an old server's
+        # durable state would be served that old state by the next
+        # ``serve --durable``.
+        leftover = [name for name in ("vault.state",) + self.DURABLE_STATE
                     if os.path.exists(os.path.join(self.server_dir, name))]
         if leftover:
             raise ReproError(
-                f"{self.server_dir!r} holds durable server state of an "
-                f"earlier vault ({', '.join(leftover)}); 'init' in a fresh "
+                f"{self.server_dir!r} already holds a vault or its durable "
+                f"server state ({', '.join(leftover)}); 'init' in a fresh "
                 f"--server-dir")
         os.makedirs(self.server_dir, exist_ok=True)
         self.fs = OutsourcedFileSystem(rng=SystemRandom())
@@ -114,7 +114,8 @@ class Vault:
             raise ReproError(
                 f"vault state {self._state_path!r} is unreadable or was "
                 f"written by an older version of repro-vault "
-                f"({type(exc).__name__}: {exc}); re-create it with 'init'"
+                f"({type(exc).__name__}: {exc}); 'init' a new vault in a "
+                f"fresh --server-dir"
             ) from exc
         if not isinstance(fs, OutsourcedFileSystem):
             raise ReproError(
@@ -298,10 +299,12 @@ def cmd_serve(vault: Vault, args) -> int:
     vault.load()
     if vault.fs.server is None:
         raise ReproError("this vault was created against an external server")
-    if args.backend != "memory" and not args.durable:
+    if args.durable and args.backend == "memory":
         raise ReproError(
-            f"--backend {args.backend} requires --durable (the engine "
-            f"file replaces the checkpoint image)")
+            "--durable keeps server state in the SQLite engine; "
+            "--backend memory cannot be durable")
+    if args.backend == "sqlite" and not args.durable:
+        raise ReproError("--backend sqlite requires --durable")
     if args.audit and not args.durable:
         raise ReproError(
             "--audit requires --durable: the audit chain is the commit "
@@ -334,44 +337,31 @@ def cmd_serve(vault: Vault, args) -> int:
 
     server = vault.fs.server
     if args.durable:
-        # Crash-safe mode: state lives in an image + write-ahead log under
-        # the server directory, not in the pickle snapshot.  First durable
-        # serve bootstraps the image from the vault; later ones recover
-        # from image + WAL (surviving kill -9 mid-commit).  With a
-        # non-memory --backend the image is replaced by a storage-engine
-        # file and files page in on demand (O(working-set) memory).
-        from repro.server.persistence import save_server
-        from repro.server.wal import checkpoint, recover_server
-        image = os.path.join(vault.server_dir, "server.img")
+        # Crash-safe mode: state lives in the SQLite engine + write-ahead
+        # log under the server directory, not in the pickle snapshot.  The
+        # first durable serve writes the vault's files into the engine;
+        # later ones recover from engine + WAL (surviving kill -9
+        # mid-commit), paging files in on demand.
+        from repro.server.engine import engine_path, make_engine, refuse_image
+        from repro.server.wal import recover_server
+        refuse_image(os.path.join(vault.server_dir, "server.img"))
         wal_path = os.path.join(vault.server_dir, "server.wal")
         audit_path = _kept_audit_path(vault.server_dir, args.audit)
-        if args.backend != "memory":
-            from repro.server.engine import engine_path, make_engine
-            engine_file = engine_path(vault.server_dir, args.backend)
-            fresh = (not os.path.exists(engine_file)
-                     and not os.path.exists(wal_path))
-            engine = make_engine(args.backend, engine_file)
-            if fresh:
-                # Bootstrap: write the vault's files into the engine once
-                # (no WAL attached yet, so this is a pure engine flush).
-                server.attach_engine(engine)
-                server.compact_storage()
-            server = recover_server(None, wal_path,
-                                    group_commit=args.group_commit,
-                                    engine=engine,
-                                    cache_nodes=args.cache_nodes,
-                                    audit_path=audit_path)
-            _print(f"durable state: {engine_file} ({args.backend} engine) "
-                   f"+ {wal_path}"
-                   + (" (group commit)" if args.group_commit else ""))
-        else:
-            if not os.path.exists(image) and not os.path.exists(wal_path):
-                save_server(server, image)
-            server = recover_server(image, wal_path,
-                                    group_commit=args.group_commit,
-                                    audit_path=audit_path)
-            _print(f"durable state: {image} + {wal_path}"
-                   + (" (group commit)" if args.group_commit else ""))
+        engine_file = engine_path(vault.server_dir, "sqlite")
+        fresh = (not os.path.exists(engine_file)
+                 and not os.path.exists(wal_path))
+        engine = make_engine("sqlite", engine_file)
+        if fresh:
+            # Bootstrap: write the vault's files into the engine once
+            # (no WAL attached yet, so this is a pure engine flush).
+            server.attach_engine(engine)
+            server.compact_storage()
+        server = recover_server(wal_path, vault.fs.params,
+                                group_commit=args.group_commit,
+                                engine=engine, cache_nodes=args.cache_nodes,
+                                audit_path=audit_path)
+        _print(f"durable state: {engine_file} (sqlite engine) + {wal_path}"
+               + (" (group commit)" if args.group_commit else ""))
         HEALTH.register("wal", server.wal.health)
         rec = server.last_recovery
         _print(f"cold start {rec['load_seconds'] + rec['replay_seconds']:.3f}s"
@@ -396,7 +386,7 @@ def cmd_serve(vault: Vault, args) -> int:
             # the checkpoint starts tearing state down.
             HEALTH.set_stopping()
             if args.durable:
-                checkpoint(server, image)
+                server.compact_storage()
                 server.wal.close()
                 HEALTH.unregister("wal")
             if metrics_server is not None:
@@ -407,7 +397,7 @@ def cmd_serve(vault: Vault, args) -> int:
 def _serve_sharded(vault: Vault, args, metrics_server) -> int:
     """Serve the vault as N consistent-hash shards, one host per shard.
 
-    Each shard is an isolated server with its own WAL + checkpoint image
+    Each shard is an isolated server with its own SQLite engine + WAL
     (``--durable``) and audit chain (``--audit``) under
     ``<server-dir>/shards/shard-<i>/``.  The vault's files are adopted
     onto their ring-assigned shards on first serve; clients connect with
@@ -424,15 +414,16 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
         args.shards, params=vault.fs.params, transport="tcp",
         data_dir=shard_dir, durable=args.durable, audit=audit,
         group_commit=args.group_commit, max_conns=args.max_conns,
-        base_port=args.port, storage_backend=args.backend,
+        base_port=args.port,
+        storage_backend="sqlite" if args.durable else "memory",
         cache_nodes=args.cache_nodes)
     if args.durable:
         # First durable serve splits the vault's files across the ring
         # and checkpoints each shard; later serves recover every shard
-        # independently from its own image + WAL.
+        # independently from its own engine + WAL.
         if not cluster.had_state:
             placed = cluster.adopt_server(vault.fs.server)
-            cluster.checkpoint()
+            cluster.compact()
             _print(f"bootstrapped {placed} file(s) into {args.shards} "
                    f"durable shards")
         _print(f"durable shard state under {shard_dir}"
@@ -460,7 +451,7 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
         # per-shard checkpoints start tearing state down.
         HEALTH.set_stopping()
         if args.durable:
-            cluster.checkpoint()
+            cluster.compact()
         cluster.unregister_health()
         cluster.stop()
         if metrics_server is not None:
@@ -469,14 +460,13 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
 
 
 def cmd_compact(vault: Vault, _args) -> int:
-    """Offline flush + WAL compaction for a SQLite-backed vault.
+    """Offline flush + WAL compaction for a durable vault.
 
     Opens the SQLite engine and WAL under the server directory (the
     server must not be running), replays outstanding WAL records into
     the engine, flushes, truncates the WAL behind a snapshot marker,
     and runs ``VACUUM`` on the database file.  After this, the next
-    ``serve --durable --backend sqlite`` cold-starts with an empty
-    replay.
+    ``serve --durable`` cold-starts with an empty replay.
     """
     from repro.server.engine import SQLiteTreeStore, engine_path
     from repro.server.wal import recover_server
@@ -485,11 +475,11 @@ def cmd_compact(vault: Vault, _args) -> int:
     if not os.path.exists(engine_file):
         raise ReproError(
             f"no sqlite engine state at {engine_file!r}; serve with "
-            f"--durable --backend sqlite first")
+            f"--durable first")
     wal_path = os.path.join(vault.server_dir, "server.wal")
     engine = SQLiteTreeStore(engine_file)
     try:
-        server = recover_server(None, wal_path, engine=engine,
+        server = recover_server(wal_path, engine=engine,
                                 audit_path=_kept_audit_path(
                                     vault.server_dir, False))
         stats = server.compact_storage()
@@ -699,13 +689,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve")
     serve.add_argument("--port", type=int, default=0)
     serve.add_argument("--durable", action="store_true",
-                       help="serve crash-safe state (WAL + checkpoint image "
-                            "under the server directory)")
-    serve.add_argument("--backend", choices=BACKENDS, default="memory",
-                       help="storage engine for durable state: 'memory' "
-                            "keeps everything resident (checkpoint image), "
-                            "'sqlite' pages files in from a single "
-                            "database file on demand (requires --durable)")
+                       help="serve crash-safe state (SQLite engine + WAL "
+                            "under the server directory; files page in "
+                            "on demand)")
+    serve.add_argument("--backend", choices=BACKENDS, default=None,
+                       help="storage engine: 'sqlite' is what --durable "
+                            "runs on, 'memory' what serving without it "
+                            "does (the default follows --durable)")
     serve.add_argument("--cache-nodes", type=int, default=65536,
                        help="bound on cached tree nodes for non-memory "
                             "backends (0 disables the cache)")
@@ -716,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve N consistent-hash shards, one host per "
                             "shard on ports --port..--port+N-1 (0 = all "
                             "ephemeral); each shard owns its own WAL, "
-                            "checkpoint, and audit chain")
+                            "engine, and audit chain")
     serve.add_argument("--max-conns", type=int, default=None,
                        help="bound concurrently served TCP connections "
                             "(excess connections are accepted but not read "

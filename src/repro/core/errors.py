@@ -15,6 +15,15 @@ class AuditError(ReproError):
     """The audit chain failed verification (tampering or corruption)."""
 
 
+class StorageError(ReproError):
+    """Durable state on disk cannot be served by this server.
+
+    Raised when a storage-engine file is not a database of the expected
+    schema, was written with a different modulator width, or when a
+    server directory holds a format this version no longer reads.
+    """
+
+
 class IntegrityError(ReproError):
     """Decrypt-verification failed: ciphertext, key, or hash did not match.
 
@@ -57,5 +66,5 @@ class SimulatedCrash(ReproError):
     Raised by :meth:`repro.server.server.CloudServer` when a test armed a
     crash point; everything the process would lose in a real ``kill -9``
     (un-checkpointed in-memory state) must be considered lost by the test
-    harness, which restarts the server from its on-disk image + WAL.
+    harness, which restarts the server from its storage engine + WAL.
     """

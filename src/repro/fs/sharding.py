@@ -4,7 +4,7 @@ The paper's two-party protocol is strictly per-file: every request
 carries a ``file_id`` and touches exactly one modulation tree, so a
 deployment scales horizontally by hashing file ids onto independent
 server instances -- each shard owning its own :class:`CloudServer`,
-write-ahead log, checkpoint image, lock table, and replay caches.  This
+write-ahead log, storage engine, lock table, and replay caches.  This
 module supplies the routing layer:
 
 * :class:`HashRing` -- consistent hashing with virtual nodes.  Each

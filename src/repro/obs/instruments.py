@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.obs.metrics import LATENCY_BUCKETS, REGISTRY
 
-#: Buckets for fsync and checkpoint (disk) latencies: 10 us .. 2.5 s.
+#: Buckets for fsync and flush (disk) latencies: 10 us .. 2.5 s.
 DISK_BUCKETS = (0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005,
                 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
                 0.5, 1.0, 2.5)
@@ -103,7 +103,7 @@ INFLIGHT_REQUESTS = REGISTRY.gauge(
     ("file_id",))
 
 # ---------------------------------------------------------------------
-# Durability: WAL, checkpoints, recovery
+# Durability: WAL, recovery
 # ---------------------------------------------------------------------
 
 WAL_APPENDS = REGISTRY.counter(
@@ -128,25 +128,15 @@ WAL_REPLAYED = REGISTRY.counter(
 WAL_TRUNCATED = REGISTRY.counter(
     "repro_wal_truncated_records_total",
     "Torn/corrupt tail records discarded when opening the WAL")
-CHECKPOINTS = REGISTRY.counter(
-    "repro_checkpoints_total",
-    "Checkpoint images written (WAL folded into the state image)")
-CHECKPOINT_SECONDS = REGISTRY.histogram(
-    "repro_checkpoint_seconds",
-    "Wall time of one checkpoint (image write + WAL reset)",
-    (), DISK_BUCKETS)
-CHECKPOINT_IMAGE_BYTES = REGISTRY.gauge(
-    "repro_checkpoint_image_bytes",
-    "Size of the most recent checkpoint image")
 RECOVERIES = REGISTRY.counter(
     "repro_recoveries_total",
-    "Server recoveries from checkpoint image + WAL replay")
+    "Server recoveries from storage engine + WAL replay")
 COLD_START_SECONDS = REGISTRY.gauge(
     "repro_server_cold_start_seconds",
     "Wall time of the last recovery (state load + WAL replay)")
 RECOVERY_CHECKPOINT_SECONDS = REGISTRY.gauge(
     "repro_recovery_checkpoint_seconds",
-    "Checkpoint/engine load portion of the last recovery")
+    "Engine open portion of the last recovery")
 RECOVERY_REPLAY_SECONDS = REGISTRY.gauge(
     "repro_recovery_replay_seconds",
     "WAL replay portion of the last recovery")

@@ -3,9 +3,9 @@
 Each shard is a complete, isolated server unit -- its own
 :class:`~repro.server.server.CloudServer` (lock table, replay caches,
 view cache), its own write-ahead :class:`~repro.server.wal.CommitLog`,
-its own checkpoint image and audit archive, optionally its own TCP host.
+its own storage engine and audit archive, optionally its own TCP host.
 Nothing is shared between shards except the process, so a shard crash,
-recovery, or checkpoint never touches its siblings, and
+recovery, or compaction never touches its siblings, and
 durable-mutation throughput scales with the number of independent WAL
 fsync streams.
 
@@ -31,7 +31,7 @@ from repro.core.params import Params
 from repro.fs.sharding import DEFAULT_VNODES, HashRing, ShardMap
 from repro.obs import runtime as obs
 from repro.server.server import CloudServer
-from repro.server.wal import CommitLog, checkpoint, recover_server
+from repro.server.wal import CommitLog, recover_server
 
 TRANSPORTS = ("loopback", "tcp", "async")
 
@@ -64,13 +64,12 @@ class _ShardBackend:
 
 
 class ShardUnit:
-    """One shard: server + WAL + checkpoint + audit + optional host."""
+    """One shard: server + WAL + engine + audit + optional host."""
 
     def __init__(self, shard_id: int, directory: str) -> None:
         self.shard_id = shard_id
         self.directory = directory
         self.wal_path = os.path.join(directory, "shard.wal")
-        self.image_path = os.path.join(directory, "shard.img")
         self.audit_path = os.path.join(directory, "audit.log")
         self.server: CloudServer | None = None
         self.wal: CommitLog | None = None
@@ -113,8 +112,11 @@ class ShardCluster:
       with ``audit`` it is called as ``wal_factory(wal_path,
       archive=audit_path)``;
     * ``durable=True`` -- each unit is rebuilt by
-      :func:`~repro.server.wal.recover_server` from its checkpoint image
-      plus WAL (the ``serve --shards N --durable`` path);
+      :func:`~repro.server.wal.recover_server` from its storage engine
+      plus WAL (the ``serve --shards N --durable`` path); needs an
+      engine ``storage_backend``, and a shard directory still holding
+      an earlier version's ``shard.img`` is refused
+      (:class:`~repro.core.errors.StorageError`);
     * neither -- plain in-memory servers.
 
     ``audit=True`` makes each unit's WAL its audit chain (outcome
@@ -138,7 +140,8 @@ class ShardCluster:
                  fresh: bool = False,
                  storage_backend: str = "memory",
                  cache_nodes: int = 65536) -> None:
-        from repro.server.engine import BACKENDS, engine_path, make_engine
+        from repro.server.engine import (BACKENDS, engine_path, make_engine,
+                                         refuse_image)
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if transport not in TRANSPORTS:
@@ -151,6 +154,9 @@ class ShardCluster:
                              "wal_factory")
         if storage_backend not in BACKENDS:
             raise ValueError(f"unknown storage backend {storage_backend!r}")
+        if durable and storage_backend == "memory":
+            raise ValueError("durable shards keep their state in a storage "
+                             "engine: pass an engine storage_backend")
         self.params = params if params is not None else Params()
         self.transport = transport
         self.group_commit = group_commit
@@ -168,6 +174,10 @@ class ShardCluster:
         #: (``serve`` uses it to decide whether to bootstrap-adopt.)
         self.had_state = False
         self._health_names: List[str] = []
+        if durable:  # before any shard opens its logs
+            for shard_id in range(shards):
+                refuse_image(os.path.join(data_dir, f"shard-{shard_id}",
+                                          "shard.img"))
         for shard_id in range(shards):
             directory = os.path.join(data_dir, f"shard-{shard_id}")
             os.makedirs(directory, exist_ok=True)
@@ -176,8 +186,7 @@ class ShardCluster:
                 unit.engine_path = engine_path(directory, storage_backend)
             if fresh:
                 self._wipe(unit)
-            if os.path.exists(unit.image_path) or \
-                    os.path.exists(unit.wal_path) or \
+            if os.path.exists(unit.wal_path) or \
                     (unit.engine_path is not None
                      and os.path.exists(unit.engine_path)):
                 self.had_state = True
@@ -185,7 +194,7 @@ class ShardCluster:
                 unit.engine = make_engine(storage_backend, unit.engine_path)
             if durable:
                 unit.server = recover_server(
-                    unit.image_path, unit.wal_path, self.params,
+                    unit.wal_path, self.params,
                     group_commit=group_commit, engine=unit.engine,
                     cache_nodes=cache_nodes,
                     audit_path=unit.audit_path if audit else None)
@@ -212,7 +221,7 @@ class ShardCluster:
     @staticmethod
     def _wipe(unit: ShardUnit) -> None:
         from repro.server.wal import head_path_for
-        stale_paths = [unit.wal_path, unit.image_path, unit.audit_path,
+        stale_paths = [unit.wal_path, unit.audit_path,
                        head_path_for(unit.audit_path)]
         if unit.engine_path is not None:
             # SQLite leaves journal/WAL sidecars next to the database.
@@ -322,19 +331,11 @@ class ShardCluster:
             placed += 1
         return placed
 
-    def checkpoint(self) -> None:
-        """Checkpoint every shard (image write + WAL reset, per shard).
-
-        Engine-backed shards checkpoint incrementally: dirty state
-        flushes to the engine and the WAL is compacted (see
-        :meth:`CloudServer.compact_storage`).
-        """
-        for unit in self.units:
-            if unit.wal is not None:
-                checkpoint(unit.server, unit.image_path)
-
     def compact(self) -> list[dict]:
-        """Flush + WAL-compact every engine-backed shard; per-shard stats.
+        """Checkpoint every engine-backed shard; per-shard stats.
+
+        Dirty state flushes to the shard's engine and its WAL is
+        compacted (see :meth:`CloudServer.compact_storage`).
 
         Safe against live traffic: each shard's ``compact_storage``
         holds that shard's registry lock exclusively, so in-flight
@@ -364,8 +365,7 @@ class ShardCluster:
             from repro.server.engine import make_engine
             unit.engine = make_engine(self.storage_backend, unit.engine_path)
         audit_path = unit.audit_path if unit.audit is not None else None
-        unit.server = recover_server(unit.image_path, unit.wal_path,
-                                     self.params,
+        unit.server = recover_server(unit.wal_path, self.params,
                                      group_commit=self.group_commit,
                                      engine=unit.engine,
                                      cache_nodes=self.cache_nodes,

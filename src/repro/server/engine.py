@@ -30,8 +30,20 @@ Tree nodes are addressed ``(file_id, kind, slot)`` with ``kind`` one of
 bidirectionally (``item_id <-> slot``); ciphertexts are keyed by item
 id; per-file metadata is ``(version, n_leaves)``.  The request-id replay
 table persists the idempotency cache so retried commits stay
-exactly-once across an engine-backed restart (the role the checkpoint
-image's replay section plays for pickle persistence).
+exactly-once across an engine-backed restart.
+
+Opening fails closed
+--------------------
+
+An engine file is untrusted input to the server that opens it.  A file
+that is not a SQLite database, or whose tables and indexes are not
+exactly this schema's, raises :class:`~repro.core.errors.StorageError`
+at open -- never a raw ``sqlite3`` error on some later request -- and
+open writes nothing to a file it refuses.  The file records the
+modulator width it was written with (a file from before the width was
+recorded has it read off its stored modulators); attaching it to a
+server with other parameters (:meth:`TreeStore.bind_width`) raises the
+same error instead of serving 20-byte modulators as 32-byte ones.
 
 Bulk reads
 ----------
@@ -64,12 +76,15 @@ just vacated cannot corrupt the reverse index regardless of entry order.
 from __future__ import annotations
 
 import abc
+import functools
 import json
 import os
 import sqlite3
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+from repro.core.errors import StorageError
 
 #: Node kinds (the engine-level encoding of tree.LINK / tree.LEAF).
 KIND_LINK = 0
@@ -189,11 +204,22 @@ class TreeStore(abc.ABC):
                            entries: Iterable[tuple[int, bytes]]) -> None:
         """Replace the persisted idempotency table (eviction order kept)."""
 
+    # -- parameters -----------------------------------------------------
+
+    def bind_width(self, width: int) -> None:
+        """Refuse an engine whose trees hold modulators of another width
+        than ``width`` (``StorageError``).  Only a durable backend can
+        have been written under other parameters; this one cannot."""
+
     # -- lifecycle ------------------------------------------------------
 
     @abc.abstractmethod
     def flush(self) -> None:
         """Durability barrier: staged writes survive a crash after this."""
+
+    @abc.abstractmethod
+    def rollback(self) -> None:
+        """Discard the writes staged since the last ``flush``."""
 
     def compact(self) -> None:
         """Reclaim dead space (optional; durable backends override)."""
@@ -308,6 +334,11 @@ class MemoryTreeStore(TreeStore):
     def flush(self) -> None:
         pass
 
+    def rollback(self) -> None:
+        # Writes land at once and nothing outlives the process, so
+        # there is no staged state to discard.
+        pass
+
 
 # ---------------------------------------------------------------------
 # SQLite engine
@@ -344,7 +375,27 @@ CREATE TABLE IF NOT EXISTS replay (
     request_id INTEGER NOT NULL,
     reply      BLOB NOT NULL
 );
+CREATE TABLE IF NOT EXISTS params (
+    name  TEXT PRIMARY KEY,
+    value INTEGER NOT NULL
+);
 """
+
+#: The schema objects an engine file must hold, as ``sqlite_master``
+#: stores them.  ``CREATE ... IF NOT EXISTS`` keeps a same-named object
+#: of another shape, so open compares against this.
+_SCHEMA_OBJECTS = "SELECT type, name, sql FROM sqlite_master " \
+    "WHERE name NOT LIKE 'sqlite_%' ORDER BY name"
+
+
+@functools.lru_cache(maxsize=None)
+def _expected_schema() -> tuple:
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.executescript(_SCHEMA)
+        return tuple(conn.execute(_SCHEMA_OBJECTS))
+    finally:
+        conn.close()
 
 
 def _s64(value: int) -> int:
@@ -388,12 +439,71 @@ class SQLiteTreeStore(TreeStore):
         self._connect()
 
     def _connect(self) -> None:
-        self._conn = sqlite3.connect(self.path, check_same_thread=False,
-                                     isolation_level=None)
-        self._conn.execute("PRAGMA journal_mode=DELETE").fetchone()
-        self._conn.execute("PRAGMA synchronous=FULL")
-        self._conn.executescript(_SCHEMA)
         self._in_txn = False
+        expected = _expected_schema()
+        # Files written before the modulator width was recorded lack
+        # ``params``; they open, and ``bind_width`` reads their width
+        # off the stored modulators.
+        unversioned = tuple(obj for obj in expected if obj[1] != "params")
+        conn = None
+        try:
+            conn = sqlite3.connect(self.path, check_same_thread=False,
+                                   isolation_level=None)
+            # Nothing is written before the file is known to be ours.
+            found = tuple(conn.execute(_SCHEMA_OBJECTS))
+            if found in (expected, unversioned):
+                # Read each table's root page: a schema row pointing at
+                # a damaged page fails here, not on the first request.
+                for kind, name, _sql in found:
+                    if kind == "table":
+                        conn.execute(
+                            f"SELECT * FROM {name} LIMIT 1").fetchall()
+            elif found:
+                conn.close()
+                raise StorageError(f"{self.path!r} is not a storage engine "
+                                   f"file of this schema")
+            conn.execute("PRAGMA journal_mode=DELETE").fetchone()
+            conn.execute("PRAGMA synchronous=FULL")
+            if found != expected:
+                # One transaction: a crash cannot leave half a schema.
+                conn.executescript("BEGIN;" + _SCHEMA + "COMMIT;")
+        except (sqlite3.Error, UnicodeDecodeError) as exc:
+            # (A damaged schema can make even SQLite's error text
+            # undecodable.)
+            if conn is not None:
+                conn.close()
+            raise StorageError(f"{self.path!r} is not a storage engine "
+                               f"file: {exc}") from None
+        self._conn = conn
+
+    def bind_width(self, width: int) -> None:
+        with self._lock:
+            try:
+                row = self._conn.execute(
+                    "SELECT value FROM params WHERE name='modulator_width'"
+                ).fetchone()
+                recorded = row is not None
+                if not recorded:
+                    # The stored modulators tell the width of a file
+                    # written before it was recorded (an empty one
+                    # takes any).
+                    row = self._conn.execute(
+                        "SELECT length(value) FROM nodes "
+                        "WHERE value IS NOT NULL LIMIT 1").fetchone()
+                stored = width if row is None else row[0]
+                if stored == width and not recorded:
+                    # Outside a transaction this commits at once, so the
+                    # file names its width from its first attach on.
+                    self._conn.execute(
+                        "INSERT INTO params VALUES ('modulator_width', ?)",
+                        (width,))
+            except sqlite3.Error as exc:
+                raise StorageError(f"{self.path!r}: cannot read the "
+                                   f"modulator width: {exc}") from None
+        if stored != width:
+            raise StorageError(
+                f"the storage engine holds {stored}-byte modulators, the "
+                f"server's parameters expect {width}")
 
     def _begin(self) -> None:
         if not self._in_txn:
@@ -584,6 +694,12 @@ class SQLiteTreeStore(TreeStore):
                 self._conn.execute("COMMIT")
                 self._in_txn = False
 
+    def rollback(self) -> None:
+        with self._lock:
+            if self._in_txn:
+                self._in_txn = False
+                self._conn.execute("ROLLBACK")
+
     def compact(self) -> None:
         with self._lock:
             self.flush()
@@ -622,3 +738,19 @@ def make_engine(backend: str, path: Optional[str] = None) -> TreeStore:
         return SQLiteTreeStore(path)
     raise ValueError(f"unknown storage backend {backend!r}; "
                      f"expected one of {BACKENDS}")
+
+
+def refuse_image(path: str) -> None:
+    """Fail closed on a whole-state checkpoint image left at ``path``.
+
+    Earlier versions checkpointed a memory-backed durable server into
+    one image file (``server.img``, per shard ``shard.img``) and reset
+    the WAL behind it.  This version keeps durable state only in the
+    engine, so serving such a directory would start from an empty
+    engine and silently drop every commit the image holds.
+    """
+    if os.path.exists(path):
+        raise StorageError(
+            f"{path!r} is a checkpoint image of an earlier version, which "
+            f"this version no longer reads; serving its directory would "
+            f"drop every commit in it (use a fresh state directory)")

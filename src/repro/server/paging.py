@@ -10,8 +10,10 @@ asks for all of its nodes of one kind at once, so the nodes it misses
 in the cache arrive in one engine statement.
 
 Each paged object keeps a **dirty overlay**: writes land in memory and
-are pushed to the engine only by ``flush_to_engine`` (called from the
-server's ``compact_storage`` under the exclusive registry lock).  Reads
+are staged in the engine only by ``flush_to_engine`` (called from the
+server's ``compact_storage`` under the exclusive registry lock) and
+dropped by ``mark_clean`` once the engine has committed them, so a
+checkpoint that rolls back loses nothing the server still serves.  Reads
 check dirty state first, then the shared :class:`NodeCache`, then the
 engine -- so between compactions the server state is exactly
 (engine state) + (dirty overlays), and a crash loses only the overlay,
@@ -198,7 +200,8 @@ class PagedModulatorStore(ModulatorStore):
         return len(self._dirty)
 
     def flush_to_engine(self) -> int:
-        """Push dirty nodes to the engine; returns the flushed count."""
+        """Stage dirty nodes in the engine; returns the staged count.
+        The overlay stays until :meth:`mark_clean` (after the commit)."""
         if not self._dirty:
             return 0
         self._engine.write_nodes(
@@ -207,9 +210,11 @@ class PagedModulatorStore(ModulatorStore):
              for (kind, slot), value in self._dirty.items()))
         self._cache.put_many(((self._file_id, kind, slot), value)
                              for (kind, slot), value in self._dirty.items())
-        flushed = len(self._dirty)
+        return len(self._dirty)
+
+    def mark_clean(self) -> None:
+        """Drop the overlay: the engine has committed what it staged."""
         self._dirty = {}
-        return flushed
 
 
 class PagedItemMap(ItemMap):
@@ -279,15 +284,18 @@ class PagedItemMap(ItemMap):
         return len(self._dirty_slot_of)
 
     def flush_to_engine(self) -> int:
-        """Push dirty mappings to the engine; returns the flushed count."""
+        """Stage dirty mappings in the engine; returns the staged count.
+        The overlay stays until :meth:`mark_clean` (after the commit)."""
         if not self._dirty_slot_of:
             return 0
         self._engine.write_items(self._file_id,
                                  list(self._dirty_slot_of.items()))
-        flushed = len(self._dirty_slot_of)
+        return len(self._dirty_slot_of)
+
+    def mark_clean(self) -> None:
+        """Drop the overlay: the engine has committed what it staged."""
         self._dirty_slot_of = {}
         self._dirty_item_at = {}
-        return flushed
 
 
 class PagedCiphertextStore(CiphertextStore):
@@ -339,12 +347,15 @@ class PagedCiphertextStore(CiphertextStore):
         return len(self._dirty)
 
     def flush_to_engine(self) -> int:
-        """Push dirty ciphertexts to the engine; returns the count."""
+        """Stage dirty ciphertexts in the engine; returns the count.
+        The overlay stays until :meth:`mark_clean` (after the commit)."""
         if not self._dirty:
             return 0
         self._engine.write_ciphertexts(self._file_id,
                                        list(self._dirty.items()))
-        flushed = len(self._dirty)
+        return len(self._dirty)
+
+    def mark_clean(self) -> None:
+        """Drop the overlay: the engine has committed what it staged."""
         self._dirty = {}
-        return flushed
 

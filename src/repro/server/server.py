@@ -22,9 +22,10 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.core.errors import ReproError, SimulatedCrash, UnknownItemError
+from repro.core.errors import (ProtocolError, ReproError, SimulatedCrash,
+                               UnknownItemError)
 from repro.core.params import Params
 from repro.core.tree import LINK, ModulationTree, WriteLog
 from repro.obs import runtime as obs
@@ -83,7 +84,7 @@ class CloudServer:
     state that recovery (:func:`~repro.server.wal.recover_server`)
     resolves to all-or-nothing.  Mutating requests with a non-zero
     ``request_id`` are idempotent: the reply is cached (and persisted in
-    checkpoint images), so retransmissions are answered without being
+    the storage engine), so retransmissions are answered without being
     applied twice.
     """
 
@@ -132,7 +133,7 @@ class CloudServer:
         """(Re)create the concurrency-control state.
 
         Separated from ``__init__`` because lock objects cannot be
-        pickled: checkpoint images and the CLI's vault snapshot drop them
+        pickled: the CLI's vault snapshot drops them
         and rebuild fresh (necessarily uncontended) locks on load.
         """
         #: Guards the file table: shared by per-file requests, exclusive
@@ -152,7 +153,7 @@ class CloudServer:
 
     #: Attributes recreated by :meth:`_init_locks` instead of pickled
     #: (the view cache holds replies with memoized encodings -- dropping
-    #: it keeps checkpoint images lean and is always safe).
+    #: it keeps the vault snapshot lean and is always safe).
     _UNPICKLED = ("_registry_lock", "_file_locks", "_applied_mutex",
                   "_view_caches", "_materialise_lock")
 
@@ -198,8 +199,12 @@ class CloudServer:
         lazy paging); with random modulators a collision is a ~2^-160
         event, and freshly outsourced files keep their registry until
         restart.  ``docs/STORAGE.md`` records the tradeoff.
+
+        An engine written with another modulator width is refused
+        (:class:`~repro.core.errors.StorageError`).
         """
         from repro.server.paging import NodeCache
+        engine.bind_width(self.params.modulator_size)
         self.engine = engine
         self._node_cache = NodeCache(cache_nodes)
         entries = [(request_id, msg.decode_message(self.ctx, blob))
@@ -253,7 +258,7 @@ class CloudServer:
             raise SimulatedCrash(f"server crashed at {point}")
 
     def replay_cache_entries(self) -> list[tuple[int, msg.Message]]:
-        """Idempotency cache in eviction order (persistence peer API)."""
+        """Idempotency cache in eviction order (what compaction persists)."""
         with self._applied_mutex:
             return list(self._applied.items())
 
@@ -356,7 +361,7 @@ class CloudServer:
                               type=type(request).__name__)
             if cached is not None:
                 if replay is not None and replay[1] is not None:
-                    # A replayed frame whose effect the checkpoint
+                    # A replayed frame whose effect the engine
                     # already holds: its versions are no longer known.
                     self._emit_audit(replay[1], replay[0], request,
                                      cached, None, None)
@@ -1067,19 +1072,18 @@ class CloudServer:
         return msg.Ack()
 
     # ------------------------------------------------------------------
-    # Incremental checkpointing (storage engine + WAL compaction)
+    # Checkpointing (storage engine + WAL compaction)
     # ------------------------------------------------------------------
 
     def compact_storage(self) -> dict:
         """Flush dirty state to the engine, then compact the WAL.
 
-        The engine-backed replacement for whole-image checkpointing:
-        only state touched since the last compaction is written (dirty
-        overlays of paged files; full conversion for files outsourced
-        while running), followed by the persisted replay table, one
-        engine ``flush`` (the durability barrier), and a WAL
-        ``compact`` that truncates replayed history behind a snapshot
-        marker.
+        The server's checkpoint: only state touched since the last
+        compaction is written (dirty overlays of paged files; full
+        conversion for files outsourced while running), followed by
+        the persisted replay table, one engine ``flush`` (the
+        durability barrier), and a WAL ``compact`` that truncates
+        replayed history behind a snapshot marker.
 
         Runs under the exclusive registry lock -- the same stop-the-
         world discipline outsourcing uses -- so no mutation can land
@@ -1093,6 +1097,12 @@ class CloudServer:
           already reflected in the engine; replaying them is a no-op
           (request-id replay table hits, stale-version rejections, and
           idempotent re-applies -- see ``docs/STORAGE.md``).
+
+        A checkpoint that fails before its flush commits (an engine
+        error, or :class:`~repro.core.errors.ProtocolError` for a tree
+        entry without its ciphertext) rolls the engine back: the file
+        keeps the previous snapshot, and the running server keeps its
+        dirty overlays and unconverted files for the next attempt.
         """
         if self.engine is None:
             raise ReproError("no storage engine attached")
@@ -1106,12 +1116,22 @@ class CloudServer:
                 # Outcome frames durable before the engine absorbs
                 # their requests (replay could no longer re-derive them).
                 self.wal.sync()
-            for file_id, state in sorted(self._files.items()):
-                self._flush_file(file_id, state, stats)
-            self.engine.set_replay_entries(
-                (request_id, msg.encode_message(self.ctx, reply))
-                for request_id, reply in self.replay_cache_entries())
+            # Commit what requests staged (file drops), so a rollback
+            # below discards only this checkpoint's writes.
             self.engine.flush()
+            done = []
+            try:
+                for file_id, state in sorted(self._files.items()):
+                    done.append(self._flush_file(file_id, state, stats))
+                self.engine.set_replay_entries(
+                    (request_id, msg.encode_message(self.ctx, reply))
+                    for request_id, reply in self.replay_cache_entries())
+                self.engine.flush()
+            except BaseException:
+                self.engine.rollback()
+                raise
+            for finish in done:
+                finish()
             self._fire_crash(CRASH_POINT_AFTER_FLUSH)
             if self.wal is not None:
                 marker = (f"snapshot files={self.file_count()} "
@@ -1127,46 +1147,61 @@ class CloudServer:
         return stats
 
     def _flush_file(self, file_id: int, state: ServerFile,
-                    stats: dict) -> None:
-        """Flush one resident file to the engine (registry lock held)."""
+                    stats: dict) -> Callable[[], None]:
+        """Stage one resident file's writes in the engine (registry lock
+        held); returns what to run once they are committed."""
         from repro.server.engine import FileMeta
         from repro.server.paging import PagedModulatorStore
         tree = state.tree
         if isinstance(tree.store, PagedModulatorStore):
-            dirty = tree.store.flush_to_engine()
-            dirty += tree._map.flush_to_engine()  # noqa: SLF001
-            dirty += state.ciphertexts.flush_to_engine()
+            overlays = (tree.store, tree._map,  # noqa: SLF001
+                        state.ciphertexts)
+            dirty = sum(overlay.flush_to_engine() for overlay in overlays)
             self.engine.set_meta(FileMeta(file_id, state.version,
                                           tree.leaf_count))
             stats["files_flushed"] += 1
             stats["dirty_records"] += dirty
-            return
+
+            def finish() -> None:
+                for overlay in overlays:
+                    overlay.mark_clean()
+            return finish
         # A file outsourced (or installed) while running: write it out
-        # wholesale and swap in the paged representation, keeping the
-        # version, registry, and commit replay cache.  drop_file first
-        # clears any stale rows from a previous incarnation of the id.
+        # wholesale and, once that commits, swap in the paged
+        # representation, keeping the version, registry, and commit
+        # replay cache.  drop_file first clears any stale rows from a
+        # previous incarnation of the id.
         from repro.server.engine import KIND_LEAF, KIND_LINK
         from repro.server.paging import PagedCiphertextStore, PagedItemMap
+        item_ids = tree.item_ids()
+        try:
+            ciphertexts = state.ciphertexts.get_many(item_ids)
+        except UnknownItemError as exc:
+            # A tree entry without its ciphertext is corruption; a
+            # silently smaller engine file would *look* like a clean
+            # deletion on reload.  Refuse before staging the file.
+            raise ProtocolError(f"file {file_id}: a tree entry has no "
+                                f"ciphertext ({exc}); state is corrupt") \
+                from None
         self.engine.drop_file(file_id)
-        self._node_cache.purge_file(file_id)
         self.engine.write_nodes(file_id, (
             (KIND_LINK if kind == LINK else KIND_LEAF, slot, value)
             for kind, slot, value in tree.iter_modulators()))
-        item_ids = tree.item_ids()
         self.engine.write_items(file_id, [
             (item_id, tree.slot_of_item(item_id)) for item_id in item_ids])
-        self.engine.write_ciphertexts(file_id, [
-            (item_id, state.ciphertexts.get(item_id))
-            for item_id in item_ids])
-        records = tree.modulator_count() + 2 * len(item_ids)
+        self.engine.write_ciphertexts(file_id, zip(item_ids, ciphertexts))
         self.engine.set_meta(FileMeta(file_id, state.version,
                                       tree.leaf_count))
-        store = PagedModulatorStore(self.engine, file_id,
-                                    self.params.modulator_size,
-                                    self._node_cache)
-        state.tree = ModulationTree.wrap(store, tree.leaf_count,
-                                         PagedItemMap(self.engine, file_id))
-        state.ciphertexts = PagedCiphertextStore(self.engine, file_id)
-        self._view_caches.pop(file_id, None)
         stats["files_converted"] += 1
-        stats["dirty_records"] += records
+        stats["dirty_records"] += tree.modulator_count() + 2 * len(item_ids)
+
+        def finish() -> None:
+            self._node_cache.purge_file(file_id)
+            store = PagedModulatorStore(self.engine, file_id,
+                                        self.params.modulator_size,
+                                        self._node_cache)
+            state.tree = ModulationTree.wrap(
+                store, tree.leaf_count, PagedItemMap(self.engine, file_id))
+            state.ciphertexts = PagedCiphertextStore(self.engine, file_id)
+            self._view_caches.pop(file_id, None)
+        return finish

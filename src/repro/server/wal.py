@@ -10,12 +10,12 @@ so every mutating request is made durable *before* it is applied:
 2. the request is applied to the in-memory state;
 3. the reply is sent.
 
-Recovery (:func:`recover_server`) loads the last checkpoint image written
-by :func:`repro.server.persistence.save_server` and re-executes every
+Recovery (:func:`recover_server`) opens the storage engine, which holds
+the state as of the last ``compact_storage``, and re-executes every
 logged request through the ordinary message handlers.  Because mutating
 requests carry idempotent ``request_id``\\ s, a record that is also
-reflected in the checkpoint (crash between checkpoint write and log
-reset) is answered from the server's replay cache instead of being
+reflected in the engine (crash between the engine flush and the log
+compaction) is answered from the server's replay cache instead of being
 applied twice, and a client retrying an un-acknowledged commit after the
 restart converges to exactly-once application.
 
@@ -65,7 +65,7 @@ Opened with ``archive=PATH`` the log also keeps:
   other slot intact; opening a log whose valid frames stop short of the
   anchored seq (or disagree with its hash) raises
   :class:`~repro.core.errors.AuditError` instead of truncating history.
-* a **sealed archive** at ``PATH``: ``compact``/``reset`` append the
+* a **sealed archive** at ``PATH``: ``compact`` appends the
   truncated prefix there -- request payloads as digests, outcome and
   marker frames whole -- before swapping the log, and the new log's
   marker records the archive's size and final hash.  A crash between
@@ -87,7 +87,7 @@ Two failure modes beyond the torn tail are handled explicitly:
   rather than acknowledge commits it may lose.
 * **Lost directory entry**: file data is fsync'd but a freshly created
   file's *name* lives in the directory, which has its own durability.
-  Log creation and reset fsync the parent directory (POSIX only; no-op
+  Log creation and compaction fsync the parent directory (POSIX only; no-op
   elsewhere) so a crash cannot forget the log file itself.
 
 Group commit
@@ -152,9 +152,6 @@ _OUTCOME_REQ = struct.Struct(">Q")
 _HEAD_HEADER = b"RHED" + struct.pack(">H", 1)
 _HEAD_SLOT = struct.Struct(">QQ32sI")
 _HEAD_SIZE = len(_HEAD_HEADER) + 2 * _HEAD_SLOT.size
-
-#: Default number of WAL records after which callers should checkpoint.
-CHECKPOINT_INTERVAL = 256
 
 _fdatasync = getattr(os, "fdatasync", os.fsync)
 
@@ -394,8 +391,8 @@ class CommitLog:
     tail.  ``append`` is durable on return (``flush`` + ``fsync``) and
     returns the request frame's sequence number; ``append_outcome``
     writes an outcome frame that becomes durable with the next fsync.
-    ``reset``/``compact`` empty the log after its effects have been
-    checkpointed, sealing it into ``archive`` first when one is given
+    ``compact`` empties the log after the storage engine has absorbed
+    its effects, sealing it into ``archive`` first when one is given
     (evidence mode, see the module docstring).
 
     ``group_commit=True`` coalesces concurrent appends into one
@@ -427,8 +424,8 @@ class CommitLog:
         self.snapshot_marker: bytes | None = None
         self._scan()
         self._handle = open(path, "ab")
-        #: Requests appended since the last checkpoint/open, for callers
-        #: implementing a checkpoint-every-N policy.
+        #: Requests appended since the last compaction/open, for callers
+        #: implementing a compact-every-N policy.
         self.appended = 0
         #: Serialises the write(+fsync) of one frame (or one group-commit
         #: batch): appends arriving from different per-file handler
@@ -806,16 +803,7 @@ class CommitLog:
                                f"committer thread is dead")
         return True, f"durable through {self._durable_size} bytes"
 
-    # -- checkpointing --------------------------------------------------
-
-    def reset(self) -> None:
-        """Empty the log (call only after checkpointing its effects).
-
-        Without an archive the new log is a bare header (the chain
-        restarts at genesis); an archive-backed log is sealed and
-        continued behind a marker, as in :meth:`compact`.
-        """
-        self._truncate(None)
+    # -- compaction -----------------------------------------------------
 
     def compact(self, marker: bytes = b"") -> None:
         """Truncate replayed history behind an fsync'd snapshot marker.
@@ -827,18 +815,10 @@ class CommitLog:
         onto its final hash.  The swap is a write-temp + ``os.replace``
         + directory fsync, so a crash at any instruction leaves either
         the full old log or the compacted one -- never a torn
-        in-between -- the same atomicity the checkpoint image relies
-        on.  Callers must guarantee no append is in flight (the server
-        holds its registry lock exclusively).
+        in-between.  A failed log is re-armed by the swap.  Callers
+        must guarantee no append is in flight (the server holds its
+        registry lock exclusively).
         """
-        self._truncate(marker)
-        if obs.enabled:
-            from repro.obs import instruments as ins
-            ins.WAL_COMPACTIONS.inc()
-            log_event("wal.compacted", path=self.path,
-                      marker=marker.decode("utf-8", "replace"))
-
-    def _truncate(self, marker: bytes | None) -> None:
         with self._lock:
             error = self._drain_locked()
             if error is not None:
@@ -846,16 +826,11 @@ class CommitLog:
             if self.archive_path is not None:
                 archive_size = self._seal_locked()
                 base = (self._seq, self._tip, archive_size)
-                text = marker if marker is not None else b"checkpoint"
             else:
                 base = (0, GENESIS, 0)
-                text = marker
-            image = LOG_HEADER
-            seq, tip = base[0], base[1]
-            if text is not None:
-                body = encode_marker(*base, text)
-                image += encode_frame(KIND_MARKER, body)
-                seq, tip = seq + 1, link(tip, KIND_MARKER, body)
+            body = encode_marker(*base, marker)
+            image = LOG_HEADER + encode_frame(KIND_MARKER, body)
+            seq, tip = base[0] + 1, link(base[1], KIND_MARKER, body)
             tmp = self.path + ".compact.tmp"
             with open(tmp, "wb") as handle:
                 handle.write(image)
@@ -872,11 +847,15 @@ class CommitLog:
             self.appended = 0
             self._durable_size = self._handle.tell()
             self._failed = False
-            if marker is not None:
-                self.compactions += 1
-                self.snapshot_marker = bytes(marker)
+            self.compactions += 1
+            self.snapshot_marker = bytes(marker)
             if self._head is not None:
                 self._head.write(self._origin, seq, tip)
+        if obs.enabled:
+            from repro.obs import instruments as ins
+            ins.WAL_COMPACTIONS.inc()
+            log_event("wal.compacted", path=self.path,
+                      marker=marker.decode("utf-8", "replace"))
 
     def _seal_locked(self) -> int:
         """Append the live log's frames to the archive; returns its size.
@@ -952,52 +931,19 @@ class CommitLog:
         self.close()
 
 
-def checkpoint(server, image_path: str) -> None:
-    """Fold the server's state into the image and reset its WAL.
-
-    The image replace is atomic and fsync'd, so a crash at any point
-    leaves either (old image + full WAL) or (new image + WAL), both of
-    which :func:`recover_server` resolves to the same state.
-
-    An engine-backed server checkpoints *incrementally* instead: dirty
-    state flushes to the engine and the WAL is compacted; no image is
-    written (``image_path`` is ignored).
-    """
-    if getattr(server, "engine", None) is not None:
-        server.compact_storage()
-        return
-    from repro.server.persistence import save_server
-    if server.wal is not None:
-        server.wal.sync()  # outcome frames durable before the image
-    if not obs.enabled:
-        save_server(server, image_path)
-        if server.wal is not None:
-            server.wal.reset()
-        return
-    from repro.obs import instruments as ins
-    with span("server.checkpoint", image=image_path):
-        start = time.perf_counter()
-        save_server(server, image_path)
-        if server.wal is not None:
-            server.wal.reset()
-        ins.CHECKPOINT_SECONDS.observe(time.perf_counter() - start)
-        ins.CHECKPOINTS.inc()
-
-
-def recover_server(image_path: str | None, wal_path: str, params=None, *,
+def recover_server(wal_path: str, params=None, *,
                    group_commit: bool = False, engine=None,
                    cache_nodes: int = 65536, audit_path: str | None = None):
-    """Rebuild a server from its durable state plus commit log.
+    """Rebuild a server from its storage engine plus commit log.
 
     With ``engine`` given, the server pages its files from the storage
     engine on demand -- recovery cost is O(records since the last
-    compaction), not O(total state) -- and ``image_path`` may be
-    ``None``.  Otherwise, a missing image means recovery starts from an
-    empty server (the WAL then holds the full history since bootstrap).
-    Every validated request frame is re-executed through the normal
-    handlers *before* the log is attached for new appends, so replay
-    never re-logs.  ``group_commit`` selects the coalescing append path
-    for the re-attached log.
+    compaction), not O(total state).  Without one, recovery starts from
+    an empty server and the WAL must hold the full history (a log that
+    was never compacted).  Every validated request frame is re-executed
+    through the normal handlers *before* the log is attached for new
+    appends, so replay never re-logs.  ``group_commit`` selects the
+    coalescing append path for the re-attached log.
 
     ``audit_path`` opens the log in evidence mode with that archive and
     attaches an :class:`~repro.obs.audit.AuditLog`; a replayed request
@@ -1010,18 +956,13 @@ def recover_server(image_path: str | None, wal_path: str, params=None, *,
     ``repro_recovery_*_seconds`` gauges and a ``server.recovered``
     event, so the compaction win shows up in ``/statusz``.
     """
-    from repro.server.persistence import load_server
     from repro.server.server import CloudServer
 
-    with span("server.recover", image=image_path, wal=wal_path):
+    with span("server.recover", wal=wal_path):
         start = time.perf_counter()
+        server = CloudServer(params)
         if engine is not None:
-            server = CloudServer(params)
             server.attach_engine(engine, cache_nodes=cache_nodes)
-        elif image_path is not None and os.path.exists(image_path):
-            server = load_server(image_path, params)
-        else:
-            server = CloudServer(params)
         load_seconds = time.perf_counter() - start
         log = CommitLog(wal_path, group_commit=group_commit,
                         archive=audit_path)

@@ -649,10 +649,9 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
             shutil.copy(unit.wal_path, wal_copy)
             shutil.copy(unit.engine_path, engine_copy)
             tmp_engine = make_engine(cluster.storage_backend, engine_copy)
-            recovered = recover_server(None, wal_copy, engine=tmp_engine)
+            recovered = recover_server(wal_copy, engine=tmp_engine)
         else:
-            recovered = recover_server(unit.wal_path + ".noimage",
-                                       unit.wal_path)
+            recovered = recover_server(unit.wal_path)
         recovered_live = set(recovered.file_ids())
         if recovered_live != shard_live:
             raise InvariantViolation(

@@ -15,9 +15,10 @@ from repro.obs.audit import AuditLog, verify_log
 from repro.protocol import messages as msg
 from repro.protocol.faults import (CRASH_AFTER_APPLY, CRASH_BEFORE_APPLY,
                                    NONE, ChannelError, FaultInjectingChannel)
+from repro.server.engine import SQLiteTreeStore
 from repro.server.server import CloudServer
 from repro.server.wal import (KIND_DIGEST, KIND_REQUEST, CommitLog,
-                              checkpoint, recover_server, split_frames)
+                              recover_server, split_frames)
 
 pytestmark = pytest.mark.slow
 
@@ -37,22 +38,29 @@ OPS = [("delete", _delete, [NONE], msg.DeleteCommit),
 
 
 class Harness:
-    """A durable, audited server (checkpointed once, so the history
-    before the crash is already sealed in the archive)."""
+    """A durable, audited server on a SQLite engine (checkpointed once,
+    so the history before the crash is already sealed in the archive)."""
 
     def __init__(self, directory):
-        self.image = str(directory / "server.img")
+        self.engine_path = str(directory / "state.db")
         self.wal_path = str(directory / "server.wal")
         self.archive = str(directory / "audit.log")
         wal = CommitLog(self.wal_path, archive=self.archive)
-        self.server = CloudServer(wal=wal, audit=AuditLog(wal))
+        self.server = CloudServer(wal=wal, audit=AuditLog(wal),
+                                  engine=SQLiteTreeStore(self.engine_path))
         self.channel = FaultInjectingChannel(self.server, [])
         self.client = AssuredDeletionClient(
             self.channel, rng=DeterministicRandom("audit-crash"))
         self.key = self.client.outsource(1, [b"item-%d" % i
                                              for i in range(4)])
         self.ids = self.client.item_ids_of(4)
-        checkpoint(self.server, self.image)
+        self.server.compact_storage()
+
+    def recover(self):
+        """Restart from the engine file plus the WAL, audited."""
+        return recover_server(self.wal_path,
+                              engine=SQLiteTreeStore(self.engine_path),
+                              audit_path=self.archive)
 
     def request_frames(self):
         """Request frames on disk: sealed digests plus live requests."""
@@ -76,12 +84,13 @@ def test_crashed_commit_gets_exactly_one_outcome(tmp_path, name, op, prefix,
         op(h)
     commit_bytes = h.channel.last_request_bytes
     # The kill -9: the request frame is durable, its outcome was never
-    # written.
+    # written, and nothing staged in the engine was committed.
     h.server.wal._handle.close()
+    h.server.engine._conn.close()  # noqa: SLF001
     crashed = verify_log(h.archive, h.wal_path)
     assert len(crashed.pending) == 1
 
-    recovered = recover_server(h.image, h.wal_path, audit_path=h.archive)
+    recovered = h.recover()
     chain = verify_log(h.archive, h.wal_path)
     assert len(chain.requests) == h.request_frames() == \
         len(crashed.requests)
@@ -97,6 +106,7 @@ def test_crashed_commit_gets_exactly_one_outcome(tmp_path, name, op, prefix,
                                recovered.handle_bytes(commit_bytes))
     assert isinstance(reply, msg.Ack)
     recovered.wal.close()
+    recovered.engine.close()
     again = verify_log(h.archive, h.wal_path)
     assert again.seq == chain.seq
     assert len(again.records) == len(again.requests) == len(chain.requests)
@@ -107,9 +117,11 @@ def test_recovery_writes_no_outcome_for_an_audited_request(tmp_path):
     h = Harness(tmp_path)
     _delete(h)
     h.server.wal.close()
+    h.server.engine.close()
     before = verify_log(h.archive, h.wal_path)
-    recovered = recover_server(h.image, h.wal_path, audit_path=h.archive)
+    recovered = h.recover()
     recovered.wal.close()
+    recovered.engine.close()
     after = verify_log(h.archive, h.wal_path)
     assert after.seq == before.seq
     assert after.pending == []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.errors import StorageError
 from repro.fs.filesystem import OutsourcedFileSystem
 from repro.fs.sharding import ShardRoutingChannel
 from repro.obs.health import HEALTH
@@ -29,6 +30,8 @@ def test_rejects_bad_configuration(tmp_path):
     with pytest.raises(ValueError):
         ShardCluster(2, data_dir=str(tmp_path), durable=True,
                      wal_factory=CommitLog)
+    with pytest.raises(ValueError, match="storage engine"):
+        ShardCluster(2, data_dir=str(tmp_path), durable=True)
 
 
 def test_loopback_cluster_places_files_on_ring_shards(tmp_path):
@@ -87,16 +90,21 @@ def test_per_shard_health_probes_gate_readiness(tmp_path):
         HEALTH.reset()
 
 
+def _durable(tmp_path, **kwargs) -> ShardCluster:
+    return ShardCluster(2, data_dir=str(tmp_path), durable=True,
+                        storage_backend="sqlite", **kwargs)
+
+
 def test_durable_cluster_recovers_each_shard_independently(tmp_path):
-    cluster = ShardCluster(2, data_dir=str(tmp_path), durable=True)
+    cluster = _durable(tmp_path)
     fs = _routed_fs(cluster)
     fs.create_file("keep.txt", [b"one", b"two"])
     file_ids = {unit.shard_id: set(unit.server.file_ids())
                 for unit in cluster.units}
-    cluster.checkpoint()
+    cluster.compact()
     cluster.stop()
 
-    reopened = ShardCluster(2, data_dir=str(tmp_path), durable=True)
+    reopened = _durable(tmp_path)
     try:
         assert reopened.had_state
         for unit in reopened.units:
@@ -106,17 +114,28 @@ def test_durable_cluster_recovers_each_shard_independently(tmp_path):
 
 
 def test_fresh_wipes_previous_state(tmp_path):
-    cluster = ShardCluster(2, data_dir=str(tmp_path), durable=True)
+    cluster = _durable(tmp_path)
     _routed_fs(cluster).create_file("stale.txt", [b"x"])
-    cluster.checkpoint()
+    cluster.compact()
     cluster.stop()
-    wiped = ShardCluster(2, data_dir=str(tmp_path), durable=True,
-                         fresh=True)
+    wiped = _durable(tmp_path, fresh=True)
     try:
         assert not wiped.had_state
         assert all(unit.server.file_count() == 0 for unit in wiped.units)
     finally:
         wiped.stop()
+
+
+def test_durable_cluster_refuses_a_leftover_shard_image(tmp_path):
+    """A shard directory still holding an earlier version's checkpoint
+    image is refused by name before any shard opens: recovering from the
+    engine alone would drop every commit in the image."""
+    image = tmp_path / "shard-1" / "shard.img"
+    image.parent.mkdir()
+    image.write_bytes(b"RPRV")
+    with pytest.raises(StorageError, match="shard-1/shard.img"):
+        _durable(tmp_path)
+    assert not (tmp_path / "shard-0").exists()  # nothing was opened
 
 
 @pytest.mark.socket

@@ -1,13 +1,17 @@
 """Kill -9 semantics: every mutating operation is all-or-nothing.
 
-The harness runs the real client against a WAL-backed server through the
-fault-injecting channel, fires a simulated crash at each commit crash
-point, restarts the server from disk (``recover_server``), and then
-replays the client's retransmission -- the same encoded bytes, same
+The harness runs the real client against a durable server (SQLite
+engine + WAL) through the fault-injecting channel, fires a simulated
+crash at each commit crash point, restarts the server from disk
+(``recover_server`` over a reopened engine), and then replays the
+client's retransmission -- the same encoded bytes, same
 request id.  The pinned property is the one the paper's assurance
 argument needs: after recovery the operation is either fully applied or
 fully absent, and the retry converges to applied *exactly once*.
 """
+
+import os
+import shutil
 
 import pytest
 
@@ -18,8 +22,9 @@ from repro.protocol import messages as msg
 from repro.protocol.faults import (CRASH_AFTER_APPLY, CRASH_BEFORE_APPLY,
                                    DROP_RESPONSE, NONE, ChannelError,
                                    FaultInjectingChannel)
+from repro.server.engine import SQLiteTreeStore
 from repro.server.server import CloudServer
-from repro.server.wal import CommitLog, checkpoint, recover_server
+from repro.server.wal import CommitLog, recover_server
 from repro.sim.threat import snapshot_file
 
 pytestmark = pytest.mark.slow
@@ -27,30 +32,52 @@ pytestmark = pytest.mark.slow
 CRASH_POINTS = [CRASH_BEFORE_APPLY, CRASH_AFTER_APPLY]
 
 
+def kill(server):
+    """The kill -9 of a durable server: close its handles without the
+    engine's close-time flush, so writes staged since the last
+    compaction are rolled back as SQLite does after a process death."""
+    server.wal.close()
+    server.engine._conn.close()  # noqa: SLF001 - no commit on the way out
+
+
+def reopen(directory):
+    """Recover a server from ``directory``'s engine file plus WAL."""
+    return recover_server(
+        os.path.join(directory, "server.wal"),
+        engine=SQLiteTreeStore(os.path.join(directory, "state.db")))
+
+
+def durable_server(directory, group_commit=False, log=CommitLog):
+    """A fresh server on a SQLite engine + WAL in ``directory``."""
+    return CloudServer(
+        wal=log(os.path.join(directory, "server.wal"),
+                group_commit=group_commit),
+        engine=SQLiteTreeStore(os.path.join(directory, "state.db")))
+
+
 class Harness:
     """One durable server + client pair with deterministic randomness."""
 
     def __init__(self, directory, seed="crash", n=6, group_commit=False):
         directory.mkdir(exist_ok=True)
-        self.image = str(directory / "server.img")
+        self.directory = str(directory)
         self.wal_path = str(directory / "server.wal")
-        self.server = CloudServer(wal=CommitLog(self.wal_path,
-                                                group_commit=group_commit))
+        self.server = durable_server(self.directory, group_commit)
         self.channel = FaultInjectingChannel(self.server, [])
         self.client = AssuredDeletionClient(self.channel,
                                             rng=DeterministicRandom(seed))
         self.key = self.client.outsource(
             1, [b"item-%d" % i for i in range(n)])
         self.ids = self.client.item_ids_of(n)
-        checkpoint(self.server, self.image)
+        self.server.compact_storage()  # the checkpoint
 
     def schedule(self, faults):
         self.channel._schedule = iter(faults)
 
     def restart(self):
         """Simulate the kill -9: only the on-disk state survives."""
-        self.server.wal.close()
-        self.server = recover_server(self.image, self.wal_path)
+        kill(self.server)
+        self.server = reopen(self.directory)
         self.channel._server = self.server  # the client re-dials
         return self.server
 
@@ -215,7 +242,7 @@ def test_every_wal_truncation_point_is_all_or_nothing(tmp_path,
     with pytest.raises(ChannelError):
         h.client.delete(1, h.key, h.ids[1])
     commit_bytes = h.channel.last_request_bytes
-    h.server.wal.close()
+    kill(h.server)
 
     wal_bytes = (tmp_path / "origin" / "server.wal").read_bytes()
     record_start = 6  # header: magic + u16 version
@@ -224,9 +251,9 @@ def test_every_wal_truncation_point_is_all_or_nothing(tmp_path,
     for cut in range(len(wal_bytes) + 1):
         trial = tmp_path / f"cut-{cut}"
         trial.mkdir()
-        wal_copy = trial / "server.wal"
-        wal_copy.write_bytes(wal_bytes[:cut])
-        recovered = recover_server(h.image, str(wal_copy))
+        shutil.copy(tmp_path / "origin" / "state.db", trial / "state.db")
+        (trial / "server.wal").write_bytes(wal_bytes[:cut])
+        recovered = reopen(str(trial))
         torn = cut < len(wal_bytes)
         if torn:
             assert snapshot_file(recovered, 1) == baseline  # fully absent
@@ -242,6 +269,7 @@ def test_every_wal_truncation_point_is_all_or_nothing(tmp_path,
         assert final != baseline
         assert recovered.file_state(1).version == 1
         recovered.wal.close()
+        recovered.engine.close()
 
 
 @pytest.mark.parametrize("group_commit", [False, True],
@@ -261,17 +289,13 @@ def test_append_failure_then_crash_keeps_acknowledged_commits(tmp_path,
                 raise OSError(28, "No space left on device")
             super()._sync(fileno)
 
-    directory = tmp_path / "flaky"
-    directory.mkdir()
-    image = str(directory / "server.img")
-    wal_path = str(directory / "server.wal")
-    server = CloudServer(wal=_FailingSyncLog(wal_path,
-                                             group_commit=group_commit))
+    directory = str(tmp_path)
+    server = durable_server(directory, group_commit, log=_FailingSyncLog)
     client = AssuredDeletionClient(FaultInjectingChannel(server, []),
                                    rng=DeterministicRandom("flaky"))
     key = client.outsource(1, [b"item-%d" % i for i in range(4)])
     ids = client.item_ids_of(4)
-    checkpoint(server, image)
+    server.compact_storage()
 
     client.modify(1, key, ids[0], b"acknowledged-1")
     failures["armed"] = True
@@ -279,27 +303,27 @@ def test_append_failure_then_crash_keeps_acknowledged_commits(tmp_path,
         client.modify(1, key, ids[1], b"never-acknowledged")
     client.modify(1, key, ids[2], b"acknowledged-2")  # after the repair
     expected = snapshot_file(server, 1)
-    server.wal.close()
+    kill(server)
 
-    recovered = recover_server(image, wal_path)
+    recovered = reopen(directory)
     assert snapshot_file(recovered, 1) == expected
     recovered.wal.close()
+    recovered.engine.close()
 
 
-def test_missing_wal_directory_entry_recovers_from_image(tmp_path):
+def test_missing_wal_directory_entry_recovers_from_engine(tmp_path):
     """The lost-directory-entry crash: the WAL file's name never became
     durable and the file is simply gone after restart.  Recovery must
-    fall back to the checkpoint image, recreate the log (and this time
-    fsync the directory), and keep serving durably."""
+    fall back to the engine's checkpoint, recreate the log (and this
+    time fsync the directory), and keep serving durably."""
     h = Harness(tmp_path)
     h.client.modify(1, h.key, h.ids[0], b"checkpointed")
-    checkpoint(h.server, h.image)
+    h.server.compact_storage()
     expected = snapshot_file(h.server, 1)
-    h.server.wal.close()
-    import os
+    kill(h.server)
     os.unlink(h.wal_path)  # the directory entry the crash forgot
 
-    recovered = recover_server(h.image, h.wal_path)
+    recovered = reopen(h.directory)
     assert os.path.exists(h.wal_path)  # recreated, header only
     assert snapshot_file(recovered, 1) == expected
     # And the recreated log keeps accepting durable commits.
@@ -308,26 +332,28 @@ def test_missing_wal_directory_entry_recovers_from_image(tmp_path):
                                    keystore=h.client.keystore,
                                    store_keys=False)
     client.modify(1, h.key, h.ids[1], b"after-recreate")
-    recovered.wal.close()
-    again = recover_server(h.image, h.wal_path)
-    assert snapshot_file(again, 1) == snapshot_file(recovered, 1)
+    expected = snapshot_file(recovered, 1)
+    kill(recovered)
+    again = reopen(h.directory)
+    assert snapshot_file(again, 1) == expected
     again.wal.close()
+    again.engine.close()
 
 
 def test_retry_after_checkpoint_answers_from_persisted_cache(tmp_path):
-    """The Ack is lost, the server checkpoints (WAL reset!) and crashes.
-    The only thing that can answer the client's retry correctly is the
-    replay cache persisted inside the image -- without it the retry
-    would bounce off the version check as stale."""
+    """The Ack is lost, the server checkpoints (WAL compacted!) and
+    crashes.  The only thing that can answer the client's retry
+    correctly is the replay cache persisted inside the engine --
+    without it the retry would bounce off the version check as
+    stale."""
     h = Harness(tmp_path)
     h.schedule([NONE, DROP_RESPONSE])
     with pytest.raises(ChannelError):
         h.client.delete(1, h.key, h.ids[3])
-    checkpoint(h.server, h.image)
+    h.server.compact_storage()
 
     h.restart()
-    with open(h.wal_path, "rb") as handle:
-        assert len(handle.read()) == 6  # nothing left to replay
+    assert h.server.last_recovery["replayed_records"] == 0
     new_key = h.client.resume_delete(1, h.ids[3])
     assert h.server.file_state(1).version == 1  # answered, not re-applied
     assert h.client.access(1, new_key, h.ids[0]) == b"item-0"

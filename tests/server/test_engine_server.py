@@ -8,7 +8,6 @@ across mid-sequence compactions, full restarts, and simulated crashes
 at both compaction seams.
 """
 
-import os
 import pickle
 import random
 import re
@@ -25,7 +24,7 @@ from repro.server.engine import KIND_LEAF, KIND_LINK, make_engine
 from repro.server.paging import NodeCache, PagedModulatorStore
 from repro.server.server import (CRASH_POINT_AFTER_FLUSH,
                                  CRASH_POINT_BEFORE_FLUSH, CloudServer)
-from repro.server.wal import CommitLog, checkpoint, recover_server
+from repro.server.wal import CommitLog, recover_server
 from repro.sim.threat import snapshot_file
 
 pytestmark = pytest.mark.slow
@@ -102,7 +101,7 @@ def test_twin_world_survives_restart(tmp_path, backend):
     eng_server.engine.close()
 
     engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
-    recovered = recover_server(None, wal_path, engine=engine)
+    recovered = recover_server(wal_path, engine=engine)
     assert recovered.last_recovery["replayed_records"] == 0  # compacted
     assert recovered.file_ids() == [1, 2]
     assert not recovered._files  # nothing materialised yet
@@ -127,7 +126,7 @@ def test_recovered_server_keeps_serving(tmp_path, backend):
     eng_server.engine.close()
 
     engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
-    recovered = recover_server(None, wal_path, engine=engine,
+    recovered = recover_server(wal_path, engine=engine,
                                cache_nodes=4)  # force real paging
     client2 = AssuredDeletionClient(LoopbackChannel(recovered),
                                     rng=DeterministicRandom("twin-2"),
@@ -173,7 +172,7 @@ def test_compaction_crash_seams_recover(tmp_path, backend, point):
     eng_server.wal.close()
     eng_server.engine.close()
     engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
-    recovered = recover_server(None, wal_path, engine=engine)
+    recovered = recover_server(wal_path, engine=engine)
     if point == CRASH_POINT_BEFORE_FLUSH:
         # The WAL was not truncated: replay must redo the lost tail.
         assert recovered.last_recovery["replayed_records"] > 0
@@ -218,19 +217,6 @@ def test_engine_backed_server_is_not_picklable(tmp_path):
     server.engine.close()
 
 
-def test_checkpoint_delegates_to_compact_storage(tmp_path):
-    """The legacy checkpoint entry point must not pickle an image for an
-    engine-backed server; it compacts instead."""
-    server, client, _ = _world(tmp_path, "ckpt", backend="sqlite")
-    client.outsource(1, [b"a"])
-    image = str(tmp_path / "server.img")
-    checkpoint(server, image)
-    assert not os.path.exists(image)
-    assert server.wal.compactions == 1
-    server.wal.close()
-    server.engine.close()
-
-
 def test_file_visibility_without_materialisation(tmp_path):
     """has_file / file_ids / file_count see engine-resident files the
     server never paged in."""
@@ -242,7 +228,7 @@ def test_file_visibility_without_materialisation(tmp_path):
     engine_path = str(tmp_path / "engine-vis")
     server.engine.close()
     engine = make_engine("sqlite", engine_path)
-    fresh = recover_server(None, wal_path, engine=engine)
+    fresh = recover_server(wal_path, engine=engine)
     assert fresh.has_file(1) and fresh.has_file(2)
     assert not fresh.has_file(3)
     assert fresh.file_ids() == [1, 2]
@@ -308,7 +294,7 @@ def test_paging_respects_cache_bound(tmp_path):
     server.wal.close()
     server.engine.close()
     engine = make_engine("sqlite", str(tmp_path / "engine-bound"))
-    small = recover_server(None, wal_path, engine=engine, cache_nodes=8)
+    small = recover_server(wal_path, engine=engine, cache_nodes=8)
     client2 = AssuredDeletionClient(LoopbackChannel(small),
                                     rng=DeterministicRandom("bound-2"),
                                     keystore=client.keystore,
@@ -367,7 +353,7 @@ def test_wal_marker_not_replayed(tmp_path):
     server.wal.close()
     server.engine.close()
     engine = make_engine("sqlite", str(tmp_path / "engine-marker"))
-    recovered = recover_server(None, wal_path, engine=engine)
+    recovered = recover_server(wal_path, engine=engine)
     assert recovered.file_ids() == [1]
     recovered.wal.close()
     engine.close()
@@ -427,7 +413,7 @@ def test_replace_commit_twin_world_across_restart(tmp_path, backend):
     eng_server.engine.close()
 
     engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
-    recovered = recover_server(None, wal_path, engine=engine)
+    recovered = recover_server(wal_path, engine=engine)
     assert snapshot_file(recovered, 1) == snapshot_file(ref_server, 1)
     reader = AssuredDeletionClient(LoopbackChannel(recovered),
                                    rng=DeterministicRandom("reader"))
@@ -496,7 +482,7 @@ def test_fetch_reply_bytes_match_reference(tmp_path, backend):
     eng_server.engine.close()
 
     engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
-    recovered = recover_server(None, wal_path, engine=engine)
+    recovered = recover_server(wal_path, engine=engine)
     assert _fetch_bytes(recovered, 1) == expected
     recovered.wal.close()
     engine.close()
@@ -514,7 +500,7 @@ def _paged_world(tmp_path, sizes):
     server.wal.close()
     server.engine.close()
     engine = make_engine("sqlite", str(tmp_path / "engine-paged"))
-    return recover_server(None, wal_path, engine=engine), client, keys
+    return recover_server(wal_path, engine=engine), client, keys
 
 
 class _Statements:

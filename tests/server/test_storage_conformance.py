@@ -285,6 +285,7 @@ def test_engine_item_repoint_survives_reopen(kind, tmp_path):
     assert tree.replace_item(101, 900) == 5
     items.flush_to_engine()
     engine.flush()
+    items.mark_clean()
     engine = reopen(engine, kind, tmp_path)
     try:
         assert engine.get_slot(FID, 101) is None
@@ -521,8 +522,9 @@ def test_paged_range_reads_exclude_stale_rows_past_2n(engine):
     tree, _cts = _paged_tree(engine, FID, 4)
     x_s = _node(b"xs", 3)
     tree.delete_leaf(7, x_s, None, None)  # k == t: t and s are freed
-    tree.store.flush_to_engine()
-    tree._map.flush_to_engine()  # noqa: SLF001
+    for overlay in (tree.store, tree._map):  # noqa: SLF001
+        overlay.flush_to_engine()
+        overlay.mark_clean()
     assert engine.get_node(FID, KIND_LEAF, 7) == _node(b"F", 7)  # stale
     assert tree.leaf_count == 3
     assert [s for _k, s, _v in tree.iter_modulators()] == \

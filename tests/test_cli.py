@@ -249,7 +249,39 @@ def test_init_refuses_a_server_dir_with_durable_state(tmp_path):
 
     again = vault(tmp_path, "init")
     assert again.returncode == 1
-    assert "server.img" in again.stderr and "server.wal" in again.stderr
+    assert "state.db" in again.stderr and "server.wal" in again.stderr
     assert "Traceback" not in again.stderr
     # The refused init left the old vault in place.
     assert vault(tmp_path, "cat", "f").stdout.splitlines() == ["a", "b"]
+
+
+def test_init_refuses_to_replace_an_existing_vault(tmp_path):
+    """The vault holds the client's only copy of its keys: a second
+    ``init`` must not replace it, even before any durable serve."""
+    assert vault(tmp_path, "init").returncode == 0
+    assert vault(tmp_path, "put", "f", stdin="a\nb\n").returncode == 0
+    again = vault(tmp_path, "init")
+    assert again.returncode == 1
+    assert "vault.state" in again.stderr
+    assert "fresh --server-dir" in again.stderr
+    assert "Traceback" not in again.stderr
+    assert vault(tmp_path, "ls").stdout.startswith("f\t2 records")
+
+
+def test_durable_serve_refuses_a_leftover_image_and_memory_backend(tmp_path):
+    """``serve --durable`` runs on the SQLite engine only: a server
+    directory still holding an earlier version's ``server.img`` is
+    refused by name (bootstrapping the engine from the vault would drop
+    every commit in the image), and so is ``--backend memory``."""
+    assert vault(tmp_path, "init").returncode == 0
+    memory = vault(tmp_path, "serve", "--durable", "--backend", "memory")
+    assert memory.returncode == 1
+    assert "--backend memory cannot be durable" in memory.stderr
+
+    image = tmp_path / "server" / "server.img"
+    image.write_bytes(b"RPRV")
+    refused = vault(tmp_path, "serve", "--durable", "--port", "0")
+    assert refused.returncode == 1
+    assert str(image) in refused.stderr
+    assert "Traceback" not in refused.stderr
+    assert not (tmp_path / "server" / "state.db").exists()
