@@ -1,10 +1,11 @@
 """Durable-mutation throughput vs connection count on the async host.
 
-N tenants (one pipelined async connection each, own file, disjoint id
-space) issue WAL-logged ``ModifyCommit`` mutations as fast as they can
-against ONE :class:`~repro.protocol.aio.AsyncTcpServerHost`; the sweep
-reports aggregate durable ops/s at 1, 16, 64 and 256 connections, once
-with the seed's per-append fsync discipline and once with group commit.
+N tenants (one :class:`~repro.protocol.tcp.TcpChannel` connection each,
+own file, disjoint id space) issue WAL-logged ``ModifyCommit`` mutations
+as fast as they can against ONE
+:class:`~repro.protocol.aio.AsyncTcpServerHost`; the sweep reports
+aggregate durable ops/s at 1, 16, 64 and 256 connections, once with the
+seed's per-append fsync discipline and once with group commit.
 
 The commit log simulates a fixed per-fsync device latency
 (``FSYNC_DELAY``) inside :meth:`CommitLog._sync` -- the seam added for
@@ -34,7 +35,8 @@ from benchmarks.conftest import save_result
 from repro.client.client import AssuredDeletionClient
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol import messages as msg
-from repro.protocol.aio import AsyncTcpChannel, AsyncTcpServerHost
+from repro.protocol.aio import AsyncTcpServerHost
+from repro.protocol.tcp import TcpChannel
 from repro.server.server import CloudServer
 from repro.server.wal import CommitLog
 
@@ -68,7 +70,7 @@ class _Tenant:
     def __init__(self, index: int, address, ctx) -> None:
         self.index = index
         self.file_id = index + 1
-        self.channel = AsyncTcpChannel(address, ctx)
+        self.channel = TcpChannel(address, ctx)
         client = AssuredDeletionClient(
             self.channel, rng=DeterministicRandom(f"async-bench/{index}"))
         client.outsource(self.file_id,
@@ -173,7 +175,7 @@ def throughput_curves() -> dict[str, dict[int, float]]:
     with open(BENCH_PATH, "w", encoding="utf-8") as handle:
         json.dump({
             "schema": 1,
-            "op": "durable ModifyCommit over pipelined async transport",
+            "op": "durable ModifyCommit over the tagged TCP channel",
             "fsync_delay_seconds": FSYNC_DELAY,
             "seconds": MEASURE_SECONDS,
             "ops_per_second": {

@@ -745,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="operations per worker thread")
     stress.add_argument("--readers", type=int, default=1,
                         help="keyless foreign-reader threads")
-    stress.add_argument("--transport", choices=("loopback", "tcp", "async"),
+    stress.add_argument("--transport", choices=("loopback", "tcp"),
                         default="loopback")
     stress.add_argument("--shards", type=int, default=1,
                         help="independent server shards behind the "

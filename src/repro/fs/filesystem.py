@@ -338,7 +338,6 @@ class OutsourcedFileSystem:
 
     @classmethod
     def connect_sharded(cls, addresses: Sequence[tuple[str, int]],
-                        transport: str = "tcp",
                         params: Params | None = None,
                         rng: RandomSource | None = None,
                         metrics: MetricsCollector | None = None,
@@ -364,13 +363,7 @@ class OutsourcedFileSystem:
         params = params if params is not None else Params()
         ctx = WireContext(modulator_width=params.modulator_size)
         vnodes = vnodes if vnodes is not None else DEFAULT_VNODES
-        if transport == "tcp":
-            shard_map = ShardMap.tcp(addresses, ctx, retry=retry,
-                                     vnodes=vnodes)
-        elif transport == "async":
-            shard_map = ShardMap.async_tcp(addresses, ctx, vnodes=vnodes)
-        else:
-            raise ReproError(f"unknown shard transport {transport!r}")
+        shard_map = ShardMap.tcp(addresses, ctx, retry=retry, vnodes=vnodes)
         return cls(ShardRoutingChannel(shard_map), params=params, rng=rng,
                    metrics=metrics, group_of=group_of,
                    meta_id_base=meta_id_base, file_id_base=file_id_base)

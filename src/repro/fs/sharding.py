@@ -151,7 +151,7 @@ class ShardMap:
             raise ProtocolError(f"shard {shard_id} is not on the ring")
         return self._factory(shard_id)
 
-    # -- constructors for the three transports --------------------------
+    # -- constructors for the two transports ----------------------------
 
     @classmethod
     def local(cls, backends: Sequence, *,
@@ -166,22 +166,12 @@ class ShardMap:
     @classmethod
     def tcp(cls, addresses: Sequence[Tuple[str, int]], ctx: WireContext, *,
             retry=None, vnodes: int = DEFAULT_VNODES) -> "ShardMap":
-        """Shards served by sync TCP hosts, one address per shard id."""
+        """Shards served by TCP hosts, one address per shard id."""
         from repro.protocol.tcp import TcpChannel
         addresses = [tuple(address) for address in addresses]
         ring = HashRing(range(len(addresses)), vnodes=vnodes)
         return cls(ring, ctx,
                    lambda sid: TcpChannel(addresses[sid], ctx, retry=retry))
-
-    @classmethod
-    def async_tcp(cls, addresses: Sequence[Tuple[str, int]],
-                  ctx: WireContext, *,
-                  vnodes: int = DEFAULT_VNODES) -> "ShardMap":
-        """Shards served by the pipelined asyncio hosts."""
-        from repro.protocol.aio import AsyncTcpChannel
-        addresses = [tuple(address) for address in addresses]
-        ring = HashRing(range(len(addresses)), vnodes=vnodes)
-        return cls(ring, ctx, lambda sid: AsyncTcpChannel(addresses[sid], ctx))
 
 
 class ShardRoutingChannel(Channel):

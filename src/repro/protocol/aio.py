@@ -8,31 +8,11 @@ connection keep **multiple requests in flight** (pipelining), while
 protocol work still runs in a thread pool off the loop -- the backend,
 its per-file RWLock table, and the WAL are shared and untouched.
 
-Framing
--------
-
-The legacy transport frames messages as ``u32 length | payload`` and the
-length never exceeds :data:`~repro.protocol.tcp.MAX_FRAME` (1 << 30), so
-the top bit of the length word is free.  A **tagged** frame sets it::
-
-    untagged  u32 length            | payload              (legacy)
-    tagged    u32 (0x80000000|len)  | u64 tag | payload    (pipelined)
-
-* An untagged request gets an untagged reply, and untagged replies are
-  written in request arrival order -- byte-for-byte what the untagged
-  :class:`~repro.protocol.tcp.TcpChannel` expects.
-* A tagged request gets a tagged reply echoing its tag, and tagged
-  replies may return **out of order**.  The tag is a transport-level
-  correlation id chosen by the client, unrelated to the protocol-level
-  idempotent ``request_id`` (which the server still dedupes on).
-
-:class:`AsyncTcpChannel` is the pipelining client: many threads can
-issue requests through one connection concurrently; a background reader
-correlates replies by tag.  A timed-out request is retransmitted under a
-FRESH tag on the same connection -- the late reply's stale tag no longer
-matches anything and is dropped, so no connection teardown is needed
-(unlike the sync channel, whose untagged stream cannot tell a late reply
-from the next one).
+Every frame is tagged (see :mod:`repro.protocol.tcp` for the framing
+and the one client, :class:`~repro.protocol.tcp.TcpChannel`): a reply
+echoes its request's tag and may leave before the replies to earlier
+requests.  A frame without the tag bit closes its connection: its
+payload is never read.
 """
 
 from __future__ import annotations
@@ -42,26 +22,12 @@ import concurrent.futures
 import logging
 import os
 import socket
-import struct
 import threading
 import time
-from typing import Optional
 
-from repro.core.errors import ProtocolError
 from repro.obs import runtime as obs
 from repro.obs.health import HEALTH
-from repro.obs.trace import log_event
-from repro.protocol.channel import Channel
-from repro.protocol.faults import ChannelError
-from repro.protocol.tcp import (MAX_FRAME, RetryPolicy, error_reply_bytes,
-                                recv_exact)
-from repro.protocol.wire import WireContext
-from repro.sim.network import NetworkModel
-
-_LENGTH = struct.Struct(">I")
-_TAG = struct.Struct(">Q")
-#: Top bit of the length word: set = tagged (pipelined) frame.
-TAG_FLAG = 0x80000000
+from repro.protocol.tcp import HEADER, MAX_FRAME, TAG_FLAG, error_reply_bytes
 
 #: Period of the host's heartbeat task.  Each beat measures how late the
 #: loop woke (scheduling lag -- THE async saturation signal) and samples
@@ -86,42 +52,30 @@ class _AioConnection:
         #: Bounds requests in flight on THIS connection; excess frames
         #: stay unread in the socket (per-connection backpressure).
         self._inflight = asyncio.Semaphore(host.max_inflight_per_conn)
-        # Untagged replies must leave in request arrival order even
-        # though handlers finish out of order: a sequence number per
-        # untagged request plus a reorder buffer at the writer.
-        self._untagged_next_in = 0
-        self._untagged_next_out = 0
-        self._untagged_ready: dict[int, bytes] = {}
         self._broken = False
 
     async def serve(self) -> None:
         try:
             while True:
                 try:
-                    head = await self._reader.readexactly(4)
-                except (asyncio.IncompleteReadError, ConnectionError,
-                        OSError):
-                    break
-                (word,) = _LENGTH.unpack(head)
-                length = word & ~TAG_FLAG
-                if length > MAX_FRAME:
-                    logger.warning("async host: peer announced an "
-                                   "oversized frame; closing connection")
-                    break
-                try:
-                    tag: Optional[int] = None
-                    if word & TAG_FLAG:
-                        (tag,) = _TAG.unpack(await self._reader.readexactly(8))
+                    word, tag = HEADER.unpack(
+                        await self._reader.readexactly(HEADER.size))
+                    if not word & TAG_FLAG:
+                        # Refused before its payload is read.
+                        logger.warning("async host: peer sent an untagged "
+                                       "frame; closing connection")
+                        break
+                    length = word & ~TAG_FLAG
+                    if length > MAX_FRAME:
+                        logger.warning("async host: peer announced an "
+                                       "oversized frame; closing connection")
+                        break
                     payload = await self._reader.readexactly(length)
                 except (asyncio.IncompleteReadError, ConnectionError,
                         OSError):
                     break
                 await self._inflight.acquire()
-                seq = None
-                if tag is None:
-                    seq = self._untagged_next_in
-                    self._untagged_next_in += 1
-                task = asyncio.ensure_future(self._process(seq, tag, payload))
+                task = asyncio.ensure_future(self._process(tag, payload))
                 self._tasks.add(task)
                 task.add_done_callback(self._tasks.discard)
         finally:
@@ -147,8 +101,7 @@ class _AioConnection:
             except Exception:
                 pass
 
-    async def _process(self, seq: Optional[int], tag: Optional[int],
-                       payload: bytes) -> None:
+    async def _process(self, tag: int, payload: bytes) -> None:
         host = self._host
         try:
             loop = asyncio.get_running_loop()
@@ -168,28 +121,17 @@ class _AioConnection:
                     except Exception:
                         pass
                     return
-            await self._send(seq, tag, response)
+            await self._send(tag, response)
         finally:
             self._inflight.release()
 
-    async def _send(self, seq: Optional[int], tag: Optional[int],
-                    response: bytes) -> None:
+    async def _send(self, tag: int, response: bytes) -> None:
         if self._broken:
             return
         try:
             async with self._write_lock:
-                if tag is not None:
-                    self._writer.write(_LENGTH.pack(TAG_FLAG | len(response))
-                                       + _TAG.pack(tag) + response)
-                else:
-                    # Reorder buffer: flush every consecutive untagged
-                    # reply that is now ready, oldest first.
-                    self._untagged_ready[seq] = response
-                    while self._untagged_next_out in self._untagged_ready:
-                        ready = self._untagged_ready.pop(
-                            self._untagged_next_out)
-                        self._untagged_next_out += 1
-                        self._writer.write(_LENGTH.pack(len(ready)) + ready)
+                self._writer.write(HEADER.pack(TAG_FLAG | len(response), tag)
+                                   + response)
                 await self._writer.drain()
         except (ConnectionError, OSError):
             self._broken = True
@@ -210,8 +152,8 @@ class AsyncTcpServerHost:
     ``start``/``stop``/``address``; a restart after ``stop`` rebinds the
     same port.  Built to multiplex 1000+ connections: the loop owns all
     sockets, handlers run in a bounded thread pool, and each connection
-    may pipeline many tagged requests (see the module docstring for the
-    framing).
+    may pipeline many tagged requests (see :mod:`repro.protocol.tcp` for
+    the framing).
 
     ``max_conns`` bounds concurrently *served* connections: excess
     clients are accepted but not read until a slot frees (backpressure).
@@ -448,226 +390,3 @@ class AsyncTcpServerHost:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-class _Waiter:
-    """One in-flight tagged request awaiting its correlated reply."""
-
-    __slots__ = ("event", "response", "error", "generation")
-
-    def __init__(self, generation: int) -> None:
-        self.event = threading.Event()
-        self.response: bytes | None = None
-        self.error: Exception | None = None
-        self.generation = generation
-
-
-class AsyncTcpChannel(Channel):
-    """Pipelining client channel over one persistent TCP connection.
-
-    Safe for concurrent use from many threads: each request is sent as a
-    tagged frame and a background reader thread correlates replies by
-    tag, so MANY requests ride the same connection simultaneously
-    (against :class:`AsyncTcpServerHost`, which replies to tagged frames
-    possibly out of order).  A flight of several requests takes one tag
-    each and goes out in one write.
-
-    Timeouts do NOT tear the connection down: the retransmit goes out
-    under a fresh tag and the late reply to the old tag -- if it ever
-    arrives -- matches no waiter and is dropped.  Mutating messages stay
-    exactly-once end to end because the server dedupes their protocol
-    ``request_id``.  Connection failures reconnect transparently; the
-    requests that were in flight fail over to their retry schedule.
-
-    The inherited byte counters are cumulative across all threads (they
-    are not synchronised per field; use single-threaded runs for exact
-    accounting, as the paper's measurements do).
-    """
-
-    def __init__(self, address: tuple[str, int], ctx: WireContext,
-                 network: NetworkModel | None = None,
-                 timeout: float | None = None,
-                 retry: RetryPolicy | None = None) -> None:
-        super().__init__(ctx, network)
-        if retry is None:
-            retry = RetryPolicy(timeout=timeout if timeout is not None
-                                else 30.0)
-        elif timeout is not None:
-            raise ValueError("pass the timeout inside the RetryPolicy")
-        self.retry = retry
-        self._address = address
-        #: Transport framing bytes (12 per frame each way), kept apart
-        #: from the protocol counters.
-        self.frame_bytes = 0
-        self._mutex = threading.Lock()  # socket state + pending table
-        self._send_lock = threading.Lock()  # serialises sendall only
-        self._closing = threading.Event()
-        self._sock: socket.socket | None = None
-        self._generation = 0
-        self._next_tag = 0
-        self._pending: dict[int, _Waiter] = {}
-        with self._mutex:
-            self._ensure_connected()  # fail fast if unreachable
-
-    # -- connection management (mutex held) -----------------------------
-
-    def _ensure_connected(self) -> socket.socket:
-        if self._sock is not None:
-            return self._sock
-        if self._closing.is_set():
-            raise ChannelError("channel is closed")
-        sock = socket.create_connection(self._address,
-                                        timeout=self.retry.timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # The reader thread blocks in recv indefinitely; per-request
-        # timeouts are enforced by each waiter, not the socket.
-        sock.settimeout(None)
-        self._sock = sock
-        self._generation += 1
-        reader = threading.Thread(target=self._read_loop,
-                                  args=(sock, self._generation),
-                                  name="repro-aio-channel-reader",
-                                  daemon=True)
-        reader.start()
-        return sock
-
-    def _invalidate(self, generation: int,
-                    error: Exception | None = None) -> None:
-        """Drop the connection of ``generation`` and fail its waiters."""
-        if generation != self._generation:
-            return  # someone already reconnected past it
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-        self._generation += 1  # retires the old reader thread
-        failed = [w for w in self._pending.values()
-                  if w.generation == generation]
-        for waiter in failed:
-            if waiter.error is None:
-                waiter.error = error or ConnectionError("connection lost")
-            waiter.event.set()
-
-    # -- reader thread --------------------------------------------------
-
-    def _read_loop(self, sock: socket.socket, generation: int) -> None:
-        try:
-            while True:
-                (word,) = _LENGTH.unpack(recv_exact(sock, 4))
-                if not word & TAG_FLAG:
-                    raise ProtocolError(
-                        "untagged frame on a pipelined channel")
-                length = word & ~TAG_FLAG
-                if length > MAX_FRAME:
-                    raise ProtocolError("peer announced an oversized frame")
-                (tag,) = _TAG.unpack(recv_exact(sock, 8))
-                payload = recv_exact(sock, length)
-                with self._mutex:
-                    waiter = self._pending.pop(tag, None)
-                if waiter is not None:
-                    waiter.response = payload
-                    waiter.event.set()
-                # Unknown tag: the late reply to a request that already
-                # timed out and was retransmitted under a fresh tag.
-                elif obs.enabled:
-                    log_event("rpc.late_reply_dropped", tag=tag)
-        except Exception as exc:
-            with self._mutex:
-                self._invalidate(generation, exc)
-
-    # -- request path ---------------------------------------------------
-
-    def _register_and_send(self, requests: list[bytes]
-                           ) -> list[tuple[_Waiter, int]]:
-        """Tag every request and send them all in one write."""
-        with self._mutex:
-            sock = self._ensure_connected()
-            generation = self._generation
-            sent = []
-            for _request in requests:
-                self._next_tag += 1
-                waiter = _Waiter(generation)
-                self._pending[self._next_tag] = waiter
-                sent.append((waiter, self._next_tag))
-        frames = b"".join(_LENGTH.pack(TAG_FLAG | len(request_bytes))
-                          + _TAG.pack(tag) + request_bytes
-                          for request_bytes, (_waiter, tag)
-                          in zip(requests, sent))
-        try:
-            with self._send_lock:
-                sock.sendall(frames)
-        except (OSError, ConnectionError) as exc:
-            with self._mutex:
-                for _waiter, tag in sent:
-                    self._pending.pop(tag, None)
-                self._invalidate(generation, exc)
-            raise
-        return sent
-
-    def _transport(self, request_bytes: bytes) -> bytes:
-        return self._transport_many([request_bytes])[0]
-
-    def _transport_many(self, requests: list[bytes]) -> list[bytes]:
-        for request_bytes in requests:
-            if len(request_bytes) > MAX_FRAME:
-                raise ProtocolError("frame too large")
-        responses: list[bytes | None] = [None] * len(requests)
-        last_error: Exception | None = None
-        for attempt in range(self.retry.attempts):
-            if attempt:
-                if self._closing.wait(self.retry.delay_before(attempt)):
-                    break
-                self.counters.retransmits += 1
-                if obs.enabled:
-                    from repro.obs import instruments as ins
-                    ins.RPC_RETRANSMITS.inc()
-                    log_event("rpc.retransmit", attempt=attempt,
-                              error=repr(last_error))
-            # Only the requests still unanswered go out again.
-            todo = [i for i, response in enumerate(responses)
-                    if response is None]
-            try:
-                sent = self._register_and_send([requests[i] for i in todo])
-            except ChannelError:
-                raise
-            except (OSError, ConnectionError) as exc:
-                last_error = exc
-                continue
-            deadline = time.monotonic() + self.retry.timeout
-            for i, (waiter, tag) in zip(todo, sent):
-                if not waiter.event.wait(max(0.0,
-                                             deadline - time.monotonic())):
-                    # Timed out: forget the tag (a late reply will be
-                    # dropped by the reader) and retransmit under a NEW
-                    # tag.
-                    with self._mutex:
-                        self._pending.pop(tag, None)
-                    last_error = TimeoutError(
-                        f"no reply within {self.retry.timeout}s")
-                elif waiter.error is not None:
-                    last_error = waiter.error
-                else:
-                    responses[i] = waiter.response
-            if None not in responses:
-                # u32 word + u64 tag, each way
-                self.frame_bytes += 24 * len(requests)
-                return responses  # type: ignore[return-value]
-        if self._closing.is_set():
-            raise ChannelError("channel is closed")
-        raise ChannelError(
-            f"request failed after {self.retry.attempts} attempt(s): "
-            f"{last_error!r}")
-
-    def close(self) -> None:
-        self._closing.set()
-        with self._mutex:
-            self._invalidate(self._generation,
-                             ChannelError("channel is closed"))
-
-    def __enter__(self) -> "AsyncTcpChannel":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -33,7 +33,7 @@ from repro.obs import runtime as obs
 from repro.server.server import CloudServer
 from repro.server.wal import CommitLog, recover_server
 
-TRANSPORTS = ("loopback", "tcp", "async")
+TRANSPORTS = ("loopback", "tcp")
 
 
 class _ShardBackend:
@@ -98,11 +98,10 @@ class ShardCluster:
     """``shards`` independent server units behind one consistent-hash ring.
 
     ``transport`` selects how the units are addressed: ``"loopback"``
-    leaves them in-process (channels via :meth:`shard_map`), ``"tcp"`` /
-    ``"async"`` start one :class:`~repro.protocol.aio.AsyncTcpServerHost`
-    per shard on :meth:`start` and differ only in the client channel
-    (untagged :class:`~repro.protocol.tcp.TcpChannel` versus pipelined
-    :class:`~repro.protocol.aio.AsyncTcpChannel`).
+    leaves them in-process (channels via :meth:`shard_map`), ``"tcp"``
+    starts one :class:`~repro.protocol.aio.AsyncTcpServerHost` per shard
+    on :meth:`start`, reached through
+    :class:`~repro.protocol.tcp.TcpChannel`.
 
     Durability modes:
 
@@ -297,16 +296,11 @@ class ShardCluster:
             backends = [unit.backend for unit in self.units]
             return ShardMap(self.ring, ctx,
                             lambda sid: self._loopback(backends, sid))
-        if self.transport == "tcp":
-            from repro.protocol.tcp import TcpChannel
-            addresses = self.addresses()
-            return ShardMap(self.ring, ctx,
-                            lambda sid: TcpChannel(addresses[sid], ctx,
-                                                   retry=retry))
-        from repro.protocol.aio import AsyncTcpChannel
+        from repro.protocol.tcp import TcpChannel
         addresses = self.addresses()
         return ShardMap(self.ring, ctx,
-                        lambda sid: AsyncTcpChannel(addresses[sid], ctx))
+                        lambda sid: TcpChannel(addresses[sid], ctx,
+                                               retry=retry))
 
     @staticmethod
     def _loopback(backends: Sequence[_ShardBackend], shard_id: int):

@@ -75,12 +75,12 @@ just vacated cannot corrupt the reverse index regardless of entry order.
 
 from __future__ import annotations
 
+import _thread
 import abc
 import functools
 import json
 import os
 import sqlite3
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -421,6 +421,20 @@ def _u64(value: int) -> int:
 _IN_KEYS = "IN (SELECT value FROM json_each(?))"
 
 
+class _EngineLock(_thread.RLock):
+    """The engine's lock; an SQLite error raised under it leaves as a
+    :class:`StorageError` (damage on a page that open does not read
+    surfaces on a later request)."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.release()
+        if exc_type is not None and issubclass(exc_type, sqlite3.Error):
+            raise StorageError(f"{self.path!r}: {exc}") from exc
+
+
 class SQLiteTreeStore(TreeStore):
     """Single-file SQLite engine.
 
@@ -435,7 +449,7 @@ class SQLiteTreeStore(TreeStore):
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._lock = threading.RLock()
+        self._lock = _EngineLock(path)
         self._connect()
 
     def _connect(self) -> None:
@@ -716,7 +730,7 @@ class SQLiteTreeStore(TreeStore):
 
     def __setstate__(self, state) -> None:
         self.path = state["path"]
-        self._lock = threading.RLock()
+        self._lock = _EngineLock(self.path)
         self._connect()
 
 

@@ -73,7 +73,7 @@ from repro.fs.filesystem import OutsourcedFileSystem
 from repro.fs.sharding import ShardRoutingChannel
 from repro.obs import audit as audit_mod
 from repro.protocol import messages as msg
-from repro.server.cluster import ShardCluster
+from repro.server.cluster import TRANSPORTS, ShardCluster
 from repro.server.engine import BACKENDS, make_engine
 from repro.server.server import CloudServer
 from repro.server.wal import CommitLog, recover_server
@@ -110,7 +110,7 @@ class StressConfig:
     files_per_worker: int = 2
     min_records: int = 3
     max_records: int = 8
-    transport: str = "loopback"  # "loopback" | "tcp" | "async"
+    transport: str = "loopback"  # "loopback" | "tcp"
     #: Independent server shards behind the consistent-hash router.
     #: Every transport routes through the ring even at ``shards=1``,
     #: so the op mix is identical across shard counts for one seed.
@@ -131,7 +131,7 @@ class StressConfig:
     backend: str = "memory"
 
     def __post_init__(self) -> None:
-        if self.transport not in ("loopback", "tcp", "async"):
+        if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
@@ -470,15 +470,15 @@ def run_stress(config: StressConfig) -> StressReport:
 
     # Every shard is an isolated server + WAL-as-audit-chain; routing to
     # it goes through the consistent-hash ring regardless of transport.
-    # The async transport exercises the group-commit WAL path: many
-    # pipelined mutators coalescing into shared fsyncs, with the usual
-    # per-shard WAL-replay invariant still checked at the end.
+    # Over TCP the shards run the group-commit WAL path: many pipelined
+    # mutators coalescing into shared fsyncs, with the usual per-shard
+    # WAL-replay invariant still checked at the end.
     wal_dir = config.wal_dir or tempfile.mkdtemp(prefix="repro-stress-")
     cluster = ShardCluster(
         config.shards, transport=config.transport, data_dir=wal_dir,
         fresh=True, audit=True, storage_backend=config.backend,
         wal_factory=lambda path, **kwargs: CommitLog(
-            path, group_commit=(config.transport == "async"), **kwargs))
+            path, group_commit=(config.transport != "loopback"), **kwargs))
 
     channels = []
     try:

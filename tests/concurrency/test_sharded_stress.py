@@ -40,21 +40,14 @@ def test_sharded_loopback_stress(seed):
 
 
 @pytest.mark.parametrize("seed",
-                         [f"shard-tcp-{i}" for i in range(ITERATIONS)])
+                         [f"shard-{prefix}-{i}" for prefix in ("tcp", "aio")
+                          for i in range(ITERATIONS)])
 def test_sharded_tcp_stress(seed):
+    """Per-shard hosts + group-commit WALs (the ``shard-aio-*`` seeds are
+    those of the former second TCP transport)."""
     report = run_stress(StressConfig(
         seed=seed, workers=4, ops_per_worker=8, readers=2,
         transport="tcp", shards=3))
-    _check(report)
-
-
-@pytest.mark.parametrize("seed",
-                         [f"shard-aio-{i}" for i in range(ITERATIONS)])
-def test_sharded_async_stress(seed):
-    """Per-shard pipelined async hosts + group-commit WALs."""
-    report = run_stress(StressConfig(
-        seed=seed, workers=4, ops_per_worker=8, readers=2,
-        transport="async", shards=3))
     _check(report)
 
 

@@ -1,10 +1,10 @@
-"""Trace trailers over the tagged (pipelined) async framing.
+"""Trace trailers over the tagged framing.
 
 ``test_wire_trace.py`` pins the trailer bytes and
-``test_end_to_end.py`` proves propagation over the legacy framed TCP
-transport; this module proves the SAME trace context survives the
-tagged u64 framing -- including the async channel's retransmit path,
-which re-sends the traced request under a fresh tag.
+``test_end_to_end.py`` proves propagation through the file system over
+TCP; this module proves the SAME trace context survives the tagged u64
+framing -- including the channel's retransmit path, which re-sends the
+traced request under a fresh tag.
 """
 
 import io
@@ -19,8 +19,8 @@ from repro.client.client import AssuredDeletionClient
 from repro.crypto.rng import DeterministicRandom
 from repro.obs.trace import TraceContext, span
 from repro.protocol import messages as msg
-from repro.protocol.aio import TAG_FLAG, AsyncTcpChannel, AsyncTcpServerHost
-from repro.protocol.tcp import RetryPolicy
+from repro.protocol.aio import AsyncTcpServerHost
+from repro.protocol.tcp import TAG_FLAG, RetryPolicy, TcpChannel
 from repro.server.server import CloudServer
 
 pytestmark = pytest.mark.socket
@@ -38,7 +38,7 @@ def spans_named(recs, name):
 
 
 def _seeded(host, server, seed, n=4):
-    with AsyncTcpChannel(host.address, server.ctx) as channel:
+    with TcpChannel(host.address, server.ctx) as channel:
         client = AssuredDeletionClient(channel,
                                        rng=DeterministicRandom(seed))
         client.outsource(1, [b"net-%d" % i for i in range(n)])
@@ -54,7 +54,7 @@ def test_traced_delete_over_tagged_framing_shares_one_trace_id(tmp_path):
         key, ids, keystore = _seeded(host, server, seed="aio-trace")
         buf.truncate(0)
         buf.seek(0)
-        with AsyncTcpChannel(host.address, server.ctx) as channel:
+        with TcpChannel(host.address, server.ctx) as channel:
             client = AssuredDeletionClient(channel,
                                            rng=DeterministicRandom("t2"),
                                            keystore=keystore,
@@ -69,7 +69,7 @@ def test_traced_delete_over_tagged_framing_shares_one_trace_id(tmp_path):
         assert named, name
         assert all(r["trace_id"] == trace_id for r in named), name
     # The handler hangs off the rpc span that carried it, exactly as on
-    # the legacy framing -- the 12 extra tag bytes are trace-neutral.
+    # loopback -- the 12 framing bytes are trace-neutral.
     rpc_ids = {r["span_id"] for r in spans_named(recs, "rpc.request")}
     assert all(r["parent_span_id"] in rpc_ids
                for r in spans_named(recs, "server.handle"))
@@ -102,17 +102,21 @@ def test_retransmit_under_fresh_tag_keeps_the_trace_id():
     with AsyncTcpServerHost(backend) as host:
         key, ids, keystore = _seeded(host, server, seed="aio-rt")
         retry = RetryPolicy(attempts=4, timeout=0.25, base_delay=0.01)
-        with AsyncTcpChannel(host.address, server.ctx,
-                             retry=retry) as channel:
+        with TcpChannel(host.address, server.ctx,
+                        retry=retry) as channel:
             client = AssuredDeletionClient(channel,
                                            rng=DeterministicRandom("rt2"),
                                            keystore=keystore,
                                            store_keys=False)
             client.delete(1, key, ids[0])
             assert channel.counters.retransmits >= 1
-            # Let the stalled original reply arrive; its stale tag must
-            # drop it without disturbing the channel.
+            # Let the stalled original reply arrive.  The next request's
+            # caller reads it first: its stale tag must drop it without
+            # disturbing the channel.
             time.sleep(1.2)
+            reply = channel.request(msg.FetchFileRequest(file_id=1))
+            assert isinstance(reply, msg.FetchFileReply)
+            assert len(reply.ciphertexts) == 3
 
     recs = records(buf)
     (root,) = spans_named(recs, "client.delete")
@@ -124,6 +128,7 @@ def test_retransmit_under_fresh_tag_keeps_the_trace_id():
     assert all(h["trace_id"] == root["trace_id"] for h in hits)
     # And the fresh-tag duplicate applied exactly once.
     assert server.file_state(1).version == 1
+    assert [r for r in recs if r.get("event") == "rpc.retransmit"]
     dropped = [r for r in recs
                if r.get("event") == "rpc.late_reply_dropped"]
     assert dropped  # the stale-tag original was discarded, not misrouted
@@ -176,11 +181,11 @@ def test_raw_tagged_frame_error_reply_echoes_tag_and_trailer():
 
 def test_untraced_tagged_frames_carry_no_trailer():
     """With observability off, tagged frames stay trailer-free -- the
-    async transport adds no per-request trace overhead by default."""
+    transport adds no per-request trace overhead by default."""
     assert not obs.runtime.enabled
     server = CloudServer()
     with AsyncTcpServerHost(server) as host:
-        with AsyncTcpChannel(host.address, server.ctx) as channel:
+        with TcpChannel(host.address, server.ctx) as channel:
             reply = channel.request(msg.FetchFileRequest(file_id=404))
             assert isinstance(reply, msg.ErrorReply)
             assert msg.get_trace(reply) is None
@@ -193,7 +198,7 @@ def test_client_span_context_rides_the_tagged_framing():
     obs.enable(log_stream=buf)
     server = CloudServer()
     with AsyncTcpServerHost(server) as host:
-        with AsyncTcpChannel(host.address, server.ctx) as channel:
+        with TcpChannel(host.address, server.ctx) as channel:
             with span("app.batch"):
                 channel.request(msg.FetchFileRequest(file_id=404))
     recs = records(buf)

@@ -1,11 +1,11 @@
-"""Pipelining semantics of the asyncio transport.
+"""Pipelining semantics of the tagged framing.
 
-The untagged-channel suite (``test_tcp.py``) proves the async host
-serves the legacy untagged framing; this module pins what the tagged
-framing adds: tagged frames correlated out of order, idempotent
-retransmission of an in-flight pipelined mutator under a fresh tag,
-ordered untagged replies under raw pipelining, and the error-reply echo
-(``request_id`` + trace trailer) for failures.
+``test_tcp.py`` runs the protocol, timeouts and host lifecycle over the
+one channel; this module pins what the tags give: replies correlated out
+of order (and handed to their callers by whichever caller is reading),
+idempotent retransmission of an in-flight mutator under a fresh tag, the
+host refusing untagged frames, the error-reply echo (``request_id`` +
+trace trailer) for failures, and a channel that starts no thread.
 """
 
 import socket
@@ -18,9 +18,9 @@ import pytest
 from repro.client.client import AssuredDeletionClient
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol import messages as msg
-from repro.protocol.aio import TAG_FLAG, AsyncTcpChannel, AsyncTcpServerHost
+from repro.protocol.aio import AsyncTcpServerHost
 from repro.protocol.faults import ChannelError
-from repro.protocol.tcp import RetryPolicy
+from repro.protocol.tcp import TAG_FLAG, RetryPolicy, TcpChannel
 from repro.server.server import CloudServer
 
 pytestmark = pytest.mark.socket
@@ -30,7 +30,7 @@ _TAG = struct.Struct(">Q")
 
 
 def _seeded(host, server, seed="aio", n=4):
-    with AsyncTcpChannel(host.address, server.ctx) as channel:
+    with TcpChannel(host.address, server.ctx) as channel:
         client = AssuredDeletionClient(channel, rng=DeterministicRandom(seed))
         key = client.outsource(1, [b"net-%d" % i for i in range(n)])
         ids = client.item_ids_of(n)
@@ -62,7 +62,7 @@ def test_out_of_order_replies_are_correlated_by_tag():
     backend = _StallFirstAccess(server)
     with AsyncTcpServerHost(backend) as host:
         key, ids, _ks = _seeded(host, server)
-        with AsyncTcpChannel(host.address, server.ctx) as channel:
+        with TcpChannel(host.address, server.ctx) as channel:
             replies = {}
 
             def slow():
@@ -112,8 +112,8 @@ def test_inflight_mutator_retransmit_is_idempotent_and_keeps_connection():
     with AsyncTcpServerHost(backend) as host:
         key, ids, keystore = _seeded(host, server, seed="idem")
         retry = RetryPolicy(attempts=4, timeout=0.25, base_delay=0.01)
-        with AsyncTcpChannel(host.address, server.ctx,
-                             retry=retry) as channel:
+        with TcpChannel(host.address, server.ctx,
+                        retry=retry) as channel:
             client = AssuredDeletionClient(channel,
                                            rng=DeterministicRandom("idem2"),
                                            keystore=keystore,
@@ -131,32 +131,35 @@ def test_inflight_mutator_retransmit_is_idempotent_and_keeps_connection():
             assert client.access(1, key, ids[0]) == b"net-0"
 
 
-def test_untagged_pipelining_preserves_reply_order():
-    """Legacy untagged frames pipelined on a raw socket must come back
-    in request order even when the first finishes last."""
+class _Counting:
+    """Backend wrapper counting the requests it is handed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.ctx = inner.ctx
+        self.handled = 0
+
+    def handle_bytes(self, data):
+        self.handled += 1
+        return self.inner.handle_bytes(data)
+
+
+def test_host_closes_a_connection_on_a_frame_without_the_tag_bit():
+    """A frame without the tag bit closes its connection unanswered and
+    never reaches the backend; other connections are still served."""
     server = CloudServer()
-    backend = _StallFirstAccess(server)
+    backend = _Counting(server)
     with AsyncTcpServerHost(backend) as host:
-        key, ids, _ks = _seeded(host, server, seed="order")
-        access = msg.encode_message(server.ctx,
-                                    msg.AccessRequest(file_id=1,
-                                                      item_id=ids[0]))
         fetch = msg.encode_message(server.ctx,
                                    msg.FetchFileRequest(file_id=1))
         with socket.create_connection(host.address, timeout=10) as raw:
-            raw.sendall(_LEN.pack(len(access)) + access)
-            assert backend.parked.wait(5.0)
             raw.sendall(_LEN.pack(len(fetch)) + fetch)
-            time.sleep(0.2)  # let the fetch finish server-side
-            backend.release.set()
-            replies = []
-            for _ in range(2):
-                (length,) = _LEN.unpack(_recv_exact(raw, 4))
-                assert not length & TAG_FLAG
-                replies.append(msg.decode_message(server.ctx,
-                                                  _recv_exact(raw, length)))
-        assert isinstance(replies[0], msg.AccessReply)
-        assert isinstance(replies[1], msg.FetchFileReply)
+            assert raw.recv(1) == b""  # EOF, no reply
+        assert backend.handled == 0
+        with TcpChannel(host.address, server.ctx) as channel:
+            reply = channel.request(msg.FetchFileRequest(file_id=1))
+            assert isinstance(reply, msg.ErrorReply)
+        assert backend.handled == 1
 
 
 def _recv_exact(sock, count):
@@ -173,7 +176,7 @@ def test_error_reply_echoes_request_id():
     it, so a pipelined client can correlate the failure."""
     server = CloudServer()
     with AsyncTcpServerHost(server) as host:
-        with AsyncTcpChannel(host.address, server.ctx) as channel:
+        with TcpChannel(host.address, server.ctx) as channel:
             reply = channel.request(
                 msg.ModifyCommit(file_id=999, item_id=1, ciphertext=b"x",
                                  tree_version=0, request_id=77))
@@ -212,7 +215,7 @@ def test_pipelined_channel_is_thread_safe_under_load():
                 server.ctx, msg.AccessRequest(file_id=1, item_id=item)))
             for item in ids
         }
-        with AsyncTcpChannel(host.address, server.ctx) as channel:
+        with TcpChannel(host.address, server.ctx) as channel:
             errors = []
 
             def reader(index):
@@ -242,7 +245,7 @@ def test_channel_reconnects_after_host_restart():
     try:
         key, ids, _ks = _seeded(host, server, seed="reconnect")
         retry = RetryPolicy(attempts=4, timeout=5.0, base_delay=0.05)
-        channel = AsyncTcpChannel(host.address, server.ctx, retry=retry)
+        channel = TcpChannel(host.address, server.ctx, retry=retry)
         try:
             reply = channel.request(msg.AccessRequest(file_id=1,
                                                       item_id=ids[0]))
@@ -267,7 +270,7 @@ def test_close_interrupts_pending_requests():
     with AsyncTcpServerHost(backend) as host:
         key, ids, _ks = _seeded(host, server, seed="close")
         retry = RetryPolicy(attempts=1, timeout=30.0)
-        channel = AsyncTcpChannel(host.address, server.ctx, retry=retry)
+        channel = TcpChannel(host.address, server.ctx, retry=retry)
         failures = []
 
         def waiter():
@@ -292,7 +295,7 @@ def test_channel_validation():
     server = CloudServer()
     with AsyncTcpServerHost(server) as host:
         with pytest.raises(ValueError):
-            AsyncTcpChannel(host.address, server.ctx, timeout=1.0,
+            TcpChannel(host.address, server.ctx, timeout=1.0,
                             retry=RetryPolicy())
     with pytest.raises(ValueError):
         AsyncTcpServerHost(server, max_inflight_per_conn=0)
@@ -305,7 +308,7 @@ def test_byte_accounting_matches_loopback_for_tagged_frames():
 
     server = CloudServer()
     with AsyncTcpServerHost(server) as host:
-        with AsyncTcpChannel(host.address, server.ctx) as channel:
+        with TcpChannel(host.address, server.ctx) as channel:
             client = AssuredDeletionClient(channel,
                                            rng=DeterministicRandom("acct"))
             client.outsource(1, [b"x"] * 8)
@@ -323,3 +326,98 @@ def test_byte_accounting_matches_loopback_for_tagged_frames():
     loop_record = loop_client.metrics.for_op("access")[0]
     assert record.bytes_sent == loop_record.bytes_sent
     assert record.bytes_received == loop_record.bytes_received
+
+
+def test_flight_through_a_one_request_per_connection_host():
+    """A host that admits one request per connection still answers a
+    whole flight: the later frames wait unread in the socket."""
+    server = CloudServer()
+    with AsyncTcpServerHost(server, max_inflight_per_conn=1) as host:
+        key, ids, _ks = _seeded(host, server, seed="serial")
+        with TcpChannel(host.address, server.ctx) as channel:
+            replies = channel.request_many(
+                [msg.AccessRequest(file_id=1, item_id=ids[0]),
+                 msg.FetchFileRequest(file_id=1),
+                 msg.AccessRequest(file_id=1, item_id=ids[3])])
+            assert [type(r) for r in replies] == [
+                msg.AccessReply, msg.FetchFileReply, msg.AccessReply]
+            assert (channel.counters.round_trips,
+                    channel.counters.flights) == (3, 1)
+
+
+def test_channel_starts_no_thread():
+    """The caller that waits reads its own reply: opening a channel and
+    completing a request leaves the thread count unchanged."""
+    server = CloudServer()
+    with AsyncTcpServerHost(server) as host:
+        def threads():
+            # The host's worker pool grows on demand; leave it out.
+            return threading.active_count() - sum(
+                t.name.startswith("repro-aio-worker")
+                for t in threading.enumerate())
+
+        before = threads()
+        with TcpChannel(host.address, server.ctx) as channel:
+            reply = channel.request(msg.FetchFileRequest(file_id=1))
+            assert isinstance(reply, msg.ErrorReply)
+            assert threads() == before
+
+
+class _HalfFrameOnce:
+    """A raw TCP server: on the first connection it answers the first
+    frame with half a reply frame and then stalls; later connections get
+    whole replies through ``backend``."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()
+        self._stalled = []
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            self.connections += 1
+            try:
+                while True:
+                    (word,) = _LEN.unpack(_recv_exact(conn, 4))
+                    (tag,) = _TAG.unpack(_recv_exact(conn, 8))
+                    reply = self.backend.handle_bytes(
+                        _recv_exact(conn, word & ~TAG_FLAG))
+                    frame = (_LEN.pack(TAG_FLAG | len(reply))
+                             + _TAG.pack(tag) + reply)
+                    if self.connections == 1:
+                        conn.sendall(frame[:len(frame) // 2])
+                        self._stalled.append(conn)  # keep it open
+                        break
+                    conn.sendall(frame)
+            except (AssertionError, OSError):
+                conn.close()
+
+    def close(self):
+        self._listener.close()
+        for conn in self._stalled:
+            conn.close()
+
+
+def test_timeout_inside_a_frame_drops_the_connection():
+    """A timeout after part of a reply frame was read leaves the stream
+    unusable: the channel re-dials and the retransmit is answered."""
+    server = CloudServer()
+    fake = _HalfFrameOnce(server)
+    try:
+        retry = RetryPolicy(attempts=3, timeout=0.3, base_delay=0.01)
+        with TcpChannel(fake.address, server.ctx, retry=retry) as channel:
+            reply = channel.request(msg.FetchFileRequest(file_id=1))
+            assert isinstance(reply, msg.ErrorReply)
+            assert channel.counters.retransmits == 1
+            assert channel._generation == 2  # re-dialled
+            assert fake.connections == 2
+    finally:
+        fake.close()

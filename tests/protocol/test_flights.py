@@ -23,11 +23,11 @@ from repro.fs.filesystem import OutsourcedFileSystem
 from repro.fs.sharding import ShardMap, ShardRoutingChannel
 from repro.obs.audit import AuditLog, verify_log
 from repro.protocol import messages as msg
-from repro.protocol.aio import AsyncTcpChannel, AsyncTcpServerHost
+from repro.protocol.aio import AsyncTcpServerHost
 from repro.protocol.channel import LoopbackChannel
 from repro.protocol.faults import (DROP_REQUEST, DUPLICATE, NONE,
                                    ChannelError, FaultInjectingChannel)
-from repro.protocol.tcp import RetryPolicy, TcpChannel, recv_frame
+from repro.protocol.tcp import HEADER, TAG_FLAG, RetryPolicy, TcpChannel
 from repro.server.server import CloudServer
 from repro.server.wal import CommitLog
 
@@ -177,7 +177,14 @@ def test_an_error_reply_on_either_level_raises_as_in_sequence(op, level):
     assert seq_counters.round_trips == (1 if level == "meta" else 2)
 
 
-_LEN = struct.Struct(">I")
+def _recv_exact(conn, count):
+    data = b""
+    while len(data) < count:
+        chunk = conn.recv(count - len(data))
+        if not chunk:
+            raise ConnectionError("peer closed")
+        data += chunk
+    return data
 
 
 class _ResetFirstFlight:
@@ -213,14 +220,15 @@ class _ResetFirstFlight:
     def _connection(self, conn):
         first = self.connections == 1
         while True:
-            frame = recv_frame(conn)
+            word, tag = HEADER.unpack(_recv_exact(conn, HEADER.size))
+            frame = _recv_exact(conn, word & ~TAG_FLAG)
             self.frames_per_connection[-1] += 1
             if first and self.frames_per_connection[-1] == self.flight_size:
                 conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                                 struct.pack("ii", 1, 0))
                 return  # close with RST: the flight dies half answered
             reply = self.backend.handle_bytes(frame)
-            conn.sendall(_LEN.pack(len(reply)) + reply)
+            conn.sendall(HEADER.pack(TAG_FLAG | len(reply), tag) + reply)
 
     def close(self):
         self._listener.close()
@@ -383,7 +391,7 @@ def test_tagged_channel_sends_a_flight_in_one_write():
                               rng=DeterministicRandom("tagged"))
     handle = fs.create_file("g/f", [b"r%d" % i for i in range(4)])
     with AsyncTcpServerHost(server) as host:
-        with AsyncTcpChannel(host.address, server.ctx) as channel:
+        with TcpChannel(host.address, server.ctx) as channel:
             fs.client.channel = channel
             assert handle.read_record(1) == b"r1"
             handle.delete_record(0)
@@ -419,7 +427,7 @@ def test_threads_sharing_a_channel_keep_their_own_flights():
     tenants = 4
     errors = []
     with AsyncTcpServerHost(server) as host:
-        with AsyncTcpChannel(host.address, server.ctx) as channel:
+        with TcpChannel(host.address, server.ctx) as channel:
             handles = []
             for t in range(tenants):
                 fs = OutsourcedFileSystem(

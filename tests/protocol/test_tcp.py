@@ -1,8 +1,8 @@
 """The TCP transport: the full protocol over a real socket.
 
-Every test drives the untagged :class:`~repro.protocol.tcp.TcpChannel`
-against :class:`~repro.protocol.aio.AsyncTcpServerHost`, the one server
-host, so the legacy framing stays byte-for-byte compatible with it.
+Every test drives :class:`~repro.protocol.tcp.TcpChannel`, the one
+client channel, against :class:`~repro.protocol.aio.AsyncTcpServerHost`,
+the one server host.
 """
 
 import threading
@@ -69,9 +69,8 @@ def test_byte_accounting_matches_loopback(hosted_server):
 
     assert tcp_record.bytes_sent == loop_record.bytes_sent
     assert tcp_record.bytes_received == loop_record.bytes_received
-    # Framing is tracked separately: 4 bytes each way per round trip.
-    assert tcp_channel.frame_bytes == 8 * tcp_record.round_trips or \
-        tcp_channel.frame_bytes >= 8
+    # Framing is tracked separately: 12 bytes each way per round trip.
+    assert tcp_channel.frame_bytes == 24 * tcp_channel.counters.round_trips
 
 
 def test_multiple_sequential_connections(hosted_server):
@@ -92,9 +91,15 @@ def test_server_survives_bad_frames(hosted_server):
     server, host = hosted_server
     # Send garbage on a raw socket; the server must not die.
     with socket.create_connection(host.address, timeout=5) as raw:
-        raw.sendall(b"\x00\x00\x00\x02\xff\xff")  # 2-byte garbage message
-        length = raw.recv(4)
-        assert len(length) == 4  # an ErrorReply frame came back
+        # A tagged frame (tag 5) carrying a 2-byte garbage message.
+        raw.sendall(b"\x80\x00\x00\x02" + bytes(7) + b"\x05\xff\xff")
+        header = b""
+        while len(header) < 12:
+            chunk = raw.recv(12 - len(header))
+            assert chunk, "host closed instead of replying"
+            header += chunk
+        # An ErrorReply frame came back under the request's tag.
+        assert header[4:] == bytes(7) + b"\x05"
 
     # And the service still works afterwards.
     with TcpChannel(host.address, server.ctx) as channel:
@@ -178,8 +183,8 @@ def _seeded_file(address, ctx, seed, n=4):
 def test_timed_out_request_never_desyncs_the_stream():
     """Regression for the stale-frame desync: after a timeout the late
     reply to request N must not be consumed as the reply to request N+1.
-    The channel must tear the connection down, so the next request gets
-    its own reply on a fresh stream."""
+    The late reply's tag matches no request any more, so the next
+    request gets its own reply on the same stream."""
     server = CloudServer()
     backend = _SlowOnce(server, delay=1.0)
     with AsyncTcpServerHost(backend) as host:
@@ -194,6 +199,7 @@ def test_timed_out_request_never_desyncs_the_stream():
             reply = channel.request(msg.FetchFileRequest(file_id=1))
             assert isinstance(reply, msg.FetchFileReply)
             assert len(reply.ciphertexts) == 4
+            assert channel._generation == 1  # the timeout kept the stream
 
 
 def test_timeout_is_retried_transparently():
@@ -214,8 +220,8 @@ def test_timeout_is_retried_transparently():
 
 
 def test_retransmitted_commit_applies_exactly_once_over_tcp():
-    """A delete commit whose Ack is slow is retransmitted on a fresh
-    connection; the server's request-id cache answers it without applying
+    """A delete commit whose Ack is slow is retransmitted under a fresh
+    tag; the server's request-id cache answers it without applying
     the deltas twice."""
     server = CloudServer()
     backend = _SlowReplyOnce(server, delay=1.0)

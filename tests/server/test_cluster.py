@@ -28,6 +28,8 @@ def test_rejects_bad_configuration(tmp_path):
     with pytest.raises(ValueError):
         ShardCluster(2, transport="carrier-pigeon")
     with pytest.raises(ValueError):
+        ShardCluster(2, transport="async")  # one TCP transport
+    with pytest.raises(ValueError):
         ShardCluster(2, data_dir=str(tmp_path), durable=True,
                      wal_factory=CommitLog)
     with pytest.raises(ValueError, match="storage engine"):
@@ -153,12 +155,11 @@ def test_tcp_cluster_serves_connect_sharded(tmp_path):
 
 
 @pytest.mark.socket
-def test_async_cluster_serves_connect_sharded(tmp_path):
-    with ShardCluster(2, transport="async", data_dir=str(tmp_path),
+def test_group_commit_cluster_serves_connect_sharded(tmp_path):
+    with ShardCluster(2, transport="tcp", data_dir=str(tmp_path),
                       wal_factory=lambda p: CommitLog(p, group_commit=True),
                       fresh=True) as cluster:
-        fs = OutsourcedFileSystem.connect_sharded(cluster.addresses(),
-                                                  transport="async")
+        fs = OutsourcedFileSystem.connect_sharded(cluster.addresses())
         fs.create_file("aio.txt", [b"alpha"])
         assert fs.open("aio.txt").read_all() == [b"alpha"]
         fs.client.channel.close()

@@ -14,7 +14,8 @@ from repro.core.errors import (ProtocolError, StorageError,
 from repro.core.params import SHA256_PARAMS
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol.channel import LoopbackChannel
-from repro.server.engine import SQLiteTreeStore, make_engine
+from repro.server.engine import (KIND_LEAF, KIND_LINK, SQLiteTreeStore,
+                                 make_engine)
 from repro.server.server import CloudServer
 from repro.sim.threat import snapshot_file
 from tests.conftest import make_scheme
@@ -104,6 +105,41 @@ def test_rejects_foreign_schema(tmp_path):
     with pytest.raises(StorageError, match="schema"):
         make_engine("sqlite", str(path))
     assert path.read_bytes() == before
+
+
+def read_everything(engine, fid, ids):
+    """Every row of the file: both node kinds and every ciphertext."""
+    for kind in (KIND_LINK, KIND_LEAF):
+        engine.scan_nodes(fid, kind, 0, 2 ** 63 - 1)
+    engine.get_ciphertexts(fid, ids)
+
+
+def test_damage_open_does_not_read_fails_closed_on_read(tmp_path, scheme):
+    """Open reads the schema and each table's first page only.  Damage on
+    a later data page surfaces on the read that reaches it -- as a
+    ``StorageError``, never a raw ``sqlite3`` error."""
+    fid, ids = scheme.new_file([b"record-%03d" % i * 4 for i in range(400)])
+    path = tmp_path / "state.db"
+    save(scheme.server, str(path))
+    scheme.server.engine.close()
+    pristine = path.read_bytes()
+    page_size = int.from_bytes(pristine[16:18], "big")
+    failed_on_read = 0
+    for page in range(1, len(pristine) // page_size):  # page 1: schema
+        damaged = bytearray(pristine)
+        damaged[page * page_size] ^= 0xFF  # the b-tree page type byte
+        path.write_bytes(bytes(damaged))
+        try:
+            engine = SQLiteTreeStore(str(path))
+        except StorageError:
+            continue  # open reads this page
+        try:
+            read_everything(engine, fid, ids)
+        except StorageError:
+            failed_on_read += 1
+        finally:
+            engine.close()
+    assert failed_on_read > 0
 
 
 def test_rejects_wrong_parameters(tmp_path, scheme):
