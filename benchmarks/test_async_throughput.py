@@ -1,9 +1,9 @@
-"""Durable-mutation throughput vs connection count on the async host.
+"""Durable-mutation throughput vs connection count on the TCP host.
 
 N tenants (one :class:`~repro.protocol.tcp.TcpChannel` connection each,
 own file, disjoint id space) issue WAL-logged ``ModifyCommit`` mutations
 as fast as they can against ONE
-:class:`~repro.protocol.aio.AsyncTcpServerHost`; the sweep reports
+:class:`~repro.protocol.host.TcpServerHost`; the sweep reports
 aggregate durable ops/s at 1, 16, 64 and 256 connections, once with the
 seed's per-append fsync discipline and once with group commit.
 
@@ -35,7 +35,7 @@ from benchmarks.conftest import save_result
 from repro.client.client import AssuredDeletionClient
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol import messages as msg
-from repro.protocol.aio import AsyncTcpServerHost
+from repro.protocol.host import TcpServerHost
 from repro.protocol.tcp import TcpChannel
 from repro.server.server import CloudServer
 from repro.server.wal import CommitLog
@@ -141,7 +141,7 @@ def _sweep(group_commit: bool, duration: float,
             os.unlink(wal_path)
         wal = _SimulatedDiskLog(wal_path, group_commit=group_commit)
         server.attach_wal(wal)
-        host = AsyncTcpServerHost(server, workers=HOST_WORKERS).start()
+        host = TcpServerHost(server, workers=HOST_WORKERS).start()
         try:
             curve[conns] = _measure(host.address, server.ctx, conns,
                                     duration)
@@ -158,7 +158,7 @@ def throughput_curves() -> dict[str, dict[int, float]]:
     grouped = _sweep(group_commit=True, duration=MEASURE_SECONDS)
 
     lines = [
-        f"Durable ModifyCommit throughput vs connections, async host "
+        f"Durable ModifyCommit throughput vs connections, TCP host "
         f"(simulated {FSYNC_DELAY * 1e3:.1f} ms fsync, "
         f"{MEASURE_SECONDS:.1f} s measure window)",
         "",

@@ -30,7 +30,7 @@ from benchmarks.conftest import save_json, save_result
 from repro.crypto.rng import DeterministicRandom
 from repro.fs.filesystem import OutsourcedFileSystem
 from repro.protocol import messages as msg
-from repro.protocol.aio import AsyncTcpServerHost
+from repro.protocol.host import TcpServerHost
 from repro.protocol.tcp import TcpChannel
 from repro.server.server import CloudServer
 
@@ -38,6 +38,10 @@ from repro.server.server import CloudServer
 #: locks.  One logical read = two accesses (meta key + data item).
 READ_DELAY = 0.010
 THREAD_COUNTS = (1, 2, 4, 8, 16)
+#: Host pool threads: one per access the widest sweep point keeps in
+#: flight (two per read x 16 clients), so the pool is never the ceiling
+#: and the curve measures the shared-lock layer.
+HOST_WORKERS = 2 * THREAD_COUNTS[-1]
 MEASURE_SECONDS = 1.0
 RECORDS_PER_TENANT = 8
 RECORD_SIZE = 64
@@ -108,7 +112,7 @@ def _measure(address, ctx, workers: int, duration: float) -> float:
 
 def _sweep(duration: float, counts=THREAD_COUNTS) -> dict[int, float]:
     server = _SlowReadServer()
-    host = AsyncTcpServerHost(server).start()
+    host = TcpServerHost(server, workers=HOST_WORKERS).start()
     try:
         return {workers: _measure(host.address, server.ctx, workers,
                                   duration)

@@ -59,7 +59,9 @@ import argparse
 import json
 import os
 import pickle
+import signal
 import sys
+import threading
 
 from repro.core.errors import ReproError
 from repro.crypto.rng import SystemRandom
@@ -295,6 +297,17 @@ def _retry_policy(args):
                        base_delay=args.rpc_backoff)
 
 
+def _stop_on_sigterm() -> None:
+    """Make SIGTERM take ``serve``'s ctrl-C path (503, checkpoint, exit
+    0), also when SIGINT is ignored; a second SIGTERM is ignored."""
+    def terminate(_signum, _frame):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise KeyboardInterrupt
+
+    if threading.current_thread() is threading.main_thread():
+        signal.signal(signal.SIGTERM, terminate)
+
+
 def cmd_serve(vault: Vault, args) -> int:
     vault.load()
     if vault.fs.server is None:
@@ -310,8 +323,9 @@ def cmd_serve(vault: Vault, args) -> int:
             "--audit requires --durable: the audit chain is the commit "
             "log's own hash chain (serve --durable --audit)")
     from repro.obs.health import HEALTH
-    from repro.protocol.aio import AsyncTcpServerHost
+    from repro.protocol.host import TcpServerHost
 
+    _stop_on_sigterm()
     metrics_server = None
     if args.metrics_port is not None:
         from repro import obs
@@ -372,12 +386,13 @@ def cmd_serve(vault: Vault, args) -> int:
             _print(f"audit trail: {wal_path} sealing into {audit_path} "
                    f"(chain at frame {server.audit.seq})")
 
-    with AsyncTcpServerHost(server, port=args.port,
-                            max_conns=args.max_conns) as host:
-        _print(f"serving vault on {host.address[0]}:{host.address[1]} "
-               f"(ctrl-C to stop)")
+    with TcpServerHost(server, port=args.port,
+                       max_conns=args.max_conns) as host:
         try:
-            import threading
+            # A stop signal that lands during this print takes the
+            # shutdown path too.
+            _print(f"serving vault on {host.address[0]}:{host.address[1]} "
+                   f"(ctrl-C to stop)")
             threading.Event().wait()
         except KeyboardInterrupt:
             return 0
@@ -436,13 +451,12 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
     cluster.register_health()
     try:
         cluster.start()
-        for unit in cluster.units:
-            host, port = unit.address
-            _print(f"serving shard {unit.shard_id} on {host}:{port}")
-        _print(f"serving vault across {args.shards} shards "
-               f"(ctrl-C to stop)")
         try:
-            import threading
+            for unit in cluster.units:
+                host, port = unit.address
+                _print(f"serving shard {unit.shard_id} on {host}:{port}")
+            _print(f"serving vault across {args.shards} shards "
+                   f"(ctrl-C to stop)")
             threading.Event().wait()
         except KeyboardInterrupt:
             return 0
@@ -711,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bound concurrently served TCP connections "
                             "(excess connections are accepted but not read "
                             "until a slot frees)")
-    # The asyncio host is the only host, so --async selects nothing.  It
+    # There is one TCP host, so --async selects nothing.  It
     # still parses because existing launch scripts pass it.
     serve.add_argument("--async", action="store_true",
                        help=argparse.SUPPRESS)

@@ -3,7 +3,7 @@
 ``/healthz`` answers "is the process up?"; ``/readyz`` answers "should a
 load balancer send traffic here *right now*?".  The difference is this
 registry: subsystems register named probe callables (WAL writable,
-group-commit committer thread alive, async event loop responsive), the
+group-commit committer thread alive, TCP host pool live), the
 HTTP surface runs them on demand, and a single failing probe -- or the
 process having begun shutdown -- flips readiness to 503 while liveness
 stays green until the listener actually closes.

@@ -9,7 +9,7 @@ A threaded stdlib HTTP server exposing, for ``repro-vault serve
   a load balancer sees the drain);
 * ``/readyz``   -- readiness: runs every probe registered in
   :data:`repro.obs.health.HEALTH` (WAL writable, committer thread alive,
-  event loop responsive, ...) and answers ``200``/``503`` with a JSON
+  TCP host pool live, ...) and answers ``200``/``503`` with a JSON
   body naming each check's verdict;
 * ``/statusz``  -- one JSON snapshot of the health checks plus every
   counter and gauge (and histogram count/sum), for humans and scripts

@@ -217,15 +217,17 @@ SPANS_DROPPED = REGISTRY.counter(
     ("reason",))
 
 # ---------------------------------------------------------------------
-# Runtime depth gauges (async loop, executor, group commit, replay)
+# Runtime depth gauges (host pool, group commit, replay)
 # ---------------------------------------------------------------------
 
-AIO_LOOP_LAG_SECONDS = REGISTRY.gauge(
-    "repro_aio_loop_lag_seconds",
-    "Scheduling delay of the async host's event loop (monitor probe)")
-AIO_EXECUTOR_QUEUE = REGISTRY.gauge(
-    "repro_aio_executor_queue_depth",
-    "Dispatch jobs waiting for a worker thread in the async host pool")
+HOST_BUSY_THREADS = REGISTRY.gauge(
+    "repro_host_busy_threads",
+    "TCP host pool threads reading, handling or replying (not leading "
+    "or waiting to lead)")
+HOST_PICKUP_SECONDS = REGISTRY.gauge(
+    "repro_host_pickup_seconds",
+    "Upper bound on how long the last ready socket waited for a free "
+    "TCP host pool thread (0 when a leader was already waiting in poll)")
 WAL_GROUP_QUEUE = REGISTRY.gauge(
     "repro_wal_group_commit_queue_depth",
     "Appends waiting for the group-commit committer thread")

@@ -16,7 +16,7 @@ holds the one framing, the one client channel and their shared helpers:
   dedupes on).  A reply echoes its request's tag and may overtake
   earlier replies on the same connection;
 * :func:`error_reply_bytes`, which the server host
-  (:class:`~repro.protocol.aio.AsyncTcpServerHost`) uses to answer a
+  (:class:`~repro.protocol.host.TcpServerHost`) uses to answer a
   request its backend failed on;
 * :class:`TcpChannel` -- a :class:`~repro.protocol.channel.Channel` over
   one persistent connection, with the same byte accounting as the

@@ -99,7 +99,7 @@ class ShardCluster:
 
     ``transport`` selects how the units are addressed: ``"loopback"``
     leaves them in-process (channels via :meth:`shard_map`), ``"tcp"``
-    starts one :class:`~repro.protocol.aio.AsyncTcpServerHost` per shard
+    starts one :class:`~repro.protocol.host.TcpServerHost` per shard
     on :meth:`start`, reached through
     :class:`~repro.protocol.tcp.TcpChannel`.
 
@@ -238,12 +238,12 @@ class ShardCluster:
         """Start one host per shard (no-op for loopback)."""
         if self.transport == "loopback":
             return self
-        from repro.protocol.aio import AsyncTcpServerHost
+        from repro.protocol.host import TcpServerHost
         for unit in self.units:
             port = 0 if self.base_port == 0 else \
                 self.base_port + unit.shard_id
-            unit.host = AsyncTcpServerHost(unit.backend, port=port,
-                                           max_conns=self.max_conns).start()
+            unit.host = TcpServerHost(unit.backend, port=port,
+                                      max_conns=self.max_conns).start()
         return self
 
     def stop(self) -> None:

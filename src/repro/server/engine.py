@@ -424,14 +424,17 @@ _IN_KEYS = "IN (SELECT value FROM json_each(?))"
 class _EngineLock(_thread.RLock):
     """The engine's lock; an SQLite error raised under it leaves as a
     :class:`StorageError` (damage on a page that open does not read
-    surfaces on a later request)."""
+    surfaces on a later request), and so does the ``TypeError`` or
+    ``ValueError`` of a wrong-typed column (damage inside a row that
+    SQLite's page checks accept)."""
 
     def __init__(self, path: str) -> None:
         self.path = path
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.release()
-        if exc_type is not None and issubclass(exc_type, sqlite3.Error):
+        if exc_type is not None and issubclass(
+                exc_type, (sqlite3.Error, TypeError, ValueError)):
             raise StorageError(f"{self.path!r}: {exc}") from exc
 
 
@@ -550,7 +553,7 @@ class SQLiteTreeStore(TreeStore):
         with self._lock:
             rows = self._conn.execute(
                 "SELECT file_id FROM files").fetchall()
-        return sorted(_u64(row[0]) for row in rows)
+            return sorted(_u64(row[0]) for row in rows)
 
     def get_node(self, file_id: int, kind: int, slot: int) -> bytes:
         with self._lock:
@@ -611,7 +614,7 @@ class SQLiteTreeStore(TreeStore):
             row = self._conn.execute(
                 "SELECT item_id FROM items WHERE file_id=? AND slot=?",
                 (_s64(file_id), slot)).fetchone()
-        return None if row is None else _u64(row[0])
+            return None if row is None else _u64(row[0])
 
     def get_slots(self, file_id, item_ids) -> list[Optional[int]]:
         if not item_ids:
@@ -629,7 +632,7 @@ class SQLiteTreeStore(TreeStore):
                 "SELECT slot, item_id FROM items WHERE file_id=? "
                 "AND slot>=? AND slot<? ORDER BY slot",
                 (_s64(file_id), lo, hi)).fetchall()
-        return [(slot, _u64(item_id)) for slot, item_id in rows]
+            return [(slot, _u64(item_id)) for slot, item_id in rows]
 
     def write_items(self, file_id, entries) -> None:
         pairs = list(entries)
@@ -651,8 +654,8 @@ class SQLiteTreeStore(TreeStore):
             row = self._conn.execute(
                 "SELECT value FROM ciphertexts WHERE file_id=? AND item_id=?",
                 (_s64(file_id), _s64(item_id))).fetchone()
-        if row is None:
-            raise KeyError((file_id, item_id))
+            if row is None:
+                raise self._missing_ciphertext(file_id, _s64(item_id), True)
         return row[0]
 
     def get_ciphertexts(self, file_id, item_ids) -> list[bytes]:
@@ -663,10 +666,23 @@ class SQLiteTreeStore(TreeStore):
             found = dict(self._conn.execute(
                 f"SELECT item_id, value FROM ciphertexts WHERE file_id=? "
                 f"AND item_id {_IN_KEYS}", (_s64(file_id), json.dumps(keys))))
-        try:
-            return [found[key] for key in keys]
-        except KeyError as exc:
-            raise KeyError((file_id, _u64(exc.args[0]))) from None
+            try:
+                return [found[key] for key in keys]
+            except KeyError as exc:
+                raise self._missing_ciphertext(
+                    file_id, exc.args[0], found.keys() <= set(keys)) \
+                    from None
+
+    def _missing_ciphertext(self, file_id: int, key: int,
+                            keys_intact: bool) -> Exception:
+        """An absent row (lock held): only items the item map holds are
+        asked for, so a mapped one, or a changed key, is damage."""
+        if keys_intact and self._conn.execute(
+                "SELECT 1 FROM items WHERE file_id=? AND item_id=?",
+                (_s64(file_id), key)).fetchone() is None:
+            return KeyError((file_id, _u64(key)))
+        return StorageError(f"{self.path!r}: file {file_id}: the ciphertext "
+                            f"row of item {_u64(key)} is damaged")
 
     def write_ciphertexts(self, file_id, entries) -> None:
         fid = _s64(file_id)
@@ -691,7 +707,7 @@ class SQLiteTreeStore(TreeStore):
         with self._lock:
             rows = self._conn.execute(
                 "SELECT request_id, reply FROM replay ORDER BY seq").fetchall()
-        return [(_u64(row[0]), row[1]) for row in rows]
+            return [(_u64(row[0]), row[1]) for row in rows]
 
     def set_replay_entries(self, entries) -> None:
         with self._lock:

@@ -19,7 +19,7 @@ from repro.client.client import AssuredDeletionClient
 from repro.crypto.rng import DeterministicRandom
 from repro.obs.trace import TraceContext, span
 from repro.protocol import messages as msg
-from repro.protocol.aio import AsyncTcpServerHost
+from repro.protocol.host import TcpServerHost
 from repro.protocol.tcp import TAG_FLAG, RetryPolicy, TcpChannel
 from repro.server.server import CloudServer
 
@@ -50,7 +50,7 @@ def test_traced_delete_over_tagged_framing_shares_one_trace_id(tmp_path):
     buf = io.StringIO()
     obs.enable(log_stream=buf)
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         key, ids, keystore = _seeded(host, server, seed="aio-trace")
         buf.truncate(0)
         buf.seek(0)
@@ -99,7 +99,7 @@ def test_retransmit_under_fresh_tag_keeps_the_trace_id():
     obs.enable(log_stream=buf)
     server = CloudServer()
     backend = _SlowReplyOnce(server, delay=1.0)
-    with AsyncTcpServerHost(backend) as host:
+    with TcpServerHost(backend) as host:
         key, ids, keystore = _seeded(host, server, seed="aio-rt")
         retry = RetryPolicy(attempts=4, timeout=0.25, base_delay=0.01)
         with TcpChannel(host.address, server.ctx,
@@ -157,7 +157,7 @@ def test_raw_tagged_frame_error_reply_echoes_tag_and_trailer():
     context = TraceContext(trace_id=bytes(range(16)),
                            span_id=bytes(range(8)))
     server = CloudServer()
-    with AsyncTcpServerHost(_Exploding(server)) as host:
+    with TcpServerHost(_Exploding(server)) as host:
         payload = msg.encode_message(
             server.ctx,
             msg.ModifyCommit(file_id=404, item_id=1, ciphertext=b"x",
@@ -184,7 +184,7 @@ def test_untraced_tagged_frames_carry_no_trailer():
     transport adds no per-request trace overhead by default."""
     assert not obs.runtime.enabled
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         with TcpChannel(host.address, server.ctx) as channel:
             reply = channel.request(msg.FetchFileRequest(file_id=404))
             assert isinstance(reply, msg.ErrorReply)
@@ -197,7 +197,7 @@ def test_client_span_context_rides_the_tagged_framing():
     buf = io.StringIO()
     obs.enable(log_stream=buf)
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         with TcpChannel(host.address, server.ctx) as channel:
             with span("app.batch"):
                 channel.request(msg.FetchFileRequest(file_id=404))

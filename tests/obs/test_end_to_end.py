@@ -14,7 +14,7 @@ from repro.client.client import AssuredDeletionClient
 from repro.crypto.rng import DeterministicRandom
 from repro.fs.filesystem import OutsourcedFileSystem
 from repro.protocol import messages as msg
-from repro.protocol.aio import AsyncTcpServerHost
+from repro.protocol.host import TcpServerHost
 from repro.protocol.tcp import RetryPolicy, TcpChannel
 from repro.server.server import CloudServer
 from repro.server.wal import CommitLog
@@ -33,7 +33,7 @@ def test_traced_delete_over_tcp_shares_one_trace_id(tmp_path):
     obs.enable(log_stream=buf)
     server = CloudServer()
     server.attach_wal(CommitLog(str(tmp_path / "server.wal")))
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         with TcpChannel(host.address, server.ctx) as channel:
             client = AssuredDeletionClient(channel,
                                            rng=DeterministicRandom("e2e"))
@@ -70,7 +70,7 @@ def test_traced_tcp_read_flies_two_request_spans_in_one_trace():
     carried."""
     buf = io.StringIO()
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         fs = OutsourcedFileSystem.connect(host.address,
                                           rng=DeterministicRandom("read"))
         handle = fs.create_file("g/f", [b"a", b"b", b"c"])
@@ -121,7 +121,7 @@ def test_injected_retransmit_logs_replay_cache_hit_in_the_same_trace():
     obs.enable(log_stream=buf)
     server = CloudServer()
     backend = _SlowReplyOnce(server, delay=1.0)
-    with AsyncTcpServerHost(backend) as host:
+    with TcpServerHost(backend) as host:
         retry = RetryPolicy(attempts=4, timeout=0.25, base_delay=0.01)
         with TcpChannel(host.address, server.ctx, retry=retry) as channel:
             client = AssuredDeletionClient(channel,

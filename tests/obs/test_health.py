@@ -2,11 +2,14 @@
 
 import json
 import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.obs.health import HEALTH, HealthRegistry
 from repro.obs.httpd import MetricsServer, status_snapshot
 from repro.obs.metrics import MetricsRegistry
@@ -142,7 +145,7 @@ def test_404_still_served():
 
 
 # ---------------------------------------------------------------------
-# Probe wiring: WAL and async host
+# Probe wiring: WAL and TCP host
 # ---------------------------------------------------------------------
 
 def test_wal_health_reports_usable_and_failed_closed(tmp_path):
@@ -158,11 +161,11 @@ def test_wal_health_reports_usable_and_failed_closed(tmp_path):
     assert log.health()[0] is False
 
 
-def test_async_host_registers_and_unregisters_its_probe():
-    from repro.protocol.aio import AsyncTcpServerHost
+def test_tcp_host_registers_and_unregisters_its_probe():
+    from repro.protocol.host import TcpServerHost
     from repro.server.server import CloudServer
 
-    host = AsyncTcpServerHost(CloudServer())
+    host = TcpServerHost(CloudServer())
     name = host._health_name
     host.start()
     try:
@@ -173,6 +176,72 @@ def test_async_host_registers_and_unregisters_its_probe():
         host.stop()
     assert name not in HEALTH.run_checks()["checks"]
     assert host.health()[0] is False  # stopped host is not ready
+
+
+def test_tcp_host_probe_fails_when_every_pool_thread_is_stuck():
+    """Readiness is pool liveness: with its only thread wedged in a
+    handler (no leader in poll) the host turns unready once the last
+    poll is older than ``STALL_AFTER``, and ready again after."""
+    from repro.protocol import host as host_mod
+    from repro.protocol import messages as msg
+    from repro.protocol.tcp import TcpChannel
+    from repro.server.server import CloudServer
+
+    server = CloudServer()
+    release = threading.Event()
+    entered = threading.Event()
+
+    class _Wedged:
+        ctx = server.ctx
+
+        def handle_bytes(self, data):
+            entered.set()
+            release.wait(10.0)
+            return server.handle_bytes(data)
+
+    host = host_mod.TcpServerHost(_Wedged(), workers=1).start()
+    channel = TcpChannel(host.address, server.ctx)
+    worker = threading.Thread(
+        target=channel.request, args=(msg.FetchFileRequest(file_id=1),))
+    try:
+        worker.start()
+        assert entered.wait(5.0)
+        host._last_poll -= host_mod.STALL_AFTER + 1.0
+        ok, detail = host.health()
+        assert not ok and "busy" in detail
+        release.set()
+        worker.join(timeout=5.0)
+        deadline = time.monotonic() + 5.0
+        while not host.health()[0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert host.health()[0]
+    finally:
+        release.set()
+        channel.close()
+        host.stop()
+
+
+def test_tcp_host_gauges_move_only_with_obs_on():
+    from repro.obs import instruments as ins
+    from repro.protocol import messages as msg
+    from repro.protocol.host import TcpServerHost
+    from repro.protocol.tcp import TcpChannel
+    from repro.server.server import CloudServer
+
+    server = CloudServer()
+    with TcpServerHost(server, workers=2) as host:
+        with TcpChannel(host.address, server.ctx) as channel:
+            channel.request(msg.FetchFileRequest(file_id=1))
+            assert not list(ins.HOST_BUSY_THREADS.samples())
+            assert not list(ins.HOST_PICKUP_SECONDS.samples())
+            obs.enable()
+            for _ in range(5):
+                channel.request(msg.FetchFileRequest(file_id=1))
+    # Every pool thread counted itself busy and back again.
+    assert list(ins.HOST_BUSY_THREADS.samples()) == \
+        ["repro_host_busy_threads 0"]
+    assert list(ins.HOST_PICKUP_SECONDS.samples())
+    assert ins.HOST_PICKUP_SECONDS.value() >= 0.0
 
 
 # ---------------------------------------------------------------------

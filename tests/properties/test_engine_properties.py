@@ -8,12 +8,13 @@ places -- opening it and attaching it to a server either raises
 ``StorageError`` or yields a valid, empty engine.  It never raises a
 raw ``sqlite3`` error and never hangs.  Neither do the reads of a
 populated engine with bytes flipped in its data pages, which open may
-not touch: SQLite's corruption errors leave them as ``StorageError``.
+not touch: SQLite's corruption errors, and a wrong-typed column or a
+changed key inside a row SQLite accepts, leave them as
+``StorageError``.
 """
 
 import functools
 import os
-import sqlite3
 import tempfile
 
 from hypothesis import HealthCheck, given, settings
@@ -125,11 +126,11 @@ def test_damaged_data_pages_fail_closed_on_read(contents):
             for kind in (KIND_LINK, KIND_LEAF):
                 engine.scan_nodes(fid, kind, 0, 2 ** 63 - 1)
             engine.get_ciphertexts(fid, list(ids))
-        except sqlite3.Error as exc:
-            raise AssertionError(f"raw sqlite3 error on read: {exc!r}")
-        except Exception:
-            # StorageError, or damage inside a row that SQLite cannot
-            # see (a changed key or column type).
+        except StorageError:
             pass
+        except Exception as exc:
+            # Raw sqlite3 errors, and the TypeError or KeyError of a
+            # changed key or column type that SQLite cannot see.
+            raise AssertionError(f"damage escaped as {exc!r}") from exc
         finally:
             engine.close()

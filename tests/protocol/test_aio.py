@@ -18,8 +18,8 @@ import pytest
 from repro.client.client import AssuredDeletionClient
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol import messages as msg
-from repro.protocol.aio import AsyncTcpServerHost
 from repro.protocol.faults import ChannelError
+from repro.protocol.host import TcpServerHost
 from repro.protocol.tcp import TAG_FLAG, RetryPolicy, TcpChannel
 from repro.server.server import CloudServer
 
@@ -60,7 +60,7 @@ def test_out_of_order_replies_are_correlated_by_tag():
     land on their own callers (no cross-talk, no teardown)."""
     server = CloudServer()
     backend = _StallFirstAccess(server)
-    with AsyncTcpServerHost(backend) as host:
+    with TcpServerHost(backend) as host:
         key, ids, _ks = _seeded(host, server)
         with TcpChannel(host.address, server.ctx) as channel:
             replies = {}
@@ -109,7 +109,7 @@ def test_inflight_mutator_retransmit_is_idempotent_and_keeps_connection():
     dropped by its stale tag."""
     server = CloudServer()
     backend = _SlowReplyOnce(server, delay=1.0)
-    with AsyncTcpServerHost(backend) as host:
+    with TcpServerHost(backend) as host:
         key, ids, keystore = _seeded(host, server, seed="idem")
         retry = RetryPolicy(attempts=4, timeout=0.25, base_delay=0.01)
         with TcpChannel(host.address, server.ctx,
@@ -149,7 +149,7 @@ def test_host_closes_a_connection_on_a_frame_without_the_tag_bit():
     never reaches the backend; other connections are still served."""
     server = CloudServer()
     backend = _Counting(server)
-    with AsyncTcpServerHost(backend) as host:
+    with TcpServerHost(backend) as host:
         fetch = msg.encode_message(server.ctx,
                                    msg.FetchFileRequest(file_id=1))
         with socket.create_connection(host.address, timeout=10) as raw:
@@ -175,7 +175,7 @@ def test_error_reply_echoes_request_id():
     """A failing mutator's ErrorReply carries the request_id that caused
     it, so a pipelined client can correlate the failure."""
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         with TcpChannel(host.address, server.ctx) as channel:
             reply = channel.request(
                 msg.ModifyCommit(file_id=999, item_id=1, ciphertext=b"x",
@@ -188,7 +188,7 @@ def test_garbage_tagged_frame_gets_tagged_error_reply():
     """An undecodable tagged request is answered (tag echoed) instead of
     killing the connection -- the other in-flight requests survive."""
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         with socket.create_connection(host.address, timeout=10) as raw:
             raw.sendall(_LEN.pack(TAG_FLAG | 2) + _TAG.pack(42) + b"\xff\xff")
             (word,) = _LEN.unpack(_recv_exact(raw, 4))
@@ -205,7 +205,7 @@ def test_pipelined_channel_is_thread_safe_under_load():
     """Many threads hammer ONE channel; every reply lands on its caller
     (tags never cross) and the server state stays consistent."""
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         key, ids, _ks = _seeded(host, server, seed="load", n=8)
         # The state is read-only below, so each item's reply is a fixed
         # byte string: any tag cross-talk would hand a thread the bytes
@@ -241,7 +241,7 @@ def test_pipelined_channel_is_thread_safe_under_load():
 
 def test_channel_reconnects_after_host_restart():
     server = CloudServer()
-    host = AsyncTcpServerHost(server).start()
+    host = TcpServerHost(server).start()
     try:
         key, ids, _ks = _seeded(host, server, seed="reconnect")
         retry = RetryPolicy(attempts=4, timeout=5.0, base_delay=0.05)
@@ -267,7 +267,7 @@ def test_close_interrupts_pending_requests():
     wait out their full timeout."""
     server = CloudServer()
     backend = _StallFirstAccess(server)
-    with AsyncTcpServerHost(backend) as host:
+    with TcpServerHost(backend) as host:
         key, ids, _ks = _seeded(host, server, seed="close")
         retry = RetryPolicy(attempts=1, timeout=30.0)
         channel = TcpChannel(host.address, server.ctx, retry=retry)
@@ -293,12 +293,12 @@ def test_close_interrupts_pending_requests():
 
 def test_channel_validation():
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         with pytest.raises(ValueError):
             TcpChannel(host.address, server.ctx, timeout=1.0,
                             retry=RetryPolicy())
     with pytest.raises(ValueError):
-        AsyncTcpServerHost(server, max_inflight_per_conn=0)
+        TcpServerHost(server, max_inflight_per_conn=0)
 
 
 def test_byte_accounting_matches_loopback_for_tagged_frames():
@@ -307,7 +307,7 @@ def test_byte_accounting_matches_loopback_for_tagged_frames():
     from repro.protocol.channel import LoopbackChannel
 
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         with TcpChannel(host.address, server.ctx) as channel:
             client = AssuredDeletionClient(channel,
                                            rng=DeterministicRandom("acct"))
@@ -332,7 +332,7 @@ def test_flight_through_a_one_request_per_connection_host():
     """A host that admits one request per connection still answers a
     whole flight: the later frames wait unread in the socket."""
     server = CloudServer()
-    with AsyncTcpServerHost(server, max_inflight_per_conn=1) as host:
+    with TcpServerHost(server, max_inflight_per_conn=1) as host:
         key, ids, _ks = _seeded(host, server, seed="serial")
         with TcpChannel(host.address, server.ctx) as channel:
             replies = channel.request_many(
@@ -349,11 +349,11 @@ def test_channel_starts_no_thread():
     """The caller that waits reads its own reply: opening a channel and
     completing a request leaves the thread count unchanged."""
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         def threads():
-            # The host's worker pool grows on demand; leave it out.
+            # The host's pool threads are not the channel's; leave them out.
             return threading.active_count() - sum(
-                t.name.startswith("repro-aio-worker")
+                t.name.startswith("repro-host-")
                 for t in threading.enumerate())
 
         before = threads()

@@ -23,10 +23,10 @@ from repro.fs.filesystem import OutsourcedFileSystem
 from repro.fs.sharding import ShardMap, ShardRoutingChannel
 from repro.obs.audit import AuditLog, verify_log
 from repro.protocol import messages as msg
-from repro.protocol.aio import AsyncTcpServerHost
 from repro.protocol.channel import LoopbackChannel
 from repro.protocol.faults import (DROP_REQUEST, DUPLICATE, NONE,
                                    ChannelError, FaultInjectingChannel)
+from repro.protocol.host import TcpServerHost
 from repro.protocol.tcp import HEADER, TAG_FLAG, RetryPolicy, TcpChannel
 from repro.server.server import CloudServer
 from repro.server.wal import CommitLog
@@ -94,7 +94,7 @@ def test_pipelined_tcp_matches_the_sequential_loopback_path(tmp_path):
     expected_chain = _chain(tmp_path, "seq", wal)
 
     server, wal = _audited_server(tmp_path, "tcp")
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         fs = OutsourcedFileSystem.connect(host.address,
                                           rng=DeterministicRandom("mix"))
         trail, contents = _seeded_mix(fs, "mix")
@@ -160,7 +160,7 @@ def test_an_error_reply_on_either_level_raises_as_in_sequence(op, level):
             with pytest.raises(UnknownItemError):
                 call()
             return fs.client.channel.counters
-        with AsyncTcpServerHost(backend) as host:
+        with TcpServerHost(backend) as host:
             fs.client.channel = TcpChannel(host.address, server.ctx)
             with pytest.raises(UnknownItemError):
                 call()
@@ -390,7 +390,7 @@ def test_tagged_channel_sends_a_flight_in_one_write():
     fs = OutsourcedFileSystem(LoopbackChannel(server),
                               rng=DeterministicRandom("tagged"))
     handle = fs.create_file("g/f", [b"r%d" % i for i in range(4)])
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         with TcpChannel(host.address, server.ctx) as channel:
             fs.client.channel = channel
             assert handle.read_record(1) == b"r1"
@@ -407,11 +407,11 @@ def test_host_sets_nodelay_on_accepted_connections():
     """Without TCP_NODELAY on the server side, Nagle holds the second
     reply of a flight until the client's delayed ACK (~40 ms)."""
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         with TcpChannel(host.address, server.ctx) as channel:
             channel.request(msg.InsertRequest(file_id=1))
-            (writer,) = host._conn_writers
-            accepted = writer.get_extra_info("socket")
+            (conn,) = host._conns.values()
+            accepted = conn.sock
             assert accepted.getsockopt(socket.IPPROTO_TCP,
                                        socket.TCP_NODELAY) != 0
 
@@ -426,7 +426,7 @@ def test_threads_sharing_a_channel_keep_their_own_flights():
     server = CloudServer()
     tenants = 4
     errors = []
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         with TcpChannel(host.address, server.ctx) as channel:
             handles = []
             for t in range(tenants):

@@ -1,7 +1,7 @@
 """The TCP transport: the full protocol over a real socket.
 
 Every test drives :class:`~repro.protocol.tcp.TcpChannel`, the one
-client channel, against :class:`~repro.protocol.aio.AsyncTcpServerHost`,
+client channel, against :class:`~repro.protocol.host.TcpServerHost`,
 the one server host.
 """
 
@@ -13,8 +13,8 @@ import pytest
 from repro.client.client import AssuredDeletionClient
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol import messages as msg
-from repro.protocol.aio import AsyncTcpServerHost, _AioConnection
 from repro.protocol.faults import ChannelError
+from repro.protocol.host import TcpServerHost, _Connection
 from repro.protocol.tcp import RetryPolicy, TcpChannel
 from repro.server.server import CloudServer
 
@@ -24,7 +24,7 @@ pytestmark = pytest.mark.socket
 @pytest.fixture
 def hosted_server():
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         yield server, host
 
 
@@ -109,14 +109,14 @@ def test_server_survives_bad_frames(hosted_server):
 
 def test_host_requires_handle_bytes():
     with pytest.raises(TypeError):
-        AsyncTcpServerHost(object())
+        TcpServerHost(object())
 
 
 def test_host_restart_after_stop():
     """stop() then start() must rebind the same address with a fresh
-    event loop and worker pool."""
+    epoll and thread pool."""
     server = CloudServer()
-    host = AsyncTcpServerHost(server)
+    host = TcpServerHost(server)
     host.start()
     address = host.address
     try:
@@ -187,7 +187,7 @@ def test_timed_out_request_never_desyncs_the_stream():
     request gets its own reply on the same stream."""
     server = CloudServer()
     backend = _SlowOnce(server, delay=1.0)
-    with AsyncTcpServerHost(backend) as host:
+    with TcpServerHost(backend) as host:
         key, ids, _ks = _seeded_file(host.address, server.ctx, "desync")
         backend.stalled = False  # stall the next delivery
         with TcpChannel(host.address, server.ctx,
@@ -205,7 +205,7 @@ def test_timed_out_request_never_desyncs_the_stream():
 def test_timeout_is_retried_transparently():
     server = CloudServer()
     backend = _SlowOnce(server, delay=1.0)
-    with AsyncTcpServerHost(backend) as host:
+    with TcpServerHost(backend) as host:
         key, ids, keystore = _seeded_file(host.address, server.ctx, "retry")
         backend.stalled = False  # stall the next delivery
         retry = RetryPolicy(attempts=3, timeout=0.25, base_delay=0.01)
@@ -225,7 +225,7 @@ def test_retransmitted_commit_applies_exactly_once_over_tcp():
     the deltas twice."""
     server = CloudServer()
     backend = _SlowReplyOnce(server, delay=1.0)
-    with AsyncTcpServerHost(backend) as host:
+    with TcpServerHost(backend) as host:
         key, ids, keystore = _seeded_file(host.address, server.ctx, "idem")
         retry = RetryPolicy(attempts=4, timeout=0.25, base_delay=0.01)
         with TcpChannel(host.address, server.ctx, retry=retry) as channel:
@@ -286,7 +286,7 @@ def test_stop_joins_inflight_handler_work():
     its reply go out) rather than killing it mid-write."""
     server = CloudServer()
     backend = _SlowBackend(server, delay=0.5)
-    host = AsyncTcpServerHost(backend).start()
+    host = TcpServerHost(backend).start()
     results = {}
 
     def worker():
@@ -312,7 +312,7 @@ def test_stop_prompt_with_idle_connection():
     """An idle persistent connection (parked in its read) must not
     make stop() wait out the whole grace period."""
     server = CloudServer()
-    host = AsyncTcpServerHost(server).start()
+    host = TcpServerHost(server).start()
     channel = TcpChannel(host.address, server.ctx)
     channel.request(msg.FetchFileRequest(file_id=1))  # handler now idle
     start = time.monotonic()
@@ -336,7 +336,7 @@ def test_stop_abandons_wedged_handler_after_grace():
             release.wait(30.0)
             return server.handle_bytes(data)
 
-    host = AsyncTcpServerHost(_Wedged()).start()
+    host = TcpServerHost(_Wedged()).start()
 
     def worker():
         try:
@@ -361,7 +361,7 @@ def test_max_conns_bounds_concurrent_connections():
     """With max_conns=1 a second connection is only served after the
     first closes (backpressure: accepted, but not read)."""
     server = CloudServer()
-    with AsyncTcpServerHost(server, max_conns=1) as host:
+    with TcpServerHost(server, max_conns=1) as host:
         first = TcpChannel(host.address, server.ctx)
         first.request(msg.FetchFileRequest(file_id=1))  # holds the slot
         done = threading.Event()
@@ -388,25 +388,25 @@ def test_max_conns_bounds_concurrent_connections():
 
 def test_max_conns_validation():
     with pytest.raises(ValueError):
-        AsyncTcpServerHost(CloudServer(), max_conns=0)
+        TcpServerHost(CloudServer(), max_conns=0)
 
 
 def test_failed_dispatch_releases_conn_slot(monkeypatch):
     """Regression: a connection whose serving fails must give its slot
     back -- with max_conns=1 a leaked slot would lock every later client
     out forever."""
-    real_serve = _AioConnection.serve
+    real_serve = _Connection.serve
     tripped = []
 
-    async def flaky_serve(self):
+    def flaky_serve(self):
         if not tripped:
             tripped.append(True)
             raise RuntimeError("injected connection failure")
-        return await real_serve(self)
+        return real_serve(self)
 
-    monkeypatch.setattr(_AioConnection, "serve", flaky_serve)
+    monkeypatch.setattr(_Connection, "serve", flaky_serve)
     server = CloudServer()
-    with AsyncTcpServerHost(server, max_conns=1) as host:
+    with TcpServerHost(server, max_conns=1) as host:
         retry = RetryPolicy(attempts=3, timeout=5.0, base_delay=0.01)
         with TcpChannel(host.address, server.ctx, retry=retry) as channel:
             # First attempt dies with the injected failure; the retry

@@ -1,6 +1,6 @@
 """The TCP suite against a host that serialises each connection.
 
-This module re-collects ``test_tcp.py`` with its ``AsyncTcpServerHost``
+This module re-collects ``test_tcp.py`` with its ``TcpServerHost``
 name rebound to a host built with ``max_inflight_per_conn=1``: the same
 tests and assertions against the tightest per-connection pipeline, where
 every later frame waits unread in the socket (backpressure) until the
@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro.protocol.aio import AsyncTcpServerHost
+from repro.protocol.host import TcpServerHost
 
 pytestmark = pytest.mark.socket
 
@@ -27,8 +27,8 @@ tcp_suite = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tcp_suite)
 
 
-class _SerialConnHost(AsyncTcpServerHost):
-    """The async host with one in-flight request per connection."""
+class _SerialConnHost(TcpServerHost):
+    """The host with one in-flight request per connection."""
 
     def __init__(self, backend, *args, max_inflight_per_conn=1, **kwargs):
         super().__init__(backend, *args,
@@ -39,7 +39,7 @@ class _SerialConnHost(AsyncTcpServerHost):
 @pytest.fixture(autouse=True)
 def _use_serial_conn_host(monkeypatch):
     """Rebind the suite's host class to the serialising configuration."""
-    monkeypatch.setattr(tcp_suite, "AsyncTcpServerHost", _SerialConnHost)
+    monkeypatch.setattr(tcp_suite, "TcpServerHost", _SerialConnHost)
 
 
 def test_rebound_host_admits_one_request_per_connection(hosted_server):

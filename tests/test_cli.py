@@ -285,3 +285,42 @@ def test_durable_serve_refuses_a_leftover_image_and_memory_backend(tmp_path):
     assert str(image) in refused.stderr
     assert "Traceback" not in refused.stderr
     assert not (tmp_path / "server" / "state.db").exists()
+
+
+def test_serve_stops_on_sigterm_with_sigint_ignored(tmp_path):
+    """SIGTERM takes the ctrl-C path even when SIGINT is ignored (as in
+    the child of a non-interactive shell): the durable state is
+    checkpointed, which leaves the WAL compacted to one snapshot
+    marker, and the process exits 0."""
+    import signal
+    import time
+
+    from repro.server.wal import KIND_MARKER, LOG_HEADER, split_frames
+
+    assert vault(tmp_path, "init").returncode == 0
+    assert vault(tmp_path, "put", "f", stdin="a\nb\n").returncode == 0
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "--server-dir",
+         str(tmp_path / "server"), "serve", "--durable", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+    try:
+        for line in serve.stdout:
+            if line.startswith("serving vault"):
+                break
+        else:
+            pytest.fail(serve.stderr.read())
+        wal = tmp_path / "server" / "server.wal"
+        frames, _end = split_frames(wal.read_bytes(), len(LOG_HEADER))
+        assert KIND_MARKER not in [kind for _pos, kind, _body in frames]
+        start = time.monotonic()
+        serve.send_signal(signal.SIGTERM)
+        _out, err = serve.communicate(timeout=30)
+    finally:
+        if serve.poll() is None:
+            serve.kill()
+            serve.communicate()
+    assert serve.returncode == 0, err
+    assert time.monotonic() - start < 30
+    frames, _end = split_frames(wal.read_bytes(), len(LOG_HEADER))
+    assert [kind for _pos, kind, _body in frames] == [KIND_MARKER]

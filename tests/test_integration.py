@@ -5,7 +5,7 @@ multiple clients, and custom deployment policies."""
 from repro.client.client import AssuredDeletionClient
 from repro.crypto.rng import DeterministicRandom
 from repro.fs.filesystem import OutsourcedFileSystem
-from repro.protocol.aio import AsyncTcpServerHost
+from repro.protocol.host import TcpServerHost
 from repro.protocol.tcp import TcpChannel
 from repro.server.server import CloudServer
 from repro.sim.threat import Adversary, snapshot_file
@@ -15,7 +15,7 @@ def test_filesystem_over_tcp():
     """The complete Section V deployment across a real socket: meta
     trees, control keys, fine-grained and whole-file deletion."""
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         with TcpChannel(host.address, server.ctx) as channel:
             fs = OutsourcedFileSystem(channel=channel,
                                       rng=DeterministicRandom("fs-tcp"))
@@ -92,7 +92,7 @@ def test_deletion_assured_across_transports():
     """Threat-model verdict is transport-independent: delete over TCP,
     attack with everything, stay dead."""
     server = CloudServer()
-    with AsyncTcpServerHost(server) as host:
+    with TcpServerHost(server) as host:
         with TcpChannel(host.address, server.ctx) as channel:
             client = AssuredDeletionClient(channel,
                                            rng=DeterministicRandom("tcp-sec"))
