@@ -371,11 +371,9 @@ def cmd_serve(vault: Vault, args) -> int:
             server.attach_engine(engine)
             server.compact_storage()
         server = recover_server(wal_path, vault.fs.params,
-                                group_commit=args.group_commit,
                                 engine=engine, cache_nodes=args.cache_nodes,
                                 audit_path=audit_path)
-        _print(f"durable state: {engine_file} (sqlite engine) + {wal_path}"
-               + (" (group commit)" if args.group_commit else ""))
+        _print(f"durable state: {engine_file} (sqlite engine) + {wal_path}")
         HEALTH.register("wal", server.wal.health)
         rec = server.last_recovery
         _print(f"cold start {rec['load_seconds'] + rec['replay_seconds']:.3f}s"
@@ -428,8 +426,7 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
     cluster = ShardCluster(
         args.shards, params=vault.fs.params, transport="tcp",
         data_dir=shard_dir, durable=args.durable, audit=audit,
-        group_commit=args.group_commit, max_conns=args.max_conns,
-        base_port=args.port,
+        max_conns=args.max_conns, base_port=args.port,
         storage_backend="sqlite" if args.durable else "memory",
         cache_nodes=args.cache_nodes)
     if args.durable:
@@ -441,8 +438,7 @@ def _serve_sharded(vault: Vault, args, metrics_server) -> int:
             cluster.compact()
             _print(f"bootstrapped {placed} file(s) into {args.shards} "
                    f"durable shards")
-        _print(f"durable shard state under {shard_dir}"
-               + (" (group commit)" if args.group_commit else ""))
+        _print(f"durable shard state under {shard_dir}")
     else:
         cluster.adopt_server(vault.fs.server)
     if audit:
@@ -729,9 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     # still parses because existing launch scripts pass it.
     serve.add_argument("--async", action="store_true",
                        help=argparse.SUPPRESS)
-    serve.add_argument("--group-commit", action="store_true",
-                       help="with --durable: coalesce concurrent WAL appends "
-                            "into shared write+fsync batches")
     serve.add_argument("--audit", action="store_true",
                        help="with --durable: write an outcome frame for every "
                             "mutation into the hash-chained WAL, anchor its "

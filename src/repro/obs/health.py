@@ -2,8 +2,8 @@
 
 ``/healthz`` answers "is the process up?"; ``/readyz`` answers "should a
 load balancer send traffic here *right now*?".  The difference is this
-registry: subsystems register named probe callables (WAL writable,
-group-commit committer thread alive, TCP host pool live), the
+registry: subsystems register named probe callables (WAL not failed
+closed and its handle open, TCP host pool live), the
 HTTP surface runs them on demand, and a single failing probe -- or the
 process having begun shutdown -- flips readiness to 503 while liveness
 stays green until the listener actually closes.

@@ -8,8 +8,8 @@ A threaded stdlib HTTP server exposing, for ``repro-vault serve
   once shutdown has begun (the flag flips before the listener closes, so
   a load balancer sees the drain);
 * ``/readyz``   -- readiness: runs every probe registered in
-  :data:`repro.obs.health.HEALTH` (WAL writable, committer thread alive,
-  TCP host pool live, ...) and answers ``200``/``503`` with a JSON
+  :data:`repro.obs.health.HEALTH` (WAL not failed closed and its handle
+  open, TCP host pool live, ...) and answers ``200``/``503`` with a JSON
   body naming each check's verdict;
 * ``/statusz``  -- one JSON snapshot of the health checks plus every
   counter and gauge (and histogram count/sum), for humans and scripts

@@ -114,13 +114,14 @@ WAL_APPEND_BYTES = REGISTRY.counter(
     "Payload bytes appended to the write-ahead commit log")
 WAL_FSYNC_SECONDS = REGISTRY.histogram(
     "repro_wal_fsync_seconds",
-    "fsync latency of one durable WAL append",
+    "write+fsync latency of one durable WAL batch",
     (), DISK_BUCKETS)
-#: Powers of two up to the default group_max_batch (128) and beyond.
+#: Powers of two up to the WAL's MAX_BATCH (128) and beyond.
 BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 WAL_GROUP_COMMIT_BATCH = REGISTRY.histogram(
     "repro_wal_group_commit_batch",
-    "Records coalesced into one group-commit WAL write+fsync",
+    "Frames coalesced into one WAL write+fsync (every batch, lone "
+    "appends included)",
     (), BATCH_BUCKETS)
 WAL_REPLAYED = REGISTRY.counter(
     "repro_wal_replayed_records_total",
@@ -230,7 +231,7 @@ HOST_PICKUP_SECONDS = REGISTRY.gauge(
     "TCP host pool thread (0 when a leader was already waiting in poll)")
 WAL_GROUP_QUEUE = REGISTRY.gauge(
     "repro_wal_group_commit_queue_depth",
-    "Appends waiting for the group-commit committer thread")
+    "WAL appends waiting for the leader")
 REPLAY_CACHE_SIZE = REGISTRY.gauge(
     "repro_replay_cache_size",
     "Entries in the request-id idempotency reply cache")

@@ -131,7 +131,6 @@ class ShardCluster:
                  data_dir: str | None = None,
                  durable: bool = False,
                  audit: bool = False,
-                 group_commit: bool = False,
                  max_conns: int | None = None,
                  base_port: int = 0,
                  vnodes: int = DEFAULT_VNODES,
@@ -158,7 +157,6 @@ class ShardCluster:
                              "engine: pass an engine storage_backend")
         self.params = params if params is not None else Params()
         self.transport = transport
-        self.group_commit = group_commit
         self.max_conns = max_conns
         self.base_port = base_port
         self.storage_backend = storage_backend
@@ -193,8 +191,7 @@ class ShardCluster:
                 unit.engine = make_engine(storage_backend, unit.engine_path)
             if durable:
                 unit.server = recover_server(
-                    unit.wal_path, self.params,
-                    group_commit=group_commit, engine=unit.engine,
+                    unit.wal_path, self.params, engine=unit.engine,
                     cache_nodes=cache_nodes,
                     audit_path=unit.audit_path if audit else None)
                 unit.wal = unit.server.wal
@@ -360,7 +357,6 @@ class ShardCluster:
             unit.engine = make_engine(self.storage_backend, unit.engine_path)
         audit_path = unit.audit_path if unit.audit is not None else None
         unit.server = recover_server(unit.wal_path, self.params,
-                                     group_commit=self.group_commit,
                                      engine=unit.engine,
                                      cache_nodes=self.cache_nodes,
                                      audit_path=audit_path)

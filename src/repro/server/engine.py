@@ -44,6 +44,9 @@ modulator width it was written with (a file from before the width was
 recorded has it read off its stored modulators); attaching it to a
 server with other parameters (:meth:`TreeStore.bind_width`) raises the
 same error instead of serving 20-byte modulators as 32-byte ones.
+Damage that open cannot see fails closed on the read that reaches it:
+a node or ciphertext value that is not a blob raises the same error
+rather than being handed to the chain, the codec or a client.
 
 Bulk reads
 ----------
@@ -562,6 +565,8 @@ class SQLiteTreeStore(TreeStore):
                 (_s64(file_id), kind, slot)).fetchone()
         if row is None:
             raise KeyError((file_id, kind, slot))
+        if type(row[0]) is not bytes:
+            raise self._wrong_type("nodes", row[0])
         return row[0]
 
     def get_nodes(self, file_id, kind, slots) -> list[bytes]:
@@ -572,6 +577,9 @@ class SQLiteTreeStore(TreeStore):
                 f"SELECT slot, value FROM nodes WHERE file_id=? AND kind=? "
                 f"AND slot {_IN_KEYS}",
                 (_s64(file_id), kind, json.dumps(list(slots)))))
+        for value in found.values():
+            if type(value) is not bytes:
+                raise self._wrong_type("nodes", value)
         try:
             return [found[slot] for slot in slots]
         except KeyError as exc:
@@ -579,10 +587,14 @@ class SQLiteTreeStore(TreeStore):
 
     def scan_nodes(self, file_id, kind, lo, hi) -> list[tuple[int, bytes]]:
         with self._lock:
-            return self._conn.execute(
+            rows = self._conn.execute(
                 "SELECT slot, value FROM nodes WHERE file_id=? AND kind=? "
                 "AND slot>=? AND slot<? ORDER BY slot",
                 (_s64(file_id), kind, lo, hi)).fetchall()
+        for _slot, value in rows:
+            if type(value) is not bytes:
+                raise self._wrong_type("nodes", value)
+        return rows
 
     def write_nodes(self, file_id, entries) -> None:
         fid = _s64(file_id)
@@ -656,6 +668,8 @@ class SQLiteTreeStore(TreeStore):
                 (_s64(file_id), _s64(item_id))).fetchone()
             if row is None:
                 raise self._missing_ciphertext(file_id, _s64(item_id), True)
+        if type(row[0]) is not bytes:
+            raise self._wrong_type("ciphertexts", row[0])
         return row[0]
 
     def get_ciphertexts(self, file_id, item_ids) -> list[bytes]:
@@ -666,12 +680,21 @@ class SQLiteTreeStore(TreeStore):
             found = dict(self._conn.execute(
                 f"SELECT item_id, value FROM ciphertexts WHERE file_id=? "
                 f"AND item_id {_IN_KEYS}", (_s64(file_id), json.dumps(keys))))
+            for value in found.values():
+                if type(value) is not bytes:
+                    raise self._wrong_type("ciphertexts", value)
             try:
                 return [found[key] for key in keys]
             except KeyError as exc:
                 raise self._missing_ciphertext(
                     file_id, exc.args[0], found.keys() <= set(keys)) \
                     from None
+
+    def _wrong_type(self, table: str, value) -> StorageError:
+        """Damage inside a row that SQLite's page checks accept: a value
+        column that holds no blob."""
+        return StorageError(f"{self.path!r}: a {table}.value column holds "
+                            f"{type(value).__name__}, not bytes")
 
     def _missing_ciphertext(self, file_id: int, key: int,
                             keys_intact: bool) -> Exception:

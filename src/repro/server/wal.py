@@ -93,22 +93,27 @@ Two failure modes beyond the torn tail are handled explicitly:
 Group commit
 ------------
 
-With ``group_commit=True`` concurrent appenders enqueue their frames
-and a single committer thread (started lazily on the first grouped
-append) coalesces the queue into ONE ``write`` + ONE ``fsync``; every
-``append`` still blocks until *its* frame is durable.  Batching is
-natural: while one fsync is in flight, new appenders pile up in the
-queue and the committer takes them all on its next pass.  Appenders
-wait only on their own entry's event -- never on the commit lock -- so
-a committed append returns immediately even while the next batch's
-fsync is in flight (a leader-follower scheme where followers re-take
-the lock convoys exactly there).  Outcome frames ride the same queue
-without waiting; a batch of outcomes alone is written, not fsync'd.
-``group_max_batch`` bounds one batch; ``group_max_wait`` optionally
-lets the committer linger to fill it.  The observable durability
-contract is identical to per-append fsync -- ``append`` returning means
-the request survives a crash -- only the fsyncs-per-request ratio
-changes.
+Every append joins a group that an appender leads; there is no
+committer thread.  An appender that finds no commit running becomes the
+leader and writes and fsyncs its own frame on its own thread -- a lone
+client pays no hand-off.  Appenders arriving while a commit runs queue
+their frames and wait, each on its own entry's event.  When the
+leader's fsync returns it hands the lead, together with up to
+``MAX_BATCH`` queued frames, to the oldest appender waiting among them,
+which writes them all with ONE ``write`` + ONE ``fsync``; with nobody
+queued the lead is given up.  Batching is natural: while one fsync is
+in flight the next group piles up behind it.
+
+This does not convoy.  The queue has its own small lock, never held
+across a write, so queueing never waits on an fsync in flight; a
+committed follower learns it is done from its event and never re-takes
+the commit lock; and a fresh appender cannot barge past the queue,
+because the lead passes hand to hand and is only given up with the
+queue empty.  Outcome frames ride the queue without waiting; a batch of
+outcomes alone is written, not fsync'd.  If anything escapes a commit,
+every entry of its batch gets the error and the lead still moves on.
+``append`` returning means the request survives a crash -- only the
+fsyncs-per-request ratio depends on the load.
 """
 
 from __future__ import annotations
@@ -371,17 +376,24 @@ class HeadAnchor:
 # The log
 # ---------------------------------------------------------------------
 
+#: Most frames one lead writes with one ``write`` + ``fsync``.
+MAX_BATCH = 128
+
+
 class _Entry:
-    """One frame queued for (or being written by) the committer."""
+    """One frame to commit: the leader's own, or one queued behind it."""
 
-    __slots__ = ("kind", "payload", "event", "error", "seq")
+    __slots__ = ("kind", "payload", "event", "error", "seq", "lead")
 
-    def __init__(self, kind: int, payload: bytes, waits: bool) -> None:
+    def __init__(self, kind: int, payload: bytes) -> None:
         self.kind = kind
         self.payload = payload
-        self.event = threading.Event() if waits else None
-        self.error: Exception | None = None
+        #: Set for a queued request: its appender waits on it.
+        self.event: threading.Event | None = None
+        self.error: BaseException | None = None
         self.seq = 0
+        #: The batch handed over with the lead (see ``_lead``).
+        self.lead: list[_Entry] | None = None
 
 
 class CommitLog:
@@ -391,28 +403,14 @@ class CommitLog:
     tail.  ``append`` is durable on return (``flush`` + ``fsync``) and
     returns the request frame's sequence number; ``append_outcome``
     writes an outcome frame that becomes durable with the next fsync.
-    ``compact`` empties the log after the storage engine has absorbed
-    its effects, sealing it into ``archive`` first when one is given
-    (evidence mode, see the module docstring).
-
-    ``group_commit=True`` coalesces concurrent appends into one
-    write+fsync (see the module docstring); ``group_max_batch`` bounds
-    the frames per batch and ``group_max_wait`` (seconds) lets the
-    committer wait briefly for stragglers before syncing.
+    Concurrent appends share one write + fsync (group commit, see the
+    module docstring).  ``compact`` empties the log after the storage
+    engine has absorbed its effects, sealing it into ``archive`` first
+    when one is given (evidence mode, see the module docstring).
     """
 
-    def __init__(self, path: str, *, group_commit: bool = False,
-                 group_max_batch: int = 128,
-                 group_max_wait: float = 0.0,
-                 archive: str | None = None) -> None:
-        if group_max_batch < 1:
-            raise ValueError("group_max_batch must be >= 1")
-        if group_max_wait < 0:
-            raise ValueError("group_max_wait must be >= 0")
+    def __init__(self, path: str, *, archive: str | None = None) -> None:
         self.path = path
-        self.group_commit = group_commit
-        self.group_max_batch = group_max_batch
-        self.group_max_wait = group_max_wait
         #: Sealed archive (evidence mode) and its head anchor.
         self.archive_path = archive
         self._head = None if archive is None else \
@@ -427,10 +425,9 @@ class CommitLog:
         #: Requests appended since the last compaction/open, for callers
         #: implementing a compact-every-N policy.
         self.appended = 0
-        #: Serialises the write(+fsync) of one frame (or one group-commit
-        #: batch): appends arriving from different per-file handler
-        #: threads land whole, never interleaved mid-frame (the bottom
-        #: of the lock hierarchy).
+        #: Serialises the write(+fsync) of one batch: appends arriving
+        #: from different per-file handler threads land whole, never
+        #: interleaved mid-frame (the bottom of the lock hierarchy).
         self._lock = threading.Lock()
         #: End of the validated, fsync'd prefix of the file.  A failed
         #: append truncates back to this before the log accepts more.
@@ -441,14 +438,13 @@ class CommitLog:
         #: Fail-closed flag: set when the durable prefix could not be
         #: restored after an append failure.
         self._failed = False
-        # Group-commit queue (guarded by its own tiny lock so enqueue
-        # never waits on an fsync in flight) and the committer thread
-        # that drains it, started lazily on the first grouped append.
+        #: Is an appender leading a commit?  Frames arriving meanwhile
+        #: wait in ``_queue``; both are guarded by ``_queue_lock``, which
+        #: is never held across a write, so queueing never waits on an
+        #: fsync in flight.  The queue is empty whenever nobody leads.
         self._queue_lock = threading.Lock()
         self._queue: list[_Entry] = []
-        self._work = threading.Condition(self._queue_lock)
-        self._committer: threading.Thread | None = None
-        self._stop_committer = False
+        self._leading = False
 
     # -- opening ---------------------------------------------------------
 
@@ -562,15 +558,13 @@ class CommitLog:
     def append(self, payload: bytes) -> int:
         """Durably append one request frame; returns its sequence number.
 
-        Thread-safe: concurrent appenders serialise on the log's lock
-        (or, under group commit, enqueue for the committer), so each
-        CRC-framed frame (and its fsync) lands whole on disk.  In
-        evidence mode the head anchor names the frame before this
-        returns.  Raises if the log has failed closed after an
-        unrepairable append error -- an unacknowledged commit, never a
-        silently lost one.
+        Thread-safe: concurrent appenders share one write + fsync, so
+        each CRC-framed frame lands whole on disk.  In evidence mode the
+        head anchor names the frame before this returns.  Raises if the
+        log has failed closed after an unrepairable append error -- an
+        unacknowledged commit, never a silently lost one.
         """
-        entry = _Entry(KIND_REQUEST, payload, self.group_commit)
+        entry = _Entry(KIND_REQUEST, payload)
         if obs.enabled:
             with span("wal.append", record_bytes=len(payload)):
                 self._submit(entry)
@@ -584,19 +578,13 @@ class CommitLog:
         It becomes durable -- and anchored -- with the next fsync (the
         next request, ``sync``, ``compact`` or ``close``).  A crash
         before that loses it, and recovery re-derives it by replaying
-        the request (:func:`recover_server`).
+        the request (:func:`recover_server`).  While another appender
+        leads, the frame is queued for it and this returns at once.
         """
-        entry = _Entry(KIND_OUTCOME, payload, False)
-        if self.group_commit:
-            self._enqueue(entry)
-            return
-        with self._lock:
-            error = self._commit_locked([entry], sync=False)
-        if error is not None:
-            raise error
+        self._submit(_Entry(KIND_OUTCOME, payload))
 
     def sync(self) -> None:
-        """Make every written frame durable and anchored now."""
+        """Make every written or queued frame durable and anchored now."""
         with self._lock:
             error = self._drain_locked()
             if error is None and self._unsynced and not self._failed:
@@ -605,14 +593,101 @@ class CommitLog:
             raise error
 
     def _submit(self, entry: _Entry) -> None:
-        if self.group_commit:
-            self._enqueue(entry)
+        """Commit ``entry``, leading if the log is idle (module docstring)."""
+        with self._queue_lock:
+            follows = self._leading
+            if follows:
+                if entry.kind == KIND_REQUEST:
+                    entry.event = threading.Event()
+                self._queue.append(entry)
+                depth = len(self._queue)
+            else:
+                self._leading = True
+        if follows:
+            if obs.enabled:
+                from repro.obs import instruments as ins
+                ins.WAL_GROUP_QUEUE.set(depth)
+            if entry.event is None:
+                return  # an outcome: the leader writes it
             entry.event.wait()
+            if entry.lead is None:  # a leader committed it
+                if entry.error is not None:
+                    raise entry.error
+                return
+            self._lead(entry.lead, True)
         else:
-            with self._lock:
-                entry.error = self._commit_locked([entry], sync=True)
+            self._lead([entry], entry.kind == KIND_REQUEST)
         if entry.error is not None:
             raise entry.error
+
+    def _lead(self, batch: list[_Entry], sync: bool) -> None:
+        """Commit ``batch`` (it holds the leader's own frame), then pass
+        the lead on: with the next batch to the oldest appender waiting
+        in it; with none waiting, the queued outcomes are written here;
+        with the queue empty, the lead is given up.  The next leader is
+        woken before the committed batch's followers, so the device is
+        not left idle while they take their replies."""
+        interrupt = None
+        while True:
+            with self._lock:
+                error = self._commit_batch(batch, sync)
+            if error is not None and not isinstance(error, Exception):
+                interrupt = error
+            done = batch
+            with self._queue_lock:
+                queue = self._queue
+                batch = queue[:MAX_BATCH]
+                del queue[:MAX_BATCH]
+                self._leading = bool(batch)
+                if obs.enabled:
+                    from repro.obs import instruments as ins
+                    ins.WAL_GROUP_QUEUE.set(len(queue))
+            # Only queued requests wait, so the heir marks a batch that
+            # needs an fsync.
+            for heir in batch:
+                if heir.event is not None:
+                    heir.lead = batch
+                    heir.event.set()
+                    break
+            else:
+                heir = None
+            self._finish(done, error)
+            if heir is not None or not batch:
+                break
+            sync = False
+        if interrupt is not None:  # re-raised once the lead moved on
+            raise interrupt
+
+    def _commit_batch(self, batch: list[_Entry],
+                      sync: bool) -> BaseException | None:
+        """Write ``batch`` (commit lock held); whatever escapes the
+        commit is the whole batch's error, so no waiter is stranded."""
+        try:
+            error = self._commit_locked(batch, sync)
+            if sync and error is None and obs.enabled:
+                from repro.obs import instruments as ins
+                ins.WAL_GROUP_COMMIT_BATCH.observe(len(batch))
+        except BaseException as exc:  # noqa: BLE001 - never strand waiters
+            error = exc
+        return error
+
+    @staticmethod
+    def _finish(batch: list[_Entry], error: BaseException | None) -> None:
+        for entry in batch:
+            entry.error = error
+            if entry.event is not None:
+                entry.event.set()
+
+    def _drain_locked(self) -> BaseException | None:
+        """Write and fsync whatever waits in the queue (commit lock
+        held), so ``sync`` and ``compact`` cover queued outcomes."""
+        with self._queue_lock:
+            batch, self._queue = self._queue, []
+        if not batch:
+            return None
+        error = self._commit_batch(batch, True)
+        self._finish(batch, error)
+        return error
 
     def _closed_error(self) -> ProtocolError:
         return ProtocolError(
@@ -624,7 +699,7 @@ class CommitLog:
         """Chain, write and (with ``sync``) fsync + anchor ``entries``.
 
         Runs under the commit lock; returns the error instead of
-        raising so a group-commit batch can fail every rider.
+        raising so a failed batch can fail every entry in it.
         """
         if self._failed:
             return self._closed_error()
@@ -670,88 +745,6 @@ class CommitLog:
                 return exc
         return None
 
-    # -- group commit ---------------------------------------------------
-
-    def _enqueue(self, entry: _Entry) -> None:
-        with self._work:
-            if self._committer is None or not self._committer.is_alive():
-                self._stop_committer = False
-                self._committer = threading.Thread(
-                    target=self._committer_loop,
-                    name="repro-wal-committer", daemon=True)
-                self._committer.start()
-            self._queue.append(entry)
-            depth = len(self._queue)
-            self._work.notify()
-        if obs.enabled:
-            from repro.obs import instruments as ins
-            ins.WAL_GROUP_QUEUE.set(depth)
-        # The caller waits on ITS entry only -- never on the commit
-        # lock.  (A leader-follower scheme convoys there: committed
-        # appenders must re-take the lock to observe their event, and a
-        # fresh appender holding it through an fsync starves them all.)
-
-    def _committer_loop(self) -> None:
-        while True:
-            with self._work:
-                while not self._queue and not self._stop_committer:
-                    self._work.wait()
-                if not self._queue:
-                    return  # stopping and fully drained
-            try:
-                with self._lock:
-                    self._commit_batch()
-            except Exception as exc:  # defensive: never strand waiters
-                with self._queue_lock:
-                    batch = self._queue
-                    self._queue = []
-                self._finish(batch, exc)
-
-    @staticmethod
-    def _finish(batch: list[_Entry], error: Exception | None) -> None:
-        for entry in batch:
-            entry.error = error
-            if entry.event is not None:
-                entry.event.set()
-
-    def _commit_batch(self) -> None:
-        """Drain one batch and write it (commit lock held); fsync only
-        when a request in it waits for durability."""
-        with self._queue_lock:
-            batch = self._queue[:self.group_max_batch]
-            del self._queue[:len(batch)]
-            depth = len(self._queue)
-        if obs.enabled:
-            from repro.obs import instruments as ins
-            ins.WAL_GROUP_QUEUE.set(depth)
-        if not batch:
-            return
-        if len(batch) < self.group_max_batch and self.group_max_wait > 0:
-            # Linger for stragglers: trade a bounded latency bump for
-            # fewer fsyncs.  Natural batching (appenders piling up while
-            # the previous fsync runs) needs no linger at all.
-            time.sleep(self.group_max_wait)
-            with self._queue_lock:
-                extra = self._queue[:self.group_max_batch - len(batch)]
-                del self._queue[:len(extra)]
-            batch.extend(extra)
-        sync = any(entry.event is not None for entry in batch)
-        error = self._commit_locked(batch, sync)
-        if sync and error is None and obs.enabled:
-            from repro.obs import instruments as ins
-            ins.WAL_GROUP_COMMIT_BATCH.observe(len(batch))
-        self._finish(batch, error)
-
-    def _drain_locked(self) -> Exception | None:
-        """Write whatever the group-commit queue holds (commit lock held)."""
-        with self._queue_lock:
-            batch, self._queue = self._queue, []
-        if not batch:
-            return None
-        error = self._commit_locked(batch, sync=True)
-        self._finish(batch, error)
-        return error
-
     # -- failure repair -------------------------------------------------
 
     def _restore_durable_prefix(self) -> None:
@@ -786,21 +779,13 @@ class CommitLog:
         """Readiness probe for ``/readyz``: can this log still commit?
 
         Fails when the log has failed closed (an unrepairable append
-        error) or when grouped appends are queued but the committer
-        thread is dead -- both mean new mutations cannot be made
-        durable, so traffic should drain elsewhere.
+        error) or its handle is closed -- either way new mutations
+        cannot be made durable, so traffic should drain elsewhere.
         """
         if self._failed:
             return False, "failed closed after an append error"
         if self._handle.closed:
             return False, "log handle is closed"
-        if self.group_commit:
-            with self._queue_lock:
-                pending = len(self._queue)
-            committer = self._committer
-            if pending and (committer is None or not committer.is_alive()):
-                return False, (f"{pending} queued appends but the "
-                               f"committer thread is dead")
         return True, f"durable through {self._durable_size} bytes"
 
     # -- compaction -----------------------------------------------------
@@ -906,12 +891,6 @@ class CommitLog:
         return end
 
     def close(self) -> None:
-        committer = self._committer
-        if committer is not None and committer.is_alive():
-            with self._work:
-                self._stop_committer = True
-                self._work.notify_all()
-            committer.join(timeout=10.0)
         if not self._handle.closed and self._unsynced and not self._failed:
             try:
                 self.sync()
@@ -931,8 +910,7 @@ class CommitLog:
         self.close()
 
 
-def recover_server(wal_path: str, params=None, *,
-                   group_commit: bool = False, engine=None,
+def recover_server(wal_path: str, params=None, *, engine=None,
                    cache_nodes: int = 65536, audit_path: str | None = None):
     """Rebuild a server from its storage engine plus commit log.
 
@@ -942,8 +920,7 @@ def recover_server(wal_path: str, params=None, *,
     an empty server and the WAL must hold the full history (a log that
     was never compacted).  Every validated request frame is re-executed
     through the normal handlers *before* the log is attached for new
-    appends, so replay never re-logs.  ``group_commit`` selects the
-    coalescing append path for the re-attached log.
+    appends, so replay never re-logs.
 
     ``audit_path`` opens the log in evidence mode with that archive and
     attaches an :class:`~repro.obs.audit.AuditLog`; a replayed request
@@ -964,8 +941,7 @@ def recover_server(wal_path: str, params=None, *,
         if engine is not None:
             server.attach_engine(engine, cache_nodes=cache_nodes)
         load_seconds = time.perf_counter() - start
-        log = CommitLog(wal_path, group_commit=group_commit,
-                        archive=audit_path)
+        log = CommitLog(wal_path, archive=audit_path)
         audit = None
         if audit_path is not None:
             from repro.obs.audit import AuditLog

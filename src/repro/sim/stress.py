@@ -470,15 +470,13 @@ def run_stress(config: StressConfig) -> StressReport:
 
     # Every shard is an isolated server + WAL-as-audit-chain; routing to
     # it goes through the consistent-hash ring regardless of transport.
-    # Over TCP the shards run the group-commit WAL path: many pipelined
-    # mutators coalescing into shared fsyncs, with the usual per-shard
-    # WAL-replay invariant still checked at the end.
+    # Concurrent mutators coalesce into shared fsyncs, with the usual
+    # per-shard WAL-replay invariant still checked at the end.
     wal_dir = config.wal_dir or tempfile.mkdtemp(prefix="repro-stress-")
     cluster = ShardCluster(
         config.shards, transport=config.transport, data_dir=wal_dir,
         fresh=True, audit=True, storage_backend=config.backend,
-        wal_factory=lambda path, **kwargs: CommitLog(
-            path, group_commit=(config.transport != "loopback"), **kwargs))
+        wal_factory=CommitLog)
 
     channels = []
     try:
@@ -636,7 +634,7 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
     #    is safe because the engine file only mutates inside
     #    ``compact_storage`` and the compactor thread has quiesced.
     for unit in cluster.units:
-        unit.wal.sync()  # queued group-commit outcome frames land
+        unit.wal.sync()  # unsynced outcome frames land
     for unit in cluster.units:
         shard_live = {file_id for file_id, shard_id in placement.items()
                       if shard_id == unit.shard_id}

@@ -157,7 +157,7 @@ def test_tcp_cluster_serves_connect_sharded(tmp_path):
 @pytest.mark.socket
 def test_group_commit_cluster_serves_connect_sharded(tmp_path):
     with ShardCluster(2, transport="tcp", data_dir=str(tmp_path),
-                      wal_factory=lambda p: CommitLog(p, group_commit=True),
+                      wal_factory=CommitLog,
                       fresh=True) as cluster:
         fs = OutsourcedFileSystem.connect_sharded(cluster.addresses())
         fs.create_file("aio.txt", [b"alpha"])

@@ -142,6 +142,68 @@ def test_damage_open_does_not_read_fails_closed_on_read(tmp_path, scheme):
     assert failed_on_read > 0
 
 
+def _overwrite_values(path, value):
+    """Set every ``nodes.value`` and ``ciphertexts.value`` to ``value``
+    through a raw connection.  ``NULL`` needs the columns' ``NOT NULL``
+    lifted for the update; the schema text is restored afterwards, so
+    the file still opens as an engine file."""
+    import sqlite3
+
+    conn = sqlite3.connect(path)
+    schema = dict(conn.execute(
+        "SELECT name, sql FROM sqlite_master WHERE name IN "
+        "('nodes', 'ciphertexts')"))
+
+    def set_schema(table, sql):
+        conn.execute("PRAGMA writable_schema=ON")
+        conn.execute("UPDATE sqlite_master SET sql=? WHERE name=?",
+                     (sql, table))
+        conn.commit()
+        conn.execute("PRAGMA writable_schema=OFF")
+
+    for table, sql in schema.items():
+        set_schema(table, sql.replace("BLOB NOT NULL", "BLOB"))
+    conn.close()
+    conn = sqlite3.connect(path)
+    for table in schema:
+        conn.execute(f"UPDATE {table} SET value=?", (value,))
+    conn.commit()
+    for table, sql in schema.items():
+        set_schema(table, sql)
+    conn.close()
+
+
+@pytest.mark.parametrize("value", [None, 7], ids=["null", "integer"])
+def test_wrong_typed_value_columns_raise_storage_error(tmp_path, scheme,
+                                                       value):
+    """A value column that holds no blob is damage inside a row SQLite's
+    page checks accept: every read of it raises ``StorageError`` under
+    the engine lock instead of handing the value on."""
+    fid, ids = scheme.new_file([b"a", b"b", b"c"])
+    path = str(tmp_path / "state.db")
+    save(scheme.server, path)
+    scheme.server.engine.close()
+    engine = SQLiteTreeStore(path)
+    slot = engine.scan_nodes(fid, KIND_LEAF, 0, 2 ** 63 - 1)[0][0]
+    engine.close()
+    _overwrite_values(path, value)
+    engine = SQLiteTreeStore(path)
+    reads = {
+        "get_node": lambda: engine.get_node(fid, KIND_LEAF, slot),
+        "get_nodes": lambda: engine.get_nodes(fid, KIND_LEAF, [slot]),
+        "scan_nodes": lambda: engine.scan_nodes(fid, KIND_LEAF, 0,
+                                                2 ** 63 - 1),
+        "get_ciphertext": lambda: engine.get_ciphertext(fid, ids[0]),
+        "get_ciphertexts": lambda: engine.get_ciphertexts(fid, ids),
+    }
+    try:
+        for name, read in reads.items():
+            with pytest.raises(StorageError, match="not bytes"):
+                read()
+    finally:
+        engine.close()
+
+
 def test_rejects_wrong_parameters(tmp_path, scheme):
     """An engine records its modulator width: one written with 20-byte
     modulators is not served as 32-byte ones."""
