@@ -1,8 +1,9 @@
 """Microbenchmarks of the crypto substrate and the key-modulation core.
 
 These are the constants behind every figure: the chain-hash step, the AES
-block, bulk CTR throughput, chain evaluation at the paper's depths, and
-the item codec at the paper's 4 KB item size.
+block, bulk CTR throughput, chain evaluation at the paper's depths, the
+item codec at the paper's 4 KB item size, and the list-at-a-time steps
+of a whole-file fetch (``step_many``, ``Reader.modulator_list``).
 """
 
 import hashlib
@@ -15,9 +16,10 @@ from repro.core.ciphertext import ItemCodec
 from repro.core.modulated_chain import ChainEngine, xor_bytes
 from repro.core.params import Params
 from repro.crypto.aes import AES
-from repro.crypto.bulk import ctr_transform
+from repro.crypto.bulk import ctr_transform_many
 from repro.crypto.modes import aes_ctr
 from repro.crypto.rng import DeterministicRandom
+from repro.protocol.wire import Reader, WireContext, Writer
 
 rng = DeterministicRandom("micro")
 
@@ -47,14 +49,14 @@ def test_aes_block(benchmark):
 def test_bulk_ctr_4kb(benchmark):
     key, nonce = rng.bytes(16), rng.bytes(8)
     data = rng.bytes(4096)
-    benchmark(lambda: ctr_transform(key, nonce, data))
+    benchmark(lambda: ctr_transform_many([key], [nonce], [data]))
 
 
 @pytest.mark.benchmark(group="micro-aes")
 def test_bulk_ctr_1mb(benchmark):
     key, nonce = rng.bytes(16), rng.bytes(8)
     data = rng.bytes(1 << 20)
-    benchmark(lambda: ctr_transform(key, nonce, data))
+    benchmark(lambda: ctr_transform_many([key], [nonce], [data]))
 
 
 @pytest.mark.parametrize("depth", [7, 17, 24],
@@ -140,6 +142,30 @@ def test_micro_timing_record():
                 lambda: aes_ctr(key, nonce, small_payload)),
             "ctr_4kb": _per_call_us(lambda: aes_ctr(key, nonce, item)),
             "ctr_bulk_4kb": _per_call_us(
-                lambda: ctr_transform(key, nonce, item), reps=200),
+                lambda: ctr_transform_many([key], [nonce], [item]), reps=200),
+        },
+    })
+
+
+def test_bulk_fetch_timing_record():
+    """Record the list-at-a-time steps of a whole-file fetch at n = 8192:
+    one level of chain steps and one decoded modulator list."""
+    n = 8192
+    engine = ChainEngine()
+    values = [rng.bytes(20) for _ in range(n)]
+    modulators = [rng.bytes(20) for _ in range(n)]
+    ctx = WireContext(modulator_width=20)
+    encoded = Writer(ctx).modulator_list(modulators).getvalue()
+    assert engine.step_many(values, modulators) == \
+        [engine.step(v, m) for v, m in zip(values, modulators)]
+    assert Reader(ctx, encoded).modulator_list() == modulators
+    save_json("micro_bulk_fetch", {
+        "op": "micro",
+        "n": n,
+        "microseconds": {
+            "step_many": _per_call_us(
+                lambda: engine.step_many(values, modulators), reps=50),
+            "modulator_list": _per_call_us(
+                lambda: Reader(ctx, encoded).modulator_list(), reps=50),
         },
     })

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from repro.client.keystore import KeyStore
 from repro.core import ops
@@ -268,7 +268,7 @@ class AssuredDeletionClient:
 
             outputs = self._derive_outputs(master_key, n, links, leaves)
             ciphertexts = tuple(self.codec.encrypt_many(
-                [outputs[n + i] for i in range(n)], list(items),
+                list(outputs.values()), list(items),
                 item_ids, [self.rng.bytes(8) for _ in items]))
             request = msg.OutsourceRequest(
                 file_id=file_id, item_ids=tuple(item_ids),
@@ -300,15 +300,8 @@ class AssuredDeletionClient:
                         links: Sequence[bytes],
                         leaves: Sequence[bytes]) -> dict[int, bytes]:
         """Slot-indexed chain outputs for a whole slot-ordered tree dump."""
-        total = 2 * n - 1 if n else 0
-        link_by_slot: list[Optional[bytes]] = [None] * (total + 1)
-        leaf_by_slot: list[Optional[bytes]] = [None] * (total + 1)
-        for i, value in enumerate(links):
-            link_by_slot[2 + i] = value
-        for i, value in enumerate(leaves):
-            leaf_by_slot[n + i] = value
         return ops.derive_all_keys(self.engine, master_key, n,
-                                   link_by_slot, leaf_by_slot)
+                                   [None, None, *links], [None] * n + [*leaves])
 
     # ------------------------------------------------------------------
     # Access and modification
@@ -792,12 +785,13 @@ class AssuredDeletionClient:
             self.channel.request(msg.FetchFileRequest(file_id=file_id)),
             msg.FetchFileReply)
         n = reply.n_leaves
-        if len(reply.item_ids) != n or len(reply.ciphertexts) != n:
+        if (len(reply.item_ids) != n or len(reply.ciphertexts) != n
+                or len(reply.leaves) != n
+                or len(reply.links) != max(2 * n - 2, 0)):
             raise ProtocolError("whole-file reply is inconsistent")
         outputs = self._derive_outputs(master_key, n, reply.links,
                                        reply.leaves)
-        leaf_outputs = [outputs[n + i] for i in range(n)]
-        decrypted = self.codec.decrypt_many(leaf_outputs,
+        decrypted = self.codec.decrypt_many(list(outputs.values()),
                                             list(reply.ciphertexts))
         result: dict[int, bytes] = {}
         for item_id, (message, recovered_id) in zip(reply.item_ids,

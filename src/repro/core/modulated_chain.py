@@ -82,13 +82,26 @@ class ChainEngine:
     def step_many(self, values: list[bytes],
                   modulators: list[bytes]) -> list[bytes]:
         """Many independent chain steps, identical to per-pair :meth:`step`
-        (one hash call counted per pair)."""
+        (one hash call counted per pair).
+
+        Every operand must have the width of ``values[0]``.  The XORs are
+        one big-integer XOR of the joined values and the joined
+        modulators; each step then hashes its width-sized slice.
+        """
         if len(values) != len(modulators):
             raise ValueError("one modulator per value required")
+        if not values:
+            return []
+        width = len(values[0])
+        if {*map(len, values), *map(len, modulators)} != {width}:
+            raise ValueError("xor operands differ in length")
+        total = width * len(values)
+        mixed = (_from_bytes(b"".join(values), "big")
+                 ^ _from_bytes(b"".join(modulators), "big")
+                 ).to_bytes(total, "big")
         self.hash_calls += len(values)
         h = self.hash_factory
-        return [h(xor_bytes(value, modulator)).digest()
-                for value, modulator in zip(values, modulators)]
+        return [h(mixed[i:i + width]).digest() for i in range(0, total, width)]
 
     def evaluate(self, master_key: bytes, modulators: Iterable[bytes]) -> bytes:
         """Evaluate ``F(K, M)`` over the full modulator list."""

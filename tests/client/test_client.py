@@ -3,7 +3,8 @@
 import pytest
 
 from repro.client.client import AssuredDeletionClient
-from repro.core.errors import IntegrityError, UnknownItemError
+from repro.core.errors import (IntegrityError, ProtocolError,
+                               UnknownItemError)
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol import messages as msg
 from repro.protocol.channel import LoopbackChannel
@@ -97,6 +98,36 @@ def test_fetch_file_verifies_every_item(pair):
     assert data == {ids[0]: b"a", ids[1]: b"b", ids[2]: b"c"}
     with pytest.raises(IntegrityError):
         client.fetch_file(1, b"\x01" * 16)
+
+
+@pytest.mark.parametrize("field, change", [
+    ("links", lambda links: links + links[:1]),
+    ("links", lambda links: links[:-1]),
+    ("leaves", lambda leaves: leaves + leaves[:1]),
+    ("leaves", lambda leaves: leaves[:-1]),
+], ids=["extra-link", "short-links", "extra-leaf", "short-leaves"])
+def test_fetch_file_refuses_a_tree_of_the_wrong_size(pair, field, change):
+    """A whole-file reply whose modulator lists do not fit ``n`` leaves
+    is refused as a protocol error before any key is derived."""
+    server, client = pair
+    key = client.outsource(1, [b"a", b"b", b"c"])
+    original_handle = server.handle
+
+    def resized_handle(request):
+        reply = original_handle(request)
+        if isinstance(reply, msg.FetchFileReply):
+            fields = {name: getattr(reply, name) for name in
+                      ("n_leaves", "item_ids", "links", "leaves",
+                       "ciphertexts", "tree_version")}
+            fields[field] = change(fields[field])
+            return msg.FetchFileReply(**fields)
+        return reply
+
+    server.handle = resized_handle
+    before = client.engine.hash_calls
+    with pytest.raises(ProtocolError, match="inconsistent"):
+        client.fetch_file(1, key)
+    assert client.engine.hash_calls == before
 
 
 def test_item_ids_of_requires_matching_outsource(pair):

@@ -116,6 +116,26 @@ def test_step_many_matches_scalar_steps(engine, rng):
     assert engine.step_many(values, modulators) == expected
 
 
+@pytest.mark.parametrize("value_widths, modulator_widths", [
+    ((20, 20), (19, 21)),  # the joined operands are equally long
+    ((19, 21), (20, 20)),
+    ((20, 20), (20, 19)),
+    ((20,), (21,)),
+], ids=["mods-19+21", "values-19+21", "short-mod", "single"])
+def test_step_many_rejects_unequal_widths(engine, value_widths,
+                                          modulator_widths):
+    values = [b"\x01" * width for width in value_widths]
+    modulators = [b"\x02" * width for width in modulator_widths]
+    with pytest.raises(ValueError):
+        engine.step_many(values, modulators)
+    assert engine.hash_calls == 0
+
+
+def test_step_many_of_nothing(engine):
+    assert engine.step_many([], []) == []
+    assert engine.hash_calls == 0
+
+
 def test_sha256_engine(rng):
     engine = ChainEngine(hashlib.sha256)
     assert engine.digest_size == 32

@@ -1,24 +1,37 @@
-"""The vectorised AES-CTR engine against the scalar reference."""
+"""Single-item batches of the vectorised AES-CTR engine against the
+scalar reference and the AES block function."""
 
 import pytest
 
 from repro.crypto.aes import AES
-from repro.crypto.bulk import ctr_transform, keystream
-from repro.crypto.modes import aes_ctr_scalar
+from repro.crypto.bulk import ctr_transform_many
+from repro.crypto.modes import aes_ctr_many, aes_ctr_scalar
+
+
+def _one(key, nonce, data, **kwargs):
+    return ctr_transform_many([key], [nonce], [data], **kwargs)[0]
 
 
 @pytest.mark.parametrize("key_size", [16, 24, 32])
 @pytest.mark.parametrize("size", [1, 16, 17, 160, 4096, 10_000])
 def test_matches_scalar_reference(key_size, size, rng):
+    """The numpy engine serves 128-bit keys; every key size's batch
+    matches the scalar reference through ``aes_ctr_many``."""
     key, nonce = rng.bytes(key_size), rng.bytes(8)
     data = rng.bytes(size)
-    assert ctr_transform(key, nonce, data) == aes_ctr_scalar(key, nonce, data)
+    expected = aes_ctr_scalar(key, nonce, data)
+    assert aes_ctr_many([key], [nonce], [data]) == [expected]
+    if key_size == 16:
+        assert _one(key, nonce, data) == expected
+    else:
+        with pytest.raises(ValueError):
+            _one(key, nonce, data)
 
 
 def test_keystream_blocks_are_ecb_of_counter_blocks(rng):
     key, nonce = rng.bytes(16), rng.bytes(8)
     cipher = AES(key)
-    stream = keystream(key, nonce, 5, initial_counter=1000)
+    stream = _one(key, nonce, bytes(80), initial_counter=1000)
     for i in range(5):
         counter_block = nonce + (1000 + i).to_bytes(8, "big")
         assert stream[16 * i:16 * i + 16] == cipher.encrypt_block(counter_block)
@@ -28,7 +41,7 @@ def test_counter_crosses_32_bit_boundary(rng):
     """The 64-bit counter must not wrap at 2^32 (hi word increments)."""
     key, nonce = rng.bytes(16), rng.bytes(8)
     boundary = (1 << 32) - 2
-    stream = keystream(key, nonce, 4, initial_counter=boundary)
+    stream = _one(key, nonce, bytes(64), initial_counter=boundary)
     cipher = AES(key)
     for i in range(4):
         counter_block = nonce + (boundary + i).to_bytes(8, "big")
@@ -36,18 +49,17 @@ def test_counter_crosses_32_bit_boundary(rng):
 
 
 def test_empty_input():
-    assert ctr_transform(b"\x00" * 16, b"\x00" * 8, b"") == b""
-    assert keystream(b"\x00" * 16, b"\x00" * 8, 0) == b""
+    assert _one(b"\x00" * 16, b"\x00" * 8, b"") == b""
 
 
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        keystream(b"\x00" * 16, b"\x00" * 7, 1)
+        _one(b"\x00" * 16, b"\x00" * 7, b"x")
     with pytest.raises(ValueError):
-        keystream(b"\x00" * 16, b"\x00" * 8, -1)
+        _one(b"\x00" * 16, b"\x00" * 8, b"x", initial_counter=-1)
 
 
 def test_transform_is_involution(rng):
     key, nonce = rng.bytes(16), rng.bytes(8)
     data = rng.bytes(1000)
-    assert ctr_transform(key, nonce, ctr_transform(key, nonce, data)) == data
+    assert _one(key, nonce, _one(key, nonce, data)) == data

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.modulated_chain import ChainEngine
 from repro.core.params import PAPER_PARAMS, SHA256_PARAMS
 from repro.crypto.aes import AES
-from repro.crypto.bulk import ctr_transform
+from repro.crypto.bulk import ctr_transform_many
 from repro.crypto.hmac import hmac_digest
 from repro.crypto.modes import (aes_cbc_decrypt, aes_cbc_encrypt, aes_ctr,
                                 aes_ctr_many)
@@ -58,7 +58,8 @@ def test_ctr_is_an_involution(key, nonce, data):
 @given(keys128, nonces, payloads)
 def test_bulk_ctr_matches_scalar(key, nonce, data):
     from repro.crypto.modes import aes_ctr_scalar
-    assert ctr_transform(key, nonce, data) == aes_ctr_scalar(key, nonce, data)
+    assert ctr_transform_many([key], [nonce], [data]) == \
+        [aes_ctr_scalar(key, nonce, data)]
 
 
 @st.composite

@@ -454,6 +454,8 @@ def test_recovery_from_wal_alone(tmp_path):
     client2.modify(1, key, ids[0], b"a-v2")
     again = recover_server(wal_path)
     assert snapshot_file(again, 1) == snapshot_file(recovered, 1)
+    for log in (server.wal, recovered.wal, again.wal):
+        log.close()
 
 
 def test_checkpoint_folds_wal_into_engine(tmp_path):
@@ -478,6 +480,8 @@ def test_checkpoint_folds_wal_into_engine(tmp_path):
     recovered = recover_server(wal_path, engine=_engine(tmp_path))
     assert recovered.last_recovery["replayed_records"] == 0
     assert snapshot_file(recovered, 1) == expected
+    recovered.wal.close()
+    recovered.engine.close()
 
 
 def test_wal_replay_after_checkpoint_is_idempotent(tmp_path):
@@ -509,3 +513,5 @@ def test_wal_replay_after_checkpoint_is_idempotent(tmp_path):
                                     rng=DeterministicRandom("wal-3"),
                                     keystore=client.keystore, store_keys=False)
     assert client2.access(1, new_key, ids[0]) == b"a"
+    recovered.wal.close()
+    recovered.engine.close()
