@@ -60,10 +60,7 @@ MEASURED_DELETES = 32
 BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                           "BENCH_storage.json")
 
-#: Registry-free on both sides: engine-materialised files never carry a
-#: duplicate-modulator registry, so the in-memory baseline must not pay
-#: (or enjoy) one either for the latency comparison to mean anything.
-PARAMS = Params(enforce_unique_modulators=False)
+PARAMS = Params()
 
 
 def _build_seed(n: int, seed: str) -> tuple[CloudServer, bytes, list[int]]:
@@ -98,7 +95,7 @@ def _build_seed(n: int, seed: str) -> tuple[CloudServer, bytes, list[int]]:
                                        item_id, rng.bytes(8)))
 
     server = CloudServer(PARAMS)
-    server.adopt_file(FILE_ID, tree, cts, build_registry=False)
+    server.adopt_file(FILE_ID, tree, cts)
     return server, master_key, targets
 
 
@@ -140,8 +137,7 @@ def _eager_load(engine_file: str) -> CloudServer:
     finally:
         engine.close()
     server = CloudServer(PARAMS)
-    server.adopt_file(FILE_ID, ModulationTree.wrap(store, n, item_map), cts,
-                      build_registry=False)
+    server.adopt_file(FILE_ID, ModulationTree.wrap(store, n, item_map), cts)
     return server
 
 

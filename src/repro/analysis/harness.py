@@ -79,9 +79,9 @@ def build_seeded_file(n_items: int, item_size: int, *, seed: str = "bench",
     seed_bytes = seed.encode("utf-8")
     width = params.modulator_size
 
-    # Server side: lazily-seeded tree and callback ciphertexts.  The
-    # duplicate-modulator registry is off (a 2^-80 event at this width),
-    # which DESIGN.md lists among the benchmark-scale substitutions.
+    # Server side: lazily-seeded tree and callback ciphertexts.  Seeded
+    # modulators collide no more often than random ones (the bound is in
+    # docs/SECURITY.md).
     store = LazySeededStore(width, seed_bytes)
     tree = ModulationTree.adopt_arithmetic(store, n_items, first_item_id)
 
@@ -104,7 +104,7 @@ def build_seeded_file(n_items: int, item_size: int, *, seed: str = "bench",
 
     ciphertexts = CallbackCiphertextStore(derive_ciphertext)
     server = CloudServer(params)
-    server.adopt_file(file_id, tree, ciphertexts, build_registry=False)
+    server.adopt_file(file_id, tree, ciphertexts)
 
     channel = LoopbackChannel(server)
     scheme = KeyModulationScheme(channel, params,

@@ -40,9 +40,8 @@ from typing import Callable, Sequence, Union
 from repro.client.keystore import KeyStore
 from repro.core import ops
 from repro.core.ciphertext import ItemCodec
-from repro.core.errors import (DuplicateModulatorError, IntegrityError,
-                               ProtocolError, ReproError, StaleStateError,
-                               UnknownItemError)
+from repro.core.errors import (IntegrityError, ProtocolError, ReproError,
+                               StaleStateError, UnknownItemError)
 from repro.core.modulated_chain import ChainEngine
 from repro.core.params import Params
 from repro.core.tree import BalanceView, ModulationTree, MTView
@@ -154,7 +153,8 @@ def _balanced_view_modulators(mt: MTView,
 class AssuredDeletionClient:
     """Protocol client holding (or relaying) the master keys."""
 
-    #: How often duplicate-modulator rejections are retried before failing.
+    #: How often stale-state refusals (and batch key re-picks) are retried
+    #: before failing.
     max_retries = 8
 
     def __init__(self, channel: Channel, params: Params | None = None,
@@ -213,8 +213,6 @@ class AssuredDeletionClient:
     @staticmethod
     def _expect(response: msg.Message, expected_type: type) -> msg.Message:
         if isinstance(response, msg.ErrorReply):
-            if response.code == msg.E_DUPLICATE_MODULATOR:
-                raise DuplicateModulatorError(response.detail)
             if response.code == msg.E_STALE_STATE:
                 raise StaleStateError(response.detail)
             if response.code in (msg.E_UNKNOWN_ITEM, msg.E_UNKNOWN_FILE):
@@ -254,39 +252,30 @@ class AssuredDeletionClient:
         the fs layer) to address individual items.
         """
         begin = self._begin()
-        retries = 0
-        while True:
-            master_key = self.rng.bytes(self.params.master_key_size)
-            item_ids = [self.keystore.next_item_id() for _ in items]
-            tree = ModulationTree.build_random(item_ids,
-                                               self.params.modulator_size,
-                                               self.rng)
-            n = len(items)
-            links, leaves = [], []
-            for kind, _slot, value in tree.iter_modulators():
-                (links if kind == "link" else leaves).append(value)
+        master_key = self.rng.bytes(self.params.master_key_size)
+        item_ids = [self.keystore.next_item_id() for _ in items]
+        tree = ModulationTree.build_random(item_ids,
+                                           self.params.modulator_size,
+                                           self.rng)
+        n = len(items)
+        links, leaves = [], []
+        for kind, _slot, value in tree.iter_modulators():
+            (links if kind == "link" else leaves).append(value)
 
-            outputs = self._derive_outputs(master_key, n, links, leaves)
-            ciphertexts = tuple(self.codec.encrypt_many(
-                list(outputs.values()), list(items),
-                item_ids, [self.rng.bytes(8) for _ in items]))
-            request = msg.OutsourceRequest(
-                file_id=file_id, item_ids=tuple(item_ids),
-                links=tuple(links), leaves=tuple(leaves),
-                ciphertexts=ciphertexts, request_id=self._request_id())
-            try:
-                self._expect(self.channel.request(request), msg.Ack)
-            except DuplicateModulatorError:
-                retries += 1
-                if retries > self.max_retries:
-                    raise
-                continue
-            break
+        outputs = self._derive_outputs(master_key, n, links, leaves)
+        ciphertexts = tuple(self.codec.encrypt_many(
+            list(outputs.values()), list(items),
+            item_ids, [self.rng.bytes(8) for _ in items]))
+        request = msg.OutsourceRequest(
+            file_id=file_id, item_ids=tuple(item_ids),
+            links=tuple(links), leaves=tuple(leaves),
+            ciphertexts=ciphertexts, request_id=self._request_id())
+        self._expect(self.channel.request(request), msg.Ack)
 
         self._last_item_ids = list(item_ids)
         if self.store_keys:
             self.keystore.put(self._key_name(file_id), master_key)
-        self._finish("outsource", begin, retries)
+        self._finish("outsource", begin)
         return master_key
 
     def item_ids_of(self, items_count: int) -> list[int]:
@@ -397,7 +386,7 @@ class AssuredDeletionClient:
                         tree_version=challenge.tree_version,
                         request_id=self._request_id())),
                     msg.Ack)
-            except (DuplicateModulatorError, StaleStateError):
+            except StaleStateError:
                 retries += 1
                 if retries > self.max_retries:
                     raise
@@ -476,34 +465,25 @@ class AssuredDeletionClient:
             # (Theorem 2's "the client can simply pick a different K'").
             new_output = self.engine.evaluate(new_key,
                                               self._modulator_list(mt))
-            if new_output == old_output:
-                retries += 1
-                continue
-            cut_slots, deltas = ops.compute_deltas(self.engine, master_key,
-                                                   new_key, mt)
-            x_s_prime, dest_link, dest_leaf = ops.compute_balance_values(
-                self.engine, new_key, mt, challenge.balance, cut_slots,
-                deltas, self.rng)
-            commit = msg.DeleteCommit(
-                file_id=file_id, item_id=item_id,
-                cut_slots=cut_slots, deltas=deltas,
-                x_s_prime=x_s_prime, dest_link=dest_link,
-                dest_leaf=dest_leaf,
-                tree_version=challenge.tree_version,
-                request_id=self._request_id())
-            # Journal before sending: if the Ack is lost, the server may
-            # already hold the delta-adjusted tree under new_key.
-            self._pending_deletes[(file_id, item_id)] = (commit, new_key)
-            try:
-                self._expect(self.channel.request(commit), msg.Ack)
-            except DuplicateModulatorError:
-                self._pending_deletes.pop((file_id, item_id), None)
-                retries += 1
-                if retries > self.max_retries:
-                    raise
-                continue
-            break
-
+            if new_output != old_output:
+                break
+            retries += 1
+        cut_slots, deltas = ops.compute_deltas(self.engine, master_key,
+                                               new_key, mt)
+        x_s_prime, dest_link, dest_leaf = ops.compute_balance_values(
+            self.engine, new_key, mt, challenge.balance, cut_slots,
+            deltas, self.rng)
+        commit = msg.DeleteCommit(
+            file_id=file_id, item_id=item_id,
+            cut_slots=cut_slots, deltas=deltas,
+            x_s_prime=x_s_prime, dest_link=dest_link,
+            dest_leaf=dest_leaf,
+            tree_version=challenge.tree_version,
+            request_id=self._request_id())
+        # Journal before sending: if the Ack is lost, the server may
+        # already hold the delta-adjusted tree under new_key.
+        self._pending_deletes[(file_id, item_id)] = (commit, new_key)
+        self._expect(self.channel.request(commit), msg.Ack)
         self._pending_deletes.pop((file_id, item_id), None)
         if self.store_keys:
             self.keystore.shred(self._key_name(file_id))
@@ -560,8 +540,7 @@ class AssuredDeletionClient:
         the record under a fresh item id.  The old item is deleted
         exactly as by :meth:`delete` (its key needed ``K``, shredded at
         the Ack), so the commit is recorded as one ``delete``.  A stale
-        challenge is re-fetched and a duplicate-modulator refusal
-        re-picks ``K'``; a lost Ack resumes through
+        challenge is re-fetched; a lost Ack resumes through
         :meth:`resume_replace`.
         """
         begin = self._begin()
@@ -592,13 +571,12 @@ class AssuredDeletionClient:
             self._pending_deletes[(file_id, item_id)] = (commit, new_key)
             try:
                 self._expect(self.channel.request(commit), msg.Ack)
-            except (DuplicateModulatorError, StaleStateError) as exc:
+            except StaleStateError:
                 self._pending_deletes.pop((file_id, item_id), None)
                 retries += 1
                 if retries > self.max_retries:
                     raise
-                if isinstance(exc, StaleStateError):
-                    ticket = self._ticket(file_id, master_key, item_id)
+                ticket = self._ticket(file_id, master_key, item_id)
                 continue
             break
 
@@ -698,45 +676,28 @@ class AssuredDeletionClient:
                     f"{item_id}; rejecting MT(S)")
 
         retries = 0
-        while True:
-            # Re-pick if any deleted key would survive the key change
-            # (Theorem 2's "the client can simply pick a different K'").
-            new_outputs = ops.batch_chain_outputs(self.engine, values_new,
-                                                  view)
-            if any(new == old for new, old in zip(new_outputs, old_outputs)):
-                retries += 1
-                if retries > self.max_retries:
-                    raise ReproError("could not find a collision-free key")
-                new_key = self.rng.bytes(self.params.master_key_size)
-                values_new = ops.chain_values_for_view(self.engine,
-                                                       [new_key], view)[0]
-                continue
-            cut_slots, deltas = ops.compute_deltas_multi(view, values_old,
-                                                         values_new)
-            moves = ops.compute_batch_moves(self.engine, view, cut_slots,
-                                            deltas, values_old, values_new,
-                                            self.rng)
-            commit = msg.BatchDeleteCommit(
-                file_id=file_id, item_ids=item_ids, deltas=deltas,
-                moves=moves, tree_version=reply.tree_version,
-                request_id=self._request_id())
-            # Journal before sending: if the Ack is lost, the server may
-            # already hold the delta-adjusted tree under new_key.
-            self._pending_batch_deletes[(file_id, item_ids)] = (commit,
-                                                                new_key)
-            try:
-                self._expect(self.channel.request(commit), msg.Ack)
-            except DuplicateModulatorError:
-                self._pending_batch_deletes.pop((file_id, item_ids), None)
-                retries += 1
-                if retries > self.max_retries:
-                    raise
-                new_key = self.rng.bytes(self.params.master_key_size)
-                values_new = ops.chain_values_for_view(self.engine,
-                                                       [new_key], view)[0]
-                continue
-            break
-
+        # Re-pick if any deleted key would survive the key change
+        # (Theorem 2's "the client can simply pick a different K'").
+        while any(new == old for new, old in zip(
+                ops.batch_chain_outputs(self.engine, values_new, view),
+                old_outputs)):
+            retries += 1
+            if retries > self.max_retries:
+                raise ReproError("could not find a collision-free key")
+            new_key = self.rng.bytes(self.params.master_key_size)
+            values_new = ops.chain_values_for_view(self.engine, [new_key],
+                                                   view)[0]
+        cut_slots, deltas = ops.compute_deltas_multi(view, values_old,
+                                                     values_new)
+        moves = ops.compute_batch_moves(self.engine, view, cut_slots, deltas,
+                                        values_old, values_new, self.rng)
+        commit = msg.BatchDeleteCommit(
+            file_id=file_id, item_ids=item_ids, deltas=deltas, moves=moves,
+            tree_version=reply.tree_version, request_id=self._request_id())
+        # Journal before sending: if the Ack is lost, the server may
+        # already hold the delta-adjusted tree under new_key.
+        self._pending_batch_deletes[(file_id, item_ids)] = (commit, new_key)
+        self._expect(self.channel.request(commit), msg.Ack)
         self._pending_batch_deletes.pop((file_id, item_ids), None)
         if self.store_keys:
             self.keystore.shred(self._key_name(file_id))

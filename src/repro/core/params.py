@@ -29,17 +29,15 @@ class Params:
             before entering the chain).
         data_key_size: bytes of AES key taken from the chain output
             (16 = AES-128 in the paper).
-        enforce_unique_modulators: whether the server maintains a global
-            registry rejecting duplicate modulators (the paper requires
-            "all modulators in the tree should have different values"; the
-            lazily-seeded benchmark store may turn the registry off since a
-            collision of 160-bit random values is a 2^-80 event).
+
+    The paper's rule that all modulators of a tree differ has no knob:
+    the client refuses any view holding a duplicate, and the collision
+    bound for random modulators is in ``docs/SECURITY.md``.
     """
 
     chain_hash: HashFactory = hashlib.sha1
     master_key_size: int = 16
     data_key_size: int = 16
-    enforce_unique_modulators: bool = True
 
     def __post_init__(self) -> None:
         digest_size = self.chain_hash().digest_size

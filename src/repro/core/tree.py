@@ -26,11 +26,8 @@ the protocol ships to the client (the ``MT(k)`` subtree with its
 ``(n-1)``-cut, the balancing view, the insertion view), applies deletion
 deltas, and performs the structural moves.  All *decisions* -- what the
 delta values are, what the reassigned leaf modulators must be -- are
-client-side computations in :mod:`repro.core.ops`.
-
-Every mutating method returns a write log of ``(kind, slot, old, new)``
-tuples so the server can maintain its duplicate-modulator registry and
-roll back a transaction that would introduce a duplicate.
+client-side computations in :mod:`repro.core.ops`, and so is the
+refusal of a view whose modulators are not all distinct.
 """
 
 from __future__ import annotations
@@ -45,8 +42,6 @@ from repro.crypto.rng import RandomSource
 
 LINK = "link"
 LEAF = "leaf"
-
-WriteLog = list[tuple[str, int, Optional[bytes], Optional[bytes]]]
 
 
 @dataclass(frozen=True)
@@ -565,7 +560,8 @@ class ModulationTree:
     # Mutations (server side)
     # ------------------------------------------------------------------
 
-    def apply_deltas(self, cut_slots: list[int], deltas: list[bytes]) -> WriteLog:
+    def apply_deltas(self, cut_slots: Sequence[int],
+                     deltas: Sequence[bytes]) -> None:
         """Apply ``delta(c)`` to each cut node ``c`` (Eqs. 6 and 7).
 
         Internal cut nodes have both child-link modulators XORed with the
@@ -584,24 +580,17 @@ class ModulationTree:
                 children += (2 * slot, 2 * slot + 1)
         old_leaves = iter(self._store.get_leaves(leaf_cut))
         old_links = iter(self._store.get_links(children))
-        log: WriteLog = []
         for slot, delta in zip(cut_slots, deltas):
             if slot >= self._n:
-                old = next(old_leaves)
-                new = xor_bytes(old, delta)
-                self._store.set_leaf(slot, new)
-                log.append((LEAF, slot, old, new))
+                self._store.set_leaf(slot, xor_bytes(next(old_leaves), delta))
             else:
                 for child in (2 * slot, 2 * slot + 1):
-                    old = next(old_links)
-                    new = xor_bytes(old, delta)
-                    self._store.set_link(child, new)
-                    log.append((LINK, child, old, new))
-        return log
+                    self._store.set_link(child,
+                                         xor_bytes(next(old_links), delta))
 
     def delete_leaf(self, slot_k: int, x_s_prime: Optional[bytes],
                     dest_link: Optional[bytes],
-                    dest_leaf: Optional[bytes]) -> WriteLog:
+                    dest_leaf: Optional[bytes]) -> None:
         """Remove leaf ``slot_k`` and rebalance (Section IV-D).
 
         ``x_s_prime`` is the recomputed leaf modulator for ``s`` (Eq. 8),
@@ -617,8 +606,6 @@ class ModulationTree:
         if not self.is_leaf(slot_k):
             raise StructureError(f"slot {slot_k} is not a leaf")
         n = self._n
-        log: WriteLog = []
-
         t_slot = 2 * n - 1
         s_slot = 2 * n - 2
         p_slot = n - 1
@@ -644,52 +631,31 @@ class ModulationTree:
             self._map.remove(item_k, slot_k)
 
         if n == 1:
-            log.append((LEAF, 1, self._store.get_leaf(1), None))
             self._n = 0
             self._store.truncate(0)
-            return log
+            return
 
         t_item = self._map.item_at(t_slot)
         s_item = self._map.item_at(s_slot)
 
         # Step 1 (Fig. 3): remove t; s takes over the parent slot, keeping
         # the parent's incoming link modulator and adopting x_s'.
-        log.append((LINK, s_slot, self._store.get_link(s_slot), None))
-        log.append((LEAF, s_slot, self._store.get_leaf(s_slot), None))
-        log.append((LINK, t_slot, self._store.get_link(t_slot), None))
-        log.append((LEAF, t_slot, self._store.get_leaf(t_slot), None))
-        old_p_leaf = None  # p was internal; it had no leaf modulator.
         self._store.set_leaf(p_slot, x_s_prime)
-        log.append((LEAF, p_slot, old_p_leaf, x_s_prime))
         if s_item is not None:
             self._map.move(s_item, s_slot, p_slot)
         self._n = n - 1
 
-        # Step 2: move t into k's place, unless k was t itself.
+        # Step 2: move t into k's place, unless k was t itself.  The
+        # validation above leaves dest_link None exactly when t inherits
+        # a slot whose incoming link (if any) is kept.
         if slot_k != t_slot:
-            dest = p_slot if slot_k == s_slot else slot_k
-            if dest_leaf is None:
-                raise StructureError("balancing value x_t' required when k != t")
-            if dest == p_slot or dest == 1:
-                # t takes over a slot whose incoming link (if any) is kept.
-                if dest_link is not None:
-                    raise StructureError(
-                        "dest link must be omitted when t inherits a slot's link")
-            else:
-                if dest_link is None:
-                    raise StructureError("fresh link modulator required")
-                old_link = self._store.get_link(dest)
+            if dest_link is not None:
                 self._store.set_link(dest, dest_link)
-                log.append((LINK, dest, old_link, dest_link))
-            old_leaf = self._store.get_leaf(dest) if dest == p_slot else (
-                self._store.get_leaf(dest))
             self._store.set_leaf(dest, dest_leaf)
-            log.append((LEAF, dest, old_leaf, dest_leaf))
             if t_item is not None:
                 self._map.move(t_item, t_slot, dest)
         # Slots s and t (the two highest) are free now; drop their bytes.
         self._store.truncate(s_slot)
-        return log
 
     def replace_item(self, item_id: int, new_item_id: int) -> int:
         """Re-point ``item_id``'s leaf to ``new_item_id``; returns the slot.
@@ -707,7 +673,7 @@ class ModulationTree:
 
     def insert_leaf(self, item_id: int, t_new_link: Optional[bytes],
                     t_new_leaf: Optional[bytes], e_link: Optional[bytes],
-                    e_leaf: bytes) -> WriteLog:
+                    e_leaf: bytes) -> None:
         """Insert a new leaf ``e`` for ``item_id`` (Section IV-E).
 
         For a non-empty tree the first shallowest leaf ``t'`` (slot ``n``)
@@ -719,53 +685,26 @@ class ModulationTree:
         """
         if self._map.contains(item_id):
             raise StructureError(f"item id {item_id} already present")
-        log: WriteLog = []
         n = self._n
         if n == 0:
             self._store.set_leaf(1, e_leaf)
-            log.append((LEAF, 1, None, e_leaf))
             self._map.set(item_id, 1)
             self._n = 1
-            return log
+            return
 
         if t_new_link is None or t_new_leaf is None or e_link is None:
             raise StructureError("split insertion requires all three modulators")
         t_slot = n
         t_item = self._map.item_at(t_slot)
-        old_t_leaf = self._store.get_leaf(t_slot)
-
         self._store.set_link(2 * n, t_new_link)
-        log.append((LINK, 2 * n, None, t_new_link))
         self._store.set_leaf(2 * n, t_new_leaf)
-        log.append((LEAF, 2 * n, None, t_new_leaf))
         self._store.set_link(2 * n + 1, e_link)
-        log.append((LINK, 2 * n + 1, None, e_link))
         self._store.set_leaf(2 * n + 1, e_leaf)
-        log.append((LEAF, 2 * n + 1, None, e_leaf))
         # Slot n becomes internal: its leaf modulator ceases to exist.
-        log.append((LEAF, t_slot, old_t_leaf, None))
-
         if t_item is not None:
             self._map.move(t_item, t_slot, 2 * n)
         self._map.set(item_id, 2 * n + 1)
         self._n = n + 1
-        return log
-
-    def rollback(self, log: WriteLog) -> None:
-        """Undo the store writes of a failed transaction (reverse order).
-
-        Only modulator values are restored; callers roll back shape and
-        item-map changes by re-running the forward transaction after the
-        client retries, so this is used before any shape change is made
-        (delta application), which is where duplicate detection happens.
-        """
-        for kind, slot, old, _new in reversed(log):
-            if old is None:
-                continue
-            if kind == LINK:
-                self._store.set_link(slot, old)
-            else:
-                self._store.set_leaf(slot, old)
 
     # ------------------------------------------------------------------
     # Whole-tree enumeration (outsourcing / whole-file fetch)

@@ -189,7 +189,7 @@ OP_ROUND_TRIPS = REGISTRY.counter(
     ("op",))
 OP_RETRIES = REGISTRY.counter(
     "repro_op_retries_total",
-    "Application-level retries (duplicate modulator / stale state)",
+    "Application-level retries (stale state / master-key re-pick)",
     ("op",))
 
 # ---------------------------------------------------------------------

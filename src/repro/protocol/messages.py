@@ -54,6 +54,9 @@ from repro.protocol.wire import Reader, WireContext, Writer
 # Error codes carried by ErrorReply.
 E_UNKNOWN_FILE = 1
 E_UNKNOWN_ITEM = 2
+#: Reserved: once the server's duplicate-modulator refusal, which no
+#: longer exists.  Kept so that no other error takes the number; a client
+#: treats it like any other unknown code.
 E_DUPLICATE_MODULATOR = 3
 E_STALE_STATE = 4
 E_BAD_REQUEST = 5

@@ -2,11 +2,11 @@
 
 The server stores, per file, a modulation tree (unencrypted, as the paper
 prescribes), the item ciphertexts, and a tree version counter used to
-detect interleaved updates between a challenge and its commit.  It also
-maintains a duplicate-modulator registry implementing the paper's
-server-side requirement that "all modulators in the tree should have
-different values ... the server should inform the client to re-perform
-the operation with a different modulator".
+detect interleaved updates between a challenge and its commit.  It keeps
+no table of modulator values: the paper's rule that all modulators in a
+tree differ is enforced by the client, which refuses any view holding a
+duplicate (:func:`repro.core.ops.verify_distinct_modulators`); random
+modulators collide with negligible probability (``docs/SECURITY.md``).
 
 The server never sees any key material: its entire deletion role is to
 ship ``MT(k)`` plus the balancing view, XOR the returned deltas into the
@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 from repro.core.errors import (ProtocolError, ReproError, SimulatedCrash,
                                UnknownItemError)
 from repro.core.params import Params
-from repro.core.tree import LINK, ModulationTree, WriteLog
+from repro.core.tree import LINK, ModulationTree
 from repro.obs import runtime as obs
 from repro.obs.trace import current as current_trace
 from repro.obs.trace import log_event, span, trace_scope
@@ -71,7 +71,6 @@ class ServerFile:
     tree: ModulationTree
     ciphertexts: CiphertextStore
     version: int = 0
-    registry: Optional[dict[bytes, int]] = None
     replay_cache: Optional[tuple[bytes, "msg.Ack"]] = None
 
 
@@ -192,13 +191,9 @@ class CloudServer:
         bounded LRU of ``cache_nodes`` nodes); files outsourced while
         running stay resident until :meth:`compact_storage` converts
         them.  The engine's persisted replay table is restored so
-        retried commits stay exactly-once across restarts.
-
-        Engine-materialised files run without a duplicate-modulator
-        registry (building one would read the whole tree, defeating
-        lazy paging); with random modulators a collision is a ~2^-160
-        event, and freshly outsourced files keep their registry until
-        restart.  ``docs/STORAGE.md`` records the tradeoff.
+        retried commits stay exactly-once across restarts.  Paged and
+        resident files obey the same modulator rules (the collision
+        bound is in ``docs/SECURITY.md``).
 
         An engine written with another modulator width is refused
         (:class:`~repro.core.errors.StorageError`).
@@ -519,24 +514,9 @@ class CloudServer:
     # ------------------------------------------------------------------
 
     def adopt_file(self, file_id: int, tree: ModulationTree,
-                   ciphertexts: CiphertextStore, *,
-                   build_registry: Optional[bool] = None) -> None:
-        """Install a pre-built file, bypassing the outsourcing message.
-
-        ``build_registry`` defaults to the deployment parameter; pass
-        ``False`` for benchmark-scale lazily-seeded trees.
-        """
-        if build_registry is None:
-            build_registry = self.params.enforce_unique_modulators
-        registry = None
-        if build_registry:
-            registry = {}
-            for _kind, _slot, value in tree.iter_modulators():
-                registry[value] = registry.get(value, 0) + 1
-            if any(count > 1 for count in registry.values()):
-                raise ReproError("tree contains duplicate modulators")
-        self._files[file_id] = ServerFile(tree=tree, ciphertexts=ciphertexts,
-                                          registry=registry)
+                   ciphertexts: CiphertextStore) -> None:
+        """Install a pre-built file, bypassing the outsourcing message."""
+        self._files[file_id] = ServerFile(tree=tree, ciphertexts=ciphertexts)
         self._view_caches.pop(file_id, None)
 
     def _state(self, file_id: int) -> ServerFile:
@@ -575,7 +555,7 @@ class CloudServer:
             state = ServerFile(tree=tree,
                                ciphertexts=PagedCiphertextStore(self.engine,
                                                                 file_id),
-                               version=meta.version, registry=None)
+                               version=meta.version)
             self._files[file_id] = state
             return state
 
@@ -594,8 +574,8 @@ class CloudServer:
 
         The shard-migration door: :meth:`adopt_file` rebuilds a file from
         its parts (resetting version and replay cache), whereas this
-        moves an existing :class:`ServerFile` -- version, registry, and
-        commit replay cache included -- between server instances.
+        moves an existing :class:`ServerFile` -- version and commit
+        replay cache included -- between server instances.
         """
         self._files[file_id] = state
         self._view_caches.pop(file_id, None)
@@ -621,39 +601,8 @@ class CloudServer:
         return len(self.file_ids())
 
     # ------------------------------------------------------------------
-    # Registry helpers
+    # Commit replay cache
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _registry_apply(registry: dict[bytes, int], log: WriteLog) -> bool:
-        """Fold a write log into the registry; True if it stays duplicate-free."""
-        ok = True
-        for _kind, _slot, old, new in log:
-            if old is not None:
-                count = registry.get(old, 0) - 1
-                if count <= 0:
-                    registry.pop(old, None)
-                else:
-                    registry[old] = count
-            if new is not None:
-                count = registry.get(new, 0) + 1
-                registry[new] = count
-                if count > 1:
-                    ok = False
-        return ok
-
-    @staticmethod
-    def _registry_revert(registry: dict[bytes, int], log: WriteLog) -> None:
-        """Undo a previous :meth:`_registry_apply` for the same log."""
-        for _kind, _slot, old, new in reversed(log):
-            if new is not None:
-                count = registry.get(new, 0) - 1
-                if count <= 0:
-                    registry.pop(new, None)
-                else:
-                    registry[new] = count
-            if old is not None:
-                registry[old] = registry.get(old, 0) + 1
 
     def _replay_digest(self, request: msg.Message) -> bytes:
         return hashlib.sha1(msg.encode_message(self.ctx, request)).digest()
@@ -679,16 +628,6 @@ class CloudServer:
     def _remember_commit(self, state: ServerFile, request: msg.Message,
                          ack: msg.Ack) -> None:
         state.replay_cache = (self._replay_digest(request), ack)
-
-    def _fresh_values_clash(self, state: ServerFile,
-                            values: list[Optional[bytes]]) -> bool:
-        """Pre-check client-chosen modulators against the registry."""
-        if state.registry is None:
-            return False
-        present = [v for v in values if v is not None]
-        if len(set(present)) != len(present):
-            return True
-        return any(v in state.registry for v in present)
 
     # ------------------------------------------------------------------
     # View/encode cache (read-path fast path)
@@ -748,12 +687,7 @@ class CloudServer:
         for item_id, ciphertext in zip(request.item_ids, request.ciphertexts):
             ciphertexts.put(item_id, ciphertext)
 
-        try:
-            self.adopt_file(request.file_id, tree, ciphertexts)
-        except ReproError:
-            return msg.ErrorReply(code=msg.E_DUPLICATE_MODULATOR,
-                                  detail="outsourced tree has duplicate "
-                                         "modulators; re-randomise and retry")
+        self.adopt_file(request.file_id, tree, ciphertexts)
         return msg.Ack(tree_version=0)
 
     def _on_access(self, request: msg.AccessRequest) -> msg.Message:
@@ -803,20 +737,6 @@ class CloudServer:
             raise ReproError("cut slots do not match the item's path")
         return slot
 
-    def _apply_deltas(self, state: ServerFile, cut_slots: Sequence[int],
-                      deltas: Sequence[bytes]) -> Optional[msg.ErrorReply]:
-        """XOR the deltas into the cut; roll back and refuse on a duplicate."""
-        tree = state.tree
-        delta_log = tree.apply_deltas(list(cut_slots), list(deltas))
-        if state.registry is not None and \
-                not self._registry_apply(state.registry, delta_log):
-            self._registry_revert(state.registry, delta_log)
-            tree.rollback(delta_log)
-            return msg.ErrorReply(code=msg.E_DUPLICATE_MODULATOR,
-                                  detail="delta application produced a "
-                                         "duplicate; retry with a new key")
-        return None
-
     def _on_delete_commit(self, request: msg.DeleteCommit) -> msg.Message:
         state = self._state(request.file_id)
         replayed = self._check_replay(state, request)
@@ -827,22 +747,9 @@ class CloudServer:
                                   detail="tree changed since challenge")
         tree = state.tree
         slot = self._checked_cut(tree, request.item_id, request.cut_slots)
-
-        if self._fresh_values_clash(state, [request.x_s_prime,
-                                            request.dest_link,
-                                            request.dest_leaf]):
-            return msg.ErrorReply(code=msg.E_DUPLICATE_MODULATOR,
-                                  detail="balancing modulators collide; retry "
-                                         "with fresh randomness")
-
-        error = self._apply_deltas(state, request.cut_slots, request.deltas)
-        if error is not None:
-            return error
-
-        structure_log = tree.delete_leaf(slot, request.x_s_prime,
-                                         request.dest_link, request.dest_leaf)
-        if state.registry is not None:
-            self._registry_apply(state.registry, structure_log)
+        tree.apply_deltas(request.cut_slots, request.deltas)
+        tree.delete_leaf(slot, request.x_s_prime, request.dest_link,
+                         request.dest_leaf)
         state.ciphertexts.delete(request.item_id)
         state.version += 1
         ack = msg.Ack(tree_version=state.version)
@@ -956,25 +863,12 @@ class CloudServer:
         if len(request.deltas) != len(cut_slots):
             raise ReproError("one delta per union-cut node required")
 
-        fresh = [value for move in request.moves
-                 for value in (move.x_s_prime, move.dest_link, move.dest_leaf)]
-        if self._fresh_values_clash(state, fresh):
-            return msg.ErrorReply(code=msg.E_DUPLICATE_MODULATOR,
-                                  detail="balancing modulators collide; retry "
-                                         "with fresh randomness")
-
         targets = self._validate_batch_moves(tree, item_ids, slots,
                                              request.moves)
-
-        error = self._apply_deltas(state, cut_slots, request.deltas)
-        if error is not None:
-            return error
-
+        tree.apply_deltas(cut_slots, request.deltas)
         for item_id, slot, move in zip(item_ids, targets, request.moves):
-            structure_log = tree.delete_leaf(slot, move.x_s_prime,
-                                             move.dest_link, move.dest_leaf)
-            if state.registry is not None:
-                self._registry_apply(state.registry, structure_log)
+            tree.delete_leaf(slot, move.x_s_prime, move.dest_link,
+                             move.dest_leaf)
             state.ciphertexts.delete(item_id)
         state.version += 1
         ack = msg.Ack(tree_version=state.version)
@@ -998,11 +892,7 @@ class CloudServer:
         self._checked_cut(tree, request.item_id, request.cut_slots)
         if tree.has_item(request.new_item_id):
             raise ReproError(f"item id {request.new_item_id} already present")
-
-        error = self._apply_deltas(state, request.cut_slots, request.deltas)
-        if error is not None:
-            return error
-
+        tree.apply_deltas(request.cut_slots, request.deltas)
         tree.replace_item(request.item_id, request.new_item_id)
         state.ciphertexts.delete(request.item_id)
         state.ciphertexts.put(request.new_item_id, request.ciphertext)
@@ -1028,17 +918,9 @@ class CloudServer:
         if request.tree_version != state.version:
             return msg.ErrorReply(code=msg.E_STALE_STATE,
                                   detail="tree changed since challenge")
-        if self._fresh_values_clash(state, [request.t_new_link,
-                                            request.t_new_leaf,
-                                            request.e_link, request.e_leaf]):
-            return msg.ErrorReply(code=msg.E_DUPLICATE_MODULATOR,
-                                  detail="insertion modulators collide; retry "
-                                         "with fresh randomness")
-        log = state.tree.insert_leaf(request.item_id, request.t_new_link,
-                                     request.t_new_leaf, request.e_link,
-                                     request.e_leaf)
-        if state.registry is not None:
-            self._registry_apply(state.registry, log)
+        state.tree.insert_leaf(request.item_id, request.t_new_link,
+                               request.t_new_leaf, request.e_link,
+                               request.e_leaf)
         state.ciphertexts.put(request.item_id, request.ciphertext)
         state.version += 1
         ack = msg.Ack(tree_version=state.version, item_id=request.item_id)
@@ -1168,8 +1050,8 @@ class CloudServer:
             return finish
         # A file outsourced (or installed) while running: write it out
         # wholesale and, once that commits, swap in the paged
-        # representation, keeping the version, registry, and commit
-        # replay cache.  drop_file first clears any stale rows from a
+        # representation, keeping the version and the commit replay
+        # cache.  drop_file first clears any stale rows from a
         # previous incarnation of the id.
         from repro.server.engine import KIND_LEAF, KIND_LINK
         from repro.server.paging import PagedCiphertextStore, PagedItemMap

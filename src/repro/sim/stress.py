@@ -25,24 +25,28 @@ invariants:
 1. **version accounting** -- every surviving tree's version equals the
    number of version-bumping commits the model applied to it (and the
    server holds exactly the files the model says survive);
-2. **surviving data decrypts** -- every live file reads back equal to
+2. **distinct modulators** -- every live tree on every shard holds
+   pairwise-distinct modulator values, as the paper requires (the
+   server keeps no table of them; the client refuses any view that
+   breaks the rule, and this is where a collision is detected);
+3. **surviving data decrypts** -- every live file reads back equal to
    the model, through the full two-level key derivation under the final
    master/control keys;
-3. **cross-shard placement** -- every live file lives on exactly the
+4. **cross-shard placement** -- every live file lives on exactly the
    shard the consistent-hash ring assigns it, and on no other (requests
    were routed correctly and no state leaked between shards);
-4. **Theorem 2** -- every deleted item resists the paper's full recovery
+5. **Theorem 2** -- every deleted item resists the paper's full recovery
    procedure at both levels: the data-tree attack (every historical
    server state plus the final master keys) fails on deleted records,
    and the meta-tree attack (every historical meta state plus the seized
    control keys) fails on shredded master keys -- while live items and
    live master keys remain recoverable (soundness controls);
-5. **WAL replay** -- re-executing each shard's write-ahead log from an
+6. **WAL replay** -- re-executing each shard's write-ahead log from an
    empty server (or, for engine-backed runs, from a copy of the engine
    snapshot plus the WAL tail left by mid-run compaction) reproduces
    that shard's exact per-file state, byte for byte (modulators, item
    maps, ciphertexts, versions);
-6. **audit chain** -- each shard's commit log is its audit chain: the
+7. **audit chain** -- each shard's commit log is its audit chain: the
    sealed archive plus the live log verify end to end (CRC frames, hash
    chain across every compaction, head anchor); every request frame
    has exactly one outcome frame, and a file's outcomes follow its
@@ -592,7 +596,22 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
                 f"(lost or doubled commits)")
     report.invariants.append("version-accounting")
 
-    # 2. Every surviving record decrypts to the model's plaintext under
+    # 2. Every live tree holds pairwise-distinct modulators.  The
+    #    fingerprints are taken once, here, and reused by the WAL-replay
+    #    comparison (6); nothing below mutates server state.
+    fingerprints = {}
+    for unit in cluster.units:
+        for file_id in unit.server.file_ids():
+            fingerprint = _file_fingerprint(unit.server, file_id)
+            values = [value for _kind, _slot, value in fingerprint[2]]
+            if len(set(values)) != len(values):
+                raise InvariantViolation(
+                    f"distinct-modulators: shard {unit.shard_id} file "
+                    f"{file_id} holds a modulator value twice")
+            fingerprints[file_id] = fingerprint
+    report.invariants.append("distinct-modulators")
+
+    # 3. Every surviving record decrypts to the model's plaintext under
     #    the final keys.
     for tenant in tenants:
         for name, records in tenant.model.items():
@@ -603,7 +622,7 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
                     f"content diverged from the model")
     report.invariants.append("surviving-data-decrypts")
 
-    # 3. Consistent-hash placement: every live file sits on exactly the
+    # 4. Consistent-hash placement: every live file sits on exactly the
     #    shard the ring assigns it (routing never strayed, and no state
     #    migrated or leaked between shards).  Trivially true at
     #    shards=1, but checked unconditionally so the invariant list is
@@ -616,7 +635,7 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
                 f"ring assigns shard {owner}")
     report.invariants.append("cross-shard-placement")
 
-    # 4. Theorem 2 at both levels: deleted records and shredded master
+    # 5. Theorem 2 at both levels: deleted records and shredded master
     #    keys resist the recovery procedure; live ones fall to it (the
     #    soundness control that keeps the negative result meaningful).
     if all(tenant.config.verify_theorem2 for tenant in tenants):
@@ -624,7 +643,7 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
             _verify_theorem2(tenant)
         report.invariants.append("theorem2-deleted-unrecoverable")
 
-    # 5. Replaying each shard's WAL from an empty server reproduces that
+    # 6. Replaying each shard's WAL from an empty server reproduces that
     #    shard's live state exactly -- and only that shard's files (a
     #    file's commits never land in a sibling's log).  Engine-backed
     #    shards recover from a *copy* of the engine file plus the WAL,
@@ -658,7 +677,7 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
                 f"{sorted(shard_live)}")
         for file_id in sorted(shard_live):
             if _file_fingerprint(recovered, file_id) != \
-                    _file_fingerprint(unit.server, file_id):
+                    fingerprints[file_id]:
                 raise InvariantViolation(
                     f"shard {unit.shard_id}: WAL replay diverged on "
                     f"file {file_id}")
@@ -667,7 +686,7 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
             tmp_engine.close()
     report.invariants.append("wal-replay-reproduces-state")
 
-    # 6. Each shard's commit log verifies as an audit chain (archive
+    # 7. Each shard's commit log verifies as an audit chain (archive
     #    plus live log), every request frame carries exactly one outcome
     #    frame in per-file order, and a file's successful outcomes chain
     #    their versions.

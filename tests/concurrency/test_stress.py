@@ -4,10 +4,10 @@ Each test case is one full stress iteration: N client threads (plus
 keyless foreign readers) hammer a shard cluster (one shard here; the
 multi-shard axis lives in ``test_sharded_stress.py``) through a seeded
 random op mix, then every invariant in ``repro.sim.stress`` is checked
--- version accounting, surviving-data decryption, cross-shard
-placement, Theorem-2 unrecoverability of deleted items at both tree
-levels, per-shard WAL-replay state equality, and per-shard audit-chain
-history.
+-- version accounting, distinct modulators in every live tree,
+surviving-data decryption, cross-shard placement, Theorem-2
+unrecoverability of deleted items at both tree levels, per-shard
+WAL-replay state equality, and per-shard audit-chain history.
 
 The iteration count scales with ``REPRO_STRESS_ITERATIONS`` (default 6
 per transport, CI's concurrency job raises it to 100 per transport for
@@ -24,7 +24,9 @@ import os
 
 import pytest
 
-from repro.sim.stress import StressConfig, StressReport, run_stress
+from repro.sim import stress
+from repro.sim.stress import (InvariantViolation, StressConfig, StressReport,
+                              run_stress)
 
 pytestmark = pytest.mark.stress
 
@@ -32,6 +34,7 @@ ITERATIONS = int(os.environ.get("REPRO_STRESS_ITERATIONS", "6"))
 
 EXPECTED_INVARIANTS = [
     "version-accounting",
+    "distinct-modulators",
     "surviving-data-decrypts",
     "cross-shard-placement",
     "theorem2-deleted-unrecoverable",
@@ -124,3 +127,24 @@ def test_report_summary_shape():
     assert set(summary["ops"]) <= {
         "create", "read", "read_all", "modify", "insert", "delete",
         "batch_delete", "drop"}
+
+
+def test_planted_duplicate_modulator_is_detected(monkeypatch):
+    """A live tree holding one value twice fails the run, naming the
+    invariant -- whatever put it there (here: a write through
+    ``file_state`` just before the end-of-run checks)."""
+    verify = stress._verify
+
+    def plant_then_verify(cluster, tenants, report):
+        server = cluster.units[0].server
+        file_id = max(server.file_ids(),
+                      key=lambda fid: server.file_state(fid).tree.leaf_count)
+        store = server.file_state(file_id).tree.store
+        assert server.file_state(file_id).tree.leaf_count >= 2
+        store.set_link(3, store.get_link(2))
+        verify(cluster, tenants, report)
+
+    monkeypatch.setattr(stress, "_verify", plant_then_verify)
+    with pytest.raises(InvariantViolation, match="distinct-modulators"):
+        run_stress(StressConfig(seed="plant", workers=2, ops_per_worker=4,
+                                readers=0))

@@ -12,7 +12,6 @@ def test_paper_defaults():
     assert PAPER_PARAMS.modulator_size == 20
     assert PAPER_PARAMS.master_key_size == 16
     assert PAPER_PARAMS.data_key_size == 16
-    assert PAPER_PARAMS.enforce_unique_modulators is True
 
 
 def test_sha256_variant():

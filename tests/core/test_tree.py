@@ -113,14 +113,19 @@ def test_apply_deltas_internal_and_leaf(rng):
     mt = tree.mt_view(9)
     deltas = [rng.bytes(WIDTH) for _ in mt.cut]
     before = {(kind, slot): value for kind, slot, value in tree.iter_modulators()}
-    log = tree.apply_deltas([entry.slot for entry in mt.cut], deltas)
+    tree.apply_deltas([entry.slot for entry in mt.cut], deltas)
+    after = {(kind, slot): value for kind, slot, value in tree.iter_modulators()}
     # Internal cut nodes: both child links XORed; leaf cut node: leaf mod.
-    changed = {(kind, slot) for kind, slot, _old, _new in log}
-    assert ("link", 6) in changed and ("link", 7) in changed  # children of 3
-    assert ("leaf", 8) in changed  # leaf cut node
-    for kind, slot, old, new in log:
-        assert before[(kind, slot)] == old
-        assert old != new
+    changed = {location for location in before
+               if after[location] != before[location]}
+    assert changed == {("link", 6), ("link", 7),  # children of cut node 3
+                       ("leaf", 5), ("leaf", 8)}  # leaf cut nodes
+    delta_of = {entry.slot: delta for entry, delta in zip(mt.cut, deltas)}
+    delta_of.update({6: delta_of[3], 7: delta_of[3]})
+    for kind, slot in changed:
+        assert bytes(a ^ b for a, b in zip(before[(kind, slot)],
+                                           after[(kind, slot)])) == \
+            delta_of[slot]
 
 
 def test_apply_deltas_length_mismatch(rng):
@@ -129,22 +134,14 @@ def test_apply_deltas_length_mismatch(rng):
         tree.apply_deltas([2], [])
 
 
-def test_rollback_restores_values(rng):
-    tree = build(5)
-    before = list(tree.iter_modulators())
-    mt = tree.mt_view(9)
-    log = tree.apply_deltas([entry.slot for entry in mt.cut],
-                            [rng.bytes(WIDTH) for _ in mt.cut])
-    tree.rollback(log)
-    assert list(tree.iter_modulators()) == before
-
-
 def test_delete_only_leaf():
     tree = build(1)
-    log = tree.delete_leaf(1, None, None, None)
+    assert [(kind, slot) for kind, slot, _value
+            in tree.iter_modulators()] == [("leaf", 1)]
+    tree.delete_leaf(1, None, None, None)
     assert tree.leaf_count == 0
     assert tree.item_ids() == []
-    assert log[0][:2] == ("leaf", 1)
+    assert list(tree.iter_modulators()) == []
 
 
 def test_delete_last_leaf_k_equals_t(rng):

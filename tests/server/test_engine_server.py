@@ -90,7 +90,7 @@ def test_twin_world_bit_identical(tmp_path, backend):
 @pytest.mark.parametrize("backend", DURABLE)
 def test_twin_world_survives_restart(tmp_path, backend):
     """Close everything, reopen the engine, recover: still identical --
-    and the recovered server pages files in lazily (registry-free)."""
+    and the recovered server pages files in lazily."""
     ref_server, ref_client, _ = _world(tmp_path, "ref")
     eng_server, eng_client, wal_path = _world(tmp_path, backend,
                                               backend=backend)
@@ -114,8 +114,8 @@ def test_twin_world_survives_restart(tmp_path, backend):
 
 @pytest.mark.parametrize("backend", DURABLE)
 def test_recovered_server_keeps_serving(tmp_path, backend):
-    """Mutations against paged-in (registry-free) files work and stay
-    identical to the reference world applying the same mutations."""
+    """Mutations against paged-in files work and stay identical to the
+    reference world applying the same mutations."""
     ref_server, ref_client, _ = _world(tmp_path, "ref")
     eng_server, eng_client, wal_path = _world(tmp_path, backend,
                                               backend=backend)

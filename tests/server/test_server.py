@@ -1,13 +1,15 @@
-"""The honest cloud server: handlers, versioning, duplicate registry."""
+"""The honest cloud server: handlers, versioning, replay cache."""
 
 import pytest
 
-from repro.core.errors import ReproError
-from repro.core.modstore import DenseModulatorStore
-from repro.core.tree import ModulationTree
+from repro.client.client import AssuredDeletionClient
+from repro.core.errors import DuplicateModulatorError, ReproError
+from repro.crypto.rng import DeterministicRandom
 from repro.protocol import messages as msg
+from repro.protocol.channel import LoopbackChannel
+from repro.server.engine import make_engine
+from repro.server.paging import PagedModulatorStore
 from repro.server.server import CloudServer
-from repro.server.storage import InMemoryCiphertextStore
 
 
 def test_unsupported_message():
@@ -33,18 +35,6 @@ def test_outsource_validation():
                                links=(), leaves=(), ciphertexts=(b"x",))
     reply = server.handle(bad)
     assert isinstance(reply, msg.ErrorReply)
-
-
-def test_outsource_rejects_duplicate_modulators():
-    server = CloudServer()
-    dup = b"\x01" * 20
-    request = msg.OutsourceRequest(
-        file_id=1, item_ids=(1, 2), links=(dup, dup),
-        leaves=(b"\x02" * 20, b"\x03" * 20), ciphertexts=(b"a", b"b"))
-    reply = server.handle(request)
-    assert isinstance(reply, msg.ErrorReply)
-    assert reply.code == msg.E_DUPLICATE_MODULATOR
-    assert not server.has_file(1)
 
 
 def test_stale_version_rejected(scheme):
@@ -77,38 +67,51 @@ def test_commit_cut_must_match_path(scheme):
     assert isinstance(reply, msg.ErrorReply)
 
 
-def test_registry_blocks_duplicate_balancing_value(scheme):
-    """A client-supplied balancing modulator colliding with an existing one
-    is rejected before any state changes."""
-    server = scheme.server
-    fid, ids = scheme.new_file([b"a", b"b", b"c", b"d"])
-    state = server.file_state(fid)
+@pytest.mark.parametrize("storage", ["memory", "engine"])
+def test_duplicate_balancing_value_is_refused_by_the_client(tmp_path,
+                                                            storage):
+    """The server keeps no modulator table, so in-memory and paged files
+    alike apply a commit whose x_s' equals a live leaf modulator.  The
+    defence is the client's: the next deletion whose balanced view holds
+    both values is refused before any commit is sent."""
+    engine = None
+    if storage == "engine":
+        engine = make_engine("sqlite", str(tmp_path / "state.db"))
+    server = CloudServer(engine=engine)
+    client = AssuredDeletionClient(LoopbackChannel(server),
+                                   rng=DeterministicRandom("dup"))
+    key = client.outsource(1, [b"a", b"b", b"c", b"d"])
+    ids = client.item_ids_of(4)
+    if engine is not None:
+        server.compact_storage()
+    state = server.file_state(1)
+    assert isinstance(state.tree.store, PagedModulatorStore) == \
+        (engine is not None)
     existing = state.tree.store.get_leaf(state.tree.slot_of_item(ids[1]))
-    challenge = server.handle(msg.DeleteRequest(file_id=fid, item_id=ids[0]))
-    version = challenge.tree_version
-    commit = msg.DeleteCommit(
-        file_id=fid, item_id=ids[0],
+    challenge = server.handle(msg.DeleteRequest(file_id=1, item_id=ids[0]))
+    reply = server.handle(msg.DeleteCommit(
+        file_id=1, item_id=ids[0],
         cut_slots=tuple(e.slot for e in challenge.mt.cut),
         deltas=tuple(b"\x00" * 20 for _ in challenge.mt.cut),
         x_s_prime=existing,  # collides with a live leaf modulator
         dest_link=b"\x11" * 20, dest_leaf=b"\x12" * 20,
-        tree_version=version)
-    reply = server.handle(commit)
-    assert isinstance(reply, msg.ErrorReply)
-    assert reply.code == msg.E_DUPLICATE_MODULATOR
-    assert server.file_state(fid).version == version  # nothing applied
+        tree_version=challenge.tree_version))
+    assert reply == msg.Ack(tree_version=1)
 
-
-def test_adopt_file_rejects_duplicates():
-    store = DenseModulatorStore(20)
-    store.set_link(2, b"\x01" * 20)
-    store.set_link(3, b"\x01" * 20)
-    store.set_leaf(2, b"\x02" * 20)
-    store.set_leaf(3, b"\x03" * 20)
-    tree = ModulationTree.adopt(store, 2, [1, 2])
-    server = CloudServer()
-    with pytest.raises(ReproError):
-        server.adopt_file(1, tree, InMemoryCiphertextStore())
+    # ids[2] (the old s) now sits on slot 3 with x_s', and the last leaf
+    # t (slot 5, ids[1]) still holds the same value: deleting ids[2]
+    # ships both in one balanced view.
+    state = server.file_state(1)
+    assert state.tree.slot_of_item(ids[2]) == 3
+    assert state.tree.slot_of_item(ids[1]) == 5
+    round_trips = client.channel.counters.round_trips
+    with pytest.raises(DuplicateModulatorError):
+        client.delete(1, key, ids[2])
+    assert client.channel.counters.round_trips == round_trips + 1
+    assert client.pending_deletes() == []
+    assert server.file_state(1).version == 1
+    if engine is not None:
+        engine.close()
 
 
 def test_fetch_file_reply_matches_state(scheme):
@@ -166,14 +169,12 @@ def test_deleted_slots_free_their_modulators(scheme):
     assert per_item() <= before * 1.02
 
 
-def _replace_commit(challenge, fid, item_id, new_item_id, deltas=None,
-                    **fields):
+def _replace_commit(challenge, fid, item_id, new_item_id, **fields):
     cut = tuple(entry.slot for entry in challenge.mt.cut)
     return msg.ReplaceCommit(
         file_id=fid, item_id=item_id, new_item_id=new_item_id,
         cut_slots=fields.pop("cut_slots", cut),
-        deltas=deltas if deltas is not None else
-        tuple(bytes([i + 1]) * 20 for i in range(len(cut))),
+        deltas=tuple(bytes([i + 1]) * 20 for i in range(len(cut))),
         ciphertext=b"new-record", tree_version=challenge.tree_version,
         request_id=fields.pop("request_id", 77), **fields)
 
@@ -199,10 +200,10 @@ def test_replace_commit_repoints_the_leaf(scheme):
         state.ciphertexts.get(ids[2])
 
 
-@pytest.mark.parametrize("fault", ["cut", "taken-id", "duplicate"])
+@pytest.mark.parametrize("fault", ["cut", "taken-id"])
 def test_replace_commit_refusals_apply_nothing(scheme, fault):
-    """A wrong cut, a new item id already in the tree, or deltas that
-    would duplicate a modulator: refused, with the tree untouched."""
+    """A wrong cut or a new item id already in the tree: refused, with
+    the tree untouched."""
     server = scheme.server
     fid, ids = scheme.new_file([b"a", b"b", b"c", b"d"])
     state = server.file_state(fid)
@@ -211,21 +212,10 @@ def test_replace_commit_refusals_apply_nothing(scheme, fault):
     if fault == "cut":
         commit = _replace_commit(challenge, fid, ids[0], 9000,
                                  cut_slots=(2, 3))
-    elif fault == "taken-id":
-        commit = _replace_commit(challenge, fid, ids[0], ids[1])
     else:
-        # XOR a cut leaf onto its neighbour's value: a duplicate.
-        cut = challenge.mt.cut
-        deltas = [b"\x00" * 20] * len(cut)
-        leaf = cut[-1]
-        sibling = state.tree.store.get_leaf(leaf.slot ^ 1)
-        deltas[-1] = bytes(a ^ b for a, b in zip(leaf.leaf_mod, sibling))
-        commit = _replace_commit(challenge, fid, ids[0], 9000,
-                                 deltas=tuple(deltas))
+        commit = _replace_commit(challenge, fid, ids[0], ids[1])
     reply = server.handle(commit)
     assert isinstance(reply, msg.ErrorReply)
-    if fault == "duplicate":
-        assert reply.code == msg.E_DUPLICATE_MODULATOR
     assert state.version == 0
     assert list(state.tree.iter_modulators()) == before
     assert state.tree.item_ids() == ids

@@ -80,7 +80,8 @@ def test_stress_subcommand(tmp_path):
     report = json.loads(run.stdout)
     assert report["seed"] == "cli-test"
     assert report["invariants"] == [
-        "version-accounting", "surviving-data-decrypts",
+        "version-accounting", "distinct-modulators",
+        "surviving-data-decrypts",
         "cross-shard-placement", "theorem2-deleted-unrecoverable",
         "wal-replay-reproduces-state", "audit-chain-matches-history"]
 
