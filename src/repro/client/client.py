@@ -485,9 +485,7 @@ class AssuredDeletionClient:
         self._pending_deletes[(file_id, item_id)] = (commit, new_key)
         self._expect(self.channel.request(commit), msg.Ack)
         self._pending_deletes.pop((file_id, item_id), None)
-        if self.store_keys:
-            self.keystore.shred(self._key_name(file_id))
-            self.keystore.put(self._key_name(file_id), new_key)
+        self._rotate_key(file_id, new_key)
         self._finish("delete", begin, retries)
         return new_key
 
@@ -581,9 +579,7 @@ class AssuredDeletionClient:
             break
 
         self._pending_deletes.pop((file_id, item_id), None)
-        if self.store_keys:
-            self.keystore.shred(self._key_name(file_id))
-            self.keystore.put(self._key_name(file_id), new_key)
+        self._rotate_key(file_id, new_key)
         self._finish("delete", begin, retries)
         return new_key, new_item_id
 
@@ -609,19 +605,32 @@ class AssuredDeletionClient:
         either way.  On success the old master key is shredded (this is
         deletion time ``T``) and the new key returned.
         """
-        entry = self._pending_deletes.get((file_id, item_id))
+        return self._resend(self._pending_deletes, (file_id, item_id),
+                            "resume_delete",
+                            f"no pending deletion for file {file_id} item "
+                            f"{item_id}")
+
+    def _resend(self, journal: dict, key: tuple, op: str,
+                missing: str) -> bytes:
+        """Resend the commit journalled under ``key``; on its Ack install
+        the new key (deletion time ``T``) and return it."""
+        entry = journal.get(key)
         if entry is None:
-            raise UnknownItemError(
-                f"no pending deletion for file {file_id} item {item_id}")
+            raise UnknownItemError(missing)
         commit, new_key = entry
         begin = self._begin()
         self._expect(self.channel.request(commit), msg.Ack)
-        self._pending_deletes.pop((file_id, item_id), None)
+        journal.pop(key, None)
+        self._rotate_key(commit.file_id, new_key)
+        self._finish(op, begin)
+        return new_key
+
+    def _rotate_key(self, file_id: int, new_key: bytes) -> None:
+        """Shred the file's old master key and keep ``new_key`` (when the
+        client tracks keys): the deletion time ``T`` of an Acked commit."""
         if self.store_keys:
             self.keystore.shred(self._key_name(file_id))
             self.keystore.put(self._key_name(file_id), new_key)
-        self._finish("resume_delete", begin)
-        return new_key
 
     # ------------------------------------------------------------------
     # Batched deletion
@@ -699,9 +708,7 @@ class AssuredDeletionClient:
         self._pending_batch_deletes[(file_id, item_ids)] = (commit, new_key)
         self._expect(self.channel.request(commit), msg.Ack)
         self._pending_batch_deletes.pop((file_id, item_ids), None)
-        if self.store_keys:
-            self.keystore.shred(self._key_name(file_id))
-            self.keystore.put(self._key_name(file_id), new_key)
+        self._rotate_key(file_id, new_key)
         self._finish("delete_many", begin, retries)
         return new_key
 
@@ -718,21 +725,10 @@ class AssuredDeletionClient:
         journalled commit is resent byte-for-byte and the server's replay
         cache answers retransmissions with the original Ack.
         """
-        key = (file_id, tuple(item_ids))
-        entry = self._pending_batch_deletes.get(key)
-        if entry is None:
-            raise UnknownItemError(
-                f"no pending batch deletion for file {file_id} items "
-                f"{list(item_ids)}")
-        commit, new_key = entry
-        begin = self._begin()
-        self._expect(self.channel.request(commit), msg.Ack)
-        self._pending_batch_deletes.pop(key, None)
-        if self.store_keys:
-            self.keystore.shred(self._key_name(file_id))
-            self.keystore.put(self._key_name(file_id), new_key)
-        self._finish("resume_delete_many", begin)
-        return new_key
+        return self._resend(self._pending_batch_deletes,
+                            (file_id, tuple(item_ids)), "resume_delete_many",
+                            f"no pending batch deletion for file {file_id} "
+                            f"items {list(item_ids)}")
 
     # ------------------------------------------------------------------
     # Whole-file operations

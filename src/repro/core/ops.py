@@ -37,17 +37,6 @@ from repro.crypto.rng import RandomSource
 
 
 @dataclass(frozen=True)
-class DeletionCommit:
-    """Client -> server payload completing a deletion."""
-
-    cut_slots: tuple[int, ...]
-    deltas: tuple[bytes, ...]
-    x_s_prime: Optional[bytes]
-    dest_link: Optional[bytes]
-    dest_leaf: Optional[bytes]
-
-
-@dataclass(frozen=True)
 class BalanceMove:
     """One rebalancing move of a batched deletion (Eqs. 8-9).
 

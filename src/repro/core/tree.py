@@ -143,6 +143,43 @@ class BalanceView:
     s_leaf_mod: bytes
 
 
+def _checked_move(m: int, slot_k: int, x_s_prime: Optional[bytes],
+                  dest_link: Optional[bytes],
+                  dest_leaf: Optional[bytes]) -> Optional[int]:
+    """Check one deletion's balancing move on a tree of ``m`` leaves.
+
+    Returns the slot the last leaf ``t`` moves to, or ``None`` when it
+    does not move (``k`` is ``t``, or ``k`` is the only leaf).  Raises
+    :class:`StructureError` when ``slot_k`` is not a leaf or the move
+    carries a value too many or too few.
+    """
+    if not m <= slot_k <= 2 * m - 1:
+        raise StructureError(f"slot {slot_k} is not a leaf of a tree of "
+                             f"{m} leaves")
+    if m == 1:
+        if (x_s_prime is not None or dest_link is not None
+                or dest_leaf is not None):
+            raise StructureError("last-leaf move carries no modulators")
+        return None
+    if x_s_prime is None:
+        raise StructureError("balancing value x_s' required for n >= 2")
+    if slot_k == 2 * m - 1:
+        if dest_link is not None or dest_leaf is not None:
+            raise StructureError("k == t move carries only x_s'")
+        return None
+    if dest_leaf is None:
+        raise StructureError("balancing value x_t' required when k != t")
+    if slot_k == 2 * m - 2:
+        # k is s: t takes over the parent slot p, keeping its link.
+        if dest_link is not None:
+            raise StructureError("dest link must be omitted when t "
+                                 "inherits a slot's link")
+        return m - 1
+    if dest_link is None:
+        raise StructureError("fresh link modulator required")
+    return slot_k
+
+
 class ItemMap:
     """Bidirectional item-id <-> leaf-slot mapping (dict-backed)."""
 
@@ -588,6 +625,37 @@ class ModulationTree:
                     self._store.set_link(child,
                                          xor_bytes(next(old_links), delta))
 
+    def check_deletions(self, slots: Sequence[int],
+                        moves: Sequence) -> list[int]:
+        """Dry-run a sequence of :meth:`delete_leaf` calls; mutates nothing.
+
+        ``slots`` are the targets' leaf slots before the first deletion
+        and ``moves[i]`` carries the ``x_s_prime``/``dest_link``/
+        ``dest_leaf`` of the i-th (one move per slot).  Every move is
+        checked by the rule :meth:`delete_leaf` applies, against the tree
+        as the earlier moves leave it, so a caller that checks first
+        never stops halfway.  Returns each target's slot at the time its
+        move applies; raises :class:`StructureError` on the first bad
+        move.
+        """
+        current = list(slots)
+        owner = {slot: index for index, slot in enumerate(current)}
+        m = self._n
+        for index, move in enumerate(moves):
+            slot_k = current[index]
+            owner.pop(slot_k, None)
+            dest = _checked_move(m, slot_k, move.x_s_prime, move.dest_link,
+                                 move.dest_leaf)
+            # s takes over the parent slot, t (if it moves) takes ``dest``;
+            # for m == 1 there is no slot 0 to relocate.
+            for old, new in ((2 * m - 2, m - 1), (2 * m - 1, dest)):
+                if new is not None and old in owner:
+                    moved = owner.pop(old)
+                    owner[new] = moved
+                    current[moved] = new
+            m -= 1
+        return current
+
     def delete_leaf(self, slot_k: int, x_s_prime: Optional[bytes],
                     dest_link: Optional[bytes],
                     dest_leaf: Optional[bytes]) -> None:
@@ -599,32 +667,17 @@ class ModulationTree:
         (Eq. 9) and ``dest_link`` the fresh link modulator chosen by the
         client; both are ``None`` when ``k`` *is* the last leaf ``t`` (the
         paper's "step 2 is performed only if node t is not node k"), and
-        ``dest_link`` is additionally ``None`` when ``t`` lands on the
-        root or takes over the collapsed parent slot, which keeps its
-        existing incoming link.
+        ``dest_link`` is additionally ``None`` when ``t`` takes over the
+        collapsed parent slot, which keeps its existing incoming link.
+        All three are ``None`` when ``k`` is the only leaf.  The shape is
+        checked by the same rule as :meth:`check_deletions` before
+        anything is mutated.
         """
-        if not self.is_leaf(slot_k):
-            raise StructureError(f"slot {slot_k} is not a leaf")
         n = self._n
+        dest = _checked_move(n, slot_k, x_s_prime, dest_link, dest_leaf)
         t_slot = 2 * n - 1
         s_slot = 2 * n - 2
         p_slot = n - 1
-
-        # Validate the full argument shape before mutating anything.
-        if n > 1:
-            if x_s_prime is None:
-                raise StructureError("balancing value x_s' required for n >= 2")
-            if slot_k != t_slot:
-                if dest_leaf is None:
-                    raise StructureError(
-                        "balancing value x_t' required when k != t")
-                dest = p_slot if slot_k == s_slot else slot_k
-                if dest == p_slot or dest == 1:
-                    if dest_link is not None:
-                        raise StructureError("dest link must be omitted when "
-                                             "t inherits a slot's link")
-                elif dest_link is None:
-                    raise StructureError("fresh link modulator required")
 
         item_k = self._map.item_at(slot_k)
         if item_k is not None:
@@ -645,10 +698,10 @@ class ModulationTree:
             self._map.move(s_item, s_slot, p_slot)
         self._n = n - 1
 
-        # Step 2: move t into k's place, unless k was t itself.  The
-        # validation above leaves dest_link None exactly when t inherits
-        # a slot whose incoming link (if any) is kept.
-        if slot_k != t_slot:
+        # Step 2: move t into k's place, unless k was t itself (then
+        # ``dest`` is None).  The check above leaves dest_link None
+        # exactly when t inherits the parent slot's incoming link.
+        if dest is not None:
             if dest_link is not None:
                 self._store.set_link(dest, dest_link)
             self._store.set_leaf(dest, dest_leaf)

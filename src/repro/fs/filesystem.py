@@ -181,15 +181,12 @@ class OutsourcedFile:
         meta tree; otherwise the journalled meta ``ReplaceCommit`` is
         replayed.  Either way the record is deleted exactly once.
         """
-        file_id = self._record.file_id
         item_id = self._record.index.item_id_at(position)
-        client, meta = self._fs.client, self._meta()
-        if client.pending_commit(file_id, item_id) is not None:
-            meta.replace_master_key(file_id,
-                                    client.resume_delete(file_id, item_id))
-        else:
-            meta.resume_replace(file_id)
-        self._record.index.remove(position)
+        client = self._fs.client
+        self._resume(
+            [position],
+            client.pending_commit(self.file_id, item_id) is not None,
+            lambda: client.resume_delete(self.file_id, item_id))
 
     @_traced_fs("resume_delete_many")
     def resume_delete_many(self, positions: Sequence[int]) -> None:
@@ -200,15 +197,26 @@ class OutsourcedFile:
         against its own shard independently.
         """
         positions = list(positions)
-        file_id = self._record.file_id
         item_ids = tuple(self._record.index.item_id_at(position)
                          for position in positions)
-        client, meta = self._fs.client, self._meta()
-        if (file_id, item_ids) in client.pending_batch_deletes():
-            meta.replace_master_key(
-                file_id, client.resume_delete_many(file_id, item_ids))
+        client = self._fs.client
+        self._resume(
+            positions,
+            (self.file_id, item_ids) in client.pending_batch_deletes(),
+            lambda: client.resume_delete_many(self.file_id, item_ids))
+
+    def _resume(self, positions: Sequence[int], journalled: bool,
+                resend: Callable[[], bytes]) -> None:
+        """Finish a record deletion: with the data-tree commit
+        ``journalled``, ``resend`` it and replace the master key in the
+        meta tree with the key it returns; otherwise resume the meta
+        ``ReplaceCommit``.  Then drop ``positions`` from the index."""
+        meta = self._meta()
+        if journalled:
+            meta.replace_master_key(self.file_id, resend())
         else:
-            meta.resume_replace(file_id)
+            meta.resume_replace(self.file_id)
+        # Highest first, so earlier removals don't shift the later ones.
         for position in sorted(positions, reverse=True):
             self._record.index.remove(position)
 

@@ -65,11 +65,11 @@ SERVER_HANDLE_SECONDS = REGISTRY.histogram(
     ("type",), LATENCY_BUCKETS)
 REPLAY_LOOKUPS = REGISTRY.counter(
     "repro_replay_cache_lookups_total",
-    "Idempotency-cache lookups (request-id or per-file commit digest)",
+    "Request-id idempotency-cache lookups",
     ("cache",))
 REPLAY_HITS = REGISTRY.counter(
     "repro_replay_cache_hits_total",
-    "Retransmissions answered from a replay cache instead of re-applied",
+    "Retransmissions answered from the replay cache instead of re-applied",
     ("cache",))
 TREE_VERSION = REGISTRY.gauge(
     "repro_tree_version",

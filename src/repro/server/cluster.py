@@ -1,7 +1,7 @@
 """A horizontally sharded serving tier: N independent server instances.
 
 Each shard is a complete, isolated server unit -- its own
-:class:`~repro.server.server.CloudServer` (lock table, replay caches,
+:class:`~repro.server.server.CloudServer` (lock table, replay cache,
 view cache), its own write-ahead :class:`~repro.server.wal.CommitLog`,
 its own storage engine and audit archive, optionally its own TCP host.
 Nothing is shared between shards except the process, so a shard crash,
@@ -314,12 +314,19 @@ class ShardCluster:
         Moves each per-file state wholesale into its ring-assigned
         shard; returns the number of files placed.  Used when a vault
         built against one embedded server is first served sharded.
+        Every shard also gets the source's request-id replies (a reply
+        does not name its file), so a commit journalled before the
+        move and resent after it is answered, not re-applied.
         """
         placed = 0
         for file_id in source.file_ids():
             self.server_for(file_id).install_file_state(
                 file_id, source.file_state(file_id))
             placed += 1
+        entries = source.replay_cache_entries()
+        for unit in self.units:
+            unit.server.restore_replay_cache(
+                unit.server.replay_cache_entries() + entries)
         return placed
 
     def compact(self) -> list[dict]:

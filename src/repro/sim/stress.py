@@ -11,7 +11,7 @@ file-id space, own keys) through a randomized mix of put / read / modify
 messages at every file id the tenants publish.  That shape maximises
 contention on exactly the structures the per-vault locking protects: the
 file registry (concurrent outsource/drop), per-file locks (reads racing
-commits), the shared WAL append path, and the replay caches.
+commits), the shared WAL append path, and the replay cache.
 
 Everything random derives from ``StressConfig.seed``: per-worker op
 sequences, record contents, and client randomness (modulators, request

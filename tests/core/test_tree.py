@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import StructureError, UnknownItemError
 from repro.core.modstore import LazySeededStore
+from repro.core.ops import BalanceMove
 from repro.core.tree import (ArithmeticItemMap, ItemMap, ModulationTree)
 from repro.crypto.rng import DeterministicRandom
 
@@ -237,6 +238,27 @@ def test_delete_non_leaf_rejected(rng):
     tree = build(4)
     with pytest.raises(StructureError):
         tree.delete_leaf(2, rng.bytes(WIDTH), None, None)
+
+
+def test_check_deletions_dry_runs_a_sequence(rng):
+    """The dry run finds each target where the earlier moves leave it,
+    and a bad later move is refused with the tree untouched."""
+    tree = build(5)  # leaves 5..9 hold items 100..104
+    x, link, leaf = (rng.bytes(WIDTH) for _ in range(3))
+    # Deleting t (slot 9) first moves s (slot 8, item 103) up to slot 4,
+    # where the second deletion finds it with a fresh link for t.
+    moves = [BalanceMove(x, None, None), BalanceMove(x, link, leaf)]
+    before = list(tree.iter_modulators())
+    with pytest.raises(StructureError):
+        tree.check_deletions([9, 8], [moves[0],
+                                      BalanceMove(x, None, leaf)])
+    assert tree.check_deletions([9, 8], moves) == [9, 4]
+    assert list(tree.iter_modulators()) == before
+    assert tree.leaf_count == 5
+    for slot, move in zip([9, 4], moves):
+        tree.delete_leaf(slot, move.x_s_prime, move.dest_link,
+                         move.dest_leaf)
+    assert sorted(tree.item_ids()) == [100, 101, 102]
 
 
 # ---------------------------------------------------------------------------

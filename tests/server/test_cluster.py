@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.client.client import AssuredDeletionClient
 from repro.core.errors import StorageError
+from repro.crypto.rng import DeterministicRandom
 from repro.fs.filesystem import OutsourcedFileSystem
 from repro.fs.sharding import ShardRoutingChannel
 from repro.obs.health import HEALTH
+from repro.protocol import messages as msg
+from repro.protocol.faults import (DROP_RESPONSE, NONE, ChannelError,
+                                   FaultInjectingChannel)
 from repro.server.cluster import ShardCluster
+from repro.server.server import CloudServer
 from repro.server.wal import CommitLog
 
 
@@ -64,6 +70,38 @@ def test_adopt_server_splits_files_across_the_ring():
         for unit in cluster.units:
             for file_id in unit.server.file_ids():
                 assert cluster.shard_of(file_id) == unit.shard_id
+    finally:
+        cluster.stop()
+
+
+def test_delete_journalled_before_adopt_server_resumes_after_it():
+    """The donor applied a deletion whose Ack was lost; the shards that
+    adopt its files also adopt its request-id replies, so the client's
+    journalled resend is answered with the original Ack, not applied
+    again."""
+    donor = CloudServer()
+    channel = FaultInjectingChannel(donor, [])
+    client = AssuredDeletionClient(channel, rng=DeterministicRandom("adopt"))
+    key = client.outsource(1, [b"a", b"b", b"c"])
+    ids = client.item_ids_of(3)
+    channel._schedule = iter([NONE, DROP_RESPONSE])
+    with pytest.raises(ChannelError):
+        client.delete(1, key, ids[1])
+    commit = client.pending_commit(1, ids[1])
+    original = dict(donor.replay_cache_entries())[commit.request_id]
+    assert original == msg.Ack(tree_version=1)
+
+    cluster = ShardCluster(3)
+    try:
+        cluster.adopt_server(donor)
+        shard = cluster.server_for(1)
+        assert shard.handle(commit) == original
+        client.channel = ShardRoutingChannel(cluster.shard_map())
+        new_key = client.resume_delete(1, ids[1])
+        assert shard.file_state(1).version == 1  # applied once
+        assert client.pending_deletes() == []
+        assert client.access(1, new_key, ids[0]) == b"a"
+        assert client.access(1, new_key, ids[2]) == b"c"
     finally:
         cluster.stop()
 

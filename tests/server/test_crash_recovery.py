@@ -22,8 +22,8 @@ from repro.core.errors import UnknownItemError
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol import messages as msg
 from repro.protocol.faults import (CRASH_AFTER_APPLY, CRASH_BEFORE_APPLY,
-                                   DROP_RESPONSE, NONE, ChannelError,
-                                   FaultInjectingChannel)
+                                   DROP_REQUEST, DROP_RESPONSE, NONE,
+                                   ChannelError, FaultInjectingChannel)
 from repro.server.engine import SQLiteTreeStore
 from repro.server.server import CloudServer
 from repro.server.wal import (KIND_REQUEST, CommitLog, recover_server,
@@ -38,23 +38,41 @@ CRASH_POINTS = [CRASH_BEFORE_APPLY, CRASH_AFTER_APPLY]
 def kill(server):
     """The kill -9 of a durable server: close its handles without the
     engine's close-time flush, so writes staged since the last
-    compaction are rolled back as SQLite does after a process death."""
+    compaction are rolled back as SQLite does after a process death.
+    Closing twice is harmless."""
     server.wal.close()
     server.engine._conn.close()  # noqa: SLF001 - no commit on the way out
 
 
+#: Every server the running test opened; killed when the test ends.
+_OPENED = []
+
+
+@pytest.fixture(autouse=True)
+def _release_handles():
+    """Close the WAL and engine handles of every server a test opened,
+    whether or not the test closed them itself."""
+    yield
+    while _OPENED:
+        kill(_OPENED.pop())
+
+
 def reopen(directory):
     """Recover a server from ``directory``'s engine file plus WAL."""
-    return recover_server(
+    server = recover_server(
         os.path.join(directory, "server.wal"),
         engine=SQLiteTreeStore(os.path.join(directory, "state.db")))
+    _OPENED.append(server)
+    return server
 
 
 def durable_server(directory, log=CommitLog, server=CloudServer):
     """A fresh server on a SQLite engine + WAL in ``directory``."""
-    return server(
+    opened = server(
         wal=log(os.path.join(directory, "server.wal")),
         engine=SQLiteTreeStore(os.path.join(directory, "state.db")))
+    _OPENED.append(opened)
+    return opened
 
 
 class HeldSyncLog(CommitLog):
@@ -493,6 +511,52 @@ def test_retry_after_checkpoint_answers_from_persisted_cache(tmp_path):
     new_key = h.client.resume_delete(1, h.ids[3])
     assert h.server.file_state(1).version == 1  # answered, not re-applied
     assert h.client.access(1, new_key, h.ids[0]) == b"item-0"
+
+
+def test_duplicate_queued_behind_its_original_is_answered_not_logged(
+        tmp_path):
+    """A second delivery of a DeleteCommit arrives while the first holds
+    the file's exclusive lock (its WAL fsync held open).  It queues on
+    the lock, then finds the first delivery's reply: same Ack, the
+    version moves once, and the WAL holds one request frame for it."""
+    h = Harness(tmp_path, log=HeldSyncLog)
+    h.schedule([NONE, DROP_REQUEST])
+    with pytest.raises(ChannelError):
+        h.client.delete(1, h.key, h.ids[1])
+    commit_bytes = h.channel.last_request_bytes
+    request_id = msg.decode_message(h.server.ctx, commit_bytes).request_id
+
+    entered, release = threading.Event(), threading.Event()
+    h.server.wal.hold = (entered, release)
+    replies = {}
+
+    def deliver(name):
+        replies[name] = h.server.handle_bytes(commit_bytes)
+
+    first = threading.Thread(target=deliver, args=("first",), daemon=True)
+    first.start()
+    assert entered.wait(timeout=10.0)  # first holds the file lock
+    second = threading.Thread(target=deliver, args=("second",), daemon=True)
+    second.start()
+    file_lock = h.server._file_locks.lock(1)  # noqa: SLF001
+    deadline = time.monotonic() + 10.0
+    while not file_lock._writers_waiting:  # noqa: SLF001
+        assert time.monotonic() < deadline, "duplicate never queued"
+        time.sleep(0.001)
+    release.set()
+    for thread in (first, second):
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    assert replies["second"] == replies["first"]
+    assert msg.decode_message(h.server.ctx, replies["first"]) == \
+        msg.Ack(tree_version=1)
+    assert h.server.file_state(1).version == 1
+    frames, _end = split_frames(
+        (tmp_path / "server.wal").read_bytes(), 6)  # after the header
+    logged = [msg.decode_message(h.server.ctx, payload).request_id
+              for _offset, kind, payload in frames if kind == KIND_REQUEST]
+    assert logged.count(request_id) == 1
 
 
 def test_crash_without_wal_stays_consistent_in_memory():

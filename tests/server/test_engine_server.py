@@ -32,6 +32,22 @@ pytestmark = pytest.mark.slow
 DURABLE = ("sqlite",)
 
 
+#: Servers the running test built with :func:`_world`.
+_WORLDS = []
+
+
+@pytest.fixture(autouse=True)
+def _close_worlds():
+    """Close every world's WAL and engine when the test ends, whether or
+    not the test closed them itself (closing twice is harmless)."""
+    yield
+    while _WORLDS:
+        server = _WORLDS.pop()
+        server.wal.close()
+        if server.engine is not None:
+            server.engine.close()
+
+
 def _world(tmp_path, tag, *, backend=None, cache_nodes=65536, seed="twin"):
     """One (server, client, paths) world; same seed => same bytes."""
     wal_path = str(tmp_path / f"wal-{tag}")
@@ -39,6 +55,7 @@ def _world(tmp_path, tag, *, backend=None, cache_nodes=65536, seed="twin"):
     if backend is not None:
         engine = make_engine(backend, str(tmp_path / f"engine-{tag}"))
     server = CloudServer(wal=CommitLog(wal_path), engine=engine)
+    _WORLDS.append(server)
     if engine is not None and cache_nodes != 65536:
         server.attach_engine(engine, cache_nodes=cache_nodes)
     client = AssuredDeletionClient(LoopbackChannel(server),
