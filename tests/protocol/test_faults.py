@@ -108,6 +108,40 @@ def test_lost_delete_ack_when_commit_never_arrived():
         client.access(1, new_key, ids[2])
 
 
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_lost_ack_resumes_after_the_request_id_cache_evicted_it(batch):
+    """Other files' commits can push a lost-Ack deletion out of the
+    bounded request-id cache before the client resumes it.  The file's
+    own record of its last commit still answers the resend with the
+    original Ack: applied once, and the old key is then shredded."""
+    server, channel, client, key, ids = outsourced([NONE, DROP_RESPONSE])
+    server.REPLAY_CACHE_LIMIT = 4
+    victims = (ids[1], ids[3]) if batch else (ids[1],)
+    with pytest.raises(ChannelError):
+        if batch:
+            client.delete_many(1, key, victims)
+        else:
+            client.delete(1, key, victims[0])
+    other_key = client.outsource(2, [b"other"])
+    for i in range(2 * server.REPLAY_CACHE_LIMIT):
+        client.insert(2, other_key, b"filler-%d" % i)
+    assert len(server.replay_cache_entries()) == server.REPLAY_CACHE_LIMIT
+    version = server.file_state(1).version
+
+    if batch:
+        new_key = client.resume_delete_many(1, victims)
+    else:
+        new_key = client.resume_delete(1, victims[0])
+    assert server.file_state(1).version == version  # not applied again
+    assert client.pending_deletes() == client.pending_batch_deletes() == []
+    assert client.keystore.seize() == {"master:1": new_key,
+                                      "master:2": other_key}
+    assert client.access(1, new_key, ids[0]) == b"item-0"
+    for victim in victims:
+        with pytest.raises(UnknownItemError):
+            client.access(1, new_key, victim)
+
+
 def test_resume_delete_requires_a_journal_entry():
     _server, _channel, client, key, ids = outsourced([])
     with pytest.raises(UnknownItemError):
