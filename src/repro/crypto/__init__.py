@@ -11,22 +11,21 @@ as the drop-in alternative of the hash-choice ablation.  On top of that:
 * :mod:`repro.crypto.prf` -- the PRF used by the master-key baseline.
 * :mod:`repro.crypto.drbg` -- HMAC-DRBG (NIST SP 800-90A) providing
   deterministic randomness for reproducible experiments.
-* :mod:`repro.crypto.modes` -- AES-CTR, the item codec's cipher.  It runs
-  in OpenSSL through the ``cryptography`` package, imported on first use
-  so that processes which never encrypt (the server) do not load it.
-  Batches of many small items go to :mod:`repro.crypto.bulk` instead.
-  The module also holds ECB/CBC over the in-repo AES.
-* :mod:`repro.crypto.bulk` -- numpy-vectorised AES-CTR: one sweep over a
-  whole batch of small items, key schedules included.
+* :mod:`repro.crypto.modes` -- AES-CTR, the item codec's cipher.  It has
+  one kernel: libcrypto's EVP interface (OpenSSL >= 3.0, loaded by its
+  soname through :mod:`ctypes`), one cipher context re-keyed per item.
+  The library is bound on the first call, so processes which never
+  encrypt (the server) do not load it.  The module also holds ECB/CBC
+  over the in-repo AES.
 * :mod:`repro.crypto.aes` -- the AES block cipher (FIPS 197), built from
-  the specification; drives ECB/CBC, GCM, CMAC, the numpy engine's
-  tables and the scalar CTR reference the tests compare against.
+  the specification; drives ECB/CBC, GCM, CMAC and the scalar CTR
+  reference the tests compare against.
 * :mod:`repro.crypto.gcm`, :mod:`repro.crypto.cmac` -- AES-GCM and
   AES-CMAC (unused by the scheme; kept with their test vectors).
 * :mod:`repro.crypto.rng` -- random source abstraction (system / seeded).
 * :mod:`repro.crypto.ct` -- constant-time comparison helpers.
 
-Both AES paths are validated against official test vectors in
+Both AES implementations are validated against official test vectors in
 ``tests/crypto``; the hash wrappers keep their FIPS/RFC vectors there as
 smoke checks, and ``tests/crypto/test_golden_vectors.py`` pins the exact
 outputs of every hash-driven derivation.

@@ -3,14 +3,13 @@
 The paper encrypts each 4 KB data item with AES under a 128-bit key taken
 from the key modulation function's output.  This module provides the raw
 block transform for AES-128/192/256; modes of operation live in
-:mod:`repro.crypto.modes` and the numpy-vectorised bulk engine in
-:mod:`repro.crypto.bulk`.
+:mod:`repro.crypto.modes`, whose AES-CTR runs in OpenSSL and is checked
+against the scalar CTR built on this class.
 
 The S-box and its inverse are *derived*, not transcribed: each entry is the
 multiplicative inverse in GF(2^8) (modulo the Rijndael polynomial
 ``x^8 + x^4 + x^3 + x + 1``) followed by the specified affine transform.
-Encryption uses the standard 32-bit T-table formulation, which both the
-scalar code here and the vectorised engine share.
+Encryption uses the standard 32-bit T-table formulation.
 """
 
 from __future__ import annotations

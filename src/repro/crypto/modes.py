@@ -1,8 +1,9 @@
 """Block cipher modes of operation.
 
 The item codec (:mod:`repro.core.ciphertext`) uses AES-CTR so ciphertext
-length equals plaintext length plus the nonce; CTR runs in OpenSSL through
-``cryptography`` (small-item batches through :mod:`repro.crypto.bulk`).
+length equals plaintext length plus the nonce.  CTR has one kernel:
+libcrypto's EVP interface (OpenSSL >= 3.0), called through :mod:`ctypes`
+with one cipher context re-keyed per item, loaded on the first call.
 ECB and CBC with PKCS#7 run on the in-repo :class:`~repro.crypto.aes.AES`
 and are kept for completeness and for the NIST SP 800-38A conformance
 tests.
@@ -11,6 +12,7 @@ tests.
 from __future__ import annotations
 
 import functools
+from types import SimpleNamespace
 
 from repro.crypto.aes import AES
 from repro.crypto.padding import pad, unpad
@@ -77,27 +79,111 @@ def aes_cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes, *,
 
 
 _COUNTER_LIMIT = 1 << 64
-
-#: Batches of at least this many items whose payloads average at most
-#: :data:`_BULK_MAX_MEAN_BLOCKS` blocks run as one numpy sweep in
-#: :mod:`repro.crypto.bulk`: per-item OpenSSL pays a ~15 us key setup per
-#: item, which loses to the sweep on many small items (1024 x 64 B: 26 ms
-#: against 9 ms).  Smaller batches never amortise the sweep's ~0.7 ms
-#: fixed cost, and larger payloads are many times faster in OpenSSL.
-_BULK_MIN_ITEMS = 128
-_BULK_MAX_MEAN_BLOCKS = 16
+_KEY_SIZES = (16, 24, 32)
 
 
 @functools.cache
-def _openssl_ctr():
-    """``cryptography``'s AES-CTR constructors, imported on first use.
+def _evp() -> SimpleNamespace:
+    """libcrypto's EVP cipher calls, bound on the first AES-CTR call.
 
-    The import is deferred so that processes which never encrypt (the
-    server) do not load libcrypto.
+    Loading is deferred so that processes which never encrypt (the
+    server) load neither libcrypto nor :mod:`ctypes`.  The library is
+    opened by its soname, which the interpreter's ``_hashlib`` has
+    usually mapped already.  OpenSSL 3.0 or later is required (the
+    kernel fetches its ciphers with ``EVP_CIPHER_fetch``); anything else
+    raises :class:`RuntimeError` -- there is no other AES-CTR path.
     """
-    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
-    from cryptography.hazmat.primitives.ciphers import modes as ciphermodes
-    return Cipher, algorithms.AES, ciphermodes.CTR
+    import ctypes
+    from ctypes import c_char_p, c_int, c_ulong, c_void_p
+
+    try:
+        lib = ctypes.CDLL("libcrypto.so.3")
+    except OSError as exc:
+        raise RuntimeError(f"AES-CTR needs OpenSSL >= 3.0: {exc}") from None
+
+    def bind(name, restype, *argtypes):
+        function = getattr(lib, name)
+        function.restype, function.argtypes = restype, list(argtypes)
+        return function
+
+    version = bind("OpenSSL_version_num", c_ulong)()
+    if version < 0x30000000:
+        raise RuntimeError(f"AES-CTR needs OpenSSL >= 3.0, found "
+                           f"0x{version:08x}")
+    fetch = bind("EVP_CIPHER_fetch", c_void_p, c_void_p, c_char_p, c_char_p)
+    ciphers = {}
+    for size in _KEY_SIZES:
+        ciphers[size] = fetch(None, f"AES-{8 * size}-CTR".encode(), None)
+        if not ciphers[size]:
+            raise RuntimeError(f"OpenSSL has no AES-{8 * size}-CTR")
+    return SimpleNamespace(
+        ciphers=ciphers,
+        ctx_new=bind("EVP_CIPHER_CTX_new", c_void_p),
+        ctx_free=bind("EVP_CIPHER_CTX_free", None, c_void_p),
+        init=bind("EVP_EncryptInit_ex2", c_int,
+                  c_void_p, c_void_p, c_char_p, c_char_p, c_void_p),
+        # ``outl`` is passed as an address: cheaper than a checked pointer.
+        update=bind("EVP_EncryptUpdate", c_int,
+                    c_void_p, c_void_p, c_void_p, c_char_p, c_int),
+        get_error=bind("ERR_get_error", c_ulong),
+        clear_error=bind("ERR_clear_error", None),
+        buffer=ctypes.create_string_buffer, addressof=ctypes.addressof,
+        c_int=c_int)
+
+
+def _evp_failed(evp: SimpleNamespace, call: str) -> None:
+    code = evp.get_error()
+    evp.clear_error()
+    raise RuntimeError(f"OpenSSL {call} failed (error 0x{code:x})")
+
+
+def _ctr(keys, nonces, datas, sizes, initial_counter: int) -> list[bytes]:
+    """The one AES-CTR loop: every item through one re-keyed EVP context.
+
+    :func:`aes_ctr_many` has checked every argument.  The context is made
+    for this call and freed (its key schedule cleansed) before returning,
+    so no state is shared between threads.  Items are written at
+    increasing offsets into one output buffer and sliced out afterwards;
+    a failed call raises and nothing is returned.
+    """
+    total = sum(sizes)
+    if not total:
+        return [b""] * len(datas)
+    evp = _evp()
+    init, update, ciphers = evp.init, evp.update, evp.ciphers
+    out = evp.buffer(total)
+    address = evp.addressof(out)
+    written = evp.c_int()
+    written_at = evp.addressof(written)
+    counter = initial_counter.to_bytes(8, "big")
+    ctx = evp.ctx_new()
+    if not ctx:
+        raise MemoryError("OpenSSL EVP_CIPHER_CTX_new failed")
+    try:
+        current = None
+        for key, nonce, data, size in zip(keys, nonces, datas, sizes):
+            if not size:
+                continue
+            cipher = ciphers[len(key)]
+            # A NULL cipher re-keys the context without re-initialising it.
+            if not init(ctx, None if cipher == current else cipher, key,
+                        nonce + counter, None):
+                _evp_failed(evp, "EVP_EncryptInit_ex2")
+            current = cipher
+            # The length is a C int: the ``written`` check also refuses a
+            # payload of 2**31 bytes or more.
+            if (not update(ctx, address, written_at, data, size)
+                    or written.value != size):
+                _evp_failed(evp, "EVP_EncryptUpdate")
+            address += size
+    finally:
+        evp.ctx_free(ctx)
+    raw = out.raw
+    results, offset = [], 0
+    for size in sizes:
+        results.append(raw[offset:offset + size])
+        offset += size
+    return results
 
 
 def _check_counter_range(initial_counter: int, blocks: int) -> None:
@@ -112,47 +198,38 @@ def aes_ctr(key: bytes, nonce: bytes, data: bytes, *,
     """Encrypt or decrypt ``data`` with AES-CTR (the operation is symmetric).
 
     The counter block is ``nonce (8 bytes) || counter (8 bytes, big endian)``
-    and the transform runs in OpenSSL through ``cryptography``.  The
+    and the transform runs in OpenSSL (>= 3.0) through ``EVP``.  The
     counter field is 64 bits wide: a payload whose counters would pass
     ``2**64`` raises :class:`ValueError` rather than carry into the nonce.
     """
-    if len(key) not in (16, 24, 32):
-        raise ValueError(f"AES key must be 16, 24 or 32 bytes, got {len(key)}")
-    if len(nonce) != 8:
-        raise ValueError("CTR nonce must be 8 bytes")
-    _check_counter_range(initial_counter, (len(data) + 15) // 16)
-    if not data:
-        return b""
-    cipher, aes, ctr = _openssl_ctr()
-    return cipher(aes(key), ctr(nonce + initial_counter.to_bytes(8, "big"))
-                  ).encryptor().update(data)
+    return aes_ctr_many([key], [nonce], [data],
+                        initial_counter=initial_counter)[0]
 
 
 def aes_ctr_many(keys, nonces, datas, *, initial_counter: int = 0) -> list[bytes]:
-    """AES-CTR over many independent ``(key, nonce, data)`` triples.
+    """AES-CTR over many independent ``(key, nonce, data)`` bytes triples.
 
-    Bit-identical to calling :func:`aes_ctr` per triple, which is what
-    happens unless the batch is many small items under 16-byte keys;
-    those run as *one* vectorised sweep in :mod:`repro.crypto.bulk`, key
-    schedules included.
+    Bit-identical to calling :func:`aes_ctr` per triple: the batch runs
+    through one libcrypto cipher context, re-keyed per item, so each
+    item pays about a microsecond of key setup.  Every argument is
+    checked before any item is transformed.
     """
     if not (len(keys) == len(nonces) == len(datas)):
         raise ValueError("batch arguments must have equal lengths")
-    blocks = [(len(data) + 15) // 16 for data in datas]
-    _check_counter_range(initial_counter, max(blocks, default=0))
-    if (len(keys) >= _BULK_MIN_ITEMS
-            and sum(blocks) <= _BULK_MAX_MEAN_BLOCKS * len(keys)
-            and all(len(key) == 16 for key in keys)):
-        from repro.crypto.bulk import ctr_transform_many
-        return ctr_transform_many(keys, nonces, datas,
-                                  initial_counter=initial_counter)
-    return [aes_ctr(key, nonce, data, initial_counter=initial_counter)
-            for key, nonce, data in zip(keys, nonces, datas)]
+    for key, nonce in zip(keys, nonces):
+        if len(key) not in _KEY_SIZES:
+            raise ValueError(
+                f"AES key must be 16, 24 or 32 bytes, got {len(key)}")
+        if len(nonce) != 8:
+            raise ValueError("CTR nonce must be 8 bytes")
+    sizes = [len(data) for data in datas]
+    _check_counter_range(initial_counter, (max(sizes, default=0) + 15) // 16)
+    return _ctr(keys, nonces, datas, sizes, initial_counter)
 
 
 def aes_ctr_scalar(key: bytes, nonce: bytes, data: bytes, *,
                    initial_counter: int = 0) -> bytes:
-    """Pure-Python AES-CTR used as the reference for the vectorised engine."""
+    """Pure-Python AES-CTR, the reference for the OpenSSL kernel."""
     if len(nonce) != 8:
         raise ValueError("CTR nonce must be 8 bytes")
     cipher = AES(key)

@@ -1,31 +1,25 @@
-"""Single-item batches of the vectorised AES-CTR engine against the
-scalar reference and the AES block function."""
+"""Single-item batches of ``aes_ctr_many`` against the scalar reference
+and the AES block function."""
 
 import pytest
 
 from repro.crypto.aes import AES
-from repro.crypto.bulk import ctr_transform_many
-from repro.crypto.modes import aes_ctr_many, aes_ctr_scalar
+from repro.crypto.modes import aes_ctr, aes_ctr_many, aes_ctr_scalar
 
 
 def _one(key, nonce, data, **kwargs):
-    return ctr_transform_many([key], [nonce], [data], **kwargs)[0]
+    return aes_ctr_many([key], [nonce], [data], **kwargs)[0]
 
 
 @pytest.mark.parametrize("key_size", [16, 24, 32])
 @pytest.mark.parametrize("size", [1, 16, 17, 160, 4096, 10_000])
 def test_matches_scalar_reference(key_size, size, rng):
-    """The numpy engine serves 128-bit keys; every key size's batch
-    matches the scalar reference through ``aes_ctr_many``."""
+    """Every key size matches the scalar reference, alone and batched."""
     key, nonce = rng.bytes(key_size), rng.bytes(8)
     data = rng.bytes(size)
     expected = aes_ctr_scalar(key, nonce, data)
-    assert aes_ctr_many([key], [nonce], [data]) == [expected]
-    if key_size == 16:
-        assert _one(key, nonce, data) == expected
-    else:
-        with pytest.raises(ValueError):
-            _one(key, nonce, data)
+    assert _one(key, nonce, data) == expected
+    assert aes_ctr(key, nonce, data) == expected
 
 
 def test_keystream_blocks_are_ecb_of_counter_blocks(rng):

@@ -112,7 +112,7 @@ def test_ctr_counter_stays_within_64_bits():
         aes_ctr(key, nonce, b"x", initial_counter=2 ** 64)
     with pytest.raises(ValueError):
         aes_ctr(key, nonce, b"x", initial_counter=-1)
-    # Both sides of the batch dispatch enforce the same range.
+    # Batches, of one item or many, enforce the same range.
     for count in (1, 128):
         with pytest.raises(ValueError):
             aes_ctr_many([key] * count, [nonce] * count,

@@ -380,8 +380,9 @@ def test_server_with_audit_still_pickles(tmp_path):
 
 def test_audit_needs_the_commit_log(tmp_path):
     paths = Paths(tmp_path)
-    with pytest.raises(ValueError, match="archive"):
-        AuditLog(CommitLog(str(tmp_path / "plain.wal")))
+    with CommitLog(str(tmp_path / "plain.wal")) as plain:
+        with pytest.raises(ValueError, match="archive"):
+            AuditLog(plain)
     with paths.open() as wal:
         with pytest.raises(ReproError, match="attach a WAL"):
             CloudServer().attach_audit(AuditLog(wal))

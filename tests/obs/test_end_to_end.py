@@ -33,7 +33,7 @@ def test_traced_delete_over_tcp_shares_one_trace_id(tmp_path):
     obs.enable(log_stream=buf)
     server = CloudServer()
     server.attach_wal(CommitLog(str(tmp_path / "server.wal")))
-    with TcpServerHost(server) as host:
+    with server.wal, TcpServerHost(server) as host:
         with TcpChannel(host.address, server.ctx) as channel:
             client = AssuredDeletionClient(channel,
                                            rng=DeterministicRandom("e2e"))

@@ -43,6 +43,7 @@ def test_healthz_and_404():
         assert status == 200 and body == "ok\n"
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             scrape(server.address, "/other")
+        excinfo.value.close()   # the error holds the response's socket
         assert excinfo.value.code == 404
 
 

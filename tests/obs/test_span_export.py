@@ -24,7 +24,8 @@ def test_every_span_exported_at_full_sample(tmp_path):
             pass
     spanexport.detach()
 
-    records = [json.loads(line) for line in open(path, encoding="utf-8")]
+    with open(path, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
     assert {r["name"] for r in records} == {"outer", "inner"}
     assert all(r["export"] == "sampled" for r in records)
     # Children share the root's trace id -- the tree survives intact.

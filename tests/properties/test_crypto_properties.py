@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from repro.core.modulated_chain import ChainEngine
 from repro.core.params import PAPER_PARAMS, SHA256_PARAMS
 from repro.crypto.aes import AES
-from repro.crypto.bulk import ctr_transform_many
 from repro.crypto.hmac import hmac_digest
 from repro.crypto.modes import (aes_cbc_decrypt, aes_cbc_encrypt, aes_ctr,
-                                aes_ctr_many)
+                                aes_ctr_many, aes_ctr_scalar)
 from repro.crypto.padding import pad, unpad
 from tests.conftest import scaled_examples
 
@@ -55,34 +54,24 @@ def test_ctr_is_an_involution(key, nonce, data):
 
 
 @settings(max_examples=scaled_examples(30))
-@given(keys128, nonces, payloads)
+@given(keys_any, nonces, payloads)
 def test_bulk_ctr_matches_scalar(key, nonce, data):
-    from repro.crypto.modes import aes_ctr_scalar
-    assert ctr_transform_many([key], [nonce], [data]) == \
+    assert aes_ctr_many([key], [nonce], [data]) == \
         [aes_ctr_scalar(key, nonce, data)]
 
 
 @st.composite
 def ctr_batches(draw):
-    """Batches straddling the bulk cutoff of ``aes_ctr_many``: 127 or 128
-    items whose payloads total a mean of 16 or 17 blocks, some empty."""
-    count = draw(st.sampled_from([127, 128]))
-    mean_blocks = draw(st.sampled_from([16, 17]))
-    empty = draw(st.sets(st.integers(0, count - 1), max_size=count // 2))
-    live = [i for i in range(count) if i not in empty]
-    # Spread count * mean_blocks blocks over the live items, so the mean
-    # over all items, empty ones included, is exactly mean_blocks; each
-    # payload may end in a partial block.
-    sizes = [0] * count
-    for j, i in enumerate(live):
-        blocks = count * mean_blocks // len(live) + (
-            j < count * mean_blocks % len(live))
-        sizes[i] = 16 * blocks - draw(st.integers(0, 15))
+    """Batches that mix 16/24/32-byte keys from item to item, with empty,
+    sub-block and multi-block payloads."""
+    count = draw(st.integers(1, 40))
+    keys = [draw(keys_any) for _ in range(count)]
+    sizes = draw(st.lists(st.sampled_from([0, 1, 15, 16, 17, 64, 100, 257]),
+                          min_size=count, max_size=count))
     seed = draw(st.binary(min_size=8, max_size=8))
-    data = hashlib.shake_256(seed).digest(sum(sizes) + 24 * count)
-    keys = [data[24 * i:24 * i + 16] for i in range(count)]
-    nonces = [data[24 * i + 16:24 * i + 24] for i in range(count)]
-    offset, datas = 24 * count, []
+    data = hashlib.shake_256(seed).digest(sum(sizes) + 8 * count)
+    nonces = [data[8 * i:8 * i + 8] for i in range(count)]
+    offset, datas = 8 * count, []
     for size in sizes:
         datas.append(data[offset:offset + size])
         offset += size
@@ -91,10 +80,10 @@ def ctr_batches(draw):
 
 @settings(max_examples=scaled_examples(12), deadline=None)
 @given(ctr_batches(), st.integers(0, 2 ** 32))
-def test_ctr_many_matches_per_item_across_bulk_cutoff(batch, initial):
+def test_ctr_many_matches_scalar_reference(batch, initial):
     keys, nonces, datas = batch
     assert aes_ctr_many(keys, nonces, datas, initial_counter=initial) == [
-        aes_ctr(key, nonce, data, initial_counter=initial)
+        aes_ctr_scalar(key, nonce, data, initial_counter=initial)
         for key, nonce, data in zip(keys, nonces, datas)]
 
 
