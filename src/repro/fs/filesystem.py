@@ -176,9 +176,9 @@ class OutsourcedFile:
         """Finalise a :meth:`delete_record` whose commit failed in transit.
 
         If the data-tree commit is journalled, it is replayed
-        byte-for-byte (the server answers from its replay cache if it
-        already applied it) and the master key is then replaced in the
-        meta tree; otherwise the journalled meta ``ReplaceCommit`` is
+        byte-for-byte (if it already applied, the replay cache or the
+        tree says so) and the master key is then replaced in the meta
+        tree; otherwise the journalled meta ``ReplaceCommit`` is
         replayed.  Either way the record is deleted exactly once.
         """
         item_id = self._record.index.item_id_at(position)

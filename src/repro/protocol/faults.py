@@ -24,7 +24,8 @@ The tests in ``tests/protocol/test_faults.py`` and
 semantics under each fault: reads are always safely retryable, versioned
 commits are protected against duplicate application by the tree-version
 check and the request-id replay cache, and a lost deletion ACK is safe to
-replay the journalled commit for (exactly-once either way).
+replay the journalled commit for (exactly-once either way: answered by
+the replay cache, or else settled by the client from the tree).
 
 Server computation time is metered into ``counters.server_seconds``
 exactly as :class:`~repro.protocol.channel.LoopbackChannel` does --

@@ -24,11 +24,12 @@ layer subtracts them where the paper's overhead definition requires
 ("the overhead does not include the data item itself").
 
 Every *mutating* message carries a client-chosen ``request_id`` (a
-non-zero random u64).  The server remembers the reply it produced for
-each id, so a retransmission -- a transport-level retry after a timeout,
-or a journalled client resend after a lost Ack -- is answered from that
-cache instead of being applied twice.  ``request_id = 0`` opts out (the
-message is then only protected by the tree-version check).
+non-zero random u64).  The server remembers the reply to each id in a
+bounded cache, so a retransmission it holds -- a transport retry, or a
+journalled client resend after a lost Ack -- is answered from that cache
+instead of being applied twice; a resend it no longer holds is refused
+as stale and settled by the client from the tree.  ``request_id = 0``
+opts out (the message is then only protected by the tree-version check).
 
 Any message may additionally carry an optional **trace-context trailer**
 after its body (see ``docs/OBSERVABILITY.md``): a one-byte magic

@@ -314,19 +314,12 @@ class ShardCluster:
         Moves each per-file state wholesale into its ring-assigned
         shard; returns the number of files placed.  Used when a vault
         built against one embedded server is first served sharded.
-        Every shard also gets the source's request-id replies (a reply
-        does not name its file), so a commit journalled before the
-        move and resent after it is answered, not re-applied.
         """
         placed = 0
         for file_id in source.file_ids():
             self.server_for(file_id).install_file_state(
                 file_id, source.file_state(file_id))
             placed += 1
-        entries = source.replay_cache_entries()
-        for unit in self.units:
-            unit.server.restore_replay_cache(
-                unit.server.replay_cache_entries() + entries)
         return placed
 
     def compact(self) -> list[dict]:

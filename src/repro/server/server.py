@@ -55,11 +55,6 @@ MUTATING_REQUESTS = (msg.OutsourceRequest, msg.ModifyCommit,
 #: everything by taking the registry lock exclusively.
 REGISTRY_REQUESTS = (msg.OutsourceRequest, msg.DeleteFileRequest)
 
-#: Commits that move a file's version; each file remembers the reply to
-#: the last one applied (``ServerFile.last_commit``).
-VERSIONED_COMMITS = (msg.DeleteCommit, msg.BatchDeleteCommit,
-                     msg.ReplaceCommit, msg.InsertCommit)
-
 
 def _error_reply(exc: ReproError, request_id: int) -> msg.ErrorReply:
     """The reply to a request refused with ``exc``."""
@@ -70,19 +65,11 @@ def _error_reply(exc: ReproError, request_id: int) -> msg.ErrorReply:
 
 @dataclass
 class ServerFile:
-    """Per-file server state: the tree, the ciphertexts and the version.
-
-    Retransmitted commits are answered by the server-wide request-id
-    cache (:meth:`CloudServer.replay_cache_entries`).  ``last_commit``
-    keeps the ``(request_id, reply)`` of the last versioned commit
-    applied to this file, so a client resuming it after a lost Ack is
-    answered however many other requests evicted it from that cache.
-    """
+    """Per-file server state: the tree, the ciphertexts and the version."""
 
     tree: ModulationTree
     ciphertexts: CiphertextStore
     version: int = 0
-    last_commit: Optional[tuple[int, "msg.Message"]] = None
 
 
 class CloudServer:
@@ -201,8 +188,8 @@ class CloudServer:
         request materialises only its root-to-leaf paths, cached in a
         bounded LRU of ``cache_nodes`` nodes); files outsourced while
         running stay resident until :meth:`compact_storage` converts
-        them.  The engine's persisted replay table is restored so
-        retried commits stay exactly-once across restarts.  Paged and
+        them.  The engine's persisted replay table is restored, so the
+        retransmissions it holds are answered across restarts.  Paged and
         resident files obey the same modulator rules (the collision
         bound is in ``docs/SECURITY.md``).
 
@@ -276,19 +263,10 @@ class CloudServer:
             self._applied = OrderedDict(entries[-self.REPLAY_CACHE_LIMIT:])
 
     def _lookup_applied(self, request: msg.Message) -> Optional[msg.Message]:
-        """The reply recorded for ``request``'s id, if it was handled.
-
-        A versioned commit evicted from the request-id cache is still
-        found in its file's ``last_commit``.
-        """
+        """The reply recorded for ``request``'s id, if it was handled."""
         request_id = request.request_id
         with self._applied_mutex:
             cached = self._applied.get(request_id)
-        if cached is None and isinstance(request, VERSIONED_COMMITS):
-            last = getattr(self._files.get(request.file_id),
-                           "last_commit", None)
-            if last is not None and last[0] == request_id:
-                cached = last[1]
         if obs.enabled:
             from repro.obs import instruments as ins
             ins.REPLAY_LOOKUPS.inc(cache="request_id")
@@ -425,10 +403,6 @@ class CloudServer:
                 # resend after that crash is answered, not re-applied.
                 if request_id:
                     self._remember_applied(request_id, reply)
-                    if (isinstance(request, VERSIONED_COMMITS)
-                            and isinstance(reply, msg.Ack)):
-                        self._files[request.file_id].last_commit = (
-                            request_id, reply)
                 if applied:
                     self._fire_crash(CRASH_POINT_AFTER_APPLY)
                 if audit is not None:
@@ -600,8 +574,8 @@ class CloudServer:
         The shard-migration door: :meth:`adopt_file` rebuilds a file from
         its parts (resetting its version), whereas this moves an
         existing :class:`ServerFile`, version included, between server
-        instances.  The request-id replies travel separately
-        (:meth:`restore_replay_cache`).
+        instances.  Request-id replies stay behind; a resend after the
+        move is settled by the client from the tree.
         """
         self._files[file_id] = state
         self._view_caches.pop(file_id, None)

@@ -513,6 +513,60 @@ def test_retry_after_checkpoint_answers_from_persisted_cache(tmp_path):
     assert h.client.access(1, new_key, h.ids[0]) == b"item-0"
 
 
+@pytest.mark.parametrize("compact", [True, False],
+                         ids=["compact-restart", "crash-restart"])
+@pytest.mark.parametrize("op", ["delete", "delete_many", "replace"])
+def test_lost_ack_resumes_after_eviction_and_restart(tmp_path, monkeypatch,
+                                                     op, compact):
+    """The Ack is lost, other files' commits evict the reply from the
+    request-id cache, and the server restarts -- after a checkpoint
+    (nothing left to replay) or after a crash (the WAL replays).  The
+    server no longer knows the commit, so it refuses the resend as
+    stale; the client then reads the tree under the journalled new key,
+    finds the commit applied and finishes: applied once, and only the
+    new key left on the device."""
+    monkeypatch.setattr(CloudServer, "REPLAY_CACHE_LIMIT", 4)
+    h = Harness(tmp_path)
+    victims = (h.ids[1], h.ids[4]) if op == "delete_many" else (h.ids[1],)
+    if op == "replace":
+        ticket = h.client.open_replace(1, h.key, victims[0])
+        h.schedule([DROP_RESPONSE])
+    else:
+        h.schedule([NONE, DROP_RESPONSE])
+    with pytest.raises(ChannelError):
+        if op == "delete":
+            h.client.delete(1, h.key, victims[0])
+        elif op == "delete_many":
+            h.client.delete_many(1, h.key, victims)
+        else:
+            h.client.replace(ticket, h.key, b"replacement")
+    [(side, side_key, _side_ids)] = side_clients(h.server, 2)
+    for i in range(2 * CloudServer.REPLAY_CACHE_LIMIT):
+        side.insert(2, side_key, b"filler-%d" % i)
+    version = h.server.file_state(1).version
+    if compact:
+        h.server.compact_storage()
+
+    h.restart()
+    if op == "delete":
+        new_key = h.client.resume_delete(1, victims[0])
+    elif op == "delete_many":
+        new_key = h.client.resume_delete_many(1, victims)
+    else:
+        new_key, new_id = h.client.resume_replace(1, victims[0])
+        assert h.client.access(1, new_key, new_id) == b"replacement"
+    assert h.server.file_state(1).version == version  # not applied again
+    assert h.client.pending_deletes() == []
+    assert h.client.pending_batch_deletes() == []
+    assert h.client.keystore.seize() == {"master:1": new_key}
+    for index, item_id in enumerate(h.ids):
+        if item_id not in victims:
+            assert h.client.access(1, new_key, item_id) == b"item-%d" % index
+    for victim in victims:
+        with pytest.raises(UnknownItemError):
+            h.client.access(1, new_key, victim)
+
+
 def test_duplicate_queued_behind_its_original_is_answered_not_logged(
         tmp_path):
     """A second delivery of a DeleteCommit arrives while the first holds
