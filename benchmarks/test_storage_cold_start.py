@@ -46,7 +46,7 @@ from repro.core.params import Params
 from repro.core.tree import ItemMap, ModulationTree
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol.channel import LoopbackChannel
-from repro.server.engine import KIND_LEAF, KIND_LINK, make_engine
+from repro.server.engine import KIND_LEAF, KIND_LINK, SQLiteTreeStore
 from repro.server.server import CloudServer
 from repro.server.storage import InMemoryCiphertextStore
 from repro.server.wal import CommitLog, recover_server
@@ -117,7 +117,7 @@ def _timed_deletes(server: CloudServer, master_key: bytes,
 def _eager_load(engine_file: str) -> CloudServer:
     """Read the engine's whole state into a resident server: the O(n)
     work a whole-state format does before it can serve."""
-    engine = make_engine("sqlite", engine_file)
+    engine = SQLiteTreeStore(engine_file)
     try:
         n = engine.get_meta(FILE_ID).n_leaves
         store = DenseModulatorStore(PARAMS.modulator_size)
@@ -148,7 +148,7 @@ def _engine_world(data_dir: str, backend: str, n: int,
     wal_path = os.path.join(data_dir, f"{backend}.wal")
 
     seed_server, master_key, targets = _build_seed(n, seed)
-    engine = make_engine(backend, engine_file)
+    engine = SQLiteTreeStore(engine_file)
     seed_server.attach_engine(engine)
     convert_start = time.perf_counter()
     seed_server.compact_storage()
@@ -163,7 +163,7 @@ def _engine_world(data_dir: str, backend: str, n: int,
 
     recover_start = time.perf_counter()
     engine_server = recover_server(wal_path, PARAMS,
-                                   engine=make_engine(backend, engine_file))
+                                   engine=SQLiteTreeStore(engine_file))
     engine_seconds = time.perf_counter() - recover_start
 
     # The in-memory side of the delete comparison, built directly from
@@ -221,16 +221,14 @@ def storage_curve() -> dict:
         deletes = len(world["targets"])
         _close_world(world)
         replay_server = recover_server(world["wal_path"], PARAMS,
-                                       engine=make_engine("sqlite",
-                                                          world["engine_file"]))
+                                       engine=SQLiteTreeStore(world["engine_file"]))
         replayed_before = replay_server.last_recovery["replayed_records"]
         replay_server.compact_storage()
         replay_server.wal.close()
         replay_server.engine.close()
         compacted_start = time.perf_counter()
         compacted = recover_server(world["wal_path"], PARAMS,
-                                   engine=make_engine("sqlite",
-                                                      world["engine_file"]))
+                                   engine=SQLiteTreeStore(world["engine_file"]))
         compacted_seconds = time.perf_counter() - compacted_start
         replayed_after = compacted.last_recovery["replayed_records"]
         compacted.wal.close()

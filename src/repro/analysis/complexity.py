@@ -10,9 +10,9 @@ paper's claim.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.analysis.config import complexity_grid
 from repro.analysis.render import render_table
@@ -47,22 +47,22 @@ def classify_growth(ns: list[int], ys: list[float]) -> str:
     parameter) and its slope contributes a non-trivial fraction of the
     observed values.
     """
-    x = np.asarray(ns, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if y.max() <= 0:
+    x = [float(n) for n in ns]
+    y = [float(v) for v in ys]
+    if max(y) <= 0:
         return "O(1)"
-    constant_residual = float(np.sum((y - y.mean()) ** 2))
+    mean = statistics.fmean(y)
+    constant_residual = sum((v - mean) ** 2 for v in y)
+    y_extent = max(max(abs(v) for v in y), 1e-12)
 
-    def fit(feature: np.ndarray) -> tuple[float, float]:
-        design = np.column_stack([np.ones_like(feature), feature])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        fitted = design @ coef
-        residual = float(np.sum((y - fitted) ** 2))
-        slope_share = float(coef[1] * (feature.max() - feature.min())
-                            / max(abs(y).max(), 1e-12))
+    def fit(feature: list[float]) -> tuple[float, float]:
+        slope, intercept = statistics.linear_regression(feature, y)
+        residual = sum((v - (intercept + slope * f)) ** 2
+                       for f, v in zip(feature, y))
+        slope_share = slope * (max(feature) - min(feature)) / y_extent
         return residual, slope_share
 
-    log_residual, log_share = fit(np.log2(x))
+    log_residual, log_share = fit([math.log2(n) for n in x])
     lin_residual, lin_share = fit(x)
 
     # Growth must explain >= 60% of the variance and move the values by
@@ -78,8 +78,8 @@ def classify_growth(ns: list[int], ys: list[float]) -> str:
     # R x in n grows by ~R x in y (modulo an additive constant); a noisy
     # logarithmic series never does.  Without this, one slow top-of-grid
     # sample can make the linear fit win on residuals alone.
-    n_range = x.max() / x.min()
-    y_range = y.max() / max(y.min(), 1e-12)
+    n_range = max(x) / min(x)
+    y_range = max(y) / max(min(y), 1e-12)
     if n_range >= 16 and y_range < max(4.0, 0.1 * n_range):
         explains["O(n)"] = False
     if not any(explains.values()):

@@ -356,15 +356,16 @@ def cmd_serve(vault: Vault, args) -> int:
         # first durable serve writes the vault's files into the engine;
         # later ones recover from engine + WAL (surviving kill -9
         # mid-commit), paging files in on demand.
-        from repro.server.engine import engine_path, make_engine, refuse_image
+        from repro.server.engine import (SQLiteTreeStore, engine_path,
+                                         refuse_image)
         from repro.server.wal import recover_server
         refuse_image(os.path.join(vault.server_dir, "server.img"))
         wal_path = os.path.join(vault.server_dir, "server.wal")
         audit_path = _kept_audit_path(vault.server_dir, args.audit)
-        engine_file = engine_path(vault.server_dir, "sqlite")
+        engine_file = engine_path(vault.server_dir)
         fresh = (not os.path.exists(engine_file)
                  and not os.path.exists(wal_path))
-        engine = make_engine("sqlite", engine_file)
+        engine = SQLiteTreeStore(engine_file)
         if fresh:
             # Bootstrap: write the vault's files into the engine once
             # (no WAL attached yet, so this is a pure engine flush).
@@ -481,7 +482,7 @@ def cmd_compact(vault: Vault, _args) -> int:
     from repro.server.engine import SQLiteTreeStore, engine_path
     from repro.server.wal import recover_server
 
-    engine_file = engine_path(vault.server_dir, "sqlite")
+    engine_file = engine_path(vault.server_dir)
     if not os.path.exists(engine_file):
         raise ReproError(
             f"no sqlite engine state at {engine_file!r}; serve with "

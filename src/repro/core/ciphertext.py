@@ -8,7 +8,8 @@ Each data item ``m`` is stored encrypted under its modulated data key
   checks the recovered ``r`` against the item id it asked for, which is
   what defeats the wrong-leaf substitution attack in Theorem 2, case ii;
 * ``H(m || r)`` binds the plaintext for decrypt-verification ("only if the
-  decryption is successful ... the client accepts MT(k)").
+  decryption is successful ... the client accepts MT(k)"); the tag is
+  compared in constant time (:func:`hmac.compare_digest`).
 
 Wire layout (AES-CTR keeps the ciphertext length minimal):
 
@@ -23,6 +24,7 @@ microsecond by re-keying one OpenSSL (>= 3.0) cipher context per item.
 
 from __future__ import annotations
 
+import hmac
 import struct
 
 from repro.core.errors import IntegrityError
@@ -109,7 +111,7 @@ class ItemCodec:
         expected = self._hash_many([message + r for r, message, _tag in parts])
         results = []
         for (r, message, tag), computed in zip(parts, expected):
-            if computed != tag:
+            if not hmac.compare_digest(computed, tag):
                 raise IntegrityError("decrypt-verification failed: wrong key "
                                      "or tampered ciphertext")
             results.append((message, struct.unpack(">Q", r)[0]))
@@ -134,7 +136,7 @@ class ItemCodec:
         r_bytes = payload[:_COUNTER_SIZE]
         message = payload[_COUNTER_SIZE:-self._digest_size]
         tag = payload[-self._digest_size:]
-        if self._item_hash(message, r_bytes) != tag:
+        if not hmac.compare_digest(self._item_hash(message, r_bytes), tag):
             raise IntegrityError("decrypt-verification failed: wrong key or "
                                  "tampered ciphertext")
         return message, struct.unpack(">Q", r_bytes)[0]

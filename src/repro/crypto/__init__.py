@@ -7,7 +7,6 @@ and modulators, see :data:`repro.core.params.PAPER_PARAMS`), with SHA-256
 as the drop-in alternative of the hash-choice ablation.  On top of that:
 
 * :mod:`repro.crypto.hmac` -- one-shot HMAC (RFC 2104), a stdlib wrapper.
-* :mod:`repro.crypto.hkdf` -- HKDF (RFC 5869) for key derivation.
 * :mod:`repro.crypto.prf` -- the PRF used by the master-key baseline.
 * :mod:`repro.crypto.drbg` -- HMAC-DRBG (NIST SP 800-90A) providing
   deterministic randomness for reproducible experiments.
@@ -15,17 +14,13 @@ as the drop-in alternative of the hash-choice ablation.  On top of that:
   one kernel: libcrypto's EVP interface (OpenSSL >= 3.0, loaded by its
   soname through :mod:`ctypes`), one cipher context re-keyed per item.
   The library is bound on the first call, so processes which never
-  encrypt (the server) do not load it.  The module also holds ECB/CBC
-  over the in-repo AES.
-* :mod:`repro.crypto.aes` -- the AES block cipher (FIPS 197), built from
-  the specification; drives ECB/CBC, GCM, CMAC and the scalar CTR
-  reference the tests compare against.
-* :mod:`repro.crypto.gcm`, :mod:`repro.crypto.cmac` -- AES-GCM and
-  AES-CMAC (unused by the scheme; kept with their test vectors).
+  encrypt (the server) do not load it.
+* :mod:`repro.crypto.aes` -- the AES block cipher's encryption (FIPS 197),
+  built from the specification; it drives the scalar CTR reference the
+  OpenSSL kernel is tested against.
 * :mod:`repro.crypto.rng` -- random source abstraction (system / seeded).
-* :mod:`repro.crypto.ct` -- constant-time comparison helpers.
 
-Both AES implementations are validated against official test vectors in
+The AES code is validated against official test vectors in
 ``tests/crypto``; the hash wrappers keep their FIPS/RFC vectors there as
 smoke checks, and ``tests/crypto/test_golden_vectors.py`` pins the exact
 outputs of every hash-driven derivation.
@@ -33,10 +28,8 @@ outputs of every hash-driven derivation.
 
 from repro.crypto.aes import AES
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.gcm import aes_gcm_decrypt, aes_gcm_encrypt
-from repro.crypto.hkdf import hkdf
 from repro.crypto.hmac import hmac_digest
-from repro.crypto.modes import aes_cbc_decrypt, aes_cbc_encrypt, aes_ctr
+from repro.crypto.modes import aes_ctr
 from repro.crypto.prf import prf, prf_many
 from repro.crypto.rng import DeterministicRandom, RandomSource, SystemRandom
 
@@ -46,12 +39,7 @@ __all__ = [
     "HmacDrbg",
     "RandomSource",
     "SystemRandom",
-    "aes_cbc_decrypt",
-    "aes_cbc_encrypt",
     "aes_ctr",
-    "aes_gcm_decrypt",
-    "aes_gcm_encrypt",
-    "hkdf",
     "hmac_digest",
     "prf",
     "prf_many",

@@ -2,11 +2,11 @@
 
 The paper encrypts each 4 KB data item with AES under a 128-bit key taken
 from the key modulation function's output.  This module provides the raw
-block transform for AES-128/192/256; modes of operation live in
-:mod:`repro.crypto.modes`, whose AES-CTR runs in OpenSSL and is checked
-against the scalar CTR built on this class.
+encryption block transform for AES-128/192/256 (CTR needs no inverse
+cipher); :mod:`repro.crypto.modes` holds AES-CTR, which runs in OpenSSL
+and is checked against the scalar CTR built on this class.
 
-The S-box and its inverse are *derived*, not transcribed: each entry is the
+The S-box is *derived*, not transcribed: each entry is the
 multiplicative inverse in GF(2^8) (modulo the Rijndael polynomial
 ``x^8 + x^4 + x^3 + x + 1``) followed by the specified affine transform.
 Encryption uses the standard 32-bit T-table formulation.
@@ -32,8 +32,8 @@ def _gf_mul(a: int, b: int) -> int:
     return product
 
 
-def _build_sbox() -> tuple[bytes, bytes]:
-    """Construct the AES S-box and inverse S-box from first principles."""
+def _build_sbox() -> bytes:
+    """Construct the AES S-box from first principles."""
     # Multiplicative inverses via exponentiation by generator 3 (a primitive
     # element of GF(2^8)): log/antilog tables.
     antilog = [0] * 256
@@ -45,7 +45,6 @@ def _build_sbox() -> tuple[bytes, bytes]:
         value = _gf_mul(value, 3)
 
     sbox = bytearray(256)
-    inverse_sbox = bytearray(256)
     for x in range(256):
         inv = 0 if x == 0 else antilog[(255 - log[x]) % 255]
         # Affine transform: b ^ rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4) ^ 0x63
@@ -54,11 +53,10 @@ def _build_sbox() -> tuple[bytes, bytes]:
         for shift in range(5):
             transformed ^= ((b << shift) | (b >> (8 - shift))) & 0xFF
         sbox[x] = transformed
-        inverse_sbox[transformed] = x
-    return bytes(sbox), bytes(inverse_sbox)
+    return bytes(sbox)
 
 
-SBOX, INV_SBOX = _build_sbox()
+SBOX = _build_sbox()
 
 _RCON = [0x01]
 while len(_RCON) < 14:
@@ -83,43 +81,22 @@ def _build_encryption_tables() -> tuple[list[int], list[int], list[int], list[in
     return t0, t1, t2, t3
 
 
-def _build_decryption_tables() -> tuple[list[int], list[int], list[int], list[int]]:
-    """Build the inverse T-tables combining InvSubBytes/InvShiftRows/InvMixColumns."""
-    d0 = [0] * 256
-    d1 = [0] * 256
-    d2 = [0] * 256
-    d3 = [0] * 256
-    for x in range(256):
-        s = INV_SBOX[x]
-        se = _gf_mul(s, 0x0E)
-        s9 = _gf_mul(s, 0x09)
-        sd = _gf_mul(s, 0x0D)
-        sb = _gf_mul(s, 0x0B)
-        word = (se << 24) | (s9 << 16) | (sd << 8) | sb
-        d0[x] = word
-        d1[x] = ((word >> 8) | (word << 24)) & 0xFFFFFFFF
-        d2[x] = ((word >> 16) | (word << 16)) & 0xFFFFFFFF
-        d3[x] = ((word >> 24) | (word << 8)) & 0xFFFFFFFF
-    return d0, d1, d2, d3
-
-
 T0, T1, T2, T3 = _build_encryption_tables()
-D0, D1, D2, D3 = _build_decryption_tables()
 
 _BLOCK_STRUCT = struct.Struct(">4I")
 
 
 class AES:
-    """The AES block transform for 128-, 192-, or 256-bit keys.
+    """The AES encryption block transform for 128-, 192-, or 256-bit keys.
 
-    Instances are immutable and reusable; key schedules are computed once at
-    construction.  Only 16-byte blocks are handled here -- see
+    Instances are immutable and reusable; the key schedule is computed once
+    at construction.  Only 16-byte blocks are handled here -- see
     :mod:`repro.crypto.modes` for messages of arbitrary length.
     """
 
     block_size = 16
 
-    __slots__ = ("_round_keys", "_inverse_round_keys", "rounds", "key_size")
+    __slots__ = ("_round_keys", "rounds", "key_size")
 
     def __init__(self, key: bytes) -> None:
         if len(key) not in (16, 24, 32):
@@ -127,7 +104,6 @@ class AES:
         self.key_size = len(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key(key)
-        self._inverse_round_keys = self._invert_key_schedule(self._round_keys)
 
     def _expand_key(self, key: bytes) -> list[int]:
         """FIPS 197 key expansion into 4*(rounds+1) 32-bit words."""
@@ -150,26 +126,6 @@ class AES:
                         | SBOX[temp & 0xFF])
             words.append(words[i - nk] ^ temp)
         return words
-
-    def _invert_key_schedule(self, round_keys: list[int]) -> list[int]:
-        """Derive the equivalent-inverse-cipher key schedule.
-
-        Round keys are reversed round-wise, and InvMixColumns is applied to
-        every round key except the first and last, matching the table-based
-        decryption rounds.
-        """
-        rounds = self.rounds
-        inverse = []
-        for r in range(rounds, -1, -1):
-            inverse.extend(round_keys[4 * r:4 * r + 4])
-        for i in range(4, 4 * rounds):
-            word = inverse[i]
-            # InvMixColumns via the D tables composed with the forward S-box.
-            inverse[i] = (D0[SBOX[(word >> 24) & 0xFF]]
-                          ^ D1[SBOX[(word >> 16) & 0xFF]]
-                          ^ D2[SBOX[(word >> 8) & 0xFF]]
-                          ^ D3[SBOX[word & 0xFF]])
-        return inverse
 
     @property
     def round_keys(self) -> tuple[int, ...]:
@@ -209,46 +165,4 @@ class AES:
                 | (SBOX[(s0 >> 8) & 0xFF] << 8) | SBOX[s1 & 0xFF]) ^ rk[offset + 2]
         out3 = ((SBOX[(s3 >> 24) & 0xFF] << 24) | (SBOX[(s0 >> 16) & 0xFF] << 16)
                 | (SBOX[(s1 >> 8) & 0xFF] << 8) | SBOX[s2 & 0xFF]) ^ rk[offset + 3]
-        return _BLOCK_STRUCT.pack(out0, out1, out2, out3)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt exactly one 16-byte block."""
-        if len(block) != 16:
-            raise ValueError("AES blocks are exactly 16 bytes")
-        rk = self._inverse_round_keys
-        s0, s1, s2, s3 = _BLOCK_STRUCT.unpack(block)
-        s0 ^= rk[0]
-        s1 ^= rk[1]
-        s2 ^= rk[2]
-        s3 ^= rk[3]
-
-        offset = 4
-        for _ in range(self.rounds - 1):
-            t0 = (D0[(s0 >> 24) & 0xFF] ^ D1[(s3 >> 16) & 0xFF]
-                  ^ D2[(s2 >> 8) & 0xFF] ^ D3[s1 & 0xFF] ^ rk[offset])
-            t1 = (D0[(s1 >> 24) & 0xFF] ^ D1[(s0 >> 16) & 0xFF]
-                  ^ D2[(s3 >> 8) & 0xFF] ^ D3[s2 & 0xFF] ^ rk[offset + 1])
-            t2 = (D0[(s2 >> 24) & 0xFF] ^ D1[(s1 >> 16) & 0xFF]
-                  ^ D2[(s0 >> 8) & 0xFF] ^ D3[s3 & 0xFF] ^ rk[offset + 2])
-            t3 = (D0[(s3 >> 24) & 0xFF] ^ D1[(s2 >> 16) & 0xFF]
-                  ^ D2[(s1 >> 8) & 0xFF] ^ D3[s0 & 0xFF] ^ rk[offset + 3])
-            s0, s1, s2, s3 = t0, t1, t2, t3
-            offset += 4
-
-        out0 = ((INV_SBOX[(s0 >> 24) & 0xFF] << 24)
-                | (INV_SBOX[(s3 >> 16) & 0xFF] << 16)
-                | (INV_SBOX[(s2 >> 8) & 0xFF] << 8)
-                | INV_SBOX[s1 & 0xFF]) ^ rk[offset]
-        out1 = ((INV_SBOX[(s1 >> 24) & 0xFF] << 24)
-                | (INV_SBOX[(s0 >> 16) & 0xFF] << 16)
-                | (INV_SBOX[(s3 >> 8) & 0xFF] << 8)
-                | INV_SBOX[s2 & 0xFF]) ^ rk[offset + 1]
-        out2 = ((INV_SBOX[(s2 >> 24) & 0xFF] << 24)
-                | (INV_SBOX[(s1 >> 16) & 0xFF] << 16)
-                | (INV_SBOX[(s0 >> 8) & 0xFF] << 8)
-                | INV_SBOX[s3 & 0xFF]) ^ rk[offset + 2]
-        out3 = ((INV_SBOX[(s3 >> 24) & 0xFF] << 24)
-                | (INV_SBOX[(s2 >> 16) & 0xFF] << 16)
-                | (INV_SBOX[(s1 >> 8) & 0xFF] << 8)
-                | INV_SBOX[s0 & 0xFF]) ^ rk[offset + 3]
         return _BLOCK_STRUCT.pack(out0, out1, out2, out3)

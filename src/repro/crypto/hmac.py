@@ -1,6 +1,6 @@
 """HMAC (RFC 2104 / FIPS 198-1) through the standard library.
 
-Used by the PRF of the master-key baseline, by HKDF, and by the HMAC-DRBG
+Used by the PRF of the master-key baseline and by the HMAC-DRBG
 deterministic random generator that makes experiments reproducible.  A
 *hash factory* throughout the library is a :mod:`hashlib` constructor
 such as ``hashlib.sha1`` or ``hashlib.sha256``.

@@ -1,12 +1,11 @@
-"""Block cipher modes of operation.
+"""AES-CTR, the item codec's cipher.
 
 The item codec (:mod:`repro.core.ciphertext`) uses AES-CTR so ciphertext
 length equals plaintext length plus the nonce.  CTR has one kernel:
 libcrypto's EVP interface (OpenSSL >= 3.0), called through :mod:`ctypes`
 with one cipher context re-keyed per item, loaded on the first call.
-ECB and CBC with PKCS#7 run on the in-repo :class:`~repro.crypto.aes.AES`
-and are kept for completeness and for the NIST SP 800-38A conformance
-tests.
+:func:`aes_ctr_scalar` runs the same transform on the in-repo
+:class:`~repro.crypto.aes.AES` as the kernel's reference.
 """
 
 from __future__ import annotations
@@ -15,67 +14,6 @@ import functools
 from types import SimpleNamespace
 
 from repro.crypto.aes import AES
-from repro.crypto.padding import pad, unpad
-
-
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
-def aes_ecb_encrypt(cipher: AES, plaintext: bytes) -> bytes:
-    """ECB encryption of a block-aligned plaintext (test vectors only)."""
-    if len(plaintext) % 16:
-        raise ValueError("ECB requires block-aligned input")
-    return b"".join(cipher.encrypt_block(plaintext[i:i + 16])
-                    for i in range(0, len(plaintext), 16))
-
-
-def aes_ecb_decrypt(cipher: AES, ciphertext: bytes) -> bytes:
-    """ECB decryption of a block-aligned ciphertext (test vectors only)."""
-    if len(ciphertext) % 16:
-        raise ValueError("ECB requires block-aligned input")
-    return b"".join(cipher.decrypt_block(ciphertext[i:i + 16])
-                    for i in range(0, len(ciphertext), 16))
-
-
-def aes_cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes, *,
-                    padded: bool = True) -> bytes:
-    """CBC-encrypt ``plaintext`` under ``key`` with the given 16-byte IV."""
-    if len(iv) != 16:
-        raise ValueError("CBC IV must be 16 bytes")
-    cipher = AES(key)
-    if padded:
-        plaintext = pad(plaintext, 16)
-    elif len(plaintext) % 16:
-        raise ValueError("unpadded CBC requires block-aligned input")
-
-    blocks = []
-    previous = iv
-    for i in range(0, len(plaintext), 16):
-        block = cipher.encrypt_block(_xor_bytes(plaintext[i:i + 16], previous))
-        blocks.append(block)
-        previous = block
-    return b"".join(blocks)
-
-
-def aes_cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes, *,
-                    padded: bool = True) -> bytes:
-    """CBC-decrypt ``ciphertext`` under ``key`` with the given 16-byte IV."""
-    if len(iv) != 16:
-        raise ValueError("CBC IV must be 16 bytes")
-    if len(ciphertext) % 16:
-        raise ValueError("CBC ciphertext must be block-aligned")
-    cipher = AES(key)
-
-    blocks = []
-    previous = iv
-    for i in range(0, len(ciphertext), 16):
-        block = ciphertext[i:i + 16]
-        blocks.append(_xor_bytes(cipher.decrypt_block(block), previous))
-        previous = block
-    plaintext = b"".join(blocks)
-    return unpad(plaintext, 16) if padded else plaintext
 
 
 _COUNTER_LIMIT = 1 << 64

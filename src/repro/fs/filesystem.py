@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.client.client import AssuredDeletionClient
-from repro.core.errors import ReproError, UnknownItemError
+from repro.core.errors import ReproError, StaleStateError, UnknownItemError
 from repro.core.meta import MetaKeyManager
 from repro.core.params import Params
 from repro.crypto.rng import RandomSource, SystemRandom
@@ -178,15 +178,18 @@ class OutsourcedFile:
         If the data-tree commit is journalled, it is replayed
         byte-for-byte (if it already applied, the replay cache or the
         tree says so) and the master key is then replaced in the meta
-        tree; otherwise the journalled meta ``ReplaceCommit`` is
-        replayed.  Either way the record is deleted exactly once.
+        tree; a replay refused as stale, with the tree showing the
+        commit unapplied, runs :meth:`delete_record` afresh.  Otherwise
+        the journalled meta ``ReplaceCommit`` is replayed.  Either way
+        the record is deleted exactly once.
         """
         item_id = self._record.index.item_id_at(position)
         client = self._fs.client
         self._resume(
             [position],
             client.pending_commit(self.file_id, item_id) is not None,
-            lambda: client.resume_delete(self.file_id, item_id))
+            lambda: client.resume_delete(self.file_id, item_id),
+            lambda: self.delete_record(position))
 
     @_traced_fs("resume_delete_many")
     def resume_delete_many(self, positions: Sequence[int]) -> None:
@@ -203,17 +206,35 @@ class OutsourcedFile:
         self._resume(
             positions,
             (self.file_id, item_ids) in client.pending_batch_deletes(),
-            lambda: client.resume_delete_many(self.file_id, item_ids))
+            lambda: client.resume_delete_many(self.file_id, item_ids),
+            lambda: self.delete_many(positions))
 
     def _resume(self, positions: Sequence[int], journalled: bool,
-                resend: Callable[[], bytes]) -> None:
+                resend: Callable[[], bytes],
+                redo: Callable[[], None]) -> None:
         """Finish a record deletion: with the data-tree commit
         ``journalled``, ``resend`` it and replace the master key in the
         meta tree with the key it returns; otherwise resume the meta
-        ``ReplaceCommit``.  Then drop ``positions`` from the index."""
+        ``ReplaceCommit``.  Then drop ``positions`` from the index.
+
+        A resend refused as stale, which the tree shows unapplied, can
+        never apply (the tree moved on under the old key, e.g. by an
+        insert), so ``redo`` runs the deletion again from a fresh
+        challenge.  That is safe: the fresh challenge must decrypt-verify
+        under the meta tree's current key before its commit overwrites
+        the journal entry.  If the journalled commit did apply, the
+        victims are gone or open only under the journalled key, so the
+        challenge raises (:class:`~repro.core.errors.UnknownItemError`
+        or :class:`~repro.core.errors.IntegrityError`) and that key stays
+        journalled."""
         meta = self._meta()
         if journalled:
-            meta.replace_master_key(self.file_id, resend())
+            try:
+                new_key = resend()
+            except StaleStateError:
+                redo()
+                return
+            meta.replace_master_key(self.file_id, new_key)
         else:
             meta.resume_replace(self.file_id)
         # Highest first, so earlier removals don't shift the later ones.

@@ -138,8 +138,8 @@ class ShardCluster:
                  fresh: bool = False,
                  storage_backend: str = "memory",
                  cache_nodes: int = 65536) -> None:
-        from repro.server.engine import (BACKENDS, engine_path, make_engine,
-                                         refuse_image)
+        from repro.server.engine import (BACKENDS, SQLiteTreeStore,
+                                         engine_path, refuse_image)
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if transport not in TRANSPORTS:
@@ -180,7 +180,7 @@ class ShardCluster:
             os.makedirs(directory, exist_ok=True)
             unit = ShardUnit(shard_id, directory)
             if storage_backend != "memory":
-                unit.engine_path = engine_path(directory, storage_backend)
+                unit.engine_path = engine_path(directory)
             if fresh:
                 self._wipe(unit)
             if os.path.exists(unit.wal_path) or \
@@ -188,7 +188,7 @@ class ShardCluster:
                      and os.path.exists(unit.engine_path)):
                 self.had_state = True
             if unit.engine_path is not None:
-                unit.engine = make_engine(storage_backend, unit.engine_path)
+                unit.engine = SQLiteTreeStore(unit.engine_path)
             if durable:
                 unit.server = recover_server(
                     unit.wal_path, self.params, engine=unit.engine,
@@ -353,8 +353,8 @@ class ShardCluster:
             unit.wal.close()
         if unit.engine is not None:
             unit.engine.close()
-            from repro.server.engine import make_engine
-            unit.engine = make_engine(self.storage_backend, unit.engine_path)
+            from repro.server.engine import SQLiteTreeStore
+            unit.engine = SQLiteTreeStore(unit.engine_path)
         audit_path = unit.audit_path if unit.audit is not None else None
         unit.server = recover_server(unit.wal_path, self.params,
                                      engine=unit.engine,

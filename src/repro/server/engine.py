@@ -7,19 +7,17 @@ request touches (see :mod:`repro.server.paging`) and flushes dirty nodes
 back at compaction time, so resident memory is O(active working set)
 instead of O(n).
 
-Two engines share one interface:
-
-* :class:`MemoryTreeStore` -- dict-backed; the default and the twin-world
-  reference the durable engine is tested against.
-* :class:`SQLiteTreeStore` -- a single-file SQLite schema with per-file
-  node, item, and ciphertext tables.  The node table's primary key
-  ``(file_id, kind, slot)`` *is* the ``(file_id, node_path)`` index: a
-  heap slot number encodes the root path bit-by-bit (see
-  :meth:`repro.core.tree.ModulationTree.slot_path`), so a root-to-leaf
-  path is one ``slot IN (...)`` statement per node kind, and a whole
-  file is one ordered range scan per kind over that clustered key.
-  Dirty state accumulates in one transaction per flush; a crash rolls
-  it back via SQLite's journal.
+One engine implements the interface: :class:`SQLiteTreeStore`, a
+single-file SQLite schema with per-file node, item, and ciphertext
+tables.  A server without an engine keeps its state resident; it is the
+twin-world reference the engine is tested against.  The node table's
+primary key ``(file_id, kind, slot)`` *is* the ``(file_id, node_path)``
+index: a heap slot number encodes the root path bit-by-bit (see
+:meth:`repro.core.tree.ModulationTree.slot_path`), so a root-to-leaf
+path is one ``slot IN (...)`` statement per node kind, and a whole file
+is one ordered range scan per kind over that clustered key.  Dirty state
+accumulates in one transaction per flush; a crash rolls it back via
+SQLite's journal.
 
 Addressing
 ----------
@@ -93,11 +91,10 @@ from repro.core.errors import StorageError
 KIND_LINK = 0
 KIND_LEAF = 1
 
-#: Engine backends selectable via ``make_engine`` and ``--backend``.
+#: The ``--backend`` vocabulary: ``memory`` keeps a server's state in
+#: the :class:`~repro.server.server.CloudServer` itself, with no engine;
+#: ``sqlite`` keeps it in a :class:`SQLiteTreeStore`.
 BACKENDS = ("memory", "sqlite")
-
-#: On-disk filename per durable backend (under a server's state dir).
-ENGINE_FILENAMES = {"sqlite": "state.db"}
 
 
 @dataclass
@@ -209,10 +206,10 @@ class TreeStore(abc.ABC):
 
     # -- parameters -----------------------------------------------------
 
+    @abc.abstractmethod
     def bind_width(self, width: int) -> None:
         """Refuse an engine whose trees hold modulators of another width
-        than ``width`` (``StorageError``).  Only a durable backend can
-        have been written under other parameters; this one cannot."""
+        than ``width`` (``StorageError``)."""
 
     # -- lifecycle ------------------------------------------------------
 
@@ -224,123 +221,13 @@ class TreeStore(abc.ABC):
     def rollback(self) -> None:
         """Discard the writes staged since the last ``flush``."""
 
+    @abc.abstractmethod
     def compact(self) -> None:
-        """Reclaim dead space (optional; durable backends override)."""
+        """Reclaim dead space."""
 
+    @abc.abstractmethod
     def close(self) -> None:
         """Flush and release resources."""
-        self.flush()
-
-
-class MemoryTreeStore(TreeStore):
-    """Dict-backed engine: the default, and the twin-world reference."""
-
-    def __init__(self) -> None:
-        self._meta: dict[int, FileMeta] = {}
-        self._nodes: dict[int, dict[tuple[int, int], bytes]] = {}
-        self._slot_of: dict[int, dict[int, int]] = {}
-        self._item_at: dict[int, dict[int, int]] = {}
-        self._cts: dict[int, dict[int, bytes]] = {}
-        self._replay: list[tuple[int, bytes]] = []
-
-    def get_meta(self, file_id: int) -> Optional[FileMeta]:
-        meta = self._meta.get(file_id)
-        return None if meta is None else FileMeta(meta.file_id, meta.version,
-                                                 meta.n_leaves)
-
-    def set_meta(self, meta: FileMeta) -> None:
-        self._meta[meta.file_id] = FileMeta(meta.file_id, meta.version,
-                                            meta.n_leaves)
-
-    def drop_file(self, file_id: int) -> None:
-        for table in (self._meta, self._nodes, self._slot_of,
-                      self._item_at, self._cts):
-            table.pop(file_id, None)
-
-    def file_ids(self) -> list[int]:
-        return sorted(self._meta)
-
-    def get_node(self, file_id: int, kind: int, slot: int) -> bytes:
-        return self._nodes[file_id][(kind, slot)]
-
-    def get_nodes(self, file_id, kind, slots) -> list[bytes]:
-        nodes = self._nodes.get(file_id, {})
-        return [nodes[(kind, slot)] for slot in slots]
-
-    def scan_nodes(self, file_id, kind, lo, hi) -> list[tuple[int, bytes]]:
-        nodes = self._nodes.get(file_id, {})
-        return [(slot, nodes[(kind, slot)]) for slot in range(lo, hi)
-                if (kind, slot) in nodes]
-
-    def write_nodes(self, file_id, entries) -> None:
-        nodes = self._nodes.setdefault(file_id, {})
-        for kind, slot, value in entries:
-            if value is None:
-                nodes.pop((kind, slot), None)
-            else:
-                nodes[(kind, slot)] = bytes(value)
-
-    def get_slot(self, file_id: int, item_id: int) -> Optional[int]:
-        return self._slot_of.get(file_id, {}).get(item_id)
-
-    def get_item(self, file_id: int, slot: int) -> Optional[int]:
-        return self._item_at.get(file_id, {}).get(slot)
-
-    def get_slots(self, file_id, item_ids) -> list[Optional[int]]:
-        slot_of = self._slot_of.get(file_id, {})
-        return [slot_of.get(item_id) for item_id in item_ids]
-
-    def scan_items(self, file_id, lo, hi) -> list[tuple[int, int]]:
-        item_at = self._item_at.get(file_id, {})
-        return [(slot, item_at[slot]) for slot in range(lo, hi)
-                if slot in item_at]
-
-    def write_items(self, file_id, entries) -> None:
-        slot_of = self._slot_of.setdefault(file_id, {})
-        item_at = self._item_at.setdefault(file_id, {})
-        pairs = list(entries)
-        # Two passes: clear every touched item's old slot first, so a
-        # move onto a just-vacated slot is order-independent.
-        for item_id, _slot in pairs:
-            old = slot_of.pop(item_id, None)
-            if old is not None and item_at.get(old) == item_id:
-                item_at.pop(old, None)
-        for item_id, slot in pairs:
-            if slot is not None:
-                slot_of[item_id] = slot
-                item_at[slot] = item_id
-
-    def get_ciphertext(self, file_id: int, item_id: int) -> bytes:
-        return self._cts[file_id][item_id]
-
-    def get_ciphertexts(self, file_id, item_ids) -> list[bytes]:
-        cts = self._cts.get(file_id, {})
-        try:
-            return [cts[item_id] for item_id in item_ids]
-        except KeyError as exc:
-            raise KeyError((file_id, exc.args[0])) from None
-
-    def write_ciphertexts(self, file_id, entries) -> None:
-        cts = self._cts.setdefault(file_id, {})
-        for item_id, value in entries:
-            if value is None:
-                cts.pop(item_id, None)
-            else:
-                cts[item_id] = bytes(value)
-
-    def replay_entries(self) -> list[tuple[int, bytes]]:
-        return list(self._replay)
-
-    def set_replay_entries(self, entries) -> None:
-        self._replay = [(rid, bytes(blob)) for rid, blob in entries]
-
-    def flush(self) -> None:
-        pass
-
-    def rollback(self) -> None:
-        # Writes land at once and nothing outlives the process, so
-        # there is no staged state to discard.
-        pass
 
 
 # ---------------------------------------------------------------------
@@ -773,24 +660,9 @@ class SQLiteTreeStore(TreeStore):
         self._connect()
 
 
-def engine_path(state_dir: str, backend: str) -> str:
-    """On-disk engine file for ``backend`` under a server's state dir."""
-    return os.path.join(state_dir, ENGINE_FILENAMES[backend])
-
-
-def make_engine(backend: str, path: Optional[str] = None) -> TreeStore:
-    """Instantiate a storage engine by backend name.
-
-    ``memory`` ignores ``path``; ``sqlite`` requires one.
-    """
-    if backend == "memory":
-        return MemoryTreeStore()
-    if path is None:
-        raise ValueError(f"backend {backend!r} requires a path")
-    if backend == "sqlite":
-        return SQLiteTreeStore(path)
-    raise ValueError(f"unknown storage backend {backend!r}; "
-                     f"expected one of {BACKENDS}")
+def engine_path(state_dir: str) -> str:
+    """The engine file under a server's state dir."""
+    return os.path.join(state_dir, "state.db")
 
 
 def refuse_image(path: str) -> None:

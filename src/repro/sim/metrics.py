@@ -14,10 +14,7 @@ representation:
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.obs import runtime as _obs
 
@@ -67,48 +64,5 @@ class MetricsCollector:
     def for_op(self, op: str) -> list[OpRecord]:
         return [r for r in self.records if r.op == op]
 
-    def mean_overhead_bytes(self, op: str) -> float:
-        records = self.for_op(op)
-        if not records:
-            raise ValueError(f"no records for operation {op!r}")
-        return sum(r.overhead_bytes for r in records) / len(records)
-
-    def mean_client_seconds(self, op: str) -> float:
-        records = self.for_op(op)
-        if not records:
-            raise ValueError(f"no records for operation {op!r}")
-        return sum(r.client_seconds for r in records) / len(records)
-
-    def mean_hash_calls(self, op: str) -> float:
-        records = self.for_op(op)
-        if not records:
-            raise ValueError(f"no records for operation {op!r}")
-        return sum(r.hash_calls for r in records) / len(records)
-
     def clear(self) -> None:
         self.records.clear()
-
-
-class Stopwatch:
-    """Accumulating perf_counter stopwatch for client-side segments.
-
-    Re-entrant: nested ``measure()`` blocks count their shared wall time
-    once (only the outermost block accumulates), so instrumenting a
-    helper that is also called from an already-measured section does not
-    double-bill the overlap.
-    """
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self._depth = 0
-
-    @contextmanager
-    def measure(self) -> Iterator[None]:
-        self._depth += 1
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self._depth -= 1
-            if self._depth == 0:
-                self.seconds += time.perf_counter() - start

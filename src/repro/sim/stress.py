@@ -78,7 +78,7 @@ from repro.fs.sharding import ShardRoutingChannel
 from repro.obs import audit as audit_mod
 from repro.protocol import messages as msg
 from repro.server.cluster import TRANSPORTS, ShardCluster
-from repro.server.engine import BACKENDS, make_engine
+from repro.server.engine import BACKENDS, SQLiteTreeStore
 from repro.server.server import CloudServer
 from repro.server.wal import CommitLog, recover_server
 from repro.sim.threat import Adversary, snapshot_file
@@ -127,9 +127,10 @@ class StressConfig:
     #: invariant below (including byte-exact reads against the model)
     #: must hold across any on/off interleaving.
     toggle_caches: bool = False
-    #: Storage engine behind every shard.  Non-memory backends run a
-    #: compactor thread that repeatedly flushes dirty state and
-    #: truncates each shard's WAL *while the workers mutate*, so the
+    #: ``memory`` keeps each shard's state in its server; ``sqlite``
+    #: puts a SQLite engine behind every shard and runs a compactor
+    #: thread that repeatedly flushes dirty state and truncates each
+    #: shard's WAL *while the workers mutate*, so the
     #: invariants below also prove compaction is correctness-invisible
     #: (engine snapshot + WAL tail always reproduces live state).
     backend: str = "memory"
@@ -665,7 +666,7 @@ def _verify(cluster: ShardCluster, tenants: list[_Tenant],
                 copy_dir, os.path.basename(unit.engine_path))
             shutil.copy(unit.wal_path, wal_copy)
             shutil.copy(unit.engine_path, engine_copy)
-            tmp_engine = make_engine(cluster.storage_backend, engine_copy)
+            tmp_engine = SQLiteTreeStore(engine_copy)
             recovered = recover_server(wal_copy, engine=tmp_engine)
         else:
             recovered = recover_server(unit.wal_path)

@@ -95,3 +95,31 @@ def test_sha256_codec(rng):
     ciphertext = codec.encrypt(key, b"payload", 3, rng.bytes(8))
     assert codec.overhead() == 8 + 8 + 32
     assert codec.decrypt(key, ciphertext) == (b"payload", 3)
+
+
+def test_tags_are_compared_in_constant_time(codec, rng, monkeypatch):
+    """Every tag check, scalar and batch, goes through
+    ``hmac.compare_digest``: one call per decrypted item."""
+    import hmac
+
+    calls = []
+    compare = hmac.compare_digest
+
+    def counting(a, b):
+        calls.append((a, b))
+        return compare(a, b)
+
+    monkeypatch.setattr(hmac, "compare_digest", counting)
+    keys = [rng.bytes(20) for _ in range(5)]
+    ciphertexts = [codec.encrypt(key, b"item-%d" % i, i, rng.bytes(8))
+                   for i, key in enumerate(keys)]
+    assert codec.decrypt(keys[0], ciphertexts[0]) == (b"item-0", 0)
+    assert len(calls) == 1
+    del calls[:]
+    assert codec.decrypt_many(keys, ciphertexts) == [
+        (b"item-%d" % i, i) for i in range(5)]
+    assert len(calls) == 5
+    del calls[:]
+    with pytest.raises(IntegrityError):
+        codec.decrypt(rng.bytes(20), ciphertexts[0])
+    assert len(calls) == 1

@@ -312,23 +312,25 @@ def test_adopt_arithmetic_equivalent_to_adopt():
     assert tree.item_ids() == [100, 101, 102, 103, 104, 105]
 
 
-def _tree_over(kind, n=6):
-    """An n-leaf tree holding items 100.. under each item-map family."""
+def _tree_over(kind, request, tmp_path, n=6):
+    """An n-leaf tree holding items 100.. under each item-map family (the
+    paged one over an engine in ``tmp_path``, closed after the test)."""
     store = LazySeededStore(WIDTH, b"replace")
     if kind == "dict":
         return ModulationTree.adopt(store, n, list(range(100, 100 + n)))
     if kind == "arithmetic":
         return ModulationTree.adopt_arithmetic(store, n, base_item_id=100)
-    from repro.server.engine import MemoryTreeStore
+    from repro.server.engine import SQLiteTreeStore
     from repro.server.paging import PagedItemMap
-    engine = MemoryTreeStore()
+    engine = SQLiteTreeStore(str(tmp_path / "engine"))
+    request.addfinalizer(engine.close)
     engine.write_items(7, [(100 + i, n + i) for i in range(n)])
     return ModulationTree.wrap(store, n, PagedItemMap(engine, 7))
 
 
 @pytest.mark.parametrize("kind", ["dict", "arithmetic", "paged"])
-def test_replace_item_repoints_the_leaf_in_place(kind):
-    tree = _tree_over(kind)
+def test_replace_item_repoints_the_leaf_in_place(kind, request, tmp_path):
+    tree = _tree_over(kind, request, tmp_path)
     before = list(tree.iter_modulators())
     slot = tree.replace_item(102, 900)
     assert slot == 8

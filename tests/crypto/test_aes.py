@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.aes import AES, INV_SBOX, SBOX
+from repro.crypto.aes import AES, SBOX
 
 FIPS197_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 
@@ -33,26 +33,16 @@ def test_fips197_encrypt(key_hex, expected):
     assert cipher.encrypt_block(FIPS197_PLAINTEXT).hex() == expected
 
 
-@pytest.mark.parametrize("key_hex,expected", FIPS197,
-                         ids=["aes128", "aes192", "aes256"])
-def test_fips197_decrypt(key_hex, expected):
-    cipher = AES(bytes.fromhex(key_hex))
-    assert cipher.decrypt_block(bytes.fromhex(expected)) == FIPS197_PLAINTEXT
-
-
 @pytest.mark.parametrize("key_hex,plaintext,expected", SP800_38A_ECB,
                          ids=["aes128", "aes192", "aes256"])
 def test_sp800_38a_ecb(key_hex, plaintext, expected):
     cipher = AES(bytes.fromhex(key_hex))
     assert cipher.encrypt_block(bytes.fromhex(plaintext)).hex() == expected
-    assert cipher.decrypt_block(bytes.fromhex(expected)).hex() == plaintext
 
 
 def test_sbox_is_a_bijective_involution_pair():
+    """The derived S-box is a permutation with FIPS 197's values."""
     assert len(set(SBOX)) == 256
-    assert len(set(INV_SBOX)) == 256
-    for x in range(256):
-        assert INV_SBOX[SBOX[x]] == x
     # Anchor values from FIPS 197 figure 7.
     assert SBOX[0x00] == 0x63
     assert SBOX[0x01] == 0x7C
@@ -72,14 +62,6 @@ def test_key_schedule_length():
         assert len(cipher.round_keys) == 4 * (cipher.rounds + 1)
 
 
-@pytest.mark.parametrize("size", [16, 24, 32])
-def test_roundtrip_random_blocks(size, rng):
-    cipher = AES(rng.bytes(size))
-    for _ in range(20):
-        block = rng.bytes(16)
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
-
 def test_rejects_bad_key_sizes():
     for size in (0, 15, 17, 31, 33, 64):
         with pytest.raises(ValueError):
@@ -91,5 +73,3 @@ def test_rejects_bad_block_sizes():
     for block in (b"", b"\x00" * 15, b"\x00" * 17):
         with pytest.raises(ValueError):
             cipher.encrypt_block(block)
-        with pytest.raises(ValueError):
-            cipher.decrypt_block(block)

@@ -14,7 +14,6 @@ import pytest
 from repro.core.ciphertext import ItemCodec
 from repro.core.modulated_chain import ChainEngine
 from repro.core.params import PAPER_PARAMS, SHA256_PARAMS
-from repro.crypto.hkdf import hkdf
 from repro.crypto.prf import prf, prf_many
 from repro.crypto.rng import DeterministicRandom
 
@@ -124,14 +123,3 @@ def test_prf_and_prf_many():
         "921122fbbaa6baf64408da1049933b66"
         "9c83b97ce573d7a21e2257f52d7a3e26"
         "adf5d3a5669459a03804c4c5b9999fb5")
-
-
-def test_hkdf():
-    assert hkdf(b"golden-ikm", salt=b"salt", info=b"info",
-                length=42).hex() == (
-        "226488598427c1882ccc3928191639edec5c35211bb21b6473fd"
-        "9c447e478317874f67f17865c8fad1f5")
-    assert hkdf(b"golden-ikm", salt=b"salt", info=b"info", length=42,
-                hash_factory=hashlib.sha1).hex() == (
-        "c8dd8e6ae264e7469934fe76958ce536a0ac7e7dbbe231f5f53e"
-        "9f5691c5eefa7e87b32bca1941768db3")

@@ -8,19 +8,14 @@ from hypothesis import strategies as st
 
 from repro.core.modulated_chain import ChainEngine
 from repro.core.params import PAPER_PARAMS, SHA256_PARAMS
-from repro.crypto.aes import AES
 from repro.crypto.hmac import hmac_digest
-from repro.crypto.modes import (aes_cbc_decrypt, aes_cbc_encrypt, aes_ctr,
-                                aes_ctr_many, aes_ctr_scalar)
-from repro.crypto.padding import pad, unpad
+from repro.crypto.modes import aes_ctr, aes_ctr_many, aes_ctr_scalar
 from tests.conftest import scaled_examples
 
 keys128 = st.binary(min_size=16, max_size=16)
 keys_any = st.sampled_from([16, 24, 32]).flatmap(
     lambda n: st.binary(min_size=n, max_size=n))
 nonces = st.binary(min_size=8, max_size=8)
-ivs = st.binary(min_size=16, max_size=16)
-blocks = st.binary(min_size=16, max_size=16)
 payloads = st.binary(max_size=2048)
 
 
@@ -40,12 +35,6 @@ def test_sha256_matches_hashlib(message):
 def test_hmac_matches_stdlib(key, message):
     assert hmac_digest(key, message, hashlib.sha1) == \
         stdlib_hmac.new(key, message, hashlib.sha1).digest()
-
-
-@given(keys_any, blocks)
-def test_aes_block_roundtrip(key, block):
-    cipher = AES(key)
-    assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
 
 
 @given(keys128, nonces, payloads)
@@ -85,13 +74,3 @@ def test_ctr_many_matches_scalar_reference(batch, initial):
     assert aes_ctr_many(keys, nonces, datas, initial_counter=initial) == [
         aes_ctr_scalar(key, nonce, data, initial_counter=initial)
         for key, nonce, data in zip(keys, nonces, datas)]
-
-
-@given(keys128, ivs, payloads)
-def test_cbc_roundtrip(key, iv, data):
-    assert aes_cbc_decrypt(key, iv, aes_cbc_encrypt(key, iv, data)) == data
-
-
-@given(st.binary(max_size=500), st.integers(min_value=1, max_value=255))
-def test_padding_roundtrip(data, block_size):
-    assert unpad(pad(data, block_size), block_size) == data

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import StorageError
 from repro.crypto.rng import DeterministicRandom
-from repro.server.engine import KIND_LEAF, KIND_LINK, make_engine
+from repro.server.engine import KIND_LEAF, KIND_LINK, SQLiteTreeStore
 from repro.server.server import CloudServer
 from tests.conftest import scaled_examples
 
@@ -35,7 +35,7 @@ def empty_engine() -> bytes:
     """A freshly created engine file, attached once (width recorded)."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "state.db")
-        engine = make_engine("sqlite", path)
+        engine = SQLiteTreeStore(path)
         CloudServer(engine=engine)
         engine.close()
         with open(path, "rb") as handle:
@@ -60,7 +60,7 @@ def populated_engine() -> tuple[bytes, int, tuple[int, ...]]:
     fid, ids = scheme.new_file([b"record-%03d" % i * 4 for i in range(200)])
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "state.db")
-        scheme.server.attach_engine(make_engine("sqlite", path))
+        scheme.server.attach_engine(SQLiteTreeStore(path))
         scheme.server.compact_storage()
         scheme.server.engine.close()
         with open(path, "rb") as handle:
@@ -95,7 +95,7 @@ def test_arbitrary_engine_file_opens_empty_or_fails_closed(contents):
         with open(path, "wb") as handle:
             handle.write(contents)
         try:
-            engine = make_engine("sqlite", path)
+            engine = SQLiteTreeStore(path)
         except StorageError:
             return
         try:
@@ -117,7 +117,7 @@ def test_damaged_data_pages_fail_closed_on_read(contents):
         with open(path, "wb") as handle:
             handle.write(contents)
         try:
-            engine = make_engine("sqlite", path)
+            engine = SQLiteTreeStore(path)
         except StorageError:
             return
         try:

@@ -406,6 +406,47 @@ def test_fs_resume_delete_converges_exactly_once(schedule):
     assert adversary.try_recover(victim) is None
 
 
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_fs_resume_of_a_never_applied_delete_after_the_file_moved(batch):
+    """A data commit that never arrived, after which the client moved the
+    file itself (an append), can no longer be resent: the tree opens
+    under ``K``, not ``K'``.  Resume then runs the deletion afresh on the
+    same positions, so both trees move once and the journal empties."""
+    server, channel, fs, handle = fs_pair()
+    victims = [handle._record.index.item_id_at(p) for p in (1, 2)]
+    adversary = Adversary()
+    adversary.observe(snapshot_file(server, handle.file_id))
+
+    channel._schedule = iter([NONE, NONE, DROP_REQUEST])
+    with pytest.raises(ChannelError):
+        if batch:
+            handle.delete_many([1, 2])
+        else:
+            handle.delete_record(2)
+    handle.append_record(b"r5")
+    adversary.observe(snapshot_file(server, handle.file_id))
+    data_version, meta_version = _versions(server, fs, handle)
+
+    if batch:
+        handle.resume_delete_many([1, 2])
+    else:
+        handle.resume_delete(2)
+    adversary.observe(snapshot_file(server, handle.file_id))
+    assert _versions(server, fs, handle) == (data_version + 1,
+                                             meta_version + 1)
+    survivors = [b"r0", b"r3", b"r4", b"r5"] if batch else \
+        [b"r0", b"r1", b"r3", b"r4", b"r5"]
+    assert handle.read_all() == survivors
+    assert fs.client.pending_deletes() == []
+    assert fs.client.pending_batch_deletes() == []
+
+    manager = fs.group_manager_of(handle.name)
+    adversary.seize_keystore(fs.client.keystore.seize())
+    adversary.seized_keys.append(manager.master_key(handle.file_id))
+    for victim in (victims if batch else victims[1:]):
+        assert adversary.try_recover(victim) is None
+
+
 def test_fs_resume_delete_many_after_lost_replace_ack():
     """The batch path shares the meta recovery: a lost ReplaceCommit Ack
     is finished from the journal, applied once."""

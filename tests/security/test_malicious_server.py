@@ -5,7 +5,8 @@ import pytest
 
 from repro.client.client import AssuredDeletionClient
 from repro.core.errors import (DuplicateModulatorError, IntegrityError,
-                               ProtocolError, StaleStateError)
+                               ProtocolError, StaleStateError,
+                               UnknownItemError)
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol.channel import LoopbackChannel
 from repro.protocol.faults import (DROP_RESPONSE, NONE, ChannelError,
@@ -357,3 +358,82 @@ def test_stale_resend_keeps_the_old_key_unless_the_new_one_opens_the_tree(
     if not strip:
         for i, item in enumerate(ids):
             assert client.access(1, key, item) == b"item-%d" % i
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_fs_stale_resend_of_an_applied_delete_keeps_the_new_key(batch):
+    """At the fs layer a resend refused as stale runs the deletion again
+    from a fresh challenge.  The server here applied the data commit,
+    then forgets its reply, answers the resend E_STALE_STATE and
+    withholds the tree (an empty fetch).  The fresh challenge cannot be
+    answered (the victims are gone), so resume raises before anything is
+    overwritten: the journal keeps ``K'`` and the meta tree keeps ``K``.
+    Once the tree is served again, the same resume settles under
+    ``K'``."""
+    from repro.fs.filesystem import OutsourcedFileSystem
+    from repro.protocol import messages as msg
+    from repro.server.server import CloudServer
+
+    class WithholdingServer(CloudServer):
+        """Forgets every reply for ``data_file`` and serves it empty."""
+
+        data_file = None
+
+        def _lookup_applied(self, request):
+            if getattr(request, "file_id", None) == self.data_file:
+                return None
+            return super()._lookup_applied(request)
+
+        def _on_fetch_file(self, request):
+            if request.file_id == self.data_file:
+                return msg.FetchFileReply(
+                    tree_version=self.file_state(request.file_id).version)
+            return super()._on_fetch_file(request)
+
+    server = WithholdingServer()
+    channel = FaultInjectingChannel(server, [])
+    fs = OutsourcedFileSystem(channel,
+                              rng=DeterministicRandom("adv-fs-stale"))
+    handle = fs.create_file("g/f", [b"r%d" % i for i in range(5)])
+    server.data_file = handle.file_id
+    manager = fs.group_manager_of(handle.name)
+    key = manager.master_key(handle.file_id)
+    positions = [1, 2] if batch else [2]
+    victims = tuple(handle._record.index.item_id_at(p) for p in positions)
+
+    def resume():
+        if batch:
+            handle.resume_delete_many(positions)
+        else:
+            handle.resume_delete(positions[0])
+
+    # meta challenge, data challenge, data commit (applied, Ack lost)
+    channel._schedule = iter([NONE, NONE, DROP_RESPONSE])
+    with pytest.raises(ChannelError):
+        if batch:
+            handle.delete_many(positions)
+        else:
+            handle.delete_record(positions[0])
+    versions = (server.file_state(handle.file_id).version,
+                server.file_state(manager.meta_file_id).version)
+
+    with pytest.raises(UnknownItemError):
+        resume()
+    if batch:
+        assert fs.client.pending_batch_deletes() == [(handle.file_id,
+                                                      victims)]
+    else:
+        assert fs.client.pending_deletes() == [(handle.file_id,
+                                                victims[0])]
+    assert manager.master_key(handle.file_id) == key
+    assert (server.file_state(handle.file_id).version,
+            server.file_state(manager.meta_file_id).version) == versions
+    assert handle.record_count == 5
+
+    server.data_file = None
+    resume()
+    assert fs.client.pending_deletes() == []
+    assert fs.client.pending_batch_deletes() == []
+    assert manager.master_key(handle.file_id) != key
+    assert handle.read_all() == (
+        [b"r0", b"r3", b"r4"] if batch else [b"r0", b"r1", b"r3", b"r4"])

@@ -20,7 +20,7 @@ from repro.crypto.rng import DeterministicRandom
 from repro.protocol import messages as msg
 from repro.protocol.channel import LoopbackChannel
 from repro.server.cluster import ShardCluster
-from repro.server.engine import KIND_LEAF, KIND_LINK, make_engine
+from repro.server.engine import KIND_LEAF, KIND_LINK, SQLiteTreeStore
 from repro.server.paging import NodeCache, PagedModulatorStore
 from repro.server.server import (CRASH_POINT_AFTER_FLUSH,
                                  CRASH_POINT_BEFORE_FLUSH, CloudServer)
@@ -53,7 +53,7 @@ def _world(tmp_path, tag, *, backend=None, cache_nodes=65536, seed="twin"):
     wal_path = str(tmp_path / f"wal-{tag}")
     engine = None
     if backend is not None:
-        engine = make_engine(backend, str(tmp_path / f"engine-{tag}"))
+        engine = SQLiteTreeStore(str(tmp_path / f"engine-{tag}"))
     server = CloudServer(wal=CommitLog(wal_path), engine=engine)
     _WORLDS.append(server)
     if engine is not None and cache_nodes != 65536:
@@ -117,7 +117,7 @@ def test_twin_world_survives_restart(tmp_path, backend):
     eng_server.wal.close()
     eng_server.engine.close()
 
-    engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
+    engine = SQLiteTreeStore(str(tmp_path / f"engine-{backend}"))
     recovered = recover_server(wal_path, engine=engine)
     assert recovered.last_recovery["replayed_records"] == 0  # compacted
     assert recovered.file_ids() == [1, 2]
@@ -142,7 +142,7 @@ def test_recovered_server_keeps_serving(tmp_path, backend):
     eng_server.wal.close()
     eng_server.engine.close()
 
-    engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
+    engine = SQLiteTreeStore(str(tmp_path / f"engine-{backend}"))
     recovered = recover_server(wal_path, engine=engine,
                                cache_nodes=4)  # force real paging
     client2 = AssuredDeletionClient(LoopbackChannel(recovered),
@@ -188,7 +188,7 @@ def test_compaction_crash_seams_recover(tmp_path, backend, point):
     # tests' concern) and recover from what is on disk.
     eng_server.wal.close()
     eng_server.engine.close()
-    engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
+    engine = SQLiteTreeStore(str(tmp_path / f"engine-{backend}"))
     recovered = recover_server(wal_path, engine=engine)
     if point == CRASH_POINT_BEFORE_FLUSH:
         # The WAL was not truncated: replay must redo the lost tail.
@@ -244,7 +244,7 @@ def test_file_visibility_without_materialisation(tmp_path):
     server.wal.close()
     engine_path = str(tmp_path / "engine-vis")
     server.engine.close()
-    engine = make_engine("sqlite", engine_path)
+    engine = SQLiteTreeStore(engine_path)
     fresh = recover_server(wal_path, engine=engine)
     assert fresh.has_file(1) and fresh.has_file(2)
     assert not fresh.has_file(3)
@@ -310,7 +310,7 @@ def test_paging_respects_cache_bound(tmp_path):
     server.compact_storage()
     server.wal.close()
     server.engine.close()
-    engine = make_engine("sqlite", str(tmp_path / "engine-bound"))
+    engine = SQLiteTreeStore(str(tmp_path / "engine-bound"))
     small = recover_server(wal_path, engine=engine, cache_nodes=8)
     client2 = AssuredDeletionClient(LoopbackChannel(small),
                                     rng=DeterministicRandom("bound-2"),
@@ -369,7 +369,7 @@ def test_wal_marker_not_replayed(tmp_path):
     client.insert(1, key, b"b")  # one post-compaction record to replay
     server.wal.close()
     server.engine.close()
-    engine = make_engine("sqlite", str(tmp_path / "engine-marker"))
+    engine = SQLiteTreeStore(str(tmp_path / "engine-marker"))
     recovered = recover_server(wal_path, engine=engine)
     assert recovered.file_ids() == [1]
     recovered.wal.close()
@@ -429,7 +429,7 @@ def test_replace_commit_twin_world_across_restart(tmp_path, backend):
     eng_server.wal.close()
     eng_server.engine.close()
 
-    engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
+    engine = SQLiteTreeStore(str(tmp_path / f"engine-{backend}"))
     recovered = recover_server(wal_path, engine=engine)
     assert snapshot_file(recovered, 1) == snapshot_file(ref_server, 1)
     reader = AssuredDeletionClient(LoopbackChannel(recovered),
@@ -498,7 +498,7 @@ def test_fetch_reply_bytes_match_reference(tmp_path, backend):
     eng_server.wal.close()
     eng_server.engine.close()
 
-    engine = make_engine(backend, str(tmp_path / f"engine-{backend}"))
+    engine = SQLiteTreeStore(str(tmp_path / f"engine-{backend}"))
     recovered = recover_server(wal_path, engine=engine)
     assert _fetch_bytes(recovered, 1) == expected
     recovered.wal.close()
@@ -516,7 +516,7 @@ def _paged_world(tmp_path, sizes):
     server.compact_storage()
     server.wal.close()
     server.engine.close()
-    engine = make_engine("sqlite", str(tmp_path / "engine-paged"))
+    engine = SQLiteTreeStore(str(tmp_path / "engine-paged"))
     return recover_server(wal_path, engine=engine), client, keys
 
 

@@ -14,8 +14,7 @@ from repro.core.errors import (ProtocolError, StorageError,
 from repro.core.params import SHA256_PARAMS
 from repro.crypto.rng import DeterministicRandom
 from repro.protocol.channel import LoopbackChannel
-from repro.server.engine import (KIND_LEAF, KIND_LINK, SQLiteTreeStore,
-                                 make_engine)
+from repro.server.engine import KIND_LEAF, KIND_LINK, SQLiteTreeStore
 from repro.server.server import CloudServer
 from repro.sim.threat import snapshot_file
 from tests.conftest import make_scheme
@@ -87,7 +86,7 @@ def test_rejects_garbage(tmp_path):
     with open(path, "wb") as handle:
         handle.write(b"NOPE" + b"\x00" * 40)
     with pytest.raises(StorageError, match="not a storage engine"):
-        make_engine("sqlite", path)
+        SQLiteTreeStore(path)
 
 
 def test_rejects_foreign_schema(tmp_path):
@@ -103,7 +102,7 @@ def test_rejects_foreign_schema(tmp_path):
     conn.close()
     before = path.read_bytes()
     with pytest.raises(StorageError, match="schema"):
-        make_engine("sqlite", str(path))
+        SQLiteTreeStore(str(path))
     assert path.read_bytes() == before
 
 

@@ -11,7 +11,7 @@ from repro.protocol import messages as msg
 from repro.protocol.channel import LoopbackChannel
 from repro.protocol.faults import (DROP_REQUEST, NONE, ChannelError,
                                    FaultInjectingChannel)
-from repro.server.engine import make_engine
+from repro.server.engine import SQLiteTreeStore
 from repro.server.paging import PagedModulatorStore
 from repro.server.server import CloudServer
 
@@ -80,7 +80,7 @@ def test_duplicate_balancing_value_is_refused_by_the_client(tmp_path,
     both values is refused before any commit is sent."""
     engine = None
     if storage == "engine":
-        engine = make_engine("sqlite", str(tmp_path / "state.db"))
+        engine = SQLiteTreeStore(str(tmp_path / "state.db"))
     server = CloudServer(engine=engine)
     client = AssuredDeletionClient(LoopbackChannel(server),
                                    rng=DeterministicRandom("dup"))
@@ -137,7 +137,7 @@ def test_refused_delete_commit_changes_nothing(tmp_path, storage, shape):
     old key (Theorem 1 holds only if a refused commit changes nothing)."""
     engine = None
     if storage == "engine":
-        engine = make_engine("sqlite", str(tmp_path / "state.db"))
+        engine = SQLiteTreeStore(str(tmp_path / "state.db"))
     server = CloudServer(engine=engine)
     channel = FaultInjectingChannel(server, [])
     client = AssuredDeletionClient(channel, rng=DeterministicRandom("shape"))

@@ -1,14 +1,16 @@
 """Conformance suite: every storage backend obeys the same contract.
 
-Two backend families are exercised through one shared test body each:
+Two backend families are exercised here:
 
 * :class:`~repro.server.storage.CiphertextStore` implementations
-  (in-memory, callback overlay);
-* :class:`~repro.server.engine.TreeStore` engines (memory, SQLite).
+  (in-memory, callback overlay), through one shared test body each;
+* the :class:`~repro.server.engine.TreeStore` contract, on its one
+  engine (SQLite).
 
-A backend that passes here is substitutable for any other in the
-server; the twin-world tests in ``test_engine_server.py`` then prove
-the substitution is bit-identical under real protocol traffic.
+A ciphertext store that passes here is substitutable for any other in
+the server; the twin-world tests in ``test_engine_server.py`` prove an
+engine-backed server bit-identical to one without an engine under real
+protocol traffic.
 """
 
 import os
@@ -18,8 +20,7 @@ import pytest
 
 from repro.core.errors import UnknownItemError
 from repro.server.engine import (KIND_LEAF, KIND_LINK, FileMeta,
-                                 MemoryTreeStore, SQLiteTreeStore,
-                                 make_engine)
+                                 SQLiteTreeStore)
 from repro.server.storage import (CallbackCiphertextStore,
                                   InMemoryCiphertextStore)
 
@@ -101,22 +102,17 @@ def test_ct_survives_pickle(kind, tmp_path):
 # TreeStore engine conformance
 # ---------------------------------------------------------------------
 
-ENGINES = ("memory", "sqlite")
-DURABLE_ENGINES = ("sqlite",)
+ENGINES = ("sqlite",)
 
 
 def make_tree_store(kind: str, tmp_path):
-    if kind == "memory":
-        return MemoryTreeStore()
-    return make_engine(kind, str(tmp_path / f"engine-{kind}"))
+    return SQLiteTreeStore(str(tmp_path / f"engine-{kind}"))
 
 
 def reopen(engine, kind: str, tmp_path):
-    """Close and reopen a durable engine (memory reopens as itself)."""
-    if kind == "memory":
-        return engine
+    """Close and reopen the engine."""
     engine.close()
-    return make_engine(kind, str(tmp_path / f"engine-{kind}"))
+    return SQLiteTreeStore(str(tmp_path / f"engine-{kind}"))
 
 
 @pytest.fixture(params=ENGINES)
@@ -248,7 +244,7 @@ def test_engine_read_your_writes_before_flush(engine):
     assert engine.get_node(FID, KIND_LEAF, 4).startswith(b"staged")
 
 
-@pytest.mark.parametrize("kind", DURABLE_ENGINES)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_engine_reopen_durability(kind, tmp_path):
     engine = make_tree_store(kind, tmp_path)
     engine.set_meta(FileMeta(FID, 2, 4))
@@ -299,12 +295,12 @@ def test_engine_item_repoint_survives_reopen(kind, tmp_path):
         engine.close()
 
 
-@pytest.mark.parametrize("kind", DURABLE_ENGINES)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_engine_unflushed_writes_do_not_survive_crash(kind, tmp_path):
     """Everything since the last flush is gone after a crash -- the
     contract ``compact_storage`` relies on when truncating the WAL."""
     path = str(tmp_path / f"engine-{kind}")
-    engine = make_engine(kind, path)
+    engine = SQLiteTreeStore(path)
     engine.set_meta(FileMeta(FID, 1, 2))
     engine.flush()
     engine.write_nodes(FID, [(KIND_LEAF, 2, b"lost" + b"\0" * 16)])
@@ -314,7 +310,7 @@ def test_engine_unflushed_writes_do_not_survive_crash(kind, tmp_path):
     # instead of committing.
     engine._conn.rollback()
     engine._conn.close()
-    engine = make_engine(kind, path)
+    engine = SQLiteTreeStore(path)
     try:
         assert engine.get_meta(FID).version == 1
         with pytest.raises(KeyError):
@@ -339,7 +335,7 @@ def test_sqlite_engine_compact_vacuums(tmp_path):
     engine.close()
 
 
-@pytest.mark.parametrize("kind", DURABLE_ENGINES)
+@pytest.mark.parametrize("kind", ENGINES)
 def test_engine_pickle_reopens_by_path(kind, tmp_path):
     """Engines pickle as a path reference (flush + reopen), so test
     fixtures holding one can round-trip without copying state."""

@@ -1,8 +1,6 @@
 """Metrics collection and aggregation."""
 
-import pytest
-
-from repro.sim.metrics import MetricsCollector, OpRecord, Stopwatch
+from repro.sim.metrics import MetricsCollector, OpRecord
 
 
 def record(op, sent=100, received=200, psent=0, preceived=50, seconds=0.5,
@@ -23,21 +21,10 @@ def test_collector_aggregation():
     collector.add(record("delete", sent=100))
     collector.add(record("delete", sent=300))
     collector.add(record("access", sent=10))
-    assert len(collector.for_op("delete")) == 2
-    assert collector.mean_overhead_bytes("delete") == \
-        (250 + 450) / 2
-    assert collector.mean_client_seconds("access") == 0.5
-    assert collector.mean_hash_calls("delete") == 7
-
-
-def test_collector_empty_op():
-    collector = MetricsCollector()
-    with pytest.raises(ValueError):
-        collector.mean_overhead_bytes("nope")
-    with pytest.raises(ValueError):
-        collector.mean_client_seconds("nope")
-    with pytest.raises(ValueError):
-        collector.mean_hash_calls("nope")
+    assert [r.overhead_bytes for r in collector.for_op("delete")] == \
+        [250, 450]
+    assert [r.op for r in collector.for_op("access")] == ["access"]
+    assert collector.for_op("nope") == []
 
 
 def test_collector_clear():
@@ -47,57 +34,9 @@ def test_collector_clear():
     assert collector.records == []
 
 
-def test_stopwatch_accumulates():
-    watch = Stopwatch()
-    with watch.measure():
-        pass
-    first = watch.seconds
-    with watch.measure():
-        sum(range(1000))
-    assert watch.seconds > first
-
-
 def test_overhead_never_negative():
     # Hand-built record whose payload fields exceed the byte totals must
     # clamp to zero, not report negative overhead.
     r = OpRecord(op="weird", bytes_sent=10, bytes_received=10,
                  payload_sent=50, payload_received=50)
     assert r.overhead_bytes == 0
-
-
-def test_mean_overhead_zero_records_raises():
-    collector = MetricsCollector()
-    with pytest.raises(ValueError, match="nope"):
-        collector.mean_overhead_bytes("nope")
-    # Records for *other* ops do not change that.
-    collector.add(record("delete"))
-    with pytest.raises(ValueError):
-        collector.mean_overhead_bytes("nope")
-
-
-def test_stopwatch_reentrant_counts_wall_time_once():
-    import time
-
-    watch = Stopwatch()
-    with watch.measure():
-        with watch.measure():   # nested: must not double-bill
-            time.sleep(0.02)
-    assert 0.015 < watch.seconds < 0.2
-
-    # Sequential measures still accumulate.
-    before = watch.seconds
-    with watch.measure():
-        time.sleep(0.01)
-    assert watch.seconds > before
-
-
-def test_stopwatch_depth_recovers_after_exception():
-    watch = Stopwatch()
-    with pytest.raises(RuntimeError):
-        with watch.measure():
-            raise RuntimeError("boom")
-    first = watch.seconds
-    assert first >= 0.0
-    with watch.measure():
-        sum(range(1000))
-    assert watch.seconds > first

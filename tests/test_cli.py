@@ -124,7 +124,7 @@ def test_serve_and_compact_parse_with_one_engine_and_one_host(tmp_path):
     import json
 
     from repro.cli import Vault, build_parser, main
-    from repro.server.engine import engine_path, make_engine
+    from repro.server.engine import SQLiteTreeStore, engine_path
 
     parser = build_parser()
     args = parser.parse_args(["serve", "--durable", "--backend", "sqlite",
@@ -141,7 +141,7 @@ def test_serve_and_compact_parse_with_one_engine_and_one_host(tmp_path):
     vault_ = Vault(server_dir, str(tmp_path / "keys"))
     vault_.load()
     vault_.fs.create_file("f", [b"a", b"b"])
-    engine = make_engine("sqlite", engine_path(server_dir, "sqlite"))
+    engine = SQLiteTreeStore(engine_path(server_dir))
     vault_.fs.server.attach_engine(engine)
     vault_.fs.server.compact_storage()
     engine.close()
@@ -191,7 +191,7 @@ def test_audit_needs_durable_and_verifies_after_offline_compact(tmp_path):
 
     from repro.cli import Vault, main
     from repro.obs.audit import AuditLog
-    from repro.server.engine import engine_path, make_engine
+    from repro.server.engine import SQLiteTreeStore, engine_path
     from repro.server.wal import CommitLog
 
     assert vault(tmp_path, "init").returncode == 0
@@ -203,7 +203,7 @@ def test_audit_needs_durable_and_verifies_after_offline_compact(tmp_path):
     vault_ = Vault(server_dir, str(tmp_path / "keys"))
     vault_.load()
     server = vault_.fs.server
-    engine = make_engine("sqlite", engine_path(server_dir, "sqlite"))
+    engine = SQLiteTreeStore(engine_path(server_dir))
     server.attach_engine(engine)
     server.compact_storage()
     wal = CommitLog(os.path.join(server_dir, "server.wal"),
