@@ -3,10 +3,13 @@
 These are the constants behind every figure: the chain-hash step, the AES
 block, OpenSSL CTR per item and per batch, chain evaluation at the paper's depths, the
 item codec at the paper's 4 KB item size, and the list-at-a-time steps
-of a whole-file fetch (``step_many``, ``Reader.modulator_list``).
+of a whole-file fetch (``step_many``, ``Reader.modulator_list``, the
+``Writer`` list encoders and a whole ``FetchFileReply`` encode).
 """
 
 import hashlib
+import os
+import platform
 import time
 
 import pytest
@@ -18,6 +21,7 @@ from repro.core.params import Params
 from repro.crypto.aes import AES
 from repro.crypto.modes import aes_ctr, aes_ctr_many
 from repro.crypto.rng import DeterministicRandom
+from repro.protocol import messages as msg
 from repro.protocol.wire import Reader, WireContext, Writer
 
 rng = DeterministicRandom("micro")
@@ -166,16 +170,28 @@ def test_micro_timing_record():
 
 def test_bulk_fetch_timing_record():
     """Record the list-at-a-time steps of a whole-file fetch at n = 8192:
-    one level of chain steps and one decoded modulator list."""
+    one level of chain steps and one decoded modulator list, then the
+    encode side -- ``Writer.modulator_list``, ``Writer.blob_list`` over
+    64-byte ciphertexts and a whole ``FetchFileReply`` -- each checked
+    to round-trip before it is timed."""
     n = 8192
     engine = ChainEngine()
     values = [rng.bytes(20) for _ in range(n)]
     modulators = [rng.bytes(20) for _ in range(n)]
+    ciphertexts = [rng.bytes(64) for _ in range(n)]
     ctx = WireContext(modulator_width=20)
     encoded = Writer(ctx).modulator_list(modulators).getvalue()
+    encoded_blobs = Writer(ctx).blob_list(ciphertexts).getvalue()
+    reply = msg.FetchFileReply(
+        n_leaves=n, item_ids=tuple(range(1, n + 1)),
+        links=tuple(rng.bytes(20) for _ in range(2 * n - 2)),
+        leaves=tuple(modulators), ciphertexts=tuple(ciphertexts),
+        tree_version=1)
     assert engine.step_many(values, modulators) == \
         [engine.step(v, m) for v, m in zip(values, modulators)]
     assert Reader(ctx, encoded).modulator_list() == modulators
+    assert Reader(ctx, encoded_blobs).blob_list() == ciphertexts
+    assert msg.decode_message(ctx, msg.encode_message(ctx, reply)) == reply
     save_json("micro_bulk_fetch", {
         "op": "micro",
         "n": n,
@@ -184,5 +200,20 @@ def test_bulk_fetch_timing_record():
                 lambda: engine.step_many(values, modulators), reps=50),
             "modulator_list": _per_call_us(
                 lambda: Reader(ctx, encoded).modulator_list(), reps=50),
+            "encode_modulator_list": _per_call_us(
+                lambda: Writer(ctx).modulator_list(modulators).getvalue(),
+                reps=50),
+            "encode_blob_list": _per_call_us(
+                lambda: Writer(ctx).blob_list(ciphertexts).getvalue(),
+                reps=50),
+            "encode_fetch_file_reply": _per_call_us(
+                lambda: msg.encode_message(ctx, reply), reps=20),
+        },
+        "environment": {
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "system": platform.system(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
         },
     })

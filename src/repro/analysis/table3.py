@@ -19,6 +19,7 @@ interpreter-constant skew discussed in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -56,7 +57,11 @@ def exact_comm_ratio(n: int, item_size: int = PAPER_ITEM_SIZE,
 
 
 def measure_ratios(n: int, item_size: int = PAPER_ITEM_SIZE) -> Table3Row:
-    """Fetch a real file once; split derivation time from decryption time."""
+    """Fetch a real file once; split derivation time from decryption time.
+
+    The computation ratio is the median over five timed rounds, after one
+    untimed warm-up, so one slice of a busy host cannot decide it.
+    """
     handle, _ids = build_dense_file(n, item_size, seed=f"tab3-{n}")
     client = handle.scheme.client
     master_key = handle.scheme._key()
@@ -71,19 +76,20 @@ def measure_ratios(n: int, item_size: int = PAPER_ITEM_SIZE) -> Table3Row:
     comm_ratio = tree_bytes / file_bytes
 
     # Computation ratio: derive all keys, then decrypt everything.
-    start = time.perf_counter()
-    outputs = client._derive_outputs(master_key, reply.n_leaves, reply.links,
-                                     reply.leaves)
-    derive_seconds = time.perf_counter() - start
+    def one_round() -> float:
+        start = time.perf_counter()
+        outputs = client._derive_outputs(master_key, reply.n_leaves,
+                                         reply.links, reply.leaves)
+        derived = time.perf_counter()
+        client.codec.decrypt_many(
+            [outputs[reply.n_leaves + i] for i in range(reply.n_leaves)],
+            list(reply.ciphertexts))
+        return (derived - start) / (time.perf_counter() - derived)
 
-    start = time.perf_counter()
-    client.codec.decrypt_many(
-        [outputs[reply.n_leaves + i] for i in range(reply.n_leaves)],
-        list(reply.ciphertexts))
-    decrypt_seconds = time.perf_counter() - start
-
+    one_round()
     return Table3Row(n_items=n, comm_ratio=comm_ratio,
-                     comp_ratio=derive_seconds / decrypt_seconds,
+                     comp_ratio=statistics.median(
+                         one_round() for _ in range(5)),
                      measured=True)
 
 

@@ -18,14 +18,12 @@ from repro.protocol.wire import Reader, Writer
 def _write_items(w: Writer, item_ids: tuple[int, ...],
                  blobs: tuple[bytes, ...]) -> None:
     w.u64_list(item_ids)
-    w.u32(len(blobs))
-    for blob in blobs:
-        w.blob(blob)
+    w.blob_list(blobs)
 
 
 def _read_items(r: Reader) -> tuple[tuple[int, ...], tuple[bytes, ...]]:
     item_ids = tuple(r.u64_list())
-    blobs = tuple(r.blob() for _ in range(r.u32()))
+    blobs = tuple(r.blob_list())
     return item_ids, blobs
 
 
@@ -50,7 +48,7 @@ class BlobUploadAll(Message):
         return cls(file_id=file_id, item_ids=item_ids, ciphertexts=ciphertexts)
 
     def payload_bytes(self) -> int:
-        return sum(4 + len(c) for c in self.ciphertexts)
+        return 4 * len(self.ciphertexts) + sum(map(len, self.ciphertexts))
 
 
 @register
@@ -123,7 +121,7 @@ class BlobAllReply(Message):
         return cls(item_ids=item_ids, ciphertexts=ciphertexts)
 
     def payload_bytes(self) -> int:
-        return sum(4 + len(c) for c in self.ciphertexts)
+        return 4 * len(self.ciphertexts) + sum(map(len, self.ciphertexts))
 
 
 @register

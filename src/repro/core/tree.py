@@ -221,12 +221,9 @@ class ItemMap:
     def items_in(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """``(slot, item_id)`` of occupied slots ``lo <= slot < hi``, in
         slot order."""
-        pairs = []
-        for slot in range(lo, hi):
-            item_id = self.item_at(slot)
-            if item_id is not None:
-                pairs.append((slot, item_id))
-        return pairs
+        item_at = self.item_at
+        return [(slot, item_id) for slot in range(lo, hi)
+                if (item_id := item_at(slot)) is not None]
 
 
 class ArithmeticItemMap(ItemMap):

@@ -291,7 +291,7 @@ class OutsourceRequest(Message):
                    request_id=r.u64())
 
     def payload_bytes(self) -> int:
-        return sum(4 + len(c) for c in self.ciphertexts)
+        return 4 * len(self.ciphertexts) + sum(map(len, self.ciphertexts))
 
 
 @register
@@ -575,7 +575,7 @@ class FetchFileReply(Message):
                    tree_version=r.u64())
 
     def payload_bytes(self) -> int:
-        return sum(4 + len(c) for c in self.ciphertexts)
+        return 4 * len(self.ciphertexts) + sum(map(len, self.ciphertexts))
 
 
 @register
@@ -659,7 +659,7 @@ class BatchDeleteReply(Message):
                    tree_version=r.u64())
 
     def payload_bytes(self) -> int:
-        return sum(4 + len(c) for c in self.ciphertexts)
+        return 4 * len(self.ciphertexts) + sum(map(len, self.ciphertexts))
 
 
 @register

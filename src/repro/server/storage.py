@@ -53,6 +53,13 @@ class InMemoryCiphertextStore(CiphertextStore):
         except KeyError:
             raise UnknownItemError(f"no ciphertext for item {item_id}") from None
 
+    def get_many(self, item_ids: Sequence[int]) -> list[bytes]:
+        try:
+            return list(map(self._items.__getitem__, item_ids))
+        except KeyError as exc:
+            raise UnknownItemError(
+                f"no ciphertext for item {exc.args[0]}") from None
+
     def put(self, item_id: int, ciphertext: bytes) -> None:
         self._items[item_id] = bytes(ciphertext)
 

@@ -346,6 +346,17 @@ def test_replace_item_repoints_the_leaf_in_place(kind, request, tmp_path):
     assert tree.item_ids() == [100, 101, 900, 103, 104, 105]
 
 
+@pytest.mark.parametrize("kind", ["dict", "arithmetic", "paged"])
+def test_items_in_lists_occupied_slots_in_slot_order(kind, request,
+                                                     tmp_path):
+    mapping = _tree_over(kind, request, tmp_path)._map
+    mapping.move(105, 11, 5)
+    mapping.remove(101, 7)
+    assert mapping.items_in(0, 12) == [(5, 105), (6, 100), (8, 102),
+                                       (9, 103), (10, 104)]
+    assert mapping.items_in(8, 10) == [(8, 102), (9, 103)]
+
+
 def test_adopt_validates_counts():
     store = LazySeededStore(WIDTH, b"x")
     with pytest.raises(ValueError):

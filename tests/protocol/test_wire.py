@@ -57,6 +57,13 @@ def test_modulator_list():
                      lambda r: r.modulator_list()) == []
 
 
+def test_modulator_list_rejects_a_wrong_width_mid_list():
+    values = [bytes([i]) * 20 for i in range(5)]
+    values[2] = b"\x00" * 21
+    with pytest.raises(ProtocolError, match="modulator width 21 != 20"):
+        Writer(CTX).modulator_list(values)
+
+
 def test_u64_list():
     values = [0, 1, 2 ** 63, 2 ** 64 - 1]
     assert roundtrip(lambda w: w.u64_list(values),

@@ -67,6 +67,16 @@ def test_ct_delete_then_get_raises(ct_store):
         ct_store.get(9)
 
 
+def test_ct_get_many_keeps_order_and_names_a_missing_item(ct_store):
+    for item_id, value in ((1, b"a"), (2, b"b"), (3, b"c")):
+        ct_store.put(item_id, value)
+    assert ct_store.get_many([3, 1, 2]) == [b"c", b"a", b"b"]
+    assert ct_store.get_many([]) == []
+    ct_store.delete(2)
+    with pytest.raises(UnknownItemError, match="item 2$"):
+        ct_store.get_many([1, 2, 3])
+
+
 def test_ct_delete_is_idempotent(ct_store):
     ct_store.put(3, b"x")
     ct_store.delete(3)
