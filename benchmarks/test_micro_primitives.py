@@ -133,6 +133,16 @@ def test_xor_fast_path_is_correct_and_not_slower():
     assert digest < 5 * max(general, 0.01)
 
 
+def _environment() -> dict:
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "system": platform.system(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
 def test_micro_timing_record():
     """Persist the substrate constants as a machine-readable record.
 
@@ -165,6 +175,7 @@ def test_micro_timing_record():
                 lambda: aes_ctr_many(keys, nonces, payloads),
                 reps=20) / batch,
         },
+        "environment": _environment(),
     })
 
 
@@ -209,11 +220,5 @@ def test_bulk_fetch_timing_record():
             "encode_fetch_file_reply": _per_call_us(
                 lambda: msg.encode_message(ctx, reply), reps=20),
         },
-        "environment": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "system": platform.system(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
+        "environment": _environment(),
     })

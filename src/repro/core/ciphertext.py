@@ -18,8 +18,11 @@ Wire layout (AES-CTR keeps the ciphertext length minimal):
 A fresh random nonce is drawn for every (re-)encryption, so modification
 ("re-encrypts it using the same data key", Section IV-E) never reuses a
 keystream.  Every item has its own key, so every item pays one AES key
-setup; :func:`repro.crypto.modes.aes_ctr_many` keeps that near a
-microsecond by re-keying one OpenSSL (>= 3.0) cipher context per item.
+setup and one tag hash.  Each direction has one code path, a batch (the
+one-item calls are one-item batches): one
+:func:`repro.crypto.modes.aes_ctr_joined` call re-keys one OpenSSL
+(>= 3.0) cipher context per item, and each item's fields are cut
+straight out of its one joined output.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ import struct
 
 from repro.core.errors import IntegrityError
 from repro.core.params import Params
-from repro.crypto.modes import aes_ctr, aes_ctr_many
+from repro.crypto.modes import aes_ctr_joined
 
 _NONCE_SIZE = 8
 _COUNTER_SIZE = 8
+_COUNTER = struct.Struct(">Q")
 
 
 class ItemCodec:
@@ -54,73 +58,54 @@ class ItemCodec:
         """Extract the AES key from a chain output (paper: first 128 bits)."""
         return chain_output[:self._params.data_key_size]
 
-    def _item_hash(self, message: bytes, r_bytes: bytes) -> bytes:
-        return self._params.chain_hash(message + r_bytes).digest()
-
     def encrypt(self, chain_output: bytes, message: bytes, item_id: int,
                 nonce: bytes) -> bytes:
         """Encrypt ``message`` as item ``item_id`` under a chain output."""
-        if len(nonce) != _NONCE_SIZE:
-            raise ValueError(f"nonce must be {_NONCE_SIZE} bytes")
-        if item_id < 0:
-            raise ValueError("item id must be non-negative")
-        r_bytes = struct.pack(">Q", item_id)
-        payload = r_bytes + message + self._item_hash(message, r_bytes)
-        return nonce + aes_ctr(self.data_key(chain_output), nonce, payload)
+        return self._seal([chain_output], [message], [item_id], [nonce])[0]
 
     def encrypt_many(self, chain_outputs: list[bytes], messages: list[bytes],
                      item_ids: list[int], nonces: list[bytes]) -> list[bytes]:
-        """Batch encryption, identical output to per-item :meth:`encrypt`.
+        """Encrypt each ``messages[i]`` as item ``item_ids[i]``.
 
-        Used by outsourcing and by the master-key baseline's O(n)
-        re-encryption; the AES-CTR transforms run through ``aes_ctr_many``,
-        one OpenSSL cipher context re-keyed per item.
+        Every argument is checked before any item is encrypted.  The
+        AES-CTR transforms run in one ``aes_ctr_joined`` call (one
+        OpenSSL cipher context re-keyed per item) and each ciphertext is
+        its nonce followed by its body, cut from the joined output.
         """
+        return self._seal(chain_outputs, messages, item_ids, nonces)
+
+    def _seal(self, chain_outputs, messages, item_ids, nonces) -> list[bytes]:
+        """The one encryption path.  Both entry points call it, not each
+        other, so every codec call enters the public API once, as a
+        tracer or profiler counts it."""
         if not (len(chain_outputs) == len(messages) == len(item_ids)
                 == len(nonces)):
             raise ValueError("batch arguments must have equal lengths")
-        r_bytes = [struct.pack(">Q", item_id) for item_id in item_ids]
-        tags = self._hash_many([message + r
-                                for message, r in zip(messages, r_bytes)])
         for nonce in nonces:
             if len(nonce) != _NONCE_SIZE:
                 raise ValueError(f"nonce must be {_NONCE_SIZE} bytes")
-        payloads = [r + message + tag
-                    for r, message, tag in zip(r_bytes, messages, tags)]
-        bodies = aes_ctr_many([self.data_key(co) for co in chain_outputs],
-                              nonces, payloads)
-        return [nonce + body for nonce, body in zip(nonces, bodies)]
+        if item_ids and min(item_ids) < 0:
+            raise ValueError("item id must be non-negative")
+        key_size = self._params.data_key_size
+        joined = memoryview(aes_ctr_joined(
+            [output[:key_size] for output in chain_outputs], nonces,
+            self._plaintexts(messages, item_ids)))
+        extra = _COUNTER_SIZE + self._digest_size
+        ciphertexts, end = [], 0
+        for nonce, message in zip(nonces, messages):
+            start, end = end, end + len(message) + extra
+            ciphertexts.append(nonce + joined[start:end])
+        return ciphertexts
 
-    def decrypt_many(self, chain_outputs: list[bytes],
-                     ciphertexts: list[bytes]) -> list[tuple[bytes, int]]:
-        """Batch decrypt-verify; raises IntegrityError on the first bad item."""
-        if len(chain_outputs) != len(ciphertexts):
-            raise ValueError("batch arguments must have equal lengths")
-        minimum = _NONCE_SIZE + _COUNTER_SIZE + self._digest_size
-        for ciphertext in ciphertexts:
-            if len(ciphertext) < minimum:
-                raise IntegrityError("ciphertext too short to be well-formed")
-        payloads = aes_ctr_many(
-            [self.data_key(co) for co in chain_outputs],
-            [ct[:_NONCE_SIZE] for ct in ciphertexts],
-            [ct[_NONCE_SIZE:] for ct in ciphertexts])
-        parts = [(payload[:_COUNTER_SIZE],
-                  payload[_COUNTER_SIZE:-self._digest_size],
-                  payload[-self._digest_size:])
-                 for payload in payloads]
-        expected = self._hash_many([message + r for r, message, _tag in parts])
-        results = []
-        for (r, message, tag), computed in zip(parts, expected):
-            if not hmac.compare_digest(computed, tag):
-                raise IntegrityError("decrypt-verification failed: wrong key "
-                                     "or tampered ciphertext")
-            results.append((message, struct.unpack(">Q", r)[0]))
-        return results
-
-    def _hash_many(self, inputs: list[bytes]) -> list[bytes]:
-        """Item tags ``H(m || r)`` for a batch of ``m || r`` inputs."""
-        h = self._params.chain_hash
-        return [h(data).digest() for data in inputs]
+    def _plaintexts(self, messages, item_ids) -> list[bytes]:
+        """``r || m || H(m || r)`` for each message and its item id."""
+        h, pack, plaintexts = self._params.chain_hash, _COUNTER.pack, []
+        for message, item_id in zip(messages, item_ids):
+            r = pack(item_id)
+            tag = h(message)
+            tag.update(r)
+            plaintexts.append(b"".join((r, message, tag.digest())))
+        return plaintexts
 
     def decrypt(self, chain_output: bytes, ciphertext: bytes) -> tuple[bytes, int]:
         """Decrypt and verify; return ``(message, item_id)``.
@@ -128,15 +113,45 @@ class ItemCodec:
         Raises :class:`IntegrityError` when the key does not match the
         ciphertext -- the client's accept/reject decision for ``MT(k)``.
         """
-        minimum = _NONCE_SIZE + _COUNTER_SIZE + self._digest_size
-        if len(ciphertext) < minimum:
+        return self._open([chain_output], [ciphertext])[0]
+
+    def decrypt_many(self, chain_outputs: list[bytes],
+                     ciphertexts: list[bytes]) -> list[tuple[bytes, int]]:
+        """Decrypt-verify a batch; return ``(message, item_id)`` per item.
+
+        One ``aes_ctr_joined`` call decrypts every body; each item's
+        ``r``, ``m`` and tag are cut straight out of its joined output,
+        and each tag is compared in constant time.  The first item that
+        fails raises :class:`IntegrityError` and nothing is returned.
+        """
+        return self._open(chain_outputs, ciphertexts)
+
+    def _open(self, chain_outputs, ciphertexts) -> list[tuple[bytes, int]]:
+        """The one decrypt-verify path, called by both entry points."""
+        if len(chain_outputs) != len(ciphertexts):
+            raise ValueError("batch arguments must have equal lengths")
+        tag_size = self._digest_size
+        sizes = [len(ciphertext) - _NONCE_SIZE for ciphertext in ciphertexts]
+        if sizes and min(sizes) < _COUNTER_SIZE + tag_size:
             raise IntegrityError("ciphertext too short to be well-formed")
-        nonce, body = ciphertext[:_NONCE_SIZE], ciphertext[_NONCE_SIZE:]
-        payload = aes_ctr(self.data_key(chain_output), nonce, body)
-        r_bytes = payload[:_COUNTER_SIZE]
-        message = payload[_COUNTER_SIZE:-self._digest_size]
-        tag = payload[-self._digest_size:]
-        if not hmac.compare_digest(self._item_hash(message, r_bytes), tag):
-            raise IntegrityError("decrypt-verification failed: wrong key or "
-                                 "tampered ciphertext")
-        return message, struct.unpack(">Q", r_bytes)[0]
+        key_size = self._params.data_key_size
+        joined = aes_ctr_joined(
+            [output[:key_size] for output in chain_outputs],
+            [ciphertext[:_NONCE_SIZE] for ciphertext in ciphertexts],
+            [ciphertext[_NONCE_SIZE:] for ciphertext in ciphertexts])
+        h, compare = self._params.chain_hash, hmac.compare_digest
+        messages, counters, end = [], [], 0
+        for size in sizes:
+            start, end = end, end + size
+            tag_at = end - tag_size
+            r = joined[start:start + _COUNTER_SIZE]
+            message = joined[start + _COUNTER_SIZE:tag_at]
+            tag = h(message)
+            tag.update(r)
+            if not compare(tag.digest(), joined[tag_at:end]):
+                raise IntegrityError("decrypt-verification failed: wrong key "
+                                     "or tampered ciphertext")
+            messages.append(message)
+            counters.append(r)
+        item_ids = struct.unpack(f">{len(counters)}Q", b"".join(counters))
+        return list(zip(messages, item_ids))

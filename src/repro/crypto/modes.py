@@ -4,6 +4,10 @@ The item codec (:mod:`repro.core.ciphertext`) uses AES-CTR so ciphertext
 length equals plaintext length plus the nonce.  CTR has one kernel:
 libcrypto's EVP interface (OpenSSL >= 3.0), called through :mod:`ctypes`
 with one cipher context re-keyed per item, loaded on the first call.
+:func:`aes_ctr`, :func:`aes_ctr_many` and :func:`aes_ctr_joined` share
+its one loop, which writes every item into one output buffer.  Per item
+the loop makes two EVP calls, a re-key and an update, whose arguments
+ctypes passes without converting (see :func:`_evp`).
 :func:`aes_ctr_scalar` runs the same transform on the in-repo
 :class:`~repro.crypto.aes.AES` as the kernel's reference.
 """
@@ -30,6 +34,12 @@ def _evp() -> SimpleNamespace:
     usually mapped already.  OpenSSL 3.0 or later is required (the
     kernel fetches its ciphers with ``EVP_CIPHER_fetch``); anything else
     raises :class:`RuntimeError` -- there is no other AES-CTR path.
+
+    The per-item calls ``init`` and ``update`` declare no ``argtypes``,
+    so ctypes runs no ``from_param`` converter on their arguments, which
+    was most of their cost.  Without converters a Python int is passed
+    as a C ``int``, so every pointer argument to them must be a ctypes
+    object, ``bytes`` or ``None``; only the input length is an int.
     """
     import ctypes
     from ctypes import c_char_p, c_int, c_ulong, c_void_p
@@ -51,22 +61,22 @@ def _evp() -> SimpleNamespace:
     fetch = bind("EVP_CIPHER_fetch", c_void_p, c_void_p, c_char_p, c_char_p)
     ciphers = {}
     for size in _KEY_SIZES:
-        ciphers[size] = fetch(None, f"AES-{8 * size}-CTR".encode(), None)
+        ciphers[size] = c_void_p(
+            fetch(None, f"AES-{8 * size}-CTR".encode(), None))
         if not ciphers[size]:
             raise RuntimeError(f"OpenSSL has no AES-{8 * size}-CTR")
     return SimpleNamespace(
         ciphers=ciphers,
         ctx_new=bind("EVP_CIPHER_CTX_new", c_void_p),
         ctx_free=bind("EVP_CIPHER_CTX_free", None, c_void_p),
-        init=bind("EVP_EncryptInit_ex2", c_int,
-                  c_void_p, c_void_p, c_char_p, c_char_p, c_void_p),
-        # ``outl`` is passed as an address: cheaper than a checked pointer.
-        update=bind("EVP_EncryptUpdate", c_int,
-                    c_void_p, c_void_p, c_void_p, c_char_p, c_int),
+        # EVP_EncryptInit_ex2(ctx, cipher, key, iv, params)
+        init=bind("EVP_EncryptInit_ex2", c_int),
+        # EVP_EncryptUpdate(ctx, out, &outl, in, inl)
+        update=bind("EVP_EncryptUpdate", c_int),
         get_error=bind("ERR_get_error", c_ulong),
         clear_error=bind("ERR_clear_error", None),
-        buffer=ctypes.create_string_buffer, addressof=ctypes.addressof,
-        c_int=c_int)
+        buffer=ctypes.create_string_buffer, byref=ctypes.byref,
+        c_int=c_int, c_void_p=c_void_p)
 
 
 def _evp_failed(evp: SimpleNamespace, call: str) -> None:
@@ -75,53 +85,52 @@ def _evp_failed(evp: SimpleNamespace, call: str) -> None:
     raise RuntimeError(f"OpenSSL {call} failed (error 0x{code:x})")
 
 
-def _ctr(keys, nonces, datas, sizes, initial_counter: int) -> list[bytes]:
+def _ctr(keys, nonces, datas, sizes, initial_counter: int):
     """The one AES-CTR loop: every item through one re-keyed EVP context.
 
-    :func:`aes_ctr_many` has checked every argument.  The context is made
-    for this call and freed (its key schedule cleansed) before returning,
-    so no state is shared between threads.  Items are written at
-    increasing offsets into one output buffer and sliced out afterwards;
-    a failed call raises and nothing is returned.
+    :func:`aes_ctr_joined` has checked every argument.  The context is
+    made for this call and freed (its key schedule cleansed) before
+    returning, so no state is shared between threads.  Items are written
+    at increasing offsets into one ctypes output buffer, which is
+    returned; a failed call raises and returns nothing.
+
+    The context, the ciphers and ``outl`` are ctypes objects held for
+    the whole call, and each item's output position is a ``byref`` into
+    the output buffer, so the two EVP calls convert no argument.
     """
     total = sum(sizes)
     if not total:
-        return [b""] * len(datas)
+        return b""
     evp = _evp()
-    init, update, ciphers = evp.init, evp.update, evp.ciphers
+    init, update, ciphers, byref = evp.init, evp.update, evp.ciphers, evp.byref
     out = evp.buffer(total)
-    address = evp.addressof(out)
     written = evp.c_int()
-    written_at = evp.addressof(written)
+    outl = byref(written)
     counter = initial_counter.to_bytes(8, "big")
-    ctx = evp.ctx_new()
+    ctx = evp.c_void_p(evp.ctx_new())
     if not ctx:
         raise MemoryError("OpenSSL EVP_CIPHER_CTX_new failed")
     try:
-        current = None
+        current, offset = None, 0
         for key, nonce, data, size in zip(keys, nonces, datas, sizes):
             if not size:
                 continue
             cipher = ciphers[len(key)]
             # A NULL cipher re-keys the context without re-initialising it.
-            if not init(ctx, None if cipher == current else cipher, key,
+            if not init(ctx, None if cipher is current else cipher, key,
                         nonce + counter, None):
                 _evp_failed(evp, "EVP_EncryptInit_ex2")
             current = cipher
-            # The length is a C int: the ``written`` check also refuses a
-            # payload of 2**31 bytes or more.
-            if (not update(ctx, address, written_at, data, size)
+            # The length is passed as a C int, which truncates a larger
+            # value: the ``written`` check refuses a payload of 2**31
+            # bytes or more.
+            if (not update(ctx, byref(out, offset), outl, data, size)
                     or written.value != size):
                 _evp_failed(evp, "EVP_EncryptUpdate")
-            address += size
+            offset += size
     finally:
         evp.ctx_free(ctx)
-    raw = out.raw
-    results, offset = [], 0
-    for size in sizes:
-        results.append(raw[offset:offset + size])
-        offset += size
-    return results
+    return out
 
 
 def _check_counter_range(initial_counter: int, blocks: int) -> None:
@@ -140,17 +149,37 @@ def aes_ctr(key: bytes, nonce: bytes, data: bytes, *,
     counter field is 64 bits wide: a payload whose counters would pass
     ``2**64`` raises :class:`ValueError` rather than carry into the nonce.
     """
-    return aes_ctr_many([key], [nonce], [data],
-                        initial_counter=initial_counter)[0]
+    return aes_ctr_joined([key], [nonce], [data],
+                          initial_counter=initial_counter)[:]
 
 
 def aes_ctr_many(keys, nonces, datas, *, initial_counter: int = 0) -> list[bytes]:
     """AES-CTR over many independent ``(key, nonce, data)`` bytes triples.
 
-    Bit-identical to calling :func:`aes_ctr` per triple: the batch runs
-    through one libcrypto cipher context, re-keyed per item, so each
-    item pays about a microsecond of key setup.  Every argument is
-    checked before any item is transformed.
+    Bit-identical to calling :func:`aes_ctr` per triple: one
+    :func:`aes_ctr_joined` call, cut into one output per triple.
+    """
+    joined = aes_ctr_joined(keys, nonces, datas,
+                            initial_counter=initial_counter)
+    results, end = [], 0
+    for data in datas:
+        start, end = end, end + len(data)
+        results.append(joined[start:end])
+    return results
+
+
+def aes_ctr_joined(keys, nonces, datas, *, initial_counter: int = 0):
+    """The outputs of :func:`aes_ctr_many`, joined in batch order.
+
+    The result is the kernel's own output buffer (a ctypes ``c_char``
+    array, or ``b""`` when every item is empty): a slice of it is
+    ``bytes``, so a caller that parses each output -- the item codec --
+    cuts its fields straight out of it without a copy of the whole.
+
+    Every argument is checked before any item is transformed: equal
+    lengths, 16/24/32-byte keys, 8-byte nonces and the 64-bit counter
+    range.  The batch runs through one libcrypto cipher context and
+    each item costs one re-key and one update of it.
     """
     if not (len(keys) == len(nonces) == len(datas)):
         raise ValueError("batch arguments must have equal lengths")

@@ -55,6 +55,23 @@ MUTATING_REQUESTS = (msg.OutsourceRequest, msg.ModifyCommit,
 #: everything by taking the registry lock exclusively.
 REGISTRY_REQUESTS = (msg.OutsourceRequest, msg.DeleteFileRequest)
 
+#: Request type -> handler method name, resolved with ``getattr`` per
+#: request so that a subclass's override of a handler applies.
+_HANDLERS = {
+    msg.OutsourceRequest: "_on_outsource",
+    msg.AccessRequest: "_on_access",
+    msg.ModifyCommit: "_on_modify",
+    msg.DeleteRequest: "_on_delete_request",
+    msg.DeleteCommit: "_on_delete_commit",
+    msg.BatchDeleteRequest: "_on_batch_delete_request",
+    msg.BatchDeleteCommit: "_on_batch_delete_commit",
+    msg.ReplaceCommit: "_on_replace_commit",
+    msg.InsertRequest: "_on_insert_request",
+    msg.InsertCommit: "_on_insert_commit",
+    msg.FetchFileRequest: "_on_fetch_file",
+    msg.DeleteFileRequest: "_on_delete_file",
+}
+
 
 def _error_reply(exc: ReproError, request_id: int) -> msg.ErrorReply:
     """The reply to a request refused with ``exc``."""
@@ -335,25 +352,12 @@ class CloudServer:
             return reply
 
     def _dispatch(self, request: msg.Message) -> msg.Message:
-        handlers = {
-            msg.OutsourceRequest: self._on_outsource,
-            msg.AccessRequest: self._on_access,
-            msg.ModifyCommit: self._on_modify,
-            msg.DeleteRequest: self._on_delete_request,
-            msg.DeleteCommit: self._on_delete_commit,
-            msg.BatchDeleteRequest: self._on_batch_delete_request,
-            msg.BatchDeleteCommit: self._on_batch_delete_commit,
-            msg.ReplaceCommit: self._on_replace_commit,
-            msg.InsertRequest: self._on_insert_request,
-            msg.InsertCommit: self._on_insert_commit,
-            msg.FetchFileRequest: self._on_fetch_file,
-            msg.DeleteFileRequest: self._on_delete_file,
-        }
-        handler = handlers.get(type(request))
-        if handler is None:
+        name = _HANDLERS.get(type(request))
+        if name is None:
             return msg.ErrorReply(code=msg.E_BAD_REQUEST,
                                   detail=f"unsupported request "
                                          f"{type(request).__name__}")
+        handler = getattr(self, name)
         mutating = isinstance(request, MUTATING_REQUESTS)
         request_id = getattr(request, "request_id", 0) if mutating else 0
         replay = self._replaying

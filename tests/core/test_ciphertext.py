@@ -123,3 +123,37 @@ def test_tags_are_compared_in_constant_time(codec, rng, monkeypatch):
     with pytest.raises(IntegrityError):
         codec.decrypt(rng.bytes(20), ciphertexts[0])
     assert len(calls) == 1
+
+
+def _sealed_batch(codec, rng, n=7):
+    keys = [rng.bytes(20) for _ in range(n)]
+    messages = [rng.bytes(size) for size in (0, 1, 64, 100, 4096, 17, 33)[:n]]
+    ciphertexts = codec.encrypt_many(keys, messages, list(range(10, 10 + n)),
+                                     [rng.bytes(8) for _ in range(n)])
+    return keys, messages, ciphertexts
+
+
+def test_clean_batch_matches_per_item_decrypt(codec, rng):
+    keys, messages, ciphertexts = _sealed_batch(codec, rng)
+    batch = codec.decrypt_many(keys, ciphertexts)
+    assert batch == [codec.decrypt(key, ct)
+                     for key, ct in zip(keys, ciphertexts)]
+    assert batch == [(m, 10 + i) for i, m in enumerate(messages)]
+
+
+@pytest.mark.parametrize("victim", [0, 3, 6])
+@pytest.mark.parametrize("fault", ["tamper", "wrong-key"])
+def test_one_bad_item_fails_the_whole_batch(codec, rng, victim, fault):
+    """A tampered ciphertext (first, middle or last position) or one item
+    under a wrong key raises and returns nothing for any item."""
+    keys, _messages, ciphertexts = _sealed_batch(codec, rng)
+    if fault == "tamper":
+        tampered = bytearray(ciphertexts[victim])
+        tampered[len(tampered) // 2] ^= 0x01
+        ciphertexts[victim] = bytes(tampered)
+    else:
+        keys[victim] = rng.bytes(20)
+    results = []
+    with pytest.raises(IntegrityError):
+        results.append(codec.decrypt_many(keys, ciphertexts))
+    assert results == []

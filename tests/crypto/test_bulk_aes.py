@@ -160,6 +160,41 @@ def test_failing_evp_call_raises_and_frees_the_context(rng, monkeypatch,
     assert len(freed) == 2
 
 
+#: Argument positions that C takes as pointers: (ctx, cipher, key, iv,
+#: params) for ``EVP_EncryptInit_ex2`` and (ctx, out, outl, in) for
+#: ``EVP_EncryptUpdate``, whose fifth argument is the ``int`` length.
+_POINTER_ARGS = {"init": range(5), "update": range(4)}
+
+
+def test_no_pointer_argument_is_a_bare_int(rng, monkeypatch):
+    """``init`` and ``update`` declare no ``argtypes``, so ctypes would pass
+    a Python int as a C ``int`` -- a truncated pointer.  Every pointer
+    argument must be a ctypes object, ``bytes`` or ``None``."""
+    evp = modes._evp()
+    seen = []
+
+    def checked(call):
+        real = getattr(evp, call)
+
+        def wrapper(*args):
+            for position in _POINTER_ARGS[call]:
+                assert not isinstance(args[position], int), (call, position)
+            seen.append(call)
+            return real(*args)
+        return wrapper
+
+    keys, nonces, datas = _batch(rng, [1, 48, 0, 100, 16, 333],
+                                 key_sizes=(16, 24, 32))
+    for call in _POINTER_ARGS:
+        monkeypatch.setattr(evp, call, checked(call))
+    assert aes_ctr_many(keys, nonces, datas) == [
+        aes_ctr_scalar(k, nc, d) for k, nc, d in zip(keys, nonces, datas)]
+    assert aes_ctr(keys[1], nonces[1], datas[1]) == aes_ctr_scalar(
+        keys[1], nonces[1], datas[1])
+    # Five non-empty items in the batch and one more alone, two calls each.
+    assert sorted(seen) == ["init"] * 6 + ["update"] * 6
+
+
 def test_short_update_raises(rng, monkeypatch):
     """An update that reports success but writes fewer bytes than asked
     is a failure too."""
