@@ -113,11 +113,21 @@ def test_xor_key_with_digest_prefix(benchmark):
     benchmark(lambda: xor_bytes(a, b))
 
 
+#: Timed runs per recorded figure: a record keeps the fastest run's mean,
+#: since one run's mean moves by tens of percent between processes.
+BEST_OF = 5
+
+
 def _per_call_us(fn, reps=2000):
     start = time.perf_counter()
     for _ in range(reps):
         fn()
     return (time.perf_counter() - start) / reps * 1e6
+
+
+def _best_us(fn, reps=2000):
+    """Microseconds per call: the lowest mean of :data:`BEST_OF` runs."""
+    return min(_per_call_us(fn, reps) for _ in range(BEST_OF))
 
 
 def test_xor_fast_path_is_correct_and_not_slower():
@@ -146,6 +156,7 @@ def _environment() -> dict:
 def test_micro_timing_record():
     """Persist the substrate constants as a machine-readable record.
 
+    Each figure is the best of :data:`BEST_OF` timed runs.
     ``ctr_many_92b_per_item`` is one item's share of a 1024-item
     ``aes_ctr_many`` batch: the per-item key setup every whole-file
     fetch and outsourcing pays."""
@@ -161,17 +172,17 @@ def test_micro_timing_record():
     block = rng.bytes(16)
     save_json("micro_primitives", {
         "op": "micro",
+        "best_of": BEST_OF,
         "microseconds": {
-            "xor_digest_20b": _per_call_us(
-                lambda: xor_bytes(digest_a, digest_b)),
-            "sha1_20b": _per_call_us(lambda: hashlib.sha1(short).digest()),
-            "sha1_4kb": _per_call_us(lambda: hashlib.sha1(item).digest(),
-                                     reps=200),
-            "aes_block": _per_call_us(lambda: cipher.encrypt_block(block)),
-            "ctr_small_92b": _per_call_us(
+            "xor_digest_20b": _best_us(lambda: xor_bytes(digest_a, digest_b)),
+            "sha1_20b": _best_us(lambda: hashlib.sha1(short).digest()),
+            "sha1_4kb": _best_us(lambda: hashlib.sha1(item).digest(),
+                                 reps=200),
+            "aes_block": _best_us(lambda: cipher.encrypt_block(block)),
+            "ctr_small_92b": _best_us(
                 lambda: aes_ctr(key, nonce, small_payload)),
-            "ctr_4kb": _per_call_us(lambda: aes_ctr(key, nonce, item)),
-            "ctr_many_92b_per_item": _per_call_us(
+            "ctr_4kb": _best_us(lambda: aes_ctr(key, nonce, item)),
+            "ctr_many_92b_per_item": _best_us(
                 lambda: aes_ctr_many(keys, nonces, payloads),
                 reps=20) / batch,
         },
@@ -184,7 +195,8 @@ def test_bulk_fetch_timing_record():
     one level of chain steps and one decoded modulator list, then the
     encode side -- ``Writer.modulator_list``, ``Writer.blob_list`` over
     64-byte ciphertexts and a whole ``FetchFileReply`` -- each checked
-    to round-trip before it is timed."""
+    to round-trip before it is timed, and each the best of
+    :data:`BEST_OF` timed runs."""
     n = 8192
     engine = ChainEngine()
     values = [rng.bytes(20) for _ in range(n)]
@@ -206,18 +218,19 @@ def test_bulk_fetch_timing_record():
     save_json("micro_bulk_fetch", {
         "op": "micro",
         "n": n,
+        "best_of": BEST_OF,
         "microseconds": {
-            "step_many": _per_call_us(
+            "step_many": _best_us(
                 lambda: engine.step_many(values, modulators), reps=50),
-            "modulator_list": _per_call_us(
+            "modulator_list": _best_us(
                 lambda: Reader(ctx, encoded).modulator_list(), reps=50),
-            "encode_modulator_list": _per_call_us(
+            "encode_modulator_list": _best_us(
                 lambda: Writer(ctx).modulator_list(modulators).getvalue(),
                 reps=50),
-            "encode_blob_list": _per_call_us(
+            "encode_blob_list": _best_us(
                 lambda: Writer(ctx).blob_list(ciphertexts).getvalue(),
                 reps=50),
-            "encode_fetch_file_reply": _per_call_us(
+            "encode_fetch_file_reply": _best_us(
                 lambda: msg.encode_message(ctx, reply), reps=20),
         },
         "environment": _environment(),

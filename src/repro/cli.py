@@ -516,7 +516,6 @@ def cmd_stress(_vault: Vault, args) -> int:
     config = StressConfig(seed=args.seed, workers=args.workers,
                           ops_per_worker=args.ops, readers=args.readers,
                           transport=args.transport, shards=args.shards,
-                          toggle_caches=args.toggle_caches,
                           backend=args.backend)
     try:
         report = run_stress(config)
@@ -758,8 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     stress.add_argument("--shards", type=int, default=1,
                         help="independent server shards behind the "
                              "consistent-hash router")
-    stress.add_argument("--toggle-caches", action="store_true",
-                        help="randomly flip the server view cache mid-run")
     stress.add_argument("--backend", choices=BACKENDS, default="memory",
                         help="storage engine behind the stressed shards "
                              "(non-memory adds mid-run WAL compaction)")

@@ -81,15 +81,14 @@ class ItemCodec:
         if not (len(chain_outputs) == len(messages) == len(item_ids)
                 == len(nonces)):
             raise ValueError("batch arguments must have equal lengths")
-        for nonce in nonces:
-            if len(nonce) != _NONCE_SIZE:
-                raise ValueError(f"nonce must be {_NONCE_SIZE} bytes")
-        if item_ids and min(item_ids) < 0:
-            raise ValueError("item id must be non-negative")
         key_size = self._params.data_key_size
+        # The plaintexts are an argument temporary, freed as the call
+        # returns, so the ciphertexts cut below can reuse their memory:
+        # held any longer, a 4 MB batch can grow the heap anew and fault
+        # its pages in again.
         joined = memoryview(aes_ctr_joined(
             [output[:key_size] for output in chain_outputs], nonces,
-            self._plaintexts(messages, item_ids)))
+            self._plaintexts(messages, item_ids, nonces)))
         extra = _COUNTER_SIZE + self._digest_size
         ciphertexts, end = [], 0
         for nonce, message in zip(nonces, messages):
@@ -97,10 +96,15 @@ class ItemCodec:
             ciphertexts.append(nonce + joined[start:end])
         return ciphertexts
 
-    def _plaintexts(self, messages, item_ids) -> list[bytes]:
-        """``r || m || H(m || r)`` for each message and its item id."""
+    def _plaintexts(self, messages, item_ids, nonces) -> list[bytes]:
+        """``r || m || H(m || r)`` for each message and its item id, once
+        its nonce and id are checked (before anything is encrypted)."""
         h, pack, plaintexts = self._params.chain_hash, _COUNTER.pack, []
-        for message, item_id in zip(messages, item_ids):
+        for message, item_id, nonce in zip(messages, item_ids, nonces):
+            if len(nonce) != _NONCE_SIZE:
+                raise ValueError(f"nonce must be {_NONCE_SIZE} bytes")
+            if item_id < 0:
+                raise ValueError("item id must be non-negative")
             r = pack(item_id)
             tag = h(message)
             tag.update(r)
@@ -132,7 +136,8 @@ class ItemCodec:
             raise ValueError("batch arguments must have equal lengths")
         tag_size = self._digest_size
         sizes = [len(ciphertext) - _NONCE_SIZE for ciphertext in ciphertexts]
-        if sizes and min(sizes) < _COUNTER_SIZE + tag_size:
+        shortest = _COUNTER_SIZE + tag_size
+        if min(sizes, default=shortest) < shortest:
             raise IntegrityError("ciphertext too short to be well-formed")
         key_size = self._params.data_key_size
         joined = aes_ctr_joined(

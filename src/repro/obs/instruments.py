@@ -235,12 +235,3 @@ WAL_GROUP_QUEUE = REGISTRY.gauge(
 REPLAY_CACHE_SIZE = REGISTRY.gauge(
     "repro_replay_cache_size",
     "Entries in the request-id idempotency reply cache")
-
-# ---------------------------------------------------------------------
-# Hot-path caches (server view/encode cache)
-# ---------------------------------------------------------------------
-
-SERVER_VIEW_CACHE = REGISTRY.counter(
-    "repro_server_view_cache_total",
-    "Server view/encode cache lookups, by outcome (hit or miss)",
-    ("outcome",))

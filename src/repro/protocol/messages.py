@@ -164,24 +164,14 @@ def encode_message(ctx: WireContext, message: Message,
     The trace-free encoding is canonical: WAL records and replay digests
     use it, so the same logical message always hashes identically no
     matter which (or whether a) trace context carried it.
-
-    Replies the server's view cache marked with ``_cache_encoding``
-    memoize their trace-free body after the first encode, so identical
-    replies cost one lookup instead of a field-by-field re-encode; the
-    trace trailer (which varies per request) is appended afterwards.
     """
-    body = getattr(message, "_encoded_body", None)
-    if body is None:
-        w = Writer(ctx)
-        w.u8(message.TYPE)
-        message.encode_body(w)
-        body = w.getvalue()
-        if getattr(message, "_cache_encoding", False):
-            object.__setattr__(message, "_encoded_body", body)
+    w = Writer(ctx)
+    w.u8(message.TYPE)
+    message.encode_body(w)
     if trace is not None:
-        return b"".join((body, bytes((TRACE_MAGIC,)), trace.trace_id,
-                         trace.span_id, bytes((trace.flags,))))
-    return body
+        w.u8(TRACE_MAGIC).raw(trace.trace_id).raw(trace.span_id)
+        w.u8(trace.flags)
+    return w.getvalue()
 
 
 def decode_message(ctx: WireContext, data: bytes) -> Message:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 from repro.core.errors import ProtocolError
@@ -30,27 +31,23 @@ class WireContext:
 
 
 class Writer:
-    """Appends encoded fields to one ``bytearray``.
+    """Appends encoded fields to one ``bytearray`` and a list of parts.
 
-    Scalar fields are appended with ``+=`` and :meth:`getvalue` copies
-    the buffer out once.  :meth:`modulator_list` checks every width in
-    one pass and appends one ``b"".join``.  :meth:`blob_list` grows the
-    buffer once to the list's exact encoded size and fills it in place:
-    when every blob has one length (a file's ciphertexts usually do) the
-    shared prefix is joined with runs of blobs, otherwise one local loop
-    writes each prefix and blob.  Three designs were refused on the
-    durable server's peak RSS: one join of interleaved length prefixes
-    keeps the part list, the joined copy and the buffer alive at once;
-    two ``+=`` per item reallocate the buffer a dozen times per
-    whole-file reply, which fragments the heap; and one join of the
-    whole equal-length list adds a second reply-sized copy.
+    Scalar fields are appended to the buffer with ``+=``.
+    :meth:`modulator_list` checks every width in one pass and appends
+    one ``b"".join``.  :meth:`blob_list` copies no blob: it closes the
+    buffer into the part list and adds each length prefix and blob to
+    that list by reference, so a whole-file reply's ciphertexts are
+    copied once, by the one ``b"".join`` in :meth:`getvalue` that builds
+    the message.
     """
 
-    __slots__ = ("ctx", "_buf")
+    __slots__ = ("ctx", "_buf", "_parts")
 
     def __init__(self, ctx: WireContext) -> None:
         self.ctx = ctx
         self._buf = bytearray()
+        self._parts: list = []
 
     def u8(self, value: int) -> "Writer":
         self._buf += _U8.pack(value)
@@ -113,39 +110,31 @@ class Writer:
 
     def blob_list(self, values: Sequence[bytes]) -> "Writer":
         buf = self._buf
-        pos = len(buf)
-        # Grow once to the list's exact encoded size, then fill in place.
-        buf += bytes(4 + 4 * len(values) + sum(map(len, values)))
+        buf += _U32.pack(len(values))
+        parts = self._parts
+        parts.append(buf)
+        self._buf = bytearray()
         lengths = set(map(len, values))
-        with memoryview(buf) as view:
-            _U32.pack_into(view, pos, len(values))
-            pos += 4
-            if len(lengths) == 1:
-                # Equal lengths share one prefix, so a run of items is
-                # that prefix joined with them.  Runs stay near 64 KB: a
-                # whole-list join would add a reply-sized copy.
-                length = lengths.pop()
-                prefix = _U32.pack(length)
-                step = max(1, 65536 // (4 + length))
-                for start in range(0, len(values), step):
-                    run = prefix + prefix.join(values[start:start + step])
-                    view[pos:pos + len(run)] = run
-                    pos += len(run)
-                return self
-            pack_length = _U32.pack_into
+        if len(lengths) == 1:
+            # Equal lengths (a file's ciphertexts usually are) share one
+            # prefix object.
+            prefix = _U32.pack(lengths.pop())
+            parts.extend(chain.from_iterable(zip(repeat(prefix), values)))
+        else:
+            pack = _U32.pack
             for value in values:
-                pack_length(view, pos, len(value))
-                pos += 4
-                end = pos + len(value)
-                view[pos:end] = value
-                pos = end
+                parts.append(pack(len(value)))
+                parts.append(value)
         return self
 
     def text(self, value: str) -> "Writer":
         return self.blob(value.encode("utf-8"))
 
     def getvalue(self) -> bytes:
-        return bytes(self._buf)
+        parts = self._parts
+        if not parts:
+            return bytes(self._buf)
+        return b"".join((*parts, self._buf))
 
 
 class Reader:

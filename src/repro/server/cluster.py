@@ -2,7 +2,7 @@
 
 Each shard is a complete, isolated server unit -- its own
 :class:`~repro.server.server.CloudServer` (lock table, replay cache,
-view cache), its own write-ahead :class:`~repro.server.wal.CommitLog`,
+node cache), its own write-ahead :class:`~repro.server.wal.CommitLog`,
 its own storage engine and audit archive, optionally its own TCP host.
 Nothing is shared between shards except the process, so a shard crash,
 recovery, or compaction never touches its siblings, and

@@ -105,20 +105,8 @@ class CloudServer:
     #: Bound on the idempotency cache (oldest replies evicted first).
     REPLAY_CACHE_LIMIT = 4096
 
-    #: Bound on each file's view/encode cache (cleared wholesale when hit;
-    #: entries are version-keyed, so a full cache means a read-heavy
-    #: steady state and the next requests simply rebuild).
-    VIEW_CACHE_LIMIT = 4096
-
     #: ``(seq, audit)`` while :meth:`replay_bytes` re-executes a frame.
     _replaying = None
-
-    #: Serve read replies (access/fetch/challenge views) from the per-file
-    #: view cache.  Replies are cached *after* assembly and invalidated
-    #: under the file's exclusive lock on every mutation, so a cached
-    #: reply is byte-identical to a rebuilt one; flip off to benchmark
-    #: the cold path.
-    view_cache_enabled = True
 
     def __init__(self, params: Params | None = None, wal=None,
                  audit=None, engine=None) -> None:
@@ -157,19 +145,13 @@ class CloudServer:
         self._file_locks = FileLockTable()
         #: Guards the request-id idempotency cache.
         self._applied_mutex = threading.Lock()
-        #: file id -> {key: reply} view/encode cache.  Populated by reads
-        #: under the file's shared lock, invalidated under its exclusive
-        #: lock, so per-file insertions and invalidations never race.
-        self._view_caches: dict[int, dict] = {}
         #: Serialises on-demand file materialisation from the engine
         #: (two readers may race to page in the same file).
         self._materialise_lock = threading.Lock()
 
-    #: Attributes recreated by :meth:`_init_locks` instead of pickled
-    #: (the view cache holds replies with memoized encodings -- dropping
-    #: it keeps the vault snapshot lean and is always safe).
+    #: Attributes recreated by :meth:`_init_locks` instead of pickled.
     _UNPICKLED = ("_registry_lock", "_file_locks", "_applied_mutex",
-                  "_view_caches", "_materialise_lock")
+                  "_materialise_lock")
 
     def __getstate__(self):
         if self.engine is not None:
@@ -481,7 +463,6 @@ class CloudServer:
         """
         if isinstance(request, REGISTRY_REQUESTS):
             with self._registry_lock.exclusive(scope="registry"):
-                self._view_caches.pop(getattr(request, "file_id", None), None)
                 yield
             return
         file_id = getattr(request, "file_id", None)
@@ -489,26 +470,17 @@ class CloudServer:
             yield
             return
         file_lock = self._file_locks.lock(file_id)
+        held = file_lock.exclusive() if mutating else file_lock.shared()
         with self._registry_lock.shared(scope="registry"):
             if not obs.enabled:
-                if mutating:
-                    with file_lock.exclusive():
-                        self._view_caches.pop(file_id, None)
-                        yield
-                else:
-                    with file_lock.shared():
-                        yield
+                with held:
+                    yield
                 return
             from repro.obs import instruments as ins
             ins.INFLIGHT_REQUESTS.inc(file_id=str(file_id))
             try:
-                if mutating:
-                    with file_lock.exclusive():
-                        self._view_caches.pop(file_id, None)
-                        yield
-                else:
-                    with file_lock.shared():
-                        yield
+                with held:
+                    yield
             finally:
                 ins.INFLIGHT_REQUESTS.dec(file_id=str(file_id))
 
@@ -520,10 +492,10 @@ class CloudServer:
                    ciphertexts: CiphertextStore) -> None:
         """Install a pre-built file, bypassing the outsourcing message."""
         self._files[file_id] = ServerFile(tree=tree, ciphertexts=ciphertexts)
-        self._view_caches.pop(file_id, None)
 
-    def _state(self, file_id: int) -> ServerFile:
-        """Handler-internal state lookup (keeps the view cache intact).
+    def file_state(self, file_id: int) -> ServerFile:
+        """A file's state: the handlers' lookup, and the door benchmarks,
+        adversary subclasses and tests take to the state directly.
 
         With an engine attached, a file absent from the resident table
         is materialised lazily: paged stores are installed that fetch
@@ -562,16 +534,6 @@ class CloudServer:
             self._files[file_id] = state
             return state
 
-    def file_state(self, file_id: int) -> ServerFile:
-        """Direct state access (benchmarks, adversary subclasses, tests).
-
-        Callers taking this door may mutate the state behind the
-        protocol's back, so the file's view cache is dropped up front --
-        correctness over warmth for out-of-band access.
-        """
-        self._view_caches.pop(file_id, None)
-        return self._state(file_id)
-
     def install_file_state(self, file_id: int, state: ServerFile) -> None:
         """Install a complete per-file state wholesale.
 
@@ -582,7 +544,6 @@ class CloudServer:
         move is settled by the client from the tree.
         """
         self._files[file_id] = state
-        self._view_caches.pop(file_id, None)
 
     def has_file(self, file_id: int) -> bool:
         if file_id in self._files:
@@ -603,39 +564,6 @@ class CloudServer:
         if self.engine is None:
             return len(self._files)
         return len(self.file_ids())
-
-    # ------------------------------------------------------------------
-    # View/encode cache (read-path fast path)
-    # ------------------------------------------------------------------
-
-    def _cached_reply(self, file_id: int, key: tuple, build) -> msg.Message:
-        """Serve a read reply from the file's view cache, building on miss.
-
-        Keys embed the tree version as belt-and-suspenders, but the real
-        coherence guarantee is the invalidation in :meth:`_lock_scope`:
-        every mutating request (including modify, which does *not* bump
-        the version) drops the file's whole cache under the exclusive
-        lock before it applies.  Cached replies are flagged so
-        :func:`~repro.protocol.messages.encode_message` memoizes their
-        body -- a warm read costs one dict lookup and one join.
-        """
-        if not self.view_cache_enabled:
-            return build()
-        cache = self._view_caches.get(file_id)
-        if cache is None:
-            cache = self._view_caches.setdefault(file_id, {})
-        reply = cache.get(key)
-        hit = reply is not None
-        if not hit:
-            reply = build()
-            object.__setattr__(reply, "_cache_encoding", True)
-            if len(cache) >= self.VIEW_CACHE_LIMIT:
-                cache.clear()
-            cache[key] = reply
-        if obs.enabled:
-            from repro.obs import instruments as ins
-            ins.SERVER_VIEW_CACHE.inc(outcome="hit" if hit else "miss")
-        return reply
 
     # ------------------------------------------------------------------
     # Handlers
@@ -666,20 +594,15 @@ class CloudServer:
         return msg.Ack(tree_version=0)
 
     def _on_access(self, request: msg.AccessRequest) -> msg.Message:
-        state = self._state(request.file_id)
-
-        def build() -> msg.Message:
-            slot = state.tree.slot_of_item(request.item_id)
-            return msg.AccessReply(
-                path=state.tree.path_view(slot),
-                ciphertext=state.ciphertexts.get(request.item_id),
-                tree_version=state.version)
-        return self._cached_reply(request.file_id,
-                                  ("access", request.item_id, state.version),
-                                  build)
+        state = self.file_state(request.file_id)
+        slot = state.tree.slot_of_item(request.item_id)
+        return msg.AccessReply(
+            path=state.tree.path_view(slot),
+            ciphertext=state.ciphertexts.get(request.item_id),
+            tree_version=state.version)
 
     def _on_modify(self, request: msg.ModifyCommit) -> msg.Message:
-        state = self._state(request.file_id)
+        state = self.file_state(request.file_id)
         if request.tree_version != state.version:
             return msg.ErrorReply(code=msg.E_STALE_STATE,
                                   detail="tree changed since access")
@@ -688,19 +611,14 @@ class CloudServer:
         return msg.Ack(tree_version=state.version)
 
     def _on_delete_request(self, request: msg.DeleteRequest) -> msg.Message:
-        state = self._state(request.file_id)
-
-        def build() -> msg.Message:
-            slot = state.tree.slot_of_item(request.item_id)
-            return msg.DeleteChallenge(
-                mt=state.tree.mt_view(slot),
-                ciphertext=state.ciphertexts.get(request.item_id),
-                balance=state.tree.balance_view(),
-                tree_version=state.version,
-            )
-        return self._cached_reply(request.file_id,
-                                  ("delete", request.item_id, state.version),
-                                  build)
+        state = self.file_state(request.file_id)
+        slot = state.tree.slot_of_item(request.item_id)
+        return msg.DeleteChallenge(
+            mt=state.tree.mt_view(slot),
+            ciphertext=state.ciphertexts.get(request.item_id),
+            balance=state.tree.balance_view(),
+            tree_version=state.version,
+        )
 
     @staticmethod
     def _checked_cut(tree: ModulationTree, item_id: int,
@@ -713,7 +631,7 @@ class CloudServer:
         return slot
 
     def _on_delete_commit(self, request: msg.DeleteCommit) -> msg.Message:
-        state = self._state(request.file_id)
+        state = self.file_state(request.file_id)
         if request.tree_version != state.version:
             return msg.ErrorReply(code=msg.E_STALE_STATE,
                                   detail="tree changed since challenge")
@@ -726,28 +644,24 @@ class CloudServer:
 
     def _on_batch_delete_request(self,
                                  request: msg.BatchDeleteRequest) -> msg.Message:
-        state = self._state(request.file_id)
+        state = self.file_state(request.file_id)
         if not request.item_ids:
             raise ReproError("empty batch")
         if len(set(request.item_ids)) != len(request.item_ids):
             raise ReproError("batch item ids must be distinct")
-        def build() -> msg.Message:
-            tree = state.tree
-            view = tree.batch_view(tree.slots_of_items(request.item_ids))
-            ciphertexts = tuple(state.ciphertexts.get_many(request.item_ids))
-            return msg.BatchDeleteReply(n_leaves=view.n_leaves,
-                                        target_slots=view.target_slots,
-                                        links=view.links,
-                                        leaf_mods=view.leaf_mods,
-                                        ciphertexts=ciphertexts,
-                                        tree_version=state.version)
-        return self._cached_reply(request.file_id,
-                                  ("batch", request.item_ids, state.version),
-                                  build)
+        tree = state.tree
+        view = tree.batch_view(tree.slots_of_items(request.item_ids))
+        ciphertexts = tuple(state.ciphertexts.get_many(request.item_ids))
+        return msg.BatchDeleteReply(n_leaves=view.n_leaves,
+                                    target_slots=view.target_slots,
+                                    links=view.links,
+                                    leaf_mods=view.leaf_mods,
+                                    ciphertexts=ciphertexts,
+                                    tree_version=state.version)
 
     def _on_batch_delete_commit(self,
                                 request: msg.BatchDeleteCommit) -> msg.Message:
-        state = self._state(request.file_id)
+        state = self.file_state(request.file_id)
         if request.tree_version != state.version:
             return msg.ErrorReply(code=msg.E_STALE_STATE,
                                   detail="tree changed since batch view")
@@ -794,7 +708,7 @@ class CloudServer:
         No balancing and no split: the slot is re-pointed from the old
         item id to ``new_item_id`` and the old ciphertext is dropped.
         """
-        state = self._state(request.file_id)
+        state = self.file_state(request.file_id)
         if request.tree_version != state.version:
             return msg.ErrorReply(code=msg.E_STALE_STATE,
                                   detail="tree changed since challenge")
@@ -810,16 +724,12 @@ class CloudServer:
         return msg.Ack(tree_version=state.version, item_id=request.new_item_id)
 
     def _on_insert_request(self, request: msg.InsertRequest) -> msg.Message:
-        state = self._state(request.file_id)
-
-        def build() -> msg.Message:
-            return msg.InsertChallenge(path=state.tree.insert_view(),
-                                       tree_version=state.version)
-        return self._cached_reply(request.file_id,
-                                  ("insert", state.version), build)
+        state = self.file_state(request.file_id)
+        return msg.InsertChallenge(path=state.tree.insert_view(),
+                                   tree_version=state.version)
 
     def _on_insert_commit(self, request: msg.InsertCommit) -> msg.Message:
-        state = self._state(request.file_id)
+        state = self.file_state(request.file_id)
         if request.tree_version != state.version:
             return msg.ErrorReply(code=msg.E_STALE_STATE,
                                   detail="tree changed since challenge")
@@ -831,20 +741,16 @@ class CloudServer:
         return msg.Ack(tree_version=state.version, item_id=request.item_id)
 
     def _on_fetch_file(self, request: msg.FetchFileRequest) -> msg.Message:
-        state = self._state(request.file_id)
-
-        def build() -> msg.Message:
-            tree = state.tree
-            n = tree.leaf_count
-            links, leaves = tree.modulator_values()
-            item_ids = tree.item_ids()
-            ciphertexts = tuple(state.ciphertexts.get_many(item_ids))
-            return msg.FetchFileReply(n_leaves=n, item_ids=tuple(item_ids),
-                                      links=tuple(links), leaves=tuple(leaves),
-                                      ciphertexts=ciphertexts,
-                                      tree_version=state.version)
-        return self._cached_reply(request.file_id, ("fetch", state.version),
-                                  build)
+        state = self.file_state(request.file_id)
+        tree = state.tree
+        links, leaves = tree.modulator_values()
+        item_ids = tree.item_ids()
+        ciphertexts = tuple(state.ciphertexts.get_many(item_ids))
+        return msg.FetchFileReply(n_leaves=tree.leaf_count,
+                                  item_ids=tuple(item_ids),
+                                  links=tuple(links), leaves=tuple(leaves),
+                                  ciphertexts=ciphertexts,
+                                  tree_version=state.version)
 
     def _on_delete_file(self, request: msg.DeleteFileRequest) -> msg.Message:
         self._files.pop(request.file_id, None)
@@ -987,5 +893,4 @@ class CloudServer:
             state.tree = ModulationTree.wrap(
                 store, tree.leaf_count, PagedItemMap(self.engine, file_id))
             state.ciphertexts = PagedCiphertextStore(self.engine, file_id)
-            self._view_caches.pop(file_id, None)
         return finish

@@ -122,11 +122,6 @@ class StressConfig:
     readers: int = 1
     verify_theorem2: bool = True
     wal_dir: str | None = None
-    #: Randomly flip the server view cache mid-run.  The cache must be
-    #: *correctness-invisible*: every
-    #: invariant below (including byte-exact reads against the model)
-    #: must hold across any on/off interleaving.
-    toggle_caches: bool = False
     #: ``memory`` keeps each shard's state in its server; ``sqlite``
     #: puts a SQLite engine behind every shard and runs a compactor
     #: thread that repeatedly flushes dirty state and truncates each
@@ -375,17 +370,7 @@ class _Tenant:
         except BaseException as exc:  # surfaced by the harness
             self.error = exc
 
-    def _toggle_caches(self) -> None:
-        """Flip the server view cache on every shard (coherence under
-        churn): re-enabling must never serve a view from before a
-        mutation made while it was off."""
-        for unit in self.cluster.units:
-            unit.server.view_cache_enabled = \
-                not unit.server.view_cache_enabled
-
     def _step(self) -> None:
-        if self.config.toggle_caches and self.ops.random() < 0.15:
-            self._toggle_caches()
         names = [n for n in self.model if self.model[n]]
         if not names:
             self._op_create()

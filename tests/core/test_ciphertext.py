@@ -157,3 +157,9 @@ def test_one_bad_item_fails_the_whole_batch(codec, rng, victim, fault):
     with pytest.raises(IntegrityError):
         results.append(codec.decrypt_many(keys, ciphertexts))
     assert results == []
+
+
+def test_empty_batches(codec):
+    """A file with no items seals and opens to empty lists."""
+    assert codec.encrypt_many([], [], [], []) == []
+    assert codec.decrypt_many([], []) == []

@@ -447,8 +447,7 @@ def test_replace_commit_twin_world_across_restart(tmp_path, backend):
 # ---------------------------------------------------------------------
 
 def _fetch_bytes(server, file_id):
-    """The encoded FetchFileReply, built afresh (view cache bypassed)."""
-    server.view_cache_enabled = False
+    """The encoded FetchFileReply."""
     reply = server.handle(msg.FetchFileRequest(file_id=file_id))
     assert isinstance(reply, msg.FetchFileReply), reply
     return msg.encode_message(server.ctx, reply)
