@@ -61,14 +61,19 @@ class _SlowReadServer(CloudServer):
 
 
 class _Tenant:
-    """One client thread's endpoint: connection, file, and counter."""
+    """One client thread's endpoint: connection, file, and counter.
 
-    def __init__(self, index: int, address, ctx) -> None:
+    ``run`` seeds the client apart from earlier sweeps' tenants on the
+    same server: a tenant replaying an earlier one's seed would reuse its
+    request ids, and the server would answer the outsourcing of the
+    tenant's files from its replay cache instead of applying it."""
+
+    def __init__(self, index: int, address, ctx, run: int) -> None:
         self.index = index
         self.channel = TcpChannel(address, ctx)
         self.fs = OutsourcedFileSystem(
             channel=self.channel,
-            rng=DeterministicRandom(f"throughput/{index}"),
+            rng=DeterministicRandom(f"throughput/{run}/{index}"),
             meta_id_base=1 + index * 1_000,
             file_id_base=1_000_000 * (index + 1))
         name = f"tenant-{index}"
@@ -92,7 +97,8 @@ class _Tenant:
 
 def _measure(address, ctx, workers: int, duration: float) -> float:
     """Aggregate reads/s achieved by ``workers`` concurrent clients."""
-    tenants = [_Tenant(i, address, ctx) for i in range(workers)]
+    tenants = [_Tenant(i, address, ctx, run=workers)
+               for i in range(workers)]
     try:
         barrier = threading.Barrier(workers)
         threads = [threading.Thread(target=tenant.read_loop,

@@ -197,10 +197,6 @@ class ShardRoutingChannel(Channel):
     def shard_of(self, file_id: int) -> int:
         return self.shard_map.shard_of(file_id)
 
-    def channel_for(self, file_id: int) -> Channel:
-        """The (lazily opened) channel to the shard owning ``file_id``."""
-        return self._shard_channel(self.shard_of(file_id))
-
     def _shard_channel(self, shard_id: int) -> Channel:
         channel = self._channels.get(shard_id)
         if channel is None:

@@ -99,7 +99,7 @@ LOCK_WAIT_SECONDS = REGISTRY.histogram(
     ("scope", "mode"), LATENCY_BUCKETS)
 INFLIGHT_REQUESTS = REGISTRY.gauge(
     "repro_server_inflight_requests",
-    "Requests currently holding (or waiting on) a per-file lock",
+    "Requests on a file being dispatched (awaiting or holding its locks)",
     ("file_id",))
 
 # ---------------------------------------------------------------------

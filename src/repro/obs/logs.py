@@ -58,10 +58,6 @@ def configure(path: Optional[str] = None,
         _service = service
 
 
-def sink_configured() -> bool:
-    return _stream is not None
-
-
 def emit(record: dict) -> None:
     """Serialise one record to the sink (no-op when detached)."""
     stream = _stream

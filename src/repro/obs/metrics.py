@@ -190,10 +190,6 @@ class Histogram(Metric):
         series = self._series.get(self._key(labels))
         return 0.0 if series is None else series[1]
 
-    def total_count(self) -> int:
-        with self._lock:
-            return sum(series[2] for series in self._series.values())
-
     def samples(self):
         with self._lock:
             items = [(key, [list(series[0]), series[1], series[2]])

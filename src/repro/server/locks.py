@@ -1,10 +1,10 @@
 """Server-side locking: per-file reader-writer locks plus a registry lock.
 
 The paper's server is passive, but a deployed one is hit by many tenants
-at once (the TCP host dispatches one thread per connection).  Correctness
+at once (the TCP host runs handlers on a pool of threads).  Correctness
 under that concurrency is layered as a strict lock hierarchy::
 
-    registry lock  ->  per-file lock  ->  WAL lock
+    registry lock  ->  per-file lock  ->  WAL locks
 
 * the **registry lock** guards the file table itself: outsourcing and
   whole-file deletion take it exclusively, every per-file operation takes
@@ -12,30 +12,26 @@ under that concurrency is layered as a strict lock hierarchy::
 * the **per-file lock** serialises mutations of one modulation tree
   (commits take it exclusively) while letting any number of readers
   (access/fetch/challenge requests) proceed in parallel;
-* the **WAL lock** (inside :class:`~repro.server.wal.CommitLog`) makes
-  each fsync'd record append atomic, so records from different vaults
-  never interleave mid-record.
+* the **WAL locks** (inside :class:`~repro.server.wal.CommitLog`) are a
+  queue lock and a commit lock: concurrent appends queue their frames
+  and one leader writes and fsyncs them as a group, so records from
+  different vaults never interleave mid-record.
 
 Locks are always acquired left-to-right in the hierarchy and never in
 reverse, which makes deadlock impossible by construction.
 
 :class:`RWLock` is writer-preferring: once a writer is waiting, new
 readers queue behind it, so a commit cannot be starved by a stream of
-reads.  Both lock classes expose their wait times through the
-``repro_server_lock_wait_seconds`` histogram when observability is on.
+reads.  Its waits are observed in the ``repro_server_lock_wait_seconds``
+histogram when observability is on.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 
 from repro.obs import runtime as obs
-
-#: Label values for the wait-time histogram.
-MODE_SHARED = "shared"
-MODE_EXCLUSIVE = "exclusive"
 
 
 class RWLock:
@@ -45,75 +41,59 @@ class RWLock:
     hold it *exclusive*, with no concurrent readers.  A waiting writer
     blocks new readers (writer preference), so mutations are never
     starved under read-heavy load.  The lock is not reentrant.
+
+    :meth:`acquire` and :meth:`release` are the whole interface: the
+    caller pairs them in a ``try``/``finally`` (see
+    ``CloudServer._dispatch``).
     """
 
-    __slots__ = ("_cond", "_readers", "_writer", "_writers_waiting")
+    __slots__ = ("_mutex", "_cond", "_readers", "_writer",
+                 "_writers_waiting")
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._readers = 0
         self._writer = False
         self._writers_waiting = 0
 
-    def acquire_shared(self) -> None:
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
+    def acquire(self, exclusive: bool, scope: str) -> None:
+        """Take the lock (``exclusive`` or shared), blocking until free.
 
-    def release_shared(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_exclusive(self) -> None:
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer or self._readers:
+        With observability on, the wait lands in
+        ``repro_server_lock_wait_seconds{scope,mode}``.  If the wait is
+        interrupted the lock is not taken and nothing need be released.
+        """
+        start = time.perf_counter() if obs.enabled else None
+        with self._mutex:
+            if exclusive:
+                self._writers_waiting += 1
+                try:
+                    while self._writer or self._readers:
+                        self._cond.wait()
+                finally:
+                    self._writers_waiting -= 1
+                self._writer = True
+            else:
+                while self._writer or self._writers_waiting:
                     self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = True
+                self._readers += 1
+        if start is not None:
+            from repro.obs import instruments as ins
+            ins.LOCK_WAIT_SECONDS.observe(
+                time.perf_counter() - start, scope=scope,
+                mode="exclusive" if exclusive else "shared")
 
-    def release_exclusive(self) -> None:
-        with self._cond:
-            self._writer = False
+    def release(self, exclusive: bool) -> None:
+        """Give up a hold taken by :meth:`acquire` with the same mode."""
+        with self._mutex:
+            if exclusive:
+                self._writer = False
+            else:
+                self._readers -= 1
+                if self._readers:
+                    return
             self._cond.notify_all()
-
-    @contextmanager
-    def shared(self, scope: str = "file"):
-        """Hold the lock shared for the duration of the ``with`` block."""
-        if obs.enabled:
-            start = time.perf_counter()
-            self.acquire_shared()
-            _observe_wait(scope, MODE_SHARED, time.perf_counter() - start)
-        else:
-            self.acquire_shared()
-        try:
-            yield
-        finally:
-            self.release_shared()
-
-    @contextmanager
-    def exclusive(self, scope: str = "file"):
-        """Hold the lock exclusive for the duration of the ``with`` block."""
-        if obs.enabled:
-            start = time.perf_counter()
-            self.acquire_exclusive()
-            _observe_wait(scope, MODE_EXCLUSIVE, time.perf_counter() - start)
-        else:
-            self.acquire_exclusive()
-        try:
-            yield
-        finally:
-            self.release_exclusive()
-
-
-def _observe_wait(scope: str, mode: str, seconds: float) -> None:
-    from repro.obs import instruments as ins
-    ins.LOCK_WAIT_SECONDS.observe(seconds, scope=scope, mode=mode)
 
 
 class FileLockTable:

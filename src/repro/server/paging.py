@@ -25,10 +25,10 @@ fill the node cache: a walk over every node would otherwise evict the
 hot paths that per-request reads depend on.
 
 The node cache is shared across files and bounded (LRU).  Coherence
-follows the lock discipline the view cache already uses: mutations hold
-the file's exclusive lock while they touch the dirty overlay, and the
-overlay always shadows the cache, so a stale cache entry can only be an
-*older committed* value that no reader can observe.
+follows from the per-file lock: mutations hold the file's lock
+exclusively while they touch the dirty overlay, readers hold it shared,
+and the overlay always shadows the cache, so a stale cache entry can
+only be an *older committed* value that no reader can observe.
 """
 
 from __future__ import annotations

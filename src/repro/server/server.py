@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -317,15 +316,22 @@ class CloudServer:
         from repro.obs import instruments as ins
         mtype = type(request).__name__
         ins.SERVER_REQUESTS.inc(type=mtype)
+        file_id = getattr(request, "file_id", None)
         with span("server.handle", type=mtype) as sp:
             start = _time.perf_counter()
-            reply = self._dispatch(request)
+            if file_id is None:
+                reply = self._dispatch(request)
+            else:
+                ins.INFLIGHT_REQUESTS.inc(file_id=str(file_id))
+                try:
+                    reply = self._dispatch(request)
+                finally:
+                    ins.INFLIGHT_REQUESTS.dec(file_id=str(file_id))
             ins.SERVER_HANDLE_SECONDS.observe(
                 _time.perf_counter() - start, type=mtype)
             if isinstance(reply, msg.ErrorReply):
                 ins.SERVER_ERRORS.inc(type=mtype, code=str(reply.code))
                 sp.annotate(error_code=reply.code)
-            file_id = getattr(request, "file_id", None)
             if file_id is not None:
                 state = self._files.get(file_id)
                 if state is not None:
@@ -343,62 +349,69 @@ class CloudServer:
         mutating = isinstance(request, MUTATING_REQUESTS)
         request_id = getattr(request, "request_id", 0) if mutating else 0
         replay = self._replaying
+        locks = self._lock_scope(request, mutating)
+        taken = 0
         try:
-            with self._lock_scope(request, mutating):
-                # Looked up under the request's lock, so a duplicate that
-                # queued behind its original finds the original's reply
-                # and is never logged or applied a second time.
-                cached = self._lookup_applied(request) if request_id else None
-                if cached is not None:
-                    if replay is not None and replay[1] is not None:
-                        # A replayed frame whose effect the engine
-                        # already holds: its versions are no longer known.
-                        self._emit_audit(replay[1], replay[0], request,
-                                         cached, None, None)
-                    return cached  # retransmission: answer, do not re-apply
-                audit, seq = None, 0
-                if mutating:
-                    if replay is not None:
-                        seq, audit = replay
-                    else:
-                        audit = self.audit
-                        if self.wal is not None:
-                            # Durable before applied: the encode is
-                            # deterministic, so the log holds exactly
-                            # the bytes the wire carried.  Appending
-                            # under the per-file lock keeps WAL order
-                            # identical to apply order for each file.
-                            seq = self.wal.append(
-                                msg.encode_message(self.ctx, request))
-                    self._fire_crash(CRASH_POINT_BEFORE_APPLY)
-                version_before = None
-                if audit is not None:
-                    version_before = self._version_of(request)
-                # Handler failures are converted to ErrorReply HERE,
-                # inside the lock scope, so the outcome frame of a
-                # rejected mutation is written in apply order too (the
-                # WAL already holds the request either way).
-                try:
-                    reply = handler(request)
-                    applied = mutating
-                except SimulatedCrash:
-                    raise
-                except ReproError as exc:
-                    reply, applied = _error_reply(exc, request_id), False
-                # Recorded before the after-apply crash point, so a
-                # resend after that crash is answered, not re-applied.
-                if request_id:
-                    self._remember_applied(request_id, reply)
-                if applied:
-                    self._fire_crash(CRASH_POINT_AFTER_APPLY)
-                if audit is not None:
-                    self._emit_audit(audit, seq, request, reply,
-                                     version_before,
-                                     self._version_of(request))
+            for lock, exclusive, scope in locks:
+                lock.acquire(exclusive, scope)
+                taken += 1
+            # Looked up under the request's lock, so a duplicate that
+            # queued behind its original finds the original's reply
+            # and is never logged or applied a second time.
+            cached = self._lookup_applied(request) if request_id else None
+            if cached is not None:
+                if replay is not None and replay[1] is not None:
+                    # A replayed frame whose effect the engine
+                    # already holds: its versions are no longer known.
+                    self._emit_audit(replay[1], replay[0], request,
+                                     cached, None, None)
+                return cached  # retransmission: answer, do not re-apply
+            audit, seq = None, 0
+            if mutating:
+                if replay is not None:
+                    seq, audit = replay
+                else:
+                    audit = self.audit
+                    if self.wal is not None:
+                        # Durable before applied: the encode is
+                        # deterministic, so the log holds exactly
+                        # the bytes the wire carried.  Appending
+                        # under the per-file lock keeps WAL order
+                        # identical to apply order for each file.
+                        seq = self.wal.append(
+                            msg.encode_message(self.ctx, request))
+                self._fire_crash(CRASH_POINT_BEFORE_APPLY)
+            version_before = None
+            if audit is not None:
+                version_before = self._version_of(request)
+            # Handler failures are converted to ErrorReply HERE,
+            # with the request's locks held, so the outcome frame of a
+            # rejected mutation is written in apply order too (the
+            # WAL already holds the request either way).
+            try:
+                reply = handler(request)
+                applied = mutating
+            except SimulatedCrash:
+                raise
+            except ReproError as exc:
+                reply, applied = _error_reply(exc, request_id), False
+            # Recorded before the after-apply crash point, so a
+            # resend after that crash is answered, not re-applied.
+            if request_id:
+                self._remember_applied(request_id, reply)
+            if applied:
+                self._fire_crash(CRASH_POINT_AFTER_APPLY)
+            if audit is not None:
+                self._emit_audit(audit, seq, request, reply,
+                                 version_before,
+                                 self._version_of(request))
         except SimulatedCrash:
             raise
         except ReproError as exc:
             reply = _error_reply(exc, request_id)
+        finally:
+            for lock, exclusive, _scope in reversed(locks[:taken]):
+                lock.release(exclusive)
         return reply
 
     # ------------------------------------------------------------------
@@ -420,7 +433,7 @@ class CloudServer:
         """Write the outcome frame of request frame ``seq`` (file lock
         held).
 
-        Runs under the same lock scope as the apply, so a file's outcome
+        Runs under the same locks as the apply, so a file's outcome
         frames follow its request frames in apply order -- the property
         the stress harness verifies.
         """
@@ -449,9 +462,10 @@ class CloudServer:
     # Concurrency control
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def _lock_scope(self, request: msg.Message, mutating: bool):
-        """Hold the locks one request needs, per the documented hierarchy.
+    def _lock_scope(self, request: msg.Message, mutating: bool
+                    ) -> tuple[tuple[RWLock, bool, str], ...]:
+        """The ``(lock, exclusive, scope)`` holds one request needs, in
+        the documented hierarchy order.
 
         Registry-changing requests (outsource, whole-file delete) take
         the registry lock exclusively and therefore run alone.  Every
@@ -462,27 +476,12 @@ class CloudServer:
         ``docs/CONCURRENCY.md``.
         """
         if isinstance(request, REGISTRY_REQUESTS):
-            with self._registry_lock.exclusive(scope="registry"):
-                yield
-            return
+            return ((self._registry_lock, True, "registry"),)
         file_id = getattr(request, "file_id", None)
         if file_id is None:
-            yield
-            return
-        file_lock = self._file_locks.lock(file_id)
-        held = file_lock.exclusive() if mutating else file_lock.shared()
-        with self._registry_lock.shared(scope="registry"):
-            if not obs.enabled:
-                with held:
-                    yield
-                return
-            from repro.obs import instruments as ins
-            ins.INFLIGHT_REQUESTS.inc(file_id=str(file_id))
-            try:
-                with held:
-                    yield
-            finally:
-                ins.INFLIGHT_REQUESTS.dec(file_id=str(file_id))
+            return ()
+        return ((self._registry_lock, False, "registry"),
+                (self._file_locks.lock(file_id), mutating, "file"))
 
     # ------------------------------------------------------------------
     # File adoption (used directly by benchmarks with lazy stores)
@@ -801,7 +800,9 @@ class CloudServer:
         start = _time.perf_counter()
         stats = {"files_flushed": 0, "files_converted": 0,
                  "dirty_records": 0}
-        with self._registry_lock.exclusive(scope="registry"):
+        registry = self._registry_lock
+        registry.acquire(True, "registry")
+        try:
             self._fire_crash(CRASH_POINT_BEFORE_FLUSH)
             if self.wal is not None:
                 # Outcome frames durable before the engine absorbs
@@ -828,6 +829,8 @@ class CloudServer:
                 marker = (f"snapshot files={self.file_count()} "
                           f"dirty={stats['dirty_records']}").encode()
                 self.wal.compact(marker)
+        finally:
+            registry.release(True)
         stats["seconds"] = _time.perf_counter() - start
         if obs.enabled:
             from repro.obs import instruments as ins
